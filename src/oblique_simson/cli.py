@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sceneio, verify
-from .errors import GeometryError
+from .errors import GeometryError, ParseError
 from .numeric import EXACT, Backend, FloatBackend, parse_rational
 from .simson import Params, build_scene
 from .verify import AUDIT_NAMES, FuzzConfig, Report
@@ -50,7 +50,10 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 
 def _backend_from_args(args) -> Backend:
     if args.backend == "float":
-        return FloatBackend(args.eps)
+        try:
+            return FloatBackend(args.eps)
+        except ValueError as exc:
+            raise ParseError(f"--eps: {exc}") from exc
     return EXACT
 
 

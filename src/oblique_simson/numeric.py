@@ -1,20 +1,31 @@
 """Scalar arithmetic behind all geometry, with two interchangeable backends.
 
-The exact backend wraps :class:`fractions.Fraction` (arbitrary-precision,
+The exact backend works on :class:`fractions.Fraction` (arbitrary-precision,
 always canonical: positive denominator, gcd-reduced, zero as 0/1), so every
 identity the geometry asserts can be checked as a literal equality.  The
-approximate backend wraps binary floats together with an absolute tolerance
-``eps_abs``; its zero test is ``|x| <= eps_abs``, optionally scaled by the
-magnitude of the quantities that produced ``x``.
+approximate backend works on finite binary floats together with an absolute
+tolerance ``eps_abs`` (finite and positive); its zero test is
+``|x| <= eps_abs``, optionally scaled by the magnitude of the quantities that
+produced ``x``.
 
-Backends never mix: combining scalars from different backends raises
-:class:`~oblique_simson.errors.BackendMismatch`.  Plain ``int`` and
+This module owns the two policies every layer shares, stated on raw values:
+:meth:`Backend.is_zero` (the zero test) and :meth:`Backend.div` (division
+that raises :class:`~oblique_simson.errors.DivisionByZero` when the divisor
+is zero by that test).  The geometry computes on bare ``Fraction``/``float``
+values through these two methods.
+
+:class:`Scalar` is the stored value type: an immutable value bound to its
+backend, as held in points, lines, circles and parameters.  Its operators
+remain for callers that compute on stored values; they never mix backends
+(combining scalars from different backends raises
+:class:`~oblique_simson.errors.BackendMismatch`).  Plain ``int`` and
 ``Fraction`` operands are accepted on either backend (the coercion is
 lossless); raw ``float`` operands are accepted only on a float backend.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -60,6 +71,18 @@ class Backend:
     def coerce(self, value):
         raise NotImplementedError
 
+    def is_zero(self, value, entries: Iterable = ()) -> bool:
+        """Zero test on a raw value of this backend; *entries* are the raw
+        values that fed it (see :func:`is_zero`)."""
+        raise NotImplementedError
+
+    def div(self, n, d):
+        """n / d on raw values; raises DivisionByZero when d is zero by
+        :meth:`is_zero`."""
+        if self.is_zero(d):
+            raise DivisionByZero("division by zero scalar")
+        return n / d
+
     def scalar(self, value) -> "Scalar":
         """Wrap a value (int, Fraction, str, or same-backend Scalar) as a Scalar."""
         if isinstance(value, Scalar):
@@ -87,6 +110,9 @@ class ExactBackend(Backend):
             return parse_rational(value)
         return Fraction(value)
 
+    def is_zero(self, value, entries: Iterable = ()) -> bool:
+        return value == 0
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactBackend)
 
@@ -98,24 +124,38 @@ class ExactBackend(Backend):
 
 
 class FloatBackend(Backend):
-    """Binary floats with an absolute tolerance (coordinate units)."""
+    """Finite binary floats with an absolute tolerance (coordinate units)."""
 
     name = "float"
     exact = False
 
     def __init__(self, eps_abs: float = 1e-9):
-        if not eps_abs > 0:
-            raise ValueError("eps_abs must be positive")
+        if not (math.isfinite(eps_abs) and eps_abs > 0):
+            raise ValueError(f"eps_abs must be finite and positive, got {eps_abs!r}")
         self.eps_abs = float(eps_abs)
 
     def coerce(self, value) -> float:
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
         if isinstance(value, str):
-            return float(parse_rational(value))
-        if isinstance(value, (int, float, Fraction)):
-            return float(value)
-        raise TypeError(f"float backend cannot represent {type(value).__name__}")
+            value = parse_rational(value)
+        if not isinstance(value, (int, float, Fraction)):
+            raise TypeError(f"float backend cannot represent {type(value).__name__}")
+        try:
+            result = float(value)
+        except OverflowError as exc:
+            raise ParseError("value exceeds the float range") from exc
+        if not math.isfinite(result):
+            raise ParseError(f"not a finite float: {value!r}")
+        return result
+
+    def is_zero(self, value, entries: Iterable = ()) -> bool:
+        scale = 1.0
+        for e in entries:
+            m = abs(e)
+            if m > scale:
+                scale = m
+        return abs(value) <= self.eps_abs * scale
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FloatBackend) and other.eps_abs == self.eps_abs
@@ -191,17 +231,13 @@ class Scalar:
         v = self._operand(other)
         if v is NotImplemented:
             return NotImplemented
-        if is_zero(self._wrap(v)):
-            raise DivisionByZero("division by zero scalar")
-        return self._wrap(self.value / v)
+        return self._wrap(self.backend.div(self.value, v))
 
     def __rtruediv__(self, other):
         v = self._operand(other)
         if v is NotImplemented:
             return NotImplemented
-        if is_zero(self):
-            raise DivisionByZero("division by zero scalar")
-        return self._wrap(v / self.value)
+        return self._wrap(self.backend.div(v, self.value))
 
     def __neg__(self):
         return self._wrap(-self.value)
@@ -215,9 +251,7 @@ class Scalar:
         v = self._operand(other)
         if v is NotImplemented:
             return NotImplemented
-        if self.backend.exact:
-            return self.value == v
-        return abs(self.value - v) <= self.backend.eps_abs
+        return self.backend.is_zero(self.value - v)
 
     def __lt__(self, other):
         v = self._operand(other)
@@ -257,21 +291,14 @@ class Scalar:
 
 
 def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
-    """Backend-aware zero test.
+    """Backend-aware zero test; the rule itself is :meth:`Backend.is_zero`.
 
     On the exact backend this is literal.  On the float backend the threshold
     is ``eps_abs`` scaled by the largest magnitude among *entries* (the inputs
     that fed the tested quantity, e.g. determinant entries), never below
     ``eps_abs`` itself.
     """
-    if x.backend.exact:
-        return x.value == 0
-    scale = 1.0
-    for e in entries:
-        m = abs(float(e))
-        if m > scale:
-            scale = m
-    return abs(x.value) <= x.backend.eps_abs * scale
+    return x.backend.is_zero(x.value, map(float, entries))
 
 
 def scalars_equal(x: Scalar, y: Scalar, entries: Iterable[Scalar] = ()) -> bool:

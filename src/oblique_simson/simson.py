@@ -103,7 +103,11 @@ class Similarity:
     t: Scalar
 
     def apply(self, p: Point) -> Point:
-        return Point(p.x / 2 - self.t * p.y, self.t * p.x + p.y / 2)
+        be = p.x.backend
+        if self.t.backend != be:
+            raise BackendMismatch("similarity and point must share one backend")
+        t, x, y = self.t.value, p.x.value, p.y.value
+        return Point(Scalar(be, x / 2 - t * y), Scalar(be, t * x + y / 2))
 
     def scale_sq(self) -> Scalar:
         return (1 + 4 * self.t * self.t) / 4
@@ -139,8 +143,9 @@ def circumcircle_sigma(backend: Backend) -> Circle:
 
 def vertex_point(p: Scalar) -> Point:
     """The circumcircle point (2, 2p) / (1 + p^2) for vertex parameter p."""
-    den = 1 + p * p
-    return Point(2 / den, 2 * p / den)
+    be, v = p.backend, p.value
+    den = 1 + v * v
+    return Point(Scalar(be, be.div(2, den)), Scalar(be, be.div(2 * v, den)))
 
 
 def apply_similarity(t: Scalar, p: Point) -> Point:
@@ -158,8 +163,9 @@ def perspector_k(t: Scalar) -> Point:
     K = (8t^2, 4t) / (1 + 4t^2); independent of the vertex parameters, and
     equal to J itself at t = 0.
     """
-    den = 1 + 4 * t * t
-    return Point(8 * t * t / den, 4 * t / den)
+    be, v = t.backend, t.value
+    den = 1 + 4 * v * v
+    return Point(Scalar(be, be.div(8 * v * v, den)), Scalar(be, be.div(4 * v, den)))
 
 
 def orthocenter_h(params: Params) -> Point:

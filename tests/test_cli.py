@@ -3,6 +3,8 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
@@ -72,6 +74,20 @@ class TestVerify:
         code = main(["verify", *GOLDEN, "--backend", "float", "--eps", "1e-18"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_eps_not_finite_positive_is_an_input_error(self, eps, capsys):
+        code = main(["verify", *GOLDEN, "--backend", "float", "--eps", eps])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --eps:") and err.count("\n") == 1
+
+    def test_float_overflow_is_an_input_error(self, capsys):
+        code = main(["verify", "--a", "1e400", "--b", "2", "--c", "3", "--t", "1",
+                     "--backend", "float"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_check_failures_exit_1(self, capsys, monkeypatch):
         # on valid input the exact checks cannot fail (that is the point of

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from oblique_simson import (
     DirectedTan,
     IdenticalCircles,
     KnownPointNotIncident,
+    BackendMismatch,
+    FloatBackend,
     Line,
     NoRadicalLine,
     ZeroRadius,
@@ -30,7 +34,7 @@ from oblique_simson import (
     second_circle_circle,
     second_line_circle,
 )
-from oblique_simson.geom import dist_sq, lines_equal, on_circle, on_line
+from oblique_simson.geom import dist_sq, lines_equal, on_circle, on_line, points_equal
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 points = st.builds(P, rationals, rationals)
@@ -375,3 +379,46 @@ class TestCanonicalization:
         l = line_through(p, q)
         rescaled = make_line(l.a * E(k), l.b * E(k), l.c * E(k))
         assert lines_equal(l, rescaled)
+
+
+def _as_float(obj):
+    """The same point, line or circle on a float backend."""
+    fb = FloatBackend()
+    return type(obj)(**{f.name: fb.scalar(float(getattr(obj, f.name)))
+                        for f in dataclasses.fields(obj)})
+
+
+_A, _B, _C, _D = P(0, 0), P(2, 0), P(0, 2), P(2, 2)
+_AB, _AC, _AD = L(0, 1, 0), L(1, 0, 0), L(1, -1, 0)
+_ABC = C3(-2, -2, 0)         # through A, B, C, D
+_CENTER_A = C3(0, 0, -4)     # centered at A, through B and C
+
+# every geom primitive taking two or more objects, on valid exact arguments
+_MULTI_ARG = [
+    (line_through, (_A, _B)),
+    (points_equal, (_A, _B)),
+    (midpoint, (_A, _B)),
+    (dist_sq, (_A, _B)),
+    (on_line, (_AB, _A)),
+    (on_circle, (_ABC, _A)),
+    (collinear3, (_A, _B, _C)),
+    (concyclic4, (_A, _B, _C, _D)),
+    (intersect_lines, (_AB, _AC)),
+    (foot_perpendicular, (_D, _AB)),
+    (circle_through3, (_A, _B, _C)),
+    (circle_center_through, (_A, _B)),
+    (radical_line, (_ABC, _CENTER_A)),
+    (second_line_circle, (_AB, _ABC, _A)),
+    (directed_tan, (_AB, _AD)),
+]
+
+
+class TestBackendMismatch:
+    @pytest.mark.parametrize("fn, args", _MULTI_ARG,
+                             ids=[fn.__name__ for fn, _ in _MULTI_ARG])
+    def test_mixed_exact_and_float_rejected(self, fn, args):
+        fn(*args)  # valid on one backend
+        for i in range(len(args)):
+            mixed = args[:i] + (_as_float(args[i]),) + args[i + 1:]
+            with pytest.raises(BackendMismatch):
+                fn(*mixed)

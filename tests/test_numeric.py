@@ -9,6 +9,7 @@ from oblique_simson import (
     BackendMismatch,
     DivisionByZero,
     FloatBackend,
+    Params,
     ParseError,
     ZeroDenominator,
     format_scalar,
@@ -121,6 +122,24 @@ class TestArithmetic:
         assert (sa * (sb + sc)).value == (sa * sb + sa * sc).value
         if b != 0:
             assert ((sa / sb) * sb).value == a
+
+
+class TestFloatDomain:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError):
+            FloatBackend(eps)
+
+    @pytest.mark.parametrize("value", [Fraction(10 ** 400), -10 ** 400,
+                                       float("inf"), float("nan")],
+                             ids=["fraction-1e400", "int-minus-1e400", "inf", "nan"])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ParseError):
+            FloatBackend().scalar(value)
+
+    def test_overflowing_params_rejected(self):
+        with pytest.raises(ParseError):
+            Params.make(Fraction(10 ** 400), 2, 3, 1, backend=FloatBackend())
 
 
 class TestZeroTest:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import E, P
 from oblique_simson import (
     AllCoincident,
+    FuzzConfig,
     CollinearPoints,
     DegenerateTriangle,
     JEqualsH,
@@ -34,13 +35,16 @@ from oblique_simson import (
 )
 from oblique_simson.geom import (
     collinear3,
+    directed_tan,
     dist_sq,
+    line_through,
     on_circle,
     on_line,
     points_equal,
 )
-from oblique_simson.numeric import EXACT
+from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES
+from oblique_simson.verify import fuzz_instances
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -347,6 +351,39 @@ class TestBuildScene:
         from oblique_simson import run_checks
         report = run_checks(build_scene(params))
         assert report.all_pass, [r.name for r in report.failures]
+
+
+def _scene_scalars(scene):
+    """Every stored coordinate of the scene, plus the oblique-angle tangents."""
+    objects = [scene.params, *scene.points.values(), *scene.lines.values(),
+               *scene.circles.values(), *(c.center() for c in scene.circles.values())]
+    scalars = [getattr(obj, f) for obj in objects for f in vars(obj)]
+    scalars += [c.radius_sq() for c in scene.circles.values()]
+    j = scene.points["J"]
+    for name, side in (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB")):
+        if not points_equal(scene.points[name], j):
+            tan = directed_tan(line_through(j, scene.points[name]), scene.lines[side])
+            if not tan.infinite:
+                scalars.append(tan.value)
+    return scalars
+
+
+class TestSceneValueTypes:
+    def test_coordinates_are_backend_scalars_of_native_values(self):
+        raws = [(p.a.value, p.b.value, p.c.value, p.t.value)
+                for _, p, _ in fuzz_instances(
+                    FuzzConfig(seed=11, count=12, include_t_zero=True))[0]]
+        raws.append((1, 2, 3, Fraction(1, 2)))  # sets tangent:AA0
+        flags, t_zero = set(), 0
+        for backend, native in ((EXACT, Fraction), (FloatBackend(1e-9), float)):
+            for raw in raws:
+                scene = build_scene(Params.make(*raw, backend=backend))
+                flags.update(f for f in scene.flags if f.startswith("tangent:"))
+                t_zero += raw[3] == 0
+                for s in _scene_scalars(scene):
+                    assert isinstance(s, Scalar) and s.backend == backend
+                    assert type(s.value) is native, (raw, s)
+        assert flags and t_zero == 2
 
 
 class TestNormalizeFrame:
