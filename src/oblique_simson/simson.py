@@ -9,20 +9,22 @@ the perpendicular bisector of JH.
 
 The pipeline never solves a general quadratic: every second intersection is
 taken against a known common point (Vieta), so a rational instance yields a
-fully rational Scene.  The orthocentre and the altitudes are always computed
-constructively from perpendiculars and intersections; the closed-form
-variants live in :mod:`oblique_simson.verify` as audit material only.
+fully rational Scene.  construct_core is the single producer of the vertices,
+sides, altitudes, H, vertex circles and X, Y, Z, which build_scene and the
+audit in :mod:`oblique_simson.verify` both read; the audit's closed forms are
+compared against them and used nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import geom
 from .errors import (
     AllCoincident,
     BackendMismatch,
+    CollinearPoints,
     ConstructionError,
     DegenerateTriangle,
     JEqualsH,
@@ -30,7 +32,7 @@ from .errors import (
     NotOnCircumcircle,
 )
 from .geom import Circle, Line, Point
-from .numeric import EXACT, Backend, Scalar
+from .numeric import EXACT, Backend, Scalar, scalars_equal
 
 VERTEX_ORDER = ("A", "B", "C")
 
@@ -168,14 +170,6 @@ def perspector_k(t: Scalar) -> Point:
     return Point(Scalar(be, be.div(8 * v * v, den)), Scalar(be, be.div(4 * v, den)))
 
 
-def orthocenter_h(params: Params) -> Point:
-    """Orthocentre of the parametrized triangle, built from two altitudes."""
-    a_pt = vertex_point(params.a)
-    b_pt = vertex_point(params.b)
-    c_pt = vertex_point(params.c)
-    return geom.orthocenter3(a_pt, b_pt, c_pt)
-
-
 def q_point(h: Point, t: Scalar) -> Point:
     """Q = (h/2 - kt, k/2 + ht): the similarity image of H = (h, k).
 
@@ -192,62 +186,90 @@ def vertex_circle(p: Scalar, t: Scalar) -> Circle:
     return geom.circle_center_through(image_vertex(p, t), origin_j(p.backend))
 
 
+_OPPOSITE = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
+_LMN_SOURCES = {n: _OPPOSITE[v] for n, v in zip("LMN", VERTEX_ORDER)}
+
+
+class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen dataclass
+    """The construction stage, keyed by vertex v: sides[v] is the side
+    opposite v, altitudes[v] the altitude from v, joins[v] the line through v
+    and its image v0, circles[v] the vertex circle (centred at v0, through J
+    and v), and xyz[v] the second meet of altitudes[v] with circles[v] (X, Y
+    or Z) with its tangency flag (result = v)."""
+
+    vertices: Dict[str, Point]
+    images: Dict[str, Point]
+    joins: Dict[str, Line]
+    sides: Dict[str, Line]
+    altitudes: Dict[str, Line]
+    h: Point
+    circles: Dict[str, Circle]
+    xyz: Dict[str, Tuple[Point, bool]]
+
+    def hagge(self) -> Circle:
+        """The circle S through X, Y, Z."""
+        return geom.circle_through3(*(self.xyz[v][0] for v in VERTEX_ORDER))
+
+    def lmn(self, which: str) -> Tuple[Point, bool]:
+        """L, M or N: the meet other than J of the circles of B and C, C and A,
+        or A and B, flagged when they touch at J (result = J)."""
+        v1, v2 = _LMN_SOURCES[which]
+        return geom.second_circle_circle(self.circles[v1], self.circles[v2],
+                                         origin_j(self.h.backend))
+
+
+def construct_core(params: Params) -> Core:
+    """The single producer of the stage: each object is built once, from
+    objects the stage already has.  Sides come from vertices, altitudes from
+    sides, H is the meet of the altitudes from A and B (guarded and checked as
+    in geom.orthocenter3), each vertex circle is centred at its image through
+    J, and X, Y, Z come from altitude, vertex circle and vertex."""
+    j = origin_j(params.backend)
+    verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
+    if geom.collinear3(*verts.values()):
+        raise CollinearPoints("orthocentre of collinear points is undefined")
+    sides, alts = {}, {}
+    for v in VERTEX_ORDER:
+        q, r = _OPPOSITE[v]
+        sides[v] = geom.line_through(verts[q], verts[r])
+        alts[v] = geom.perpendicular_through(verts[v], sides[v])
+        if v == "B":  # the meet precedes the third altitude, as in orthocenter3
+            h = geom.intersect_lines(alts["A"], alts["B"])
+    if not geom.on_line(alts["C"], h):
+        raise ConstructionError("orthocentre failed third-altitude incidence")
+    images = {v: apply_similarity(params.t, verts[v]) for v in VERTEX_ORDER}
+    joins = {v: geom.line_through(verts[v], images[v]) for v in VERTEX_ORDER}
+    circles = {v: geom.circle_center_through(images[v], j) for v in VERTEX_ORDER}
+    xyz = {v: geom.second_line_circle(alts[v], circles[v], verts[v])
+           for v in VERTEX_ORDER}
+    return Core(verts, images, joins, sides, alts, h, circles, xyz)
+
+
+# One-line public read-outs of the stage (see Core); BENCHMARK.json traces them.
+
+
+def orthocenter_h(params: Params) -> Point:
+    return construct_core(params).h
+
+
 def side_line(vertex: str, params: Params) -> Line:
-    """The triangle side opposite the named vertex."""
-    q, r = params.other_parameters(vertex)
-    return geom.line_through(vertex_point(q), vertex_point(r))
+    return construct_core(params).sides[vertex]
 
 
 def altitude_line(vertex: str, params: Params) -> Line:
-    """Altitude from the named vertex: perpendicular to the opposite side.
-
-    Its normal direction is proportional to (q + r, -(1 - q r)) for the two
-    opposite-vertex parameters q, r.
-    """
-    own = params.vertex_parameter(vertex)
-    return geom.perpendicular_through(vertex_point(own), side_line(vertex, params))
+    return construct_core(params).altitudes[vertex]
 
 
 def xyz_point(vertex: str, params: Params) -> Tuple[Point, bool]:
-    """Second intersection of a vertex's altitude with its vertex circle.
-
-    This is the single-valued route to the point where the altitude meets the
-    circle S: the altitude meets the vertex circle at the vertex itself and at
-    the wanted point.  The flag marks the tangency collapse (result = vertex).
-    """
-    own = params.vertex_parameter(vertex)
-    return geom.second_line_circle(
-        altitude_line(vertex, params),
-        vertex_circle(own, params.t),
-        vertex_point(own),
-    )
+    return construct_core(params).xyz[vertex]
 
 
 def hagge_circle(params: Params) -> Circle:
-    """Circle through the three altitude points X, Y, Z.
-
-    By the theory it is centered at Q and passes through J and H; those
-    incidences are asserted by build_scene and re-checked by the verifier.
-    """
-    x, _ = xyz_point("A", params)
-    y, _ = xyz_point("B", params)
-    z, _ = xyz_point("C", params)
-    return geom.circle_through3(x, y, z)
-
-
-_LMN_SOURCES = {"L": ("B", "C"), "M": ("C", "A"), "N": ("A", "B")}
+    return construct_core(params).hagge()
 
 
 def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
-    """Second common point of two vertex circles, the known one being J.
-
-    L comes from the circles of B and C, M from C and A, N from A and B.
-    The flag marks the circles touching at J (result = J).
-    """
-    v1, v2 = _LMN_SOURCES[which]
-    c1 = vertex_circle(params.vertex_parameter(v1), params.t)
-    c2 = vertex_circle(params.vertex_parameter(v2), params.t)
-    return geom.second_circle_circle(c1, c2, origin_j(params.backend))
+    return construct_core(params).lmn(which)
 
 
 def gws_line(l: Point, m: Point, n: Point) -> Line:
@@ -289,52 +311,44 @@ def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
 def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
-    Inline asserts cover the cheap identities (vertices and K on Sigma, the
-    image circumcircle through J and K, S centered at Q through J and H, the
-    vertex-image lines meeting at K); everything else is the verifier's job.
+    Every object construct_core holds is taken from it, its single producer,
+    and L, M, N come from its vertex circles.  Inline asserts cover the cheap
+    identities (vertices and K on Sigma, the image circumcircle through J and
+    K, S centered at Q through J and H, the vertex-image lines meeting at K);
+    everything else is the verifier's job.
     """
     be = params.backend
     j = origin_j(be)
     o = circumcenter_o(be)
     sigma = circumcircle_sigma(be)
+    core = construct_core(params)
+    verts, images, alts = core.vertices, core.images, core.altitudes
 
-    verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
     for v, pt in verts.items():
         _check(geom.on_circle(sigma, pt), f"vertex {v} off the circumcircle")
 
-    h = orthocenter_h(params)
+    h = core.h
     if geom.points_equal(h, j):
         raise JEqualsH("H coincides with J")
     q = q_point(h, params.t)
 
-    images = {v: apply_similarity(params.t, verts[v]) for v in VERTEX_ORDER}
     k = perspector_k(params.t)
     _check(geom.on_circle(sigma, k), "perspector off the circumcircle")
 
     flags: List[str] = []
     for v in VERTEX_ORDER:
-        join = geom.line_through(verts[v], images[v])
-        k_again, tangent = geom.second_line_circle(join, sigma, verts[v])
+        k_again, tangent = geom.second_line_circle(core.joins[v], sigma, verts[v])
         _check(geom.points_equal(k_again, k), f"{v}{v}0 misses the perspector")
         if tangent:
             flags.append(f"tangent:{v}{v}0")
 
-    sides = {v: side_line(v, params) for v in VERTEX_ORDER}
-    alts = {v: altitude_line(v, params) for v in VERTEX_ORDER}
     for v in VERTEX_ORDER:
         _check(geom.on_line(alts[v], h), f"altitude {v} misses the orthocentre")
 
-    circles_v = {v: vertex_circle(params.vertex_parameter(v), params.t)
-                 for v in VERTEX_ORDER}
+    xyz = {n: core.xyz[v] for n, v in zip("XYZ", VERTEX_ORDER)}
+    flags += [f"tangent:{n}" for n, (_, tangent) in xyz.items() if tangent]
 
-    xyz = {}
-    for v, name in zip(VERTEX_ORDER, ("X", "Y", "Z")):
-        pt, tangent = geom.second_line_circle(alts[v], circles_v[v], verts[v])
-        xyz[name] = pt
-        if tangent:
-            flags.append(f"tangent:{name}")
-
-    s_circle = geom.circle_through3(xyz["X"], xyz["Y"], xyz["Z"])
+    s_circle = core.hagge()
     _check(geom.points_equal(s_circle.center(), q), "S is not centered at Q")
     _check(geom.on_circle(s_circle, j), "S misses J")
     _check(geom.on_circle(s_circle, h), "S misses H")
@@ -343,25 +357,15 @@ def build_scene(params: Params) -> Scene:
     _check(geom.on_circle(sigma0, j), "image circumcircle misses J")
     _check(geom.on_circle(sigma0, k), "image circumcircle misses K")
 
-    lmn = {}
-    for name in ("L", "M", "N"):
-        pt, tangent = lmn_point(name, params)
-        lmn[name] = pt
-        if tangent:
-            flags.append(f"tangent:{name}")
+    lmn = {n: core.lmn(n) for n in "LMN"}
+    flags += [f"tangent:{n}" for n, (_, tangent) in lmn.items() if tangent]
+    gws = gws_line(*(pt for pt, _ in lmn.values()))
 
-    gws = gws_line(lmn["L"], lmn["M"], lmn["N"])
-
-    points = {
-        "J": j, "O": o,
-        "A": verts["A"], "B": verts["B"], "C": verts["C"],
-        "H": h, "Q": q, "K": k,
-        "A0": images["A"], "B0": images["B"], "C0": images["C"],
-        "X": xyz["X"], "Y": xyz["Y"], "Z": xyz["Z"],
-        "L": lmn["L"], "M": lmn["M"], "N": lmn["N"],
-    }
+    points = {"J": j, "O": o, **verts, "H": h, "Q": q, "K": k,
+              **{v + "0": images[v] for v in VERTEX_ORDER},
+              **{n: pt for n, (pt, _) in (*xyz.items(), *lmn.items())}}
     lines = {
-        "sideBC": sides["A"], "sideCA": sides["B"], "sideAB": sides["C"],
+        "sideBC": core.sides["A"], "sideCA": core.sides["B"], "sideAB": core.sides["C"],
         "altA": alts["A"], "altB": alts["B"], "altC": alts["C"],
         "gwsLine": gws,
         "imageSideB0C0": geom.line_through(images["B"], images["C"]),
@@ -370,7 +374,7 @@ def build_scene(params: Params) -> Scene:
     }
     circles = {
         "Sigma": sigma, "Sigma0": sigma0, "S": s_circle,
-        "cA": circles_v["A"], "cB": circles_v["B"], "cC": circles_v["C"],
+        "cA": core.circles["A"], "cB": core.circles["B"], "cC": core.circles["C"],
     }
     return Scene(params=params, points=points, lines=lines, circles=circles,
                  flags=tuple(flags))
@@ -442,7 +446,8 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
     bis_ac = geom.perpendicular_through(geom.midpoint(a_pt, c_pt),
                                         geom.line_through(a_pt, c_pt))
     center = geom.intersect_lines(bis_ab, bis_ac)
-    if geom.dist_sq(j_pt, center) != geom.dist_sq(a_pt, center):
+    dj, da = geom.dist_sq(j_pt, center), geom.dist_sq(a_pt, center)
+    if not scalars_equal(dj, da, (dj, da)):
         raise NotOnCircumcircle("J is not on the circumcircle of the triangle")
     unit = Point(center.x - j_pt.x, center.y - j_pt.y)
     transform = FrameTransform(origin=j_pt, unit=unit)

@@ -7,11 +7,12 @@ backend a failing check on a validly built scene is always a defect: the fuzz
 run is a randomized polynomial-identity test over the rationals.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
-construction (rows Eq2.3-Eq2.8) against the constructive objects.  Two of
-them disagree with the construction on generic instances - the orthocentre
-x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2 term) and the altitude
-constant term (off by 4(b+c)) - and the audit documents exactly that, per
-instance, without guessing intent.
+construction (rows Eq2.3-Eq2.8) against the constructive objects, which it
+reads from :func:`simson.construct_core` (the checks above re-derive from the
+scene alone).  Two of them disagree with the construction on generic
+instances - the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2
+term) and the altitude constant term (off by 4(b+c)) - and the audit
+documents exactly that, per instance, without guessing intent.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import geom, simson
 from .errors import GeometryError, JEqualsH
 from .geom import Circle, Line, Point
 from .numeric import EXACT, Scalar, format_scalar, is_zero, scalars_equal
-from .simson import Params, Scene
+from .simson import Core, Params, Scene
 
 CHECK_NAMES = (
     "on_circumcircle",
@@ -85,8 +86,7 @@ class Report:
         raise KeyError(name)
 
 
-def _fmt(x: Scalar) -> str:
-    return format_scalar(x)
+_fmt = format_scalar
 
 
 def _fmt_point(p: Point) -> str:
@@ -521,32 +521,26 @@ def _printed_hagge(params: Params) -> Circle:
     return Circle(2 * xb / den, 2 * yb / den, zero)
 
 
-def _audit_eq23(params: Params):
+def _audit_eq23(params: Params, core: Core):
     for v in simson.VERTEX_ORDER:
-        own = params.vertex_parameter(v)
-        printed = _printed_vertex_line(own, params.t)
-        built = geom.line_through(simson.vertex_point(own),
-                                  simson.image_vertex(own, params.t))
-        if not geom.lines_equal(printed, built):
+        printed = _printed_vertex_line(params.vertex_parameter(v), params.t)
+        if not geom.lines_equal(printed, core.joins[v]):
             return {"vertex": v, "printed": _fmt_line(printed),
-                    "constructive": _fmt_line(built)}
+                    "constructive": _fmt_line(core.joins[v])}
     return None
 
 
-def _audit_eq24(params: Params):
+def _audit_eq24(params: Params, core: Core):
     for v in simson.VERTEX_ORDER:
-        own = params.vertex_parameter(v)
-        printed = _printed_vertex_circle(own, params.t)
-        built = simson.vertex_circle(own, params.t)
-        if not geom.circles_equal(printed, built):
+        printed = _printed_vertex_circle(params.vertex_parameter(v), params.t)
+        if not geom.circles_equal(printed, core.circles[v]):
             return {"vertex": v, "printed": _fmt_circle(printed),
-                    "constructive": _fmt_circle(built)}
+                    "constructive": _fmt_circle(core.circles[v])}
     return None
 
 
-def _audit_eq25(params: Params) -> Tuple[Optional[dict], Optional[dict]]:
-    printed = _printed_orthocenter(params.a, params.b, params.c)
-    built = simson.orthocenter_h(params)
+def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
+    printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     wx = wy = None
     if not scalars_equal(printed.x, built.x, (printed.x, built.x)):
         wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
@@ -555,7 +549,7 @@ def _audit_eq25(params: Params) -> Tuple[Optional[dict], Optional[dict]]:
     return wx, wy
 
 
-def _audit_eq26(params: Params) -> Tuple[Optional[dict], Optional[dict]]:
+def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
     """Compare the printed altitude-from-A coefficients with the construction.
 
     Only the altitude from A is audited: that is the one equation actually
@@ -565,7 +559,7 @@ def _audit_eq26(params: Params) -> Tuple[Optional[dict], Optional[dict]]:
     (coefficient proportionality, constant term after that rescaling).
     """
     pa, pb, pc = _printed_altitude_coeffs(params)
-    built = simson.altitude_line("A", params)
+    built = core.altitudes["A"]
     cross = pa * built.b - pb * built.a
     if not is_zero(cross, (pa * built.b, pb * built.a)):
         wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
@@ -578,21 +572,20 @@ def _audit_eq26(params: Params) -> Tuple[Optional[dict], Optional[dict]]:
     return None, None
 
 
-def _audit_eq27(params: Params):
+def _audit_eq27(params: Params, core: Core):
     for v in simson.VERTEX_ORDER:
-        own = params.vertex_parameter(v)
         q, r = params.other_parameters(v)
-        printed = _printed_xyz(own, q, r, params.t)
-        built, _ = simson.xyz_point(v, params)
+        printed = _printed_xyz(params.vertex_parameter(v), q, r, params.t)
+        built, _ = core.xyz[v]
         if not geom.points_equal(printed, built):
             return {"vertex": v, "printed": _fmt_point(printed),
                     "constructive": _fmt_point(built)}
     return None
 
 
-def _audit_eq28(params: Params):
+def _audit_eq28(params: Params, core: Core):
     printed = _printed_hagge(params)
-    built = simson.hagge_circle(params)
+    built = core.hagge()
     if not geom.circles_equal(printed, built):
         return {"printed": _fmt_circle(printed), "constructive": _fmt_circle(built)}
     return None
@@ -600,17 +593,18 @@ def _audit_eq28(params: Params):
 
 def audit_printed_formulas(params: Params) -> Report:
     """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH)."""
-    w25x, w25y = _audit_eq25(params)
-    w26coef, w26const = _audit_eq26(params)
+    core = simson.construct_core(params)
+    w25x, w25y = _audit_eq25(params, core)
+    w26coef, w26const = _audit_eq26(params, core)
     pairs = (
-        ("eq2.3", _audit_eq23(params)),
-        ("eq2.4", _audit_eq24(params)),
+        ("eq2.3", _audit_eq23(params, core)),
+        ("eq2.4", _audit_eq24(params, core)),
         ("eq2.5.x", w25x),
         ("eq2.5.y", w25y),
         ("eq2.6.coeffs", w26coef),
         ("eq2.6.const", w26const),
-        ("eq2.7", _audit_eq27(params)),
-        ("eq2.8", _audit_eq28(params)),
+        ("eq2.7", _audit_eq27(params, core)),
+        ("eq2.8", _audit_eq28(params, core)),
     )
     results = tuple(CheckResult(name, witness is None, witness)
                     for name, witness in pairs)

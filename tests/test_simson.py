@@ -34,6 +34,7 @@ from oblique_simson import (
     xyz_point,
 )
 from oblique_simson.geom import (
+    Point,
     collinear3,
     directed_tan,
     dist_sq,
@@ -437,3 +438,34 @@ class TestNormalizeFrame:
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateTriangle):
             normalize_frame(P(0, 0), P(1, 1), P(2, 2), P(0, 0))
+
+
+class TestNormalizeFrameFloatScale:
+    """The circumcircle test of normalize_frame scales its tolerance with the
+    squared distances it compares, so large float coordinates are accepted."""
+
+    @staticmethod
+    def _frame(off, j_stretch=1):
+        # the 3-4-5 triangle with J on its circumcircle (centre 0, radius 5),
+        # rotated by (3, 4)/5, scaled by 10^6/7 and shifted by (off, -off);
+        # j_stretch moves J radially off the circle
+        fb = FloatBackend(1e-9)
+        scale = Fraction(10 ** 6, 7)
+
+        def pt(x, y, stretch=1):
+            x, y = Fraction(x) * stretch, Fraction(y) * stretch
+            u, v = (3 * x - 4 * y) / 5, (4 * x + 3 * y) / 5
+            return Point(fb.scalar(u * scale + off), fb.scalar(v * scale - off))
+
+        return (pt(3, 4), pt(5, 0), pt(-4, 3), pt(0, -5, j_stretch))
+
+    @pytest.mark.parametrize("off", [0, Fraction(1, 10), Fraction(123457, 1000)])
+    def test_large_coordinates_normalize(self, off):
+        nf = normalize_frame(*self._frame(off))
+        for got, want in ((nf.a, -1 / 3), (nf.b, -1.0), (nf.c, 0.5)):
+            assert abs(got.value - want) <= 1e-9
+
+    @pytest.mark.parametrize("off", [0, Fraction(123457, 1000)])
+    def test_j_off_circle_still_rejected(self, off):
+        with pytest.raises(NotOnCircumcircle):
+            normalize_frame(*self._frame(off, j_stretch=Fraction(1001, 1000)))
