@@ -8,102 +8,26 @@ S through J and H centered at Q, the altitude points X, Y, Z, the circle
 pairs meeting at L, M, N, and the line LMN through Q - and verifies every
 incidence of the construction as a literal identity over big rationals, or
 within an explicit tolerance on the float backend.
+
+The root exports the documented API, ``__all__``, which the README lists
+under "Public API".  Every other name is importable from its own module
+(``errors``, ``numeric``, ``geom``, ``simson``, ``verify``, ``sceneio``).
 """
 
-from .errors import (
-    AllCoincident,
-    BackendMismatch,
-    CoincidentPoints,
-    CollinearPoints,
-    ConstructionError,
-    DegenerateTriangle,
-    DivisionByZero,
-    GeometryError,
-    IdenticalCircles,
-    JEqualsH,
-    KnownPointNotIncident,
-    NoRadicalLine,
-    NotCollinear,
-    NotOnCircumcircle,
-    ParallelLines,
-    ParseError,
-    ZeroDenominator,
-    ZeroRadius,
-)
-from .geom import (
-    Circle,
-    DirectedTan,
-    Line,
-    Point,
-    circle_center_through,
-    circle_through3,
-    collinear3,
-    concyclic4,
-    directed_tan,
-    foot_perpendicular,
-    intersect_lines,
-    line_through,
-    make_circle,
-    make_line,
-    midpoint,
-    orthocenter3,
-    perpendicular_through,
-    point,
-    radical_line,
-    reflect_in_line,
-    second_circle_circle,
-    second_line_circle,
-)
-from .numeric import (
-    EXACT,
-    Backend,
-    FloatBackend,
-    Scalar,
-    format_rational,
-    format_scalar,
-    parse_rational,
-    parse_scalar,
-    rational,
-)
-from .sceneio import (
-    render_svg,
-    scene_from_json,
-    scene_summary,
-    scene_to_document,
-    scene_to_json,
-)
-from .simson import (
-    FrameTransform,
-    NormalizedFrame,
-    Params,
-    Scene,
-    Similarity,
-    altitude_line,
-    apply_similarity,
-    build_scene,
-    circumcircle_sigma,
-    double_simson_line,
-    gws_line,
-    hagge_circle,
-    image_vertex,
-    lmn_point,
-    normalize_frame,
-    orthocenter_h,
-    perspector_k,
-    q_point,
-    vertex_circle,
-    vertex_point,
-    xyz_point,
-)
-from .verify import (
-    CheckResult,
-    FuzzConfig,
-    FuzzReport,
-    Report,
-    SplitMix64,
-    audit_printed_formulas,
-    fuzz,
-    run_checks,
-)
+from .errors import BackendMismatch, DivisionByZero, GeometryError, ParseError
+from .geom import Circle, Line, Point
+from .numeric import EXACT, Backend, FloatBackend, Scalar
+from .sceneio import render_svg, scene_from_json, scene_to_json
+from .simson import Params, Scene, build_scene, normalize_frame
+from .verify import FuzzConfig, Report, audit_printed_formulas, fuzz, run_checks
+
+__all__ = [
+    "Params", "Scene", "build_scene", "normalize_frame",
+    "run_checks", "Report", "fuzz", "FuzzConfig", "audit_printed_formulas",
+    "EXACT", "FloatBackend", "Backend", "Scalar",
+    "Point", "Line", "Circle",
+    "scene_to_json", "scene_from_json", "render_svg",
+    "GeometryError", "BackendMismatch", "DivisionByZero", "ParseError",
+]
 
 __version__ = "0.1.0"

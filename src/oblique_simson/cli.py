@@ -1,8 +1,10 @@
 """Command-line front end: construct, verify, fuzz, audit.
 
 Exit codes (stable contract): 0 success / all checks pass, 1 check failures,
-2 usage or input errors.  All output is a deterministic function of the
-flags, including the fuzz and audit streams (seeded SplitMix64).
+2 usage or input errors.  A command reports an input error by raising a
+GeometryError, which main prints as one "error:" line.  All output is a
+deterministic function of the flags, including the fuzz and audit streams
+(seeded SplitMix64).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sceneio, verify
-from .errors import GeometryError, ParseError
+from .errors import GeometryError, OutputError, ParseError
 from .numeric import EXACT, Backend, FloatBackend, parse_rational
 from .simson import Params, build_scene
 from .verify import AUDIT_NAMES, FuzzConfig, Report
@@ -78,40 +80,36 @@ def _print_report(report: Report) -> None:
     print(f"{passed}/{total} checks passed")
 
 
-def cmd_construct(args) -> int:
+def _fuzz_config(args, include_t_zero: bool = False) -> FuzzConfig:
     try:
-        scene = build_scene(_params_from_args(args))
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return FuzzConfig(seed=args.seed, count=args.count, max_numerator=args.max_mag,
+                          max_denominator=args.max_den, include_t_zero=include_t_zero)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def cmd_construct(args) -> int:
+    """Every output is rendered before any file is written, and the summary
+    is printed only once every file is written."""
+    scene = build_scene(_params_from_args(args))
+    writers = ((args.json, sceneio.scene_to_json), (args.svg, sceneio.render_svg))
+    for path, text in [(path, render(scene)) for path, render in writers if path]:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     sys.stdout.write(sceneio.scene_summary(scene))
-    if args.json:
-        Path(args.json).write_text(sceneio.scene_to_json(scene), encoding="utf-8")
-    if args.svg:
-        Path(args.svg).write_text(sceneio.render_svg(scene), encoding="utf-8")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        scene = build_scene(_params_from_args(args))
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = verify.run_checks(scene)
+    report = verify.run_checks(build_scene(_params_from_args(args)))
     _print_report(report)
     return 0 if report.all_pass else 1
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        config = FuzzConfig(seed=args.seed, count=args.count,
-                            max_numerator=args.max_mag,
-                            max_denominator=args.max_den,
-                            include_t_zero=args.include_t_zero)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _fuzz_config(args, args.include_t_zero)
     result = verify.fuzz(config)
     print(f"seed={config.seed} count={config.count} "
           f"max-mag={config.max_numerator} max-den={config.max_denominator} "
@@ -129,7 +127,7 @@ def cmd_fuzz(args) -> int:
     return 0 if result.all_pass else 1
 
 
-def _audit_single(params: Params) -> Report:
+def _audit_single(params: Params) -> None:
     report = verify.audit_printed_formulas(params)
     print("params: " + " ".join(f"{k}={v}" for k, v in report.params.items()))
     for r in report.results:
@@ -139,33 +137,21 @@ def _audit_single(params: Params) -> Report:
         else:
             detail = " ".join(f"{k}={v}" for k, v in (r.witness or {}).items())
             print(f"{label:<30} MISMATCH  {detail}")
-    return report
 
 
 def cmd_audit(args) -> int:
     scene_flags = [getattr(args, k) for k in ("a", "b", "c", "t")]
     if any(v is not None for v in scene_flags):
         if not all(v is not None for v in scene_flags):
-            print("error: audit needs all of --a --b --c --t (or --seed/--count)",
-                  file=sys.stderr)
-            return 2
-        try:
-            _audit_single(_params_from_args(args))
-        except GeometryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ParseError("audit needs all of --a --b --c --t (or --seed/--count)")
+        _audit_single(_params_from_args(args))
         return 0
     if args.seed is None:
-        print("error: audit needs either --a/--b/--c/--t or --seed [--count]",
-              file=sys.stderr)
-        return 2
-    try:
-        config = FuzzConfig(seed=args.seed, count=args.count,
-                            max_numerator=args.max_mag,
-                            max_denominator=args.max_den)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ParseError("audit needs either --a/--b/--c/--t or --seed [--count]")
+    if args.backend != "exact":
+        raise ParseError("audit --seed runs on the exact backend only; "
+                         "--backend float needs --a/--b/--c/--t")
+    config = _fuzz_config(args)
     instances, skips = verify.fuzz_instances(config)
     print(f"seed={config.seed} count={config.count} "
           f"max-mag={config.max_numerator} max-den={config.max_denominator}")
@@ -272,4 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -11,10 +11,6 @@ class GeometryError(Exception):
 
 # -- scalar layer -------------------------------------------------------------
 
-class ZeroDenominator(GeometryError):
-    """Rational constructed with a zero denominator."""
-
-
 class DivisionByZero(GeometryError):
     """Division by a (backend-)zero scalar."""
 
@@ -24,7 +20,7 @@ class BackendMismatch(GeometryError):
 
 
 class ParseError(GeometryError):
-    """Text does not parse as a scalar."""
+    """Input cannot be read: a scalar, a scene document or command-line flags."""
 
 
 # -- geometric primitives ------------------------------------------------------
@@ -81,3 +77,10 @@ class AllCoincident(GeometryError):
 
 class ConstructionError(GeometryError):
     """An inline consistency assert of the construction failed (internal bug)."""
+
+
+# -- output --------------------------------------------------------------------
+
+class OutputError(GeometryError):
+    """An output cannot be produced: an unwritable file, or a scene value
+    beyond the float range of the SVG canvas."""

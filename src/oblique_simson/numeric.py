@@ -27,21 +27,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .errors import BackendMismatch, DivisionByZero, ParseError, ZeroDenominator
-
-Rational = Fraction  # canonical big rational: den > 0, gcd-reduced, 0 -> 0/1
-
-_CoercibleExact = Union[int, Fraction, str]
-_Coercible = Union[int, float, Fraction, str]
-
-
-def rational(p: int, q: int = 1) -> Fraction:
-    """Build the canonical rational p/q.  Raises ZeroDenominator if q = 0."""
-    if q == 0:
-        raise ZeroDenominator(f"rational {p}/0 has zero denominator")
-    return Fraction(p, q)
+from .errors import BackendMismatch, DivisionByZero, ParseError
 
 
 def format_rational(r: Fraction) -> str:
@@ -94,6 +82,7 @@ class Backend:
         return Scalar(self, self.coerce(value))
 
     def parse(self, text: str) -> "Scalar":
+        """Parse "p/q", "p" or a decimal literal on this backend."""
         return Scalar(self, self.coerce(parse_rational(text)))
 
 
@@ -277,18 +266,6 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self.backend.name}, {format_scalar(self)})"
 
-    @property
-    def numerator(self) -> int:
-        if not self.backend.exact:
-            raise TypeError("numerator is defined only on the exact backend")
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        if not self.backend.exact:
-            raise TypeError("denominator is defined only on the exact backend")
-        return self.value.denominator
-
 
 def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
     """Backend-aware zero test; the rule itself is :meth:`Backend.is_zero`.
@@ -301,9 +278,9 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
     return x.backend.is_zero(x.value, map(float, entries))
 
 
-def scalars_equal(x: Scalar, y: Scalar, entries: Iterable[Scalar] = ()) -> bool:
-    """Equality via the scaled zero test of ``x - y``."""
-    return is_zero(x - y, entries)
+def scalars_equal(x: Scalar, y: Scalar) -> bool:
+    """Equality via the zero test of ``x - y``, scaled by ``x`` and ``y``."""
+    return is_zero(x - y, (x, y))
 
 
 def format_scalar(x: Scalar) -> str:
@@ -311,8 +288,3 @@ def format_scalar(x: Scalar) -> str:
     if x.backend.exact:
         return format_rational(x.value)
     return repr(x.value)
-
-
-def parse_scalar(text: str, backend: Backend = EXACT) -> Scalar:
-    """Parse "p/q", "p" or a decimal literal on the requested backend."""
-    return backend.parse(text)

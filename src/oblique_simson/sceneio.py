@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Tuple
 
-from .errors import ParseError
+from .errors import OutputError, ParseError
 from .geom import Point, make_circle, make_line
 from .numeric import EXACT, Backend, FloatBackend, Scalar, format_scalar
 from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
@@ -135,9 +135,16 @@ def scene_summary(scene: Scene) -> str:
 # -- SVG ------------------------------------------------------------------------
 
 
+def _float(x: Scalar) -> float:
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise OutputError("scene value exceeds the float range of the SVG canvas") from exc
+
+
 def _to_canvas(p: Point) -> Tuple[float, float]:
     # y axis flipped: SVG grows downwards
-    return float(p.x) * _PX_PER_UNIT, -float(p.y) * _PX_PER_UNIT
+    return _float(p.x) * _PX_PER_UNIT, -_float(p.y) * _PX_PER_UNIT
 
 
 def _f(v: float) -> str:
@@ -175,7 +182,10 @@ def _clip_line_to_box(a: float, b: float, c: float,
 
 
 def render_svg(scene: Scene) -> str:
-    """Deterministic SVG 1.1 figure of the scene."""
+    """Deterministic SVG 1.1 figure of the scene.
+
+    Raises OutputError when a scene value does not fit a float.
+    """
     canvas = {name: _to_canvas(p) for name, p in scene.points.items()}
     xs = [v[0] for v in canvas.values()]
     ys = [v[1] for v in canvas.values()]
@@ -204,8 +214,8 @@ def render_svg(scene: Scene) -> str:
         l = scene.lines[name]
         # canvas coords: x_c = s*x, y_c = -s*y, so ax+by+c=0 becomes
         # a*x_c - b*y_c + s*c = 0
-        seg = _clip_line_to_box(float(l.a), -float(l.b),
-                                _PX_PER_UNIT * float(l.c), box)
+        seg = _clip_line_to_box(_float(l.a), -_float(l.b),
+                                _PX_PER_UNIT * _float(l.c), box)
         if seg is None:
             continue
         stroke = "#cc0000" if name == "gwsLine" else "#555555"
@@ -217,7 +227,7 @@ def render_svg(scene: Scene) -> str:
         C = scene.circles[name]
         center = C.center()
         cx, cy = _to_canvas(center)
-        radius = float(C.radius_sq()) ** 0.5 * _PX_PER_UNIT
+        radius = _float(C.radius_sq()) ** 0.5 * _PX_PER_UNIT
         parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
             'fill="none" stroke="#1f77b4" stroke-width="1"/>'

@@ -94,27 +94,6 @@ class Params:
         }[vertex]
 
 
-@dataclass(frozen=True)
-class Similarity:
-    """The direct similarity about J = (0,0) taking the orthocentre H to Q.
-
-    As a matrix it is ((1/2, -t), (t, 1/2)): a rotation-dilation whose
-    squared scale factor is (1 + 4 t^2) / 4.
-    """
-
-    t: Scalar
-
-    def apply(self, p: Point) -> Point:
-        be = p.x.backend
-        if self.t.backend != be:
-            raise BackendMismatch("similarity and point must share one backend")
-        t, x, y = self.t.value, p.x.value, p.y.value
-        return Point(Scalar(be, x / 2 - t * y), Scalar(be, t * x + y / 2))
-
-    def scale_sq(self) -> Scalar:
-        return (1 + 4 * self.t * self.t) / 4
-
-
 @dataclass(frozen=True, eq=True)
 class Scene:
     """Fully named output of one construction run."""
@@ -151,7 +130,16 @@ def vertex_point(p: Scalar) -> Point:
 
 
 def apply_similarity(t: Scalar, p: Point) -> Point:
-    return Similarity(t).apply(p)
+    """The direct similarity about J = (0,0) taking the orthocentre H to Q.
+
+    As a matrix it is ((1/2, -t), (t, 1/2)): a rotation-dilation whose
+    squared scale factor is (1 + 4 t^2) / 4.
+    """
+    be = p.x.backend
+    if t.backend != be:
+        raise BackendMismatch("similarity and point must share one backend")
+    tv, x, y = t.value, p.x.value, p.y.value
+    return Point(Scalar(be, x / 2 - tv * y), Scalar(be, tv * x + y / 2))
 
 
 def image_vertex(p: Scalar, t: Scalar) -> Point:
@@ -272,18 +260,25 @@ def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
     return construct_core(params).lmn(which)
 
 
+def _line_through_collinear(p: Point, q: Point, r: Point,
+                            not_collinear: str, all_coincide: str) -> Line:
+    """The line through the first distinct pair of three collinear points."""
+    if not geom.collinear3(p, q, r):
+        raise NotCollinear(not_collinear)
+    for u, v in ((p, q), (p, r), (q, r)):
+        if not geom.points_equal(u, v):
+            return geom.line_through(u, v)
+    raise AllCoincident(all_coincide)
+
+
 def gws_line(l: Point, m: Point, n: Point) -> Line:
     """The line carrying three collinear points (at least two distinct).
 
     Raises NotCollinear if the points do not line up; on scenes built by this
     package that indicates an internal bug, never a valid configuration.
     """
-    if not geom.collinear3(l, m, n):
-        raise NotCollinear("L, M, N are not collinear")
-    for p, q in ((l, m), (l, n), (m, n)):
-        if not geom.points_equal(p, q):
-            return geom.line_through(p, q)
-    raise AllCoincident("all three points coincide; no unique line")
+    return _line_through_collinear(l, m, n, "L, M, N are not collinear",
+                                   "all three points coincide; no unique line")
 
 
 def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
@@ -300,12 +295,8 @@ def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
         geom.reflect_in_line(j, geom.line_through(r, p)),
         geom.reflect_in_line(j, geom.line_through(p, q)),
     ]
-    if not geom.collinear3(*refs):
-        raise NotCollinear("side reflections failed to line up")
-    for u, v in ((refs[0], refs[1]), (refs[0], refs[2]), (refs[1], refs[2])):
-        if not geom.points_equal(u, v):
-            return geom.line_through(u, v)
-    raise AllCoincident("all three reflections coincide")
+    return _line_through_collinear(*refs, "side reflections failed to line up",
+                                   "all three reflections coincide")
 
 
 def build_scene(params: Params) -> Scene:
@@ -447,7 +438,7 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
                                         geom.line_through(a_pt, c_pt))
     center = geom.intersect_lines(bis_ab, bis_ac)
     dj, da = geom.dist_sq(j_pt, center), geom.dist_sq(a_pt, center)
-    if not scalars_equal(dj, da, (dj, da)):
+    if not scalars_equal(dj, da):
         raise NotOnCircumcircle("J is not on the circumcircle of the triangle")
     unit = Point(center.x - j_pt.x, center.y - j_pt.y)
     transform = FrameTransform(origin=j_pt, unit=unit)

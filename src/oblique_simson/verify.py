@@ -27,28 +27,7 @@ from .geom import Circle, Line, Point
 from .numeric import EXACT, Scalar, format_scalar, is_zero, scalars_equal
 from .simson import Core, Params, Scene
 
-CHECK_NAMES = (
-    "on_circumcircle",
-    "sigma0_through_J_and_K",
-    "q_equidistant",
-    "q_is_image_of_H",
-    "similarity_ratio",
-    "perspector_common",
-    "xyz_incidences",
-    "hagge_center_and_members",
-    "L_on_BC",
-    "M_on_CA",
-    "N_on_AB",
-    "lmn_collinear",
-    "q_on_line",
-    "reflection_route_equals_radical_route",
-    "line_equals_double_simson_of_image",
-    "equal_oblique_tangents",
-    "concyclic_chains_thm41",
-    "t_zero_reduction",
-    "double_simson_of_ABC_through_H",
-)
-
+# one per audit row, in order; eq2.5 and eq2.6 each give two verdicts
 AUDIT_NAMES = (
     "eq2.3", "eq2.4", "eq2.5.x", "eq2.5.y",
     "eq2.6.coeffs", "eq2.6.const", "eq2.7", "eq2.8",
@@ -135,7 +114,7 @@ def _chk_q_equidistant(scene: Scene):
     pts = scene.points
     dj = geom.dist_sq(pts["Q"], pts["J"])
     dh = geom.dist_sq(pts["Q"], pts["H"])
-    if not scalars_equal(dj, dh, (dj, dh)):
+    if not scalars_equal(dj, dh):
         return {"QJ^2": _fmt(dj), "QH^2": _fmt(dh)}
     return None
 
@@ -158,7 +137,7 @@ def _chk_similarity_ratio(scene: Scene):
     for v in simson.VERTEX_ORDER:
         lhs = 4 * geom.dist_sq(pts["J"], pts[v + "0"])
         rhs = ratio * geom.dist_sq(pts["J"], pts[v])
-        if not scalars_equal(lhs, rhs, (lhs, rhs)):
+        if not scalars_equal(lhs, rhs):
             return {"vertex": v, "4*|J->image|^2": _fmt(lhs),
                     "(1+4t^2)*|J->vertex|^2": _fmt(rhs)}
     return None
@@ -331,13 +310,15 @@ _CHECK_IMPLS = {
     "double_simson_of_ABC_through_H": _chk_double_simson_abc,
 }
 
+CHECK_NAMES = tuple(_CHECK_IMPLS)
+
 
 def run_checks(scene: Scene) -> Report:
     """Run all named checks; failures become results, never exceptions."""
     results: List[CheckResult] = []
-    for name in CHECK_NAMES:
+    for name, check in _CHECK_IMPLS.items():
         try:
-            witness = _CHECK_IMPLS[name](scene)
+            witness = check(scene)
         except GeometryError as exc:
             results.append(CheckResult(name, False, {"error": str(exc)}))
             continue
@@ -542,9 +523,9 @@ def _audit_eq24(params: Params, core: Core):
 def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     wx = wy = None
-    if not scalars_equal(printed.x, built.x, (printed.x, built.x)):
+    if not scalars_equal(printed.x, built.x):
         wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
-    if not scalars_equal(printed.y, built.y, (printed.y, built.y)):
+    if not scalars_equal(printed.y, built.y):
         wy = {"printed": _fmt(printed.y), "constructive": _fmt(built.y)}
     return wx, wy
 
@@ -567,7 +548,7 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
         return wcoef, None
     lam = pa / built.a if not is_zero(built.a) else pb / built.b
     scaled_const = lam * built.c
-    if not scalars_equal(pc, scaled_const, (pc, scaled_const)):
+    if not scalars_equal(pc, scaled_const):
         return None, {"printed": _fmt(pc), "constructive": _fmt(scaled_const)}
     return None, None
 
@@ -594,19 +575,10 @@ def _audit_eq28(params: Params, core: Core):
 def audit_printed_formulas(params: Params) -> Report:
     """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH)."""
     core = simson.construct_core(params)
-    w25x, w25y = _audit_eq25(params, core)
-    w26coef, w26const = _audit_eq26(params, core)
-    pairs = (
-        ("eq2.3", _audit_eq23(params, core)),
-        ("eq2.4", _audit_eq24(params, core)),
-        ("eq2.5.x", w25x),
-        ("eq2.5.y", w25y),
-        ("eq2.6.coeffs", w26coef),
-        ("eq2.6.const", w26const),
-        ("eq2.7", _audit_eq27(params, core)),
-        ("eq2.8", _audit_eq28(params, core)),
-    )
+    w25, w26 = _audit_eq25(params, core), _audit_eq26(params, core)
+    witnesses = (_audit_eq23(params, core), _audit_eq24(params, core), *w25, *w26,
+                 _audit_eq27(params, core), _audit_eq28(params, core))
     results = tuple(CheckResult(name, witness is None, witness)
-                    for name, witness in pairs)
+                    for name, witness in zip(AUDIT_NAMES, witnesses))
     return Report(backend=params.backend.name, params=params_echo(params),
                   flags=(), results=results)

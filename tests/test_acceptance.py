@@ -20,13 +20,13 @@ from oblique_simson import (
     Line,
     Params,
     build_scene,
-    double_simson_line,
     fuzz,
     scene_from_json,
     scene_to_json,
 )
 from oblique_simson import geom
 from oblique_simson.cli import main
+from oblique_simson.simson import double_simson_line
 from oblique_simson.verify import audit_printed_formulas, fuzz_instances
 
 

@@ -38,6 +38,26 @@ class TestConstruct:
     def test_missing_flag_exits_2(self, capsys):
         assert main(["construct", "--a", "1", "--b", "2", "--c", "3"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_unwritable_output_exits_2(self, flag, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "out"
+        code = main(["construct", *GOLDEN, flag, str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_svg_beyond_float_range_exits_2(self, tmp_path, capsys):
+        out_svg = tmp_path / "scene.svg"
+        code = main(["construct", "--a", "1", "--b", "2", "--c", "3", "--t", "1e154",
+                     "--svg", str(out_svg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: scene value exceeds the float range of the SVG canvas\n"
+        assert not out_svg.exists()
+
     def test_negative_rational_values(self, capsys):
         # both "--t -2/3" and "--t=-2/3" must parse
         code = main(["verify", "--a", "-3/7", "--b", "1/4", "--c", "5",
@@ -149,6 +169,14 @@ class TestAudit:
 
     def test_partial_scene_flags_exit_2(self, capsys):
         assert main(["audit", "--a", "1", "--b", "2"]) == 2
+
+    def test_seeded_float_backend_exits_2(self, capsys):
+        code = main(["audit", "--seed", "7", "--count", "2",
+                     "--backend", "float", "--eps", "1e-6"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_no_mode_exits_2(self, capsys):
         assert main(["audit"]) == 2

@@ -5,18 +5,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import E, P
-from oblique_simson import (
-    Circle,
+from oblique_simson import BackendMismatch, Circle, FloatBackend, Line
+from oblique_simson.errors import (
     CoincidentPoints,
     CollinearPoints,
-    DirectedTan,
     IdenticalCircles,
     KnownPointNotIncident,
-    BackendMismatch,
-    FloatBackend,
-    Line,
     NoRadicalLine,
     ZeroRadius,
+)
+from oblique_simson.geom import (
+    DirectedTan,
     circle_center_through,
     circle_through3,
     collinear3,
@@ -350,7 +349,7 @@ class TestIntersectLines:
         assert intersect_lines(L(1, 1, -2), L(2, 1, "-8/5")) == P("-2/5", "12/5")
 
     def test_parallel(self):
-        from oblique_simson import ParallelLines
+        from oblique_simson.errors import ParallelLines
         with pytest.raises(ParallelLines):
             intersect_lines(L(1, 1, 0), L(1, 1, -5))
 

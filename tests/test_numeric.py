@@ -11,39 +11,10 @@ from oblique_simson import (
     FloatBackend,
     Params,
     ParseError,
-    ZeroDenominator,
-    format_scalar,
-    parse_scalar,
-    rational,
 )
+from oblique_simson.numeric import format_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-
-
-class TestRational:
-    def test_gcd_reduction(self):
-        assert rational(2, 4) == Fraction(1, 2)
-
-    def test_positive_denominator(self):
-        r = rational(1, -2)
-        assert (r.numerator, r.denominator) == (-1, 2)
-
-    def test_zero_canonical(self):
-        r = rational(0, 7)
-        assert (r.numerator, r.denominator) == (0, 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            rational(3, 0)
-
-    @given(p=st.integers(-1000, 1000), q=st.integers(-1000, 1000).filter(bool))
-    def test_canonical_form(self, p, q):
-        r = rational(p, q)
-        import math
-        assert r.denominator > 0
-        assert math.gcd(abs(r.numerator), r.denominator) == 1
-        # normalizing twice equals normalizing once
-        assert rational(r.numerator, r.denominator) == r
 
 
 class TestParse:
@@ -55,16 +26,16 @@ class TestParse:
         ("-7/5", Fraction(-7, 5)),
     ])
     def test_exact(self, text, expected):
-        s = parse_scalar(text)
+        s = EXACT.parse(text)
         assert s.value == expected
 
     @pytest.mark.parametrize("text", ["", "abc", "1/0", "1//2", "2 3"])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
-            parse_scalar(text)
+            EXACT.parse(text)
 
     def test_float_backend(self):
-        s = parse_scalar("1/2", FloatBackend())
+        s = FloatBackend().parse("1/2")
         assert s.value == 0.5
 
 

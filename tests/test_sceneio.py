@@ -10,10 +10,10 @@ from oblique_simson import (
     build_scene,
     render_svg,
     scene_from_json,
-    scene_summary,
-    scene_to_document,
     scene_to_json,
 )
+from oblique_simson.errors import OutputError
+from oblique_simson.sceneio import scene_summary, scene_to_document
 
 
 class TestSceneDocument:
@@ -112,3 +112,9 @@ class TestSvg:
                 for attr in ("x1", "y1", "x2", "y2"):
                     whole, frac = el.attrib[attr].lstrip("-").split(".")
                     assert len(frac) == 6
+
+    def test_value_beyond_float_range_raises_output_error(self):
+        # the exact scene builds, but radius^2 of S and cA exceed the float range
+        scene = build_scene(Params.make(1, 2, 3, 10 ** 154))
+        with pytest.raises(OutputError):
+            render_svg(scene)

@@ -5,27 +5,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import E, P
-from oblique_simson import (
+from oblique_simson import FuzzConfig, Line, Params, build_scene, normalize_frame
+from oblique_simson.errors import (
     AllCoincident,
-    FuzzConfig,
     CollinearPoints,
     DegenerateTriangle,
     JEqualsH,
-    Line,
     NotCollinear,
     NotOnCircumcircle,
-    Params,
-    Similarity,
+)
+from oblique_simson.simson import (
     altitude_line,
     apply_similarity,
-    build_scene,
     circumcircle_sigma,
     double_simson_line,
     gws_line,
     hagge_circle,
     image_vertex,
     lmn_point,
-    normalize_frame,
     orthocenter_h,
     perspector_k,
     q_point,
@@ -94,11 +91,10 @@ class TestSimilarity:
 
     @given(t=rationals, x=rationals, y=rationals)
     def test_squared_scaling(self, t, x, y):
-        st_ = Similarity(E(t))
         p = P(x, y)
-        image = st_.apply(p)
+        image = apply_similarity(E(t), p)
         lhs = dist_sq(J, image)
-        assert lhs.value == (st_.scale_sq() * dist_sq(J, p)).value
+        assert lhs.value == (1 + 4 * t * t) / 4 * dist_sq(J, p).value
 
 
 class TestImageVertex:

@@ -7,12 +7,11 @@ from conftest import P
 from oblique_simson import (
     FuzzConfig,
     Params,
-    SplitMix64,
     audit_printed_formulas,
     fuzz,
     run_checks,
 )
-from oblique_simson.verify import AUDIT_NAMES, CHECK_NAMES, fuzz_instances
+from oblique_simson.verify import AUDIT_NAMES, CHECK_NAMES, SplitMix64, fuzz_instances
 
 
 class TestRunChecks:
