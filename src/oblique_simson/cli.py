@@ -10,6 +10,7 @@ deterministic function of the flags, including the fuzz and audit streams
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,17 +47,19 @@ def _add_scene_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("exact", "float"), default="exact",
                         help="arithmetic backend (default: exact)")
-    parser.add_argument("--eps", type=float, default=1e-9, metavar="EPS",
-                        help="absolute tolerance for the float backend (default 1e-9)")
+    parser.add_argument("--eps", type=float, default=None, metavar="EPS",
+                        help="absolute tolerance for --backend float (default 1e-9)")
 
 
 def _backend_from_args(args) -> Backend:
-    if args.backend == "float":
-        try:
-            return FloatBackend(args.eps)
-        except ValueError as exc:
-            raise ParseError(f"--eps: {exc}") from exc
-    return EXACT
+    if args.backend != "float":
+        if args.eps is not None:
+            raise ParseError("--eps applies only to --backend float")
+        return EXACT
+    try:
+        return FloatBackend() if args.eps is None else FloatBackend(args.eps)
+    except ValueError as exc:
+        raise ParseError(f"--eps: {exc}") from exc
 
 
 def _params_from_args(args) -> Params:
@@ -141,16 +144,25 @@ def _audit_single(params: Params) -> None:
 
 def cmd_audit(args) -> int:
     scene_flags = [getattr(args, k) for k in ("a", "b", "c", "t")]
+    seeded_flags = {"--seed": args.seed, "--count": args.count,
+                    "--max-mag": args.max_mag, "--max-den": args.max_den}
     if any(v is not None for v in scene_flags):
         if not all(v is not None for v in scene_flags):
             raise ParseError("audit needs all of --a --b --c --t (or --seed/--count)")
+        given = [flag for flag, v in seeded_flags.items() if v is not None]
+        if given:
+            raise ParseError(f"audit --a/--b/--c/--t does not take {', '.join(given)}")
         _audit_single(_params_from_args(args))
         return 0
     if args.seed is None:
         raise ParseError("audit needs either --a/--b/--c/--t or --seed [--count]")
-    if args.backend != "exact":
+    if _backend_from_args(args) is not EXACT:
         raise ParseError("audit --seed runs on the exact backend only; "
                          "--backend float needs --a/--b/--c/--t")
+    # None marks a flag not given, which single-instance mode rejects
+    for name, default in (("count", 100), ("max_mag", 10), ("max_den", 10)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     config = _fuzz_config(args)
     instances, skips = verify.fuzz_instances(config)
     print(f"seed={config.seed} count={config.count} "
@@ -214,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_flags(p_audit, required=False)
     _add_backend_flags(p_audit)
     p_audit.add_argument("--seed", type=int, default=None)
-    p_audit.add_argument("--count", type=int, default=100)
-    p_audit.add_argument("--max-mag", type=int, default=10)
-    p_audit.add_argument("--max-den", type=int, default=10)
+    p_audit.add_argument("--count", type=int, default=None, help="default 100")
+    p_audit.add_argument("--max-mag", type=int, default=None, help="default 10")
+    p_audit.add_argument("--max-den", type=int, default=None, help="default 10")
     p_audit.set_defaults(func=cmd_audit)
 
     return parser
@@ -259,7 +271,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: whatever is still buffered goes nowhere,
+        # so the interpreter's own flush at exit cannot fail again
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
         return 2

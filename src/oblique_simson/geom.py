@@ -12,14 +12,15 @@ field-by-field.  On the float backend lines are scaled to unit normal with
 the analogous sign rule, and all zero tests use the backend tolerance scaled
 by the magnitude of the participating entries.
 
-Points, lines and circles store :class:`~oblique_simson.numeric.Scalar`
-coordinates, but the primitives compute on the bare values (``Fraction`` on
-the exact backend, ``float`` on the float backend): each reads every input
-coordinate's ``.value`` once and wraps each output coordinate once.  Zero
-tests and divisions by computed quantities go through the backend's
-``is_zero`` and ``div``.  A primitive taking two or more objects checks once
-that they share a backend and raises
-:class:`~oblique_simson.errors.BackendMismatch` otherwise.
+Points, lines, circles and directed-angle tangents store
+:class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
+Scalars: the primitives (and :meth:`DirectedTan.__eq__`) read every input's
+``.value`` once, compute on the bare ``Fraction`` (exact backend) or
+``float`` (float backend), and wrap each output once.  Zero tests and
+divisions by computed quantities go through the backend's ``is_zero`` and
+``div``.  A primitive taking two or more objects checks once that they share
+a backend and raises :class:`~oblique_simson.errors.BackendMismatch`
+otherwise.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class DirectedTan:
             return NotImplemented
         if self.infinite or other.infinite:
             return self.infinite and other.infinite
-        return self.value == other.value
+        be = _common_backend(self.value, other.value)
+        return be.is_zero(self.value.value - other.value.value)
 
     def __repr__(self) -> str:
         return "DirectedTan(inf)" if self.infinite else f"DirectedTan({self.value.value})"

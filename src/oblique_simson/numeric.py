@@ -15,12 +15,11 @@ is zero by that test).  The geometry computes on bare ``Fraction``/``float``
 values through these two methods.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
-backend, as held in points, lines, circles and parameters.  Its operators
-remain for callers that compute on stored values; they never mix backends
-(combining scalars from different backends raises
-:class:`~oblique_simson.errors.BackendMismatch`).  Plain ``int`` and
-``Fraction`` operands are accepted on either backend (the coercion is
-lossless); raw ``float`` operands are accepted only on a float backend.
+backend, as held in points, lines, circles and parameters.  The package
+computes on ``.value``, never on Scalars.  A Scalar combines only with a
+Scalar of the same backend (``+ - * /`` and ``==``); a Scalar of another
+backend raises :class:`~oblique_simson.errors.BackendMismatch`, and any
+other operand raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -160,11 +159,8 @@ EXACT = ExactBackend()
 
 
 class Scalar:
-    """An immutable number bound to a backend.
-
-    Arithmetic never mixes backends; ``int`` and ``Fraction`` operands are
-    coerced into the scalar's own backend.
-    """
+    """An immutable number bound to a backend; it combines only with Scalars
+    of the same backend."""
 
     __slots__ = ("backend", "value")
 
@@ -175,90 +171,30 @@ class Scalar:
     def __setattr__(self, name, _value):
         raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
 
-    # -- coercion ---------------------------------------------------------
-
     def _operand(self, other):
-        if isinstance(other, Scalar):
-            if other.backend != self.backend:
-                raise BackendMismatch(
-                    f"cannot combine {self.backend.name} and {other.backend.name} scalars"
-                )
-            return other.value
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
-            try:
-                return self.backend.coerce(other)
-            except TypeError:
-                return NotImplemented
-        return NotImplemented
-
-    def _wrap(self, value) -> "Scalar":
-        return Scalar(self.backend, value)
-
-    # -- arithmetic --------------------------------------------------------
+        if not isinstance(other, Scalar):
+            raise TypeError(
+                f"a Scalar combines only with a Scalar, not {type(other).__name__}")
+        if other.backend != self.backend:
+            raise BackendMismatch(
+                f"cannot combine {self.backend.name} and {other.backend.name} scalars"
+            )
+        return other.value
 
     def __add__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.value + v)
-
-    __radd__ = __add__
+        return Scalar(self.backend, self.value + self._operand(other))
 
     def __sub__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.value - v)
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self._wrap(v - self.value)
+        return Scalar(self.backend, self.value - self._operand(other))
 
     def __mul__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.value * v)
-
-    __rmul__ = __mul__
+        return Scalar(self.backend, self.value * self._operand(other))
 
     def __truediv__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.backend.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.backend.div(v, self.value))
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def __abs__(self):
-        return self._wrap(abs(self.value))
-
-    # -- predicates ---------------------------------------------------------
+        return Scalar(self.backend, self.backend.div(self.value, self._operand(other)))
 
     def __eq__(self, other) -> bool:
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self.backend.is_zero(self.value - v)
-
-    def __lt__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self.value < v
-
-    def __le__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self.value <= v
-
-    def __gt__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self.value > v
-
-    def __ge__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is NotImplemented else self.value >= v
-
-    # -- views --------------------------------------------------------------
+        return self.backend.is_zero(self.value - self._operand(other))
 
     def __float__(self) -> float:
         return float(self.value)
@@ -276,11 +212,6 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
     ``eps_abs`` itself.
     """
     return x.backend.is_zero(x.value, map(float, entries))
-
-
-def scalars_equal(x: Scalar, y: Scalar) -> bool:
-    """Equality via the zero test of ``x - y``, scaled by ``x`` and ``y``."""
-    return is_zero(x - y, (x, y))
 
 
 def format_scalar(x: Scalar) -> str:

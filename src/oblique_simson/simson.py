@@ -32,7 +32,7 @@ from .errors import (
     NotOnCircumcircle,
 )
 from .geom import Circle, Line, Point
-from .numeric import EXACT, Backend, Scalar, scalars_equal
+from .numeric import EXACT, Backend, Scalar
 
 VERTEX_ORDER = ("A", "B", "C")
 
@@ -71,7 +71,7 @@ class Params:
             if s.backend != be:
                 raise BackendMismatch("all parameters must share one backend")
         for n1, v1, n2, v2 in pairs:
-            if v1 == v2:
+            if be.is_zero(v1.value - v2.value):
                 raise DegenerateTriangle(f"degenerate triangle: {n1} = {n2}")
 
     @classmethod
@@ -374,15 +374,6 @@ def build_scene(params: Params) -> Scene:
 # -- frame normalization -----------------------------------------------------------
 
 
-def _complex_mul(u: Point, v: Point) -> Point:
-    return Point(u.x * v.x - u.y * v.y, u.x * v.y + u.y * v.x)
-
-
-def _complex_div(u: Point, v: Point) -> Point:
-    den = v.x * v.x + v.y * v.y
-    return Point((u.x * v.x + u.y * v.y) / den, (u.y * v.x - u.x * v.y) / den)
-
-
 @dataclass(frozen=True)
 class FrameTransform:
     """Similarity w -> (w - origin) / unit mapping a configuration to the
@@ -392,11 +383,19 @@ class FrameTransform:
     unit: Point
 
     def to_canonical(self, p: Point) -> Point:
-        return _complex_div(Point(p.x - self.origin.x, p.y - self.origin.y), self.unit)
+        be = geom._common_backend(self.origin, p)
+        ux, uy = p.x.value - self.origin.x.value, p.y.value - self.origin.y.value
+        vx, vy = self.unit.x.value, self.unit.y.value
+        den = vx * vx + vy * vy
+        return Point(Scalar(be, be.div(ux * vx + uy * vy, den)),
+                     Scalar(be, be.div(uy * vx - ux * vy, den)))
 
     def from_canonical(self, p: Point) -> Point:
-        w = _complex_mul(p, self.unit)
-        return Point(w.x + self.origin.x, w.y + self.origin.y)
+        be = geom._common_backend(self.origin, p)
+        x, y = p.x.value, p.y.value
+        vx, vy = self.unit.x.value, self.unit.y.value
+        return Point(Scalar(be, x * vx - y * vy + self.origin.x.value),
+                     Scalar(be, x * vy + y * vx + self.origin.y.value))
 
     @property
     def identity(self) -> bool:
@@ -437,13 +436,15 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
     bis_ac = geom.perpendicular_through(geom.midpoint(a_pt, c_pt),
                                         geom.line_through(a_pt, c_pt))
     center = geom.intersect_lines(bis_ab, bis_ac)
-    dj, da = geom.dist_sq(j_pt, center), geom.dist_sq(a_pt, center)
-    if not scalars_equal(dj, da):
+    be = center.backend
+    dj, da = geom.dist_sq(j_pt, center).value, geom.dist_sq(a_pt, center).value
+    if not be.is_zero(dj - da, (dj, da)):
         raise NotOnCircumcircle("J is not on the circumcircle of the triangle")
-    unit = Point(center.x - j_pt.x, center.y - j_pt.y)
+    unit = Point(Scalar(be, center.x.value - j_pt.x.value),
+                 Scalar(be, center.y.value - j_pt.y.value))
     transform = FrameTransform(origin=j_pt, unit=unit)
     out: List[Scalar] = []
     for v in (a_pt, b_pt, c_pt):
         m = transform.to_canonical(v)
-        out.append(m.y / m.x)
-    return NormalizedFrame(a=out[0], b=out[1], c=out[2], transform=transform)
+        out.append(Scalar(be, be.div(m.y.value, m.x.value)))
+    return NormalizedFrame(*out, transform=transform)

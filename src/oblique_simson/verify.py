@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import geom, simson
 from .errors import GeometryError, JEqualsH
 from .geom import Circle, Line, Point
-from .numeric import EXACT, Scalar, format_scalar, is_zero, scalars_equal
+from .numeric import EXACT, Scalar, format_scalar
 from .simson import Core, Params, Scene
 
 # one per audit row, in order; eq2.5 and eq2.6 each give two verdicts
@@ -114,7 +114,7 @@ def _chk_q_equidistant(scene: Scene):
     pts = scene.points
     dj = geom.dist_sq(pts["Q"], pts["J"])
     dh = geom.dist_sq(pts["Q"], pts["H"])
-    if not scalars_equal(dj, dh):
+    if not scene.backend.is_zero(dj.value - dh.value, (dj.value, dh.value)):
         return {"QJ^2": _fmt(dj), "QH^2": _fmt(dh)}
     return None
 
@@ -132,14 +132,14 @@ def _chk_q_is_image_of_h(scene: Scene):
 
 def _chk_similarity_ratio(scene: Scene):
     pts = scene.points
-    t = scene.params.t
+    be, t = scene.backend, scene.params.t.value
     ratio = 1 + 4 * t * t
     for v in simson.VERTEX_ORDER:
-        lhs = 4 * geom.dist_sq(pts["J"], pts[v + "0"])
-        rhs = ratio * geom.dist_sq(pts["J"], pts[v])
-        if not scalars_equal(lhs, rhs):
-            return {"vertex": v, "4*|J->image|^2": _fmt(lhs),
-                    "(1+4t^2)*|J->vertex|^2": _fmt(rhs)}
+        lhs = 4 * geom.dist_sq(pts["J"], pts[v + "0"]).value
+        rhs = ratio * geom.dist_sq(pts["J"], pts[v]).value
+        if not be.is_zero(lhs - rhs, (lhs, rhs)):
+            return {"vertex": v, "4*|J->image|^2": _fmt(Scalar(be, lhs)),
+                    "(1+4t^2)*|J->vertex|^2": _fmt(Scalar(be, rhs))}
     return None
 
 
@@ -259,8 +259,7 @@ def _chk_concyclic_chains(scene: Scene):
 
 def _chk_t_zero_reduction(scene: Scene):
     pts = scene.points
-    t = scene.params.t
-    if not is_zero(t):
+    if not scene.backend.is_zero(scene.params.t.value):
         return {"note": "not applicable: t != 0", "_pass": "1"}
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
     feet = []
@@ -453,43 +452,48 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
 def _printed_vertex_line(p: Scalar, t: Scalar) -> Line:
     # (p - 2t) x - (1 + 2pt) y + 4t = 0
-    return geom.make_line(p - 2 * t, -(1 + 2 * p * t), 4 * t)
+    be, p, t = p.backend, p.value, t.value
+    return geom.make_line(*(Scalar(be, v) for v in (p - 2 * t, -(1 + 2 * p * t), 4 * t)))
 
 
 def _printed_vertex_circle(p: Scalar, t: Scalar) -> Circle:
+    be, p, t = p.backend, p.value, t.value
     den = 1 + p * p
-    return Circle(-2 * (1 - 2 * p * t) / den, -2 * (p + 2 * t) / den,
-                  p.backend.scalar(0))
+    return Circle(Scalar(be, be.div(-2 * (1 - 2 * p * t), den)),
+                  Scalar(be, be.div(-2 * (p + 2 * t), den)), be.scalar(0))
 
 
 def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar) -> Point:
+    be, a, b, c = a.backend, a.value, b.value, c.value
     den = (1 + a * a) * (1 + b * b) * (1 + c * c)
     a2, b2, c2 = a * a, b * b, c * c
-    x = 2 * (2 + a2 + b2 + c2 - 2 * a2 * b2 * c2) / den
-    y = 2 * (a + b + c
-             + a * b2 * c2 + b * c2 * a2 + c * a2 * b2
-             + a * b2 + a * c2 + b * c2 + b * a2 + c * a2 + c * b2) / den
-    return Point(x, y)
+    x = be.div(2 * (2 + a2 + b2 + c2 - 2 * a2 * b2 * c2), den)
+    y = be.div(2 * (a + b + c
+                    + a * b2 * c2 + b * c2 * a2 + c * a2 * b2
+                    + a * b2 + a * c2 + b * c2 + b * a2 + c * a2 + c * b2), den)
+    return Point(Scalar(be, x), Scalar(be, y))
 
 
 def _printed_altitude_coeffs(params: Params) -> Tuple[Scalar, Scalar, Scalar]:
     # (1+a^2)(b+c) x - (1+a^2)(1-bc) y + 2(a+b+c-abc) = 0, the altitude from A
-    a, b, c = params.a, params.b, params.c
-    return ((1 + a * a) * (b + c),
-            -(1 + a * a) * (1 - b * c),
-            2 * (a + b + c - a * b * c))
+    be, a, b, c = params.backend, params.a.value, params.b.value, params.c.value
+    return (Scalar(be, (1 + a * a) * (b + c)),
+            Scalar(be, -(1 + a * a) * (1 - b * c)),
+            Scalar(be, 2 * (a + b + c - a * b * c)))
 
 
 def _printed_xyz(own: Scalar, q: Scalar, r: Scalar, t: Scalar) -> Point:
+    be, own, q, r, t = own.backend, own.value, q.value, r.value, t.value
     den = (1 + own * own) * (1 + q * q) * (1 + r * r)
     lead = own * q * r - own + q + r
-    x = 2 * (q + r + 2 * t - 2 * q * r * t) * lead / den
-    y = 2 * lead * (q * r + 2 * t * (q + r) - 1) / den
-    return Point(x, y)
+    x = be.div(2 * (q + r + 2 * t - 2 * q * r * t) * lead, den)
+    y = be.div(2 * lead * (q * r + 2 * t * (q + r) - 1), den)
+    return Point(Scalar(be, x), Scalar(be, y))
 
 
 def _printed_hagge(params: Params) -> Circle:
-    a, b, c, t = params.a, params.b, params.c, params.t
+    be = params.backend
+    a, b, c, t = params.a.value, params.b.value, params.c.value, params.t.value
     a2, b2, c2 = a * a, b * b, c * c
     den = (1 + a2) * (1 + b2) * (1 + c2)
     sym = a2 * b + a2 * c + b2 * c + b2 * a + c2 * a + c2 * b
@@ -498,8 +502,8 @@ def _printed_hagge(params: Params) -> Circle:
           + 2 * t * (a + b + c) - a2 - b2 - c2 - 2)
     yb = (2 * a2 * b2 * c2 * t - a * b * c * ee - 2 * t * (a2 + b2 + c2)
           - sym - (a + b + c + 4 * t))
-    zero = params.backend.scalar(0)
-    return Circle(2 * xb / den, 2 * yb / den, zero)
+    return Circle(Scalar(be, be.div(2 * xb, den)), Scalar(be, be.div(2 * yb, den)),
+                  be.scalar(0))
 
 
 def _audit_eq23(params: Params, core: Core):
@@ -522,10 +526,12 @@ def _audit_eq24(params: Params, core: Core):
 
 def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
+    be = params.backend
+    px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
     wx = wy = None
-    if not scalars_equal(printed.x, built.x):
+    if not be.is_zero(px - bx, (px, bx)):
         wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
-    if not scalars_equal(printed.y, built.y):
+    if not be.is_zero(py - by, (py, by)):
         wy = {"printed": _fmt(printed.y), "constructive": _fmt(built.y)}
     return wx, wy
 
@@ -541,15 +547,18 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     """
     pa, pb, pc = _printed_altitude_coeffs(params)
     built = core.altitudes["A"]
-    cross = pa * built.b - pb * built.a
-    if not is_zero(cross, (pa * built.b, pb * built.a)):
+    be = params.backend
+    ra, rb, rc = pa.value, pb.value, pc.value
+    ba, bb, bc = built.a.value, built.b.value, built.c.value
+    ra_bb, rb_ba = ra * bb, rb * ba
+    if not be.is_zero(ra_bb - rb_ba, (ra_bb, rb_ba)):
         wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
                  "constructive": _fmt_line(built)}
         return wcoef, None
-    lam = pa / built.a if not is_zero(built.a) else pb / built.b
-    scaled_const = lam * built.c
-    if not scalars_equal(pc, scaled_const):
-        return None, {"printed": _fmt(pc), "constructive": _fmt(scaled_const)}
+    lam = be.div(ra, ba) if not be.is_zero(ba) else be.div(rb, bb)
+    scaled_const = lam * bc
+    if not be.is_zero(rc - scaled_const, (rc, scaled_const)):
+        return None, {"printed": _fmt(pc), "constructive": _fmt(Scalar(be, scaled_const))}
     return None, None
 
 

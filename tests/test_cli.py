@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -102,6 +105,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: --eps:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", *GOLDEN], ["construct", *GOLDEN], ["audit", *GOLDEN],
+        ["audit", "--seed", "7", "--count", "2"],
+    ], ids=["verify", "construct", "audit", "audit-seeded"])
+    def test_eps_without_float_backend_exits_2(self, argv, capsys):
+        code = main([*argv, "--eps", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --eps applies only to --backend float\n"
+
     def test_float_overflow_is_an_input_error(self, capsys):
         code = main(["verify", "--a", "1e400", "--b", "2", "--c", "3", "--t", "1",
                      "--backend", "float"])
@@ -180,6 +194,58 @@ class TestAudit:
 
     def test_no_mode_exits_2(self, capsys):
         assert main(["audit"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--count", "--max-mag", "--max-den"])
+    def test_single_instance_rejects_seeded_flags(self, flag, capsys):
+        code = main(["audit", *GOLDEN, flag, "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: audit --a/--b/--c/--t does not take {flag}\n"
+
+    def test_seeded_defaults(self, capsys):
+        assert main(["audit", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("seed=7 count=100 max-mag=10 max-den=10\n")
+        assert "aggregate over 100 instances:" in out
+
+
+class _BufferedClosedStdout(io.StringIO):
+    """A buffered stdout whose reader has gone away: writes land in the
+    buffer, and flushing it fails."""
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class _UnbufferedClosedStdout(_BufferedClosedStdout):
+    """An unbuffered stdout whose reader has gone away: every write fails."""
+
+    def write(self, _text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("stub", [_BufferedClosedStdout, _UnbufferedClosedStdout],
+                             ids=["buffered", "unbuffered"])
+    def test_exits_2_and_points_stdout_at_devnull(self, stub, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", stub())
+        code = main(["audit", "--seed", "7", "--count", "3"])
+        devnull, sys.stdout = sys.stdout, sys.__stdout__
+        devnull.close()
+        assert code == 2
+        assert devnull.name == os.devnull
+        assert capsys.readouterr().err == ""
+
+    def test_real_pipe_closed_by_reader(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oblique_simson", "audit", "--seed", "7", "--count", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == b""
 
 
 class TestEntryPoint:

@@ -10,10 +10,22 @@ sha256sum``.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from oblique_simson import (
+    EXACT,
+    FloatBackend,
+    Params,
+    Point,
+    audit_printed_formulas,
+    build_scene,
+    normalize_frame,
+    run_checks,
+)
 from oblique_simson.cli import main
+from oblique_simson.verify import SplitMix64
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
 
@@ -53,3 +65,72 @@ def test_construct_digests(backend, digests, tmp_path, capsys):
     got = (_sha(capsys.readouterr().out), _sha(out_json.read_text()),
            _sha(out_svg.read_text()))
     assert got == digests
+
+
+# -- the library reports behind the CLI, pinned the same way --------------------------
+
+
+def _draws(seed, count, mag, den):
+    """Seeded (a, b, c, t) draws with distinct a, b, c; the first has t = 0."""
+    rng = SplitMix64(seed)
+    out = []
+    for i in range(count):
+        abc = []
+        while len(abc) < 3:
+            r = rng.rational(mag, den)
+            if r not in abc:
+                abc.append(r)
+        out.append((*abc, Fraction(0) if i == 0 else rng.rational(mag, den)))
+    return out
+
+
+def _outcome(fn, *args) -> str:
+    """repr of the result, or the exception type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the digest covers every raise
+        return f"raise {type(exc).__name__}: {exc}"
+
+
+def _checked(params):
+    return run_checks(build_scene(params))
+
+
+def _normalized(verts, j, probe):
+    nf = normalize_frame(*verts, j)
+    return (nf, nf.transform.identity, nf.transform.to_canonical(verts[1]),
+            nf.transform.from_canonical(probe))
+
+
+def _frame_outcomes(backend, raw):
+    """normalize_frame on the canonical triangle (a, b, c) moved by the
+    similarity w -> (1 + t + 2i) w + (a + ci), with J' on the circumcircle,
+    off it, and at vertex A."""
+    a, b, c, t = raw
+
+    def place(x, y):
+        return Point(backend.scalar((1 + t) * x - 2 * y + a),
+                     backend.scalar((1 + t) * y + 2 * x + c))
+
+    verts = [place(2 / (1 + p * p), 2 * p / (1 + p * p)) for p in (a, b, c)]
+    return [_outcome(_normalized, verts, j, place(Fraction(1, 2), Fraction(1, 3)))
+            for j in (place(0, 0), place(Fraction(-1, 10), 0), verts[0])]
+
+
+def _report_lines():
+    sweeps = [(EXACT, 10, 10, 30), (EXACT, 10 ** 6, 10 ** 6, 10)]
+    sweeps += [(FloatBackend(eps), mag, den, 20) for eps in (1e-6, 1e-9)
+               for mag, den in ((10, 10), (10, 1000), (1000, 10), (10 ** 4, 100))]
+    for backend, mag, den, count in sweeps:
+        for raw in _draws(5, count, mag, den):
+            params = Params.make(*raw, backend=backend)
+            yield _outcome(_checked, params)
+            yield _outcome(audit_printed_formulas, params)
+            yield from _frame_outcomes(backend, raw)
+
+
+def test_report_sweep_digest():
+    """run_checks, audit_printed_formulas and normalize_frame on seeded exact
+    and float sweeps, raises included, hashed as one text."""
+    assert _sha("\n".join(_report_lines())) == \
+        "d5d244b780ca223e1acfc82108e76238fb22ef94e9f92039c1b08351e1d0f951"

@@ -18,7 +18,7 @@ import pytest
 
 from oblique_simson import geom, simson
 from oblique_simson.errors import JEqualsH
-from oblique_simson.numeric import EXACT, FloatBackend, scalars_equal, is_zero
+from oblique_simson.numeric import EXACT, FloatBackend, is_zero
 from oblique_simson.simson import (
     VERTEX_ORDER,
     Params,
@@ -202,9 +202,9 @@ def ref_audit_eq25(params):
     printed = _printed_orthocenter(params.a, params.b, params.c)
     built = ref_orthocenter_h(params)
     wx = wy = None
-    if not scalars_equal(printed.x, built.x):
+    if not is_zero(printed.x - built.x, (printed.x, built.x)):
         wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
-    if not scalars_equal(printed.y, built.y):
+    if not is_zero(printed.y - built.y, (printed.y, built.y)):
         wy = {"printed": _fmt(printed.y), "constructive": _fmt(built.y)}
     return wx, wy
 
@@ -219,7 +219,7 @@ def ref_audit_eq26(params):
         return wcoef, None
     lam = pa / built.a if not is_zero(built.a) else pb / built.b
     scaled_const = lam * built.c
-    if not scalars_equal(pc, scaled_const):
+    if not is_zero(pc - scaled_const, (pc, scaled_const)):
         return None, {"printed": _fmt(pc), "constructive": _fmt(scaled_const)}
     return None, None
 

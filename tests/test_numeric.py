@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,19 @@ from oblique_simson import (
     BackendMismatch,
     DivisionByZero,
     FloatBackend,
+    FuzzConfig,
     Params,
     ParseError,
+    Point,
+    Scalar,
+    audit_printed_formulas,
+    build_scene,
+    fuzz,
+    normalize_frame,
+    render_svg,
+    run_checks,
+    scene_from_json,
+    scene_to_json,
 )
 from oblique_simson.numeric import format_scalar
 
@@ -57,12 +69,18 @@ class TestArithmetic:
         with pytest.raises(DivisionByZero):
             fb.scalar(1.0) / fb.scalar(1e-12)
 
-    def test_int_operands_coerce(self):
-        s = EXACT.scalar(Fraction(1, 2))
-        assert (2 * s).value == 1
-        assert (s + 1).value == Fraction(3, 2)
-        assert (1 - s).value == Fraction(1, 2)
-        assert (1 / s).value == 2
+    def test_int_operands_raise_type_error(self):
+        # Scalars combine only with Scalars: no int, Fraction or float coercion
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq)
+        for s, raw in ((EXACT.scalar(Fraction(1, 2)), 2),
+                       (EXACT.scalar(Fraction(1, 2)), Fraction(2)),
+                       (FloatBackend().scalar(0.5), 2),
+                       (FloatBackend().scalar(0.5), 2.0)):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(s, raw)
+                with pytest.raises(TypeError):
+                    op(raw, s)
 
     def test_backend_mixing_rejected(self):
         a = EXACT.scalar(1)
@@ -155,3 +173,34 @@ class TestFormat:
         s = EXACT.scalar(1)
         with pytest.raises(AttributeError):
             s.value = Fraction(2)
+
+
+class TestNoScalarArithmetic:
+    """The package computes on bare Fraction/float values: with every Scalar
+    operator made to raise, the whole pipeline still runs on both backends."""
+
+    def test_pipeline_runs_without_scalar_operators(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("Scalar arithmetic inside the package")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+            monkeypatch.setattr(Scalar, name, forbidden)
+        for backend in (EXACT, FloatBackend(1e-9)):
+            params = Params.make(1, 2, 3, Fraction(1, 2), backend=backend)
+            scene = build_scene(params)
+            assert run_checks(scene).all_pass
+            assert run_checks(build_scene(Params.make(-3, 5, 9, 0, backend=backend))).all_pass
+            assert len(audit_printed_formulas(params).results) == 8
+            scene_from_json(scene_to_json(scene))
+            render_svg(scene)
+
+            def pt(x, y):  # the canonical frame moved by w -> (3 + 4i) w + 7 - 2i
+                return Point(backend.scalar(3 * x - 4 * y + 7),
+                             backend.scalar(4 * x + 3 * y - 2))
+
+            verts = [pt(2 / (1 + p * p), 2 * p / (1 + p * p)) for p in map(Fraction, (1, 2, 3))]
+            nf = normalize_frame(*verts, pt(0, 0))
+            assert [float(s) for s in (nf.a, nf.b, nf.c)] == pytest.approx([1, 2, 3])
+            nf.transform.from_canonical(verts[0])
+            assert not nf.transform.identity
+        assert fuzz(FuzzConfig(seed=3, count=20)).all_pass

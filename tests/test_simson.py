@@ -8,6 +8,7 @@ from conftest import E, P
 from oblique_simson import FuzzConfig, Line, Params, build_scene, normalize_frame
 from oblique_simson.errors import (
     AllCoincident,
+    BackendMismatch,
     CollinearPoints,
     DegenerateTriangle,
     JEqualsH,
@@ -148,9 +149,9 @@ class TestOrthocenter:
         # H = A + B + C - 2*O with O = (1, 0)
         h = orthocenter_h(params)
         vs = [vertex_point(s) for s in (params.a, params.b, params.c)]
-        sx = vs[0].x + vs[1].x + vs[2].x - 2
-        sy = vs[0].y + vs[1].y + vs[2].y
-        assert h == type(h)(sx, sy)
+        sx = vs[0].x.value + vs[1].x.value + vs[2].x.value - 2
+        sy = vs[0].y.value + vs[1].y.value + vs[2].y.value
+        assert h == P(sx, sy)
 
     def test_near_equilateral_float_orthocentre_is_near_centroid(self):
         import math
@@ -161,8 +162,8 @@ class TestOrthocenter:
         params = Params.make(*ps, 0, backend=fb)
         h = orthocenter_h(params)
         vs = [vertex_point(s) for s in (params.a, params.b, params.c)]
-        centroid = type(h)((vs[0].x + vs[1].x + vs[2].x) / 3,
-                           (vs[0].y + vs[1].y + vs[2].y) / 3)
+        centroid = Point(fb.scalar((vs[0].x.value + vs[1].x.value + vs[2].x.value) / 3),
+                         fb.scalar((vs[0].y.value + vs[1].y.value + vs[2].y.value) / 3))
         assert points_equal(h, centroid)
 
 
@@ -215,10 +216,10 @@ class TestAltitude:
     def test_normal_direction(self, params):
         # normal of the altitude from A is proportional to (b+c, -(1-bc))
         alt = altitude_line("A", params)
-        b, c = params.b, params.c
+        b, c = params.b.value, params.c.value
         nx, ny = b + c, -(1 - b * c)
-        cross = alt.a * ny - alt.b * nx
-        assert cross.value == 0
+        cross = alt.a.value * ny - alt.b.value * nx
+        assert cross == 0
 
 
 class TestXYZ:
@@ -434,6 +435,16 @@ class TestNormalizeFrame:
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateTriangle):
             normalize_frame(P(0, 0), P(1, 1), P(2, 2), P(0, 0))
+
+    def test_transform_rejects_a_point_of_another_backend(self):
+        a_pt, b_pt, c_pt = (vertex_point(E(p)) for p in (1, 2, 3))
+        transform = normalize_frame(a_pt, b_pt, c_pt, J).transform
+        fb = FloatBackend(1e-9)
+        other = Point(fb.scalar(1.0), fb.scalar(0.0))
+        with pytest.raises(BackendMismatch):
+            transform.to_canonical(other)
+        with pytest.raises(BackendMismatch):
+            transform.from_canonical(other)
 
 
 class TestNormalizeFrameFloatScale:
