@@ -76,11 +76,13 @@ class AllCoincident(GeometryError):
 
 
 class ConstructionError(GeometryError):
-    """An inline consistency assert of the construction failed (internal bug)."""
+    """The orthocentre misses the third altitude (broken arithmetic, or an
+    ill-conditioned float instance); no other identity raises, see verify."""
 
 
 # -- output --------------------------------------------------------------------
 
 class OutputError(GeometryError):
-    """An output cannot be produced: an unwritable file, or a scene value
-    beyond the float range of the SVG canvas."""
+    """An output cannot be produced: an unwritable file, a scene value
+    beyond the float range of the SVG canvas, or an integer with more digits
+    than the interpreter converts to text."""

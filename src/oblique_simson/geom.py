@@ -441,21 +441,29 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     return DirectedTan.of(Scalar(be, be.div(a1 * b2 - a2 * b1, den)))
 
 
-def orthocenter3(p: Point, q: Point, r: Point) -> Point:
-    """Orthocentre of a proper triangle, as the meet of two altitudes.
-
-    Incidence with the third altitude is verified; its failure would indicate
-    broken arithmetic (or an intolerably ill-conditioned float instance).
-    """
+def _orthocentric(p: Point, q: Point, r: Point):
+    """Sides (qr, rp, pq), altitudes (from p, q, r) and orthocentre of a
+    proper triangle: the meet of the first two altitudes, checked against the
+    third (a miss means broken arithmetic or an intolerably ill-conditioned
+    float instance)."""
     if collinear3(p, q, r):
         raise CollinearPoints("orthocentre of collinear points is undefined")
-    alt_p = perpendicular_through(p, line_through(q, r))
-    alt_q = perpendicular_through(q, line_through(r, p))
+    side_p = line_through(q, r)
+    alt_p = perpendicular_through(p, side_p)
+    side_q = line_through(r, p)
+    alt_q = perpendicular_through(q, side_q)
     h = intersect_lines(alt_p, alt_q)
-    alt_r = perpendicular_through(r, line_through(p, q))
+    side_r = line_through(p, q)
+    alt_r = perpendicular_through(r, side_r)
     if not on_line(alt_r, h):
         raise ConstructionError("orthocentre failed third-altitude incidence")
-    return h
+    return (side_p, side_q, side_r), (alt_p, alt_q, alt_r), h
+
+
+def orthocenter3(p: Point, q: Point, r: Point) -> Point:
+    """Orthocentre of a proper triangle, as the meet of two altitudes
+    checked against the third."""
+    return _orthocentric(p, q, r)[2]
 
 
 def lines_equal(l1: Line, l2: Line) -> bool:

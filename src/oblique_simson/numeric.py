@@ -28,14 +28,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BackendMismatch, DivisionByZero, ParseError
-
-
-def format_rational(r: Fraction) -> str:
-    """Canonical text form: "p/q" with the sign on p, or plain "p" for integers."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+from .errors import BackendMismatch, DivisionByZero, OutputError, ParseError
 
 
 def parse_rational(text: str) -> Fraction:
@@ -215,7 +208,10 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Text form used in all file formats: "p/q" exactly, repr of the float."""
-    if x.backend.exact:
-        return format_rational(x.value)
-    return repr(x.value)
+    """Text form used in all file formats: "p/q" exactly (sign on p, plain "p"
+    for integers), repr of the float; OutputError beyond the interpreter's
+    integer-to-text digit limit."""
+    try:
+        return str(x.value)
+    except ValueError as exc:
+        raise OutputError("a value has too many digits to write as text") from exc

@@ -71,6 +71,8 @@ def document_to_scene(doc: dict) -> Scene:
         if doc["backend"] == "exact":
             backend: Backend = EXACT
         elif doc["backend"] == "float":
+            if isinstance(doc["eps_abs"], bool):
+                raise TypeError(f"eps_abs must be a number, got {doc['eps_abs']!r}")
             backend = FloatBackend(doc["eps_abs"])
         else:
             raise ParseError(f"unknown backend tag {doc['backend']!r}")
@@ -89,11 +91,13 @@ def document_to_scene(doc: dict) -> Scene:
         for name in CIRCLE_NAMES:
             d, e, f = (_scalar_from_json(v, backend) for v in doc["circles"][name])
             circles[name] = make_circle(d, e, f)
-        flags = tuple(str(f) for f in doc["flags"])
+        flags = doc["flags"]
+        if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+            raise TypeError(f"flags must be a list of strings, got {flags!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scene document: {exc}") from exc
     return Scene(params=params, points=points, lines=lines, circles=circles,
-                 flags=flags)
+                 flags=tuple(flags))
 
 
 def scene_to_json(scene: Scene) -> str:

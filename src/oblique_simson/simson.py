@@ -24,8 +24,6 @@ from . import geom
 from .errors import (
     AllCoincident,
     BackendMismatch,
-    CollinearPoints,
-    ConstructionError,
     DegenerateTriangle,
     JEqualsH,
     NotCollinear,
@@ -47,11 +45,6 @@ LINE_NAMES = (
     "imageSideB0C0", "imageSideC0A0", "imageSideA0B0",
 )
 CIRCLE_NAMES = ("Sigma", "Sigma0", "S", "cA", "cB", "cC")
-
-
-def _check(cond: bool, what: str) -> None:
-    if not cond:
-        raise ConstructionError(f"construction invariant failed: {what}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,7 @@ def vertex_circle(p: Scalar, t: Scalar) -> Circle:
     return geom.circle_center_through(image_vertex(p, t), origin_j(p.backend))
 
 
-_OPPOSITE = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
-_LMN_SOURCES = {n: _OPPOSITE[v] for n, v in zip("LMN", VERTEX_ORDER)}
+_LMN_SOURCES = {"L": ("B", "C"), "M": ("C", "A"), "N": ("A", "B")}
 
 
 class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen dataclass
@@ -208,23 +200,14 @@ class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen datac
 
 def construct_core(params: Params) -> Core:
     """The single producer of the stage: each object is built once, from
-    objects the stage already has.  Sides come from vertices, altitudes from
-    sides, H is the meet of the altitudes from A and B (guarded and checked as
-    in geom.orthocenter3), each vertex circle is centred at its image through
-    J, and X, Y, Z come from altitude, vertex circle and vertex."""
+    objects the stage already has.  Sides, altitudes and H come from the
+    vertices through geom's orthocentre routine, each vertex circle is centred
+    at its image through J, and X, Y, Z come from altitude, vertex circle and
+    vertex."""
     j = origin_j(params.backend)
     verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
-    if geom.collinear3(*verts.values()):
-        raise CollinearPoints("orthocentre of collinear points is undefined")
-    sides, alts = {}, {}
-    for v in VERTEX_ORDER:
-        q, r = _OPPOSITE[v]
-        sides[v] = geom.line_through(verts[q], verts[r])
-        alts[v] = geom.perpendicular_through(verts[v], sides[v])
-        if v == "B":  # the meet precedes the third altitude, as in orthocenter3
-            h = geom.intersect_lines(alts["A"], alts["B"])
-    if not geom.on_line(alts["C"], h):
-        raise ConstructionError("orthocentre failed third-altitude incidence")
+    side_list, alt_list, h = geom._orthocentric(*verts.values())
+    sides, alts = dict(zip(VERTEX_ORDER, side_list)), dict(zip(VERTEX_ORDER, alt_list))
     images = {v: apply_similarity(params.t, verts[v]) for v in VERTEX_ORDER}
     joins = {v: geom.line_through(verts[v], images[v]) for v in VERTEX_ORDER}
     circles = {v: geom.circle_center_through(images[v], j) for v in VERTEX_ORDER}
@@ -303,51 +286,28 @@ def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
     Every object construct_core holds is taken from it, its single producer,
-    and L, M, N come from its vertex circles.  Inline asserts cover the cheap
-    identities (vertices and K on Sigma, the image circumcircle through J and
-    K, S centered at Q through J and H, the vertex-image lines meeting at K);
-    everything else is the verifier's job.
+    and L, M, N come from its vertex circles.  It raises only where an
+    object cannot be built (degenerate input, H = J, an orthocentre off its
+    third altitude, ...); whether the built objects satisfy the paper's
+    incidences is the verdict of :func:`oblique_simson.verify.run_checks`, one
+    named check per identity.
     """
     be = params.backend
     j = origin_j(be)
     o = circumcenter_o(be)
     sigma = circumcircle_sigma(be)
     core = construct_core(params)
-    verts, images, alts = core.vertices, core.images, core.altitudes
-
-    for v, pt in verts.items():
-        _check(geom.on_circle(sigma, pt), f"vertex {v} off the circumcircle")
-
-    h = core.h
-    if geom.points_equal(h, j):
-        raise JEqualsH("H coincides with J")
+    verts, images, alts, h = core.vertices, core.images, core.altitudes, core.h
     q = q_point(h, params.t)
-
     k = perspector_k(params.t)
-    _check(geom.on_circle(sigma, k), "perspector off the circumcircle")
 
-    flags: List[str] = []
-    for v in VERTEX_ORDER:
-        k_again, tangent = geom.second_line_circle(core.joins[v], sigma, verts[v])
-        _check(geom.points_equal(k_again, k), f"{v}{v}0 misses the perspector")
-        if tangent:
-            flags.append(f"tangent:{v}{v}0")
-
-    for v in VERTEX_ORDER:
-        _check(geom.on_line(alts[v], h), f"altitude {v} misses the orthocentre")
-
+    # only the tangency flag is read here; perspector_common judges the meet
+    flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
+             if geom.second_line_circle(core.joins[v], sigma, verts[v])[1]]
     xyz = {n: core.xyz[v] for n, v in zip("XYZ", VERTEX_ORDER)}
     flags += [f"tangent:{n}" for n, (_, tangent) in xyz.items() if tangent]
-
     s_circle = core.hagge()
-    _check(geom.points_equal(s_circle.center(), q), "S is not centered at Q")
-    _check(geom.on_circle(s_circle, j), "S misses J")
-    _check(geom.on_circle(s_circle, h), "S misses H")
-
     sigma0 = geom.circle_through3(images["A"], images["B"], images["C"])
-    _check(geom.on_circle(sigma0, j), "image circumcircle misses J")
-    _check(geom.on_circle(sigma0, k), "image circumcircle misses K")
-
     lmn = {n: core.lmn(n) for n in "LMN"}
     flags += [f"tangent:{n}" for n, (_, tangent) in lmn.items() if tangent]
     gws = gws_line(*(pt for pt, _ in lmn.values()))

@@ -1,10 +1,12 @@
 """Named theorem checks over a Scene, a seeded fuzzer, and the formula audit.
 
-Every check re-derives its assertion from the scene contents (never trusting
-the construction's own inline asserts), so a deliberately corrupted scene
-produces FAIL results with witnesses rather than exceptions.  On the exact
-backend a failing check on a validly built scene is always a defect: the fuzz
-run is a randomized polynomial-identity test over the rationals.
+Every check re-derives its assertion from the scene contents, and each of the
+paper's identities has its verdict here only: ``build_scene`` builds the
+objects without asserting them.  A deliberately corrupted scene, or a float
+instance whose tolerance misses an identity, therefore produces FAIL results
+with witnesses rather than exceptions.  On the exact backend a failing check
+on a validly built scene is always a defect: the fuzz run is a randomized
+polynomial-identity test over the rationals.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
 construction (rows Eq2.3-Eq2.8) against the constructive objects, which it

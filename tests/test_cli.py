@@ -12,6 +12,9 @@ from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
 
+# the interpreter's integer-to-text digit limit (0: none)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 class TestConstruct:
     def test_writes_json_and_svg(self, tmp_path, capsys):
@@ -61,6 +64,19 @@ class TestConstruct:
             "error: scene value exceeds the float range of the SVG canvas\n"
         assert not out_svg.exists()
 
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_value_beyond_text_limit_exits_2(self, tmp_path, capsys):
+        # a parses, but the vertex coordinates have about twice its digits
+        a = "7" * (INT_TEXT_LIMIT // 2 + 100)
+        out_json = tmp_path / "scene.json"
+        code = main(["construct", "--a", a, "--b", "2", "--c", "3", "--t", "1/2",
+                     "--json", str(out_json)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a value has too many digits to write as text\n"
+        assert not out_json.exists()
+
     def test_negative_rational_values(self, capsys):
         # both "--t -2/3" and "--t=-2/3" must parse
         code = main(["verify", "--a", "-3/7", "--b", "1/4", "--c", "5",
@@ -89,6 +105,16 @@ class TestVerify:
     def test_float_backend_passes(self, capsys):
         code = main(["verify", *GOLDEN, "--backend", "float", "--eps", "1e-9"])
         assert code == 0
+        assert "19/19 checks passed" in capsys.readouterr().out
+
+    def test_float_tolerance_miss_is_a_check_failure(self, capsys):
+        flags = ["--a", "5/946", "--b", "5/274", "--c", "1/190", "--t", "9/769"]
+        assert main(["verify", *flags, "--backend", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "hagge_center_and_members                 FAIL  center=(" \
+            in captured.out
+        assert main(["verify", *flags]) == 0
         assert "19/19 checks passed" in capsys.readouterr().out
 
     def test_eps_below_roundoff_is_an_input_error(self, capsys):

@@ -17,13 +17,12 @@ from typing import List, Tuple
 import pytest
 
 from oblique_simson import geom, simson
-from oblique_simson.errors import JEqualsH
+from oblique_simson.errors import ConstructionError, JEqualsH
 from oblique_simson.numeric import EXACT, FloatBackend, is_zero
 from oblique_simson.simson import (
     VERTEX_ORDER,
     Params,
     Scene,
-    _check,
     apply_similarity,
     circumcenter_o,
     circumcircle_sigma,
@@ -55,6 +54,11 @@ from oblique_simson.verify import (
 )
 
 # -- the reference: the per-object route, as it was ---------------------------------
+
+
+def _check(cond: bool, what: str) -> None:
+    if not cond:
+        raise ConstructionError(f"construction invariant failed: {what}")
 
 
 def ref_orthocenter_h(params):

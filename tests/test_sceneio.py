@@ -1,5 +1,7 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,9 @@ from oblique_simson import (
 )
 from oblique_simson.errors import OutputError
 from oblique_simson.sceneio import scene_summary, scene_to_document
+
+# the interpreter's integer-to-text digit limit (0: none)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestSceneDocument:
@@ -64,6 +69,25 @@ class TestSceneDocument:
         doc2["schema"] = 99
         with pytest.raises(ParseError):
             scene_from_json(json.dumps(doc2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("flags", "tangent:AA0"),
+        ("flags", [1, None]),
+        ("eps_abs", True),
+    ], ids=["flags-string", "flags-not-strings", "eps-abs-bool"])
+    def test_mistyped_field_rejected(self, field, value):
+        scene = build_scene(Params.make(1, 2, 3, 0.5, backend=FloatBackend(1e-9)))
+        doc = scene_to_document(scene)
+        doc[field] = value
+        with pytest.raises(ParseError, match="^malformed scene document: "):
+            scene_from_json(json.dumps(doc))
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_value_beyond_text_limit_raises_output_error(self):
+        a = int("7" * (INT_TEXT_LIMIT // 2 + 100))
+        scene = build_scene(Params.make(a, 2, 3, Fraction(1, 2)))
+        with pytest.raises(OutputError):
+            scene_to_json(scene)
 
     def test_exact_document_rejects_numbers(self, golden_scene):
         doc = scene_to_document(golden_scene)

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import P
+from conftest import E, P
 from oblique_simson import (
+    Circle,
+    FloatBackend,
     FuzzConfig,
     Params,
     audit_printed_formulas,
+    build_scene,
     fuzz,
     run_checks,
 )
@@ -58,6 +61,47 @@ class TestRunChecks:
         report = run_checks(corrupted)   # must complete without exceptions
         assert not report.all_pass
         assert report.result("q_on_line").witness is not None
+
+
+# a float instance whose tolerance misses the centre of S (exact: 19/19)
+FLOAT_MISS = ("5/946", "5/274", "1/190", "9/769")
+
+
+def _with(scene, **changes):
+    """The scene with some points or circles replaced."""
+    return dataclasses.replace(scene, **{
+        kind: {**getattr(scene, kind), **objects} for kind, objects in changes.items()})
+
+
+class TestSingleVerdictPath:
+    """build_scene builds without asserting the paper's identities; each one
+    has its verdict in a named check, with a witness."""
+
+    def test_float_tolerance_miss_is_a_named_fail(self):
+        scene = build_scene(Params.make(*FLOAT_MISS, backend=FloatBackend(1e-9)))
+        hagge = run_checks(scene).result("hagge_center_and_members")
+        assert not hagge.passed
+        assert set(hagge.witness) == {"center", "Q"}
+        assert hagge.witness["center"] != hagge.witness["Q"]
+        exact = run_checks(build_scene(Params.make(*FLOAT_MISS)))
+        assert exact.all_pass and len(exact.results) == 19
+
+    @pytest.mark.parametrize("changes,check,witness", [
+        ({"points": {"K": P(1, 2)}},
+         "on_circumcircle", {"point": "K", "residual": "3"}),
+        ({"circles": {"S": Circle(E(3), E(-2), E(0))}},
+         "hagge_center_and_members", {"center": "(-3/2, 1)", "Q": "(-7/5, 1)"}),
+        ({"circles": {"Sigma0": Circle(E(-1), E(-1), E(Fraction(1, 10)))}},
+         "sigma0_through_J_and_K", {"point": "A0", "residual": "1/10"}),
+        ({"points": {"A0": P(0, 2)}},
+         "perspector_common", {"vertex": "A", "second": "(2, 0)", "K": "(1, 1)"}),
+    ], ids=["K-off-Sigma", "S-centre-moved", "Sigma0-constant", "AA0-misses-K"])
+    def test_corrupted_object_fails_its_check(self, golden_scene, changes, check,
+                                              witness):
+        report = run_checks(_with(golden_scene, **changes))
+        result = report.result(check)
+        assert not result.passed
+        assert result.witness == witness
 
 
 class TestSplitMix64:
