@@ -15,11 +15,20 @@ by the magnitude of the participating entries.
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
 Scalars: the primitives (and :meth:`DirectedTan.__eq__`) read every input's
-``.value`` once, compute on the bare ``Fraction`` (exact backend) or
-``float`` (float backend), and wrap each output once.  Zero tests and
-divisions by computed quantities go through the backend's ``is_zero`` and
-``div``.  A primitive taking two or more objects checks once that they share
-a backend and raises :class:`~oblique_simson.errors.BackendMismatch`
+``.value`` once and wrap each output once.  Each primitive branches once on
+the backend the objects carry:
+
+* exact: the inputs are read as homogeneous integers - a point as (X, Y, W)
+  with W > 0, a line as (a, b, c), a circle as (d, e, f, v) for
+  v(x^2 + y^2) + dx + ey + f = 0 - the result is one integer polynomial
+  formula, each zero test is ``== 0`` on integers, and one ``Fraction`` is
+  built per stored coordinate (a line's gcd-reduced integers need none);
+* float: the primitive computes on the bare ``float`` values, with zero
+  tests and divisions by computed quantities through the backend's
+  ``is_zero`` and ``div``.
+
+A primitive taking two or more objects checks once that they share a
+backend and raises :class:`~oblique_simson.errors.BackendMismatch`
 otherwise.
 """
 
@@ -35,6 +44,7 @@ from .errors import (
     CoincidentPoints,
     CollinearPoints,
     ConstructionError,
+    DivisionByZero,
     GeometryError,
     IdenticalCircles,
     KnownPointNotIncident,
@@ -42,7 +52,7 @@ from .errors import (
     ParallelLines,
     ZeroRadius,
 )
-from .numeric import Backend, Scalar
+from .numeric import Backend, Scalar, format_scalar
 
 
 @dataclass(frozen=True, eq=True)
@@ -55,7 +65,7 @@ class Point:
         return self.x.backend
 
     def __repr__(self) -> str:
-        return f"Point({self.x.value}, {self.y.value})"
+        return f"Point({format_scalar(self.x)}, {format_scalar(self.y)})"
 
 
 @dataclass(frozen=True, eq=True)
@@ -71,7 +81,8 @@ class Line:
         return self.a.backend
 
     def __repr__(self) -> str:
-        return f"Line({self.a.value}, {self.b.value}, {self.c.value})"
+        a, b, c = map(format_scalar, (self.a, self.b, self.c))
+        return f"Line({a}, {b}, {c})"
 
 
 @dataclass(frozen=True, eq=True)
@@ -88,14 +99,22 @@ class Circle:
 
     def center(self) -> Point:
         be = self.d.backend
+        if be.exact:
+            d, e, _, v = _icircle(self)
+            return _hom_point(be, -d, -e, 2 * v)
         return Point(Scalar(be, -self.d.value / 2), Scalar(be, -self.e.value / 2))
 
     def radius_sq(self) -> Scalar:
+        be = self.d.backend
+        if be.exact:
+            d, e, f, v = _icircle(self)
+            return Scalar(be, Fraction(d * d + e * e - 4 * f * v, 4 * v * v))
         d, e = self.d.value, self.e.value
         return Scalar(self.d.backend, (d * d + e * e) / 4 - self.f.value)
 
     def __repr__(self) -> str:
-        return f"Circle({self.d.value}, {self.e.value}, {self.f.value})"
+        d, e, f = map(format_scalar, (self.d, self.e, self.f))
+        return f"Circle({d}, {e}, {f})"
 
 
 @dataclass(frozen=True)
@@ -119,10 +138,14 @@ class DirectedTan:
         if self.infinite or other.infinite:
             return self.infinite and other.infinite
         be = _common_backend(self.value, other.value)
+        if be.exact:
+            return self.value.value == other.value.value
         return be.is_zero(self.value.value - other.value.value)
 
     def __repr__(self) -> str:
-        return "DirectedTan(inf)" if self.infinite else f"DirectedTan({self.value.value})"
+        if self.infinite:
+            return "DirectedTan(inf)"
+        return f"DirectedTan({format_scalar(self.value)})"
 
 
 def _common_backend(first, *rest) -> Backend:
@@ -139,6 +162,49 @@ def _point(be: Backend, x, y) -> Point:
     return Point(Scalar(be, x), Scalar(be, y))
 
 
+# -- the exact kernel's homogeneous integer readers and writer ----------------------
+
+
+def _hom(p: Point) -> Tuple[int, int, int]:
+    """(X, Y, W) with W > 0 and p = (X/W, Y/W), over the lcm of the two
+    denominators."""
+    x, y = p.x.value, p.y.value
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return x.numerator, y.numerator, xd
+    g = math.gcd(xd, yd)
+    return x.numerator * (yd // g), y.numerator * (xd // g), xd // g * yd
+
+
+def _over_lcm(a: Fraction, b: Fraction, c: Fraction) -> Tuple[int, int, int, int]:
+    """(a m, b m, c m, m) as integers, m the positive lcm of the denominators."""
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    if ad == bd == cd:
+        return a.numerator, b.numerator, c.numerator, ad
+    m = math.lcm(ad, bd, cd)
+    return a.numerator * (m // ad), b.numerator * (m // bd), c.numerator * (m // cd), m
+
+
+def _iline(l: Line) -> Tuple[int, int, int]:
+    """Integers (a, b, c) proportional to l's coefficients by a positive
+    factor: the coefficients themselves on a canonical line (denominators
+    1), else scaled by the lcm of their denominators, as a Line built
+    directly need not be canonical."""
+    return _over_lcm(l.a.value, l.b.value, l.c.value)[:3]
+
+
+def _icircle(c: Circle) -> Tuple[int, int, int, int]:
+    """(d, e, f, v) with v > 0: c is v(x^2 + y^2) + dx + ey + f = 0."""
+    return _over_lcm(c.d.value, c.e.value, c.f.value)
+
+
+def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
+    """The point (x/w, y/w); DivisionByZero when w = 0."""
+    if w == 0:
+        raise DivisionByZero("division by zero scalar")
+    return Point(Scalar(be, Fraction(x, w)), Scalar(be, Fraction(y, w)))
+
+
 # -- factories -----------------------------------------------------------------
 
 
@@ -147,20 +213,17 @@ def point(backend: Backend, x, y) -> Point:
 
 
 def _line(be: Backend, a, b, c) -> Line:
-    """Canonical Line from raw coefficients (see make_line)."""
+    """Canonical Line from raw coefficients (see make_line): ints on the
+    exact backend, floats on the float backend."""
     if be.is_zero(a) and be.is_zero(b):
         raise GeometryError("line coefficients degenerate: a = b = 0")
     if be.exact:
-        lcm = math.lcm(a.denominator, b.denominator, c.denominator)
-        ia = a.numerator * (lcm // a.denominator)
-        ib = b.numerator * (lcm // b.denominator)
-        ic = c.numerator * (lcm // c.denominator)
-        g = math.gcd(ia, ib, ic)
-        ia, ib, ic = ia // g, ib // g, ic // g
-        if ia < 0 or (ia == 0 and ib < 0):
-            ia, ib, ic = -ia, -ib, -ic
-        return Line(Scalar(be, Fraction(ia)), Scalar(be, Fraction(ib)),
-                    Scalar(be, Fraction(ic)))
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        return Line(Scalar(be, Fraction(a)), Scalar(be, Fraction(b)),
+                    Scalar(be, Fraction(c)))
     norm = math.hypot(a, b)  # > eps_abs, as a and b are not both zero
     fa, fb, fc = a / norm, b / norm, c / norm
     lead = fa if abs(fa) > be.eps_abs else fb
@@ -172,11 +235,20 @@ def _line(be: Backend, a, b, c) -> Line:
 def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     """Canonicalize coefficients and build a Line; (a,b) must not both vanish."""
     be = _common_backend(a, b, c)
+    if be.exact:
+        return _line(be, *_iline(Line(a, b, c)))
     return _line(be, a.value, b.value, c.value)
 
 
-def _circle(be: Backend, d, e, f) -> Circle:
-    """Circle from raw coefficients (see make_circle)."""
+def _circle(be: Backend, d, e, f, v=1) -> Circle:
+    """Circle v(x^2 + y^2) + dx + ey + f = 0 from raw coefficients (see
+    make_circle): ints with v != 0 on the exact backend, floats with v = 1 on
+    the float backend."""
+    if be.exact:
+        if not d * d + e * e - 4 * f * v > 0:
+            raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
+        return Circle(Scalar(be, Fraction(d, v)), Scalar(be, Fraction(e, v)),
+                      Scalar(be, Fraction(f, v)))
     if not d * d + e * e - 4 * f > 0:
         raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
     return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f))
@@ -185,6 +257,8 @@ def _circle(be: Backend, d, e, f) -> Circle:
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
     """Validate the proper-circle discriminant and build a Circle."""
     be = _common_backend(d, e, f)
+    if be.exact:
+        return _circle(be, *_icircle(Circle(d, e, f)))
     return _circle(be, d.value, e.value, f.value)
 
 
@@ -193,11 +267,18 @@ def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
 
 def midpoint(p: Point, q: Point) -> Point:
     be = _common_backend(p, q)
+    if be.exact:
+        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        return _hom_point(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
     return _point(be, (p.x.value + q.x.value) / 2, (p.y.value + q.y.value) / 2)
 
 
 def dist_sq(p: Point, q: Point) -> Scalar:
     be = _common_backend(p, q)
+    if be.exact:
+        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
+        return Scalar(be, Fraction(dx * dx + dy * dy, w * w))
     dx, dy = p.x.value - q.x.value, p.y.value - q.y.value
     return Scalar(be, dx * dx + dy * dy)
 
@@ -214,6 +295,9 @@ def _on_line(be: Backend, a, b, c, x, y) -> bool:
 
 def on_line(l: Line, p: Point) -> bool:
     be = _common_backend(l, p)
+    if be.exact:
+        (a, b, c), (x, y, w) = _iline(l), _hom(p)
+        return a * x + b * y + c * w == 0
     return _on_line(be, l.a.value, l.b.value, l.c.value, p.x.value, p.y.value)
 
 
@@ -228,13 +312,21 @@ def _on_circle(be: Backend, d, e, f, x, y) -> bool:
     return be.is_zero(xx + yy + dx + ey + f, (xx, yy, dx, ey, f))
 
 
+def _ion_circle(d: int, e: int, f: int, v: int, x: int, y: int, w: int) -> bool:
+    return v * (x * x + y * y) + w * (d * x + e * y + f * w) == 0
+
+
 def on_circle(c: Circle, p: Point) -> bool:
     be = _common_backend(c, p)
+    if be.exact:
+        return _ion_circle(*_icircle(c), *_hom(p))
     return _on_circle(be, c.d.value, c.e.value, c.f.value, p.x.value, p.y.value)
 
 
 def points_equal(p: Point, q: Point) -> bool:
     be = _common_backend(p, q)
+    if be.exact:
+        return p.x.value == q.x.value and p.y.value == q.y.value
     return be.is_zero(p.x.value - q.x.value) and be.is_zero(p.y.value - q.y.value)
 
 
@@ -244,6 +336,12 @@ def points_equal(p: Point, q: Point) -> bool:
 def line_through(p: Point, q: Point) -> Line:
     """The line through two distinct points."""
     be = _common_backend(p, q)
+    if be.exact:
+        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
+        if a == 0 and b == 0:
+            raise CoincidentPoints(f"no unique line through coincident points {p}")
+        return _line(be, a, b, x1 * y2 - x2 * y1)
     px, py, qx, qy = p.x.value, p.y.value, q.x.value, q.y.value
     if be.is_zero(px - qx) and be.is_zero(py - qy):
         raise CoincidentPoints(f"no unique line through coincident points {p}")
@@ -253,6 +351,9 @@ def line_through(p: Point, q: Point) -> Line:
 def perpendicular_through(p: Point, l: Line) -> Line:
     """The perpendicular to l through p (well-defined even for p on l)."""
     be = _common_backend(p, l)
+    if be.exact:
+        (x, y, w), (a, b, _) = _hom(p), _iline(l)
+        return _line(be, b * w, -a * w, a * y - b * x)
     a, b = l.b.value, -l.a.value
     return _line(be, a, b, -(a * p.x.value + b * p.y.value))
 
@@ -265,15 +366,28 @@ def _foot(be: Backend, p: Point, l: Line):
     return x - k * a, y - k * b
 
 
+def _hom_along_normal(p: Point, l: Line, k: int) -> Tuple[int, int, int]:
+    """(X, Y, W) of p moved k times its offset from l along l's normal:
+    the foot of the perpendicular for k = 1, the mirror image for k = 2.
+    W is 0 when l has a = b = 0."""
+    (x, y, w), (a, b, c) = _hom(p), _iline(l)
+    s, n = a * a + b * b, k * (a * x + b * y + c * w)
+    return x * s - n * a, y * s - n * b, w * s
+
+
 def foot_perpendicular(p: Point, l: Line) -> Point:
     """Orthogonal projection of p onto l."""
     be = _common_backend(p, l)
+    if be.exact:
+        return _hom_point(be, *_hom_along_normal(p, l, 1))
     return _point(be, *_foot(be, p, l))
 
 
 def reflect_in_line(p: Point, l: Line) -> Point:
     """Mirror image of p in l; an involution fixing exactly the points of l."""
     be = _common_backend(p, l)
+    if be.exact:
+        return _hom_point(be, *_hom_along_normal(p, l, 2))
     fx, fy = _foot(be, p, l)
     return _point(be, 2 * fx - p.x.value, 2 * fy - p.y.value)
 
@@ -281,6 +395,12 @@ def reflect_in_line(p: Point, l: Line) -> Point:
 def intersect_lines(l1: Line, l2: Line) -> Point:
     """The unique common point of two non-parallel lines."""
     be = _common_backend(l1, l2)
+    if be.exact:
+        (a1, b1, c1), (a2, b2, c2) = _iline(l1), _iline(l2)
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            raise ParallelLines("lines are parallel or identical")
+        return _hom_point(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
     a1, b1, c1 = l1.a.value, l1.b.value, l1.c.value
     a2, b2, c2 = l2.a.value, l2.b.value, l2.c.value
     a1b2, a2b1 = a1 * b2, a2 * b1
@@ -294,11 +414,24 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
     """The circumcircle of three non-collinear points.
 
     Solves the 2x2 linear system obtained by subtracting the circle equation
-    pairwise (eliminating f), then recovers f from the first point.
+    pairwise (eliminating f), then recovers f from the first point.  On the
+    exact backend the coefficients (v, d, e, f) are instead the signed 3x3
+    minors of the rows (x^2 + y^2, xw, yw, w^2) of the three points.
     """
     if collinear3(p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
     be = p.x.backend
+    if be.exact:
+        rows = []
+        for pt_ in (p, q, r):
+            x, y, w = _hom(pt_)
+            rows.append((x * x + y * y, x * w, y * w, w * w))
+        (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = rows
+        return _circle(be,
+                       -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
+                       _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
+                       -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
+                       _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
     px, py, qx, qy, rx, ry = p.x.value, p.y.value, q.x.value, q.y.value, r.x.value, r.y.value
     s1 = px * px + py * py
     s2 = qx * qx + qy * qy
@@ -316,6 +449,14 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
 def circle_center_through(center: Point, p: Point) -> Circle:
     """The circle with the given center passing through p."""
     be = _common_backend(center, p)
+    if be.exact:
+        (cx, cy, cw), (px, py, pw) = _hom(center), _hom(p)
+        if cx * pw == px * cw and cy * pw == py * cw:
+            raise ZeroRadius("circle through its own center has zero radius")
+        # x^2 + y^2 - 2cx x - 2cy y + 2(cx px + cy py) - (px^2 + py^2) = 0, times cw pw^2
+        ww = pw * pw
+        return _circle(be, -2 * cx * ww, -2 * cy * ww,
+                       2 * (cx * px + cy * py) * pw - (px * px + py * py) * cw, cw * ww)
     cx, cy, px, py = center.x.value, center.y.value, p.x.value, p.y.value
     dx, dy = cx - px, cy - py
     if be.is_zero(dx) and be.is_zero(dy):
@@ -331,6 +472,14 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     common point and is perpendicular to the line of centers.
     """
     be = _common_backend(c1, c2)
+    if be.exact:
+        (d1, e1, f1, v1), (d2, e2, f2, v2) = _icircle(c1), _icircle(c2)
+        d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
+        if d == 0 and e == 0:
+            if f == 0:
+                raise IdenticalCircles("radical line of identical circles is undefined")
+            raise NoRadicalLine("concentric distinct circles have no radical line")
+        return _line(be, d, e, f)
     d1, e1, f1 = c1.d.value, c1.e.value, c1.f.value
     d2, e2, f2 = c2.d.value, c2.e.value, c2.f.value
     d, e, f = d1 - d2, e1 - e2, f1 - f2
@@ -349,6 +498,30 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
     point the known point itself is returned with the tangency flag set.
     """
     be = _common_backend(l, c, known)
+    if be.exact:
+        (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = _iline(l), _icircle(c), _hom(known)
+        if a * kx + b * ky + lc * kw != 0:
+            raise KnownPointNotIncident("known point is not on the line")
+        if not _ion_circle(cd, ce, cf, v, kx, ky, kw):
+            raise KnownPointNotIncident("known point is not on the circle")
+        s = a * a + b * b
+        if s == 0:
+            raise DivisionByZero("division by zero scalar")
+        # Vieta: the roots (x, or y when |a| > |b|) sum to m / (v s), so the
+        # other root is (m kw - k v s) / w for the known root k / kw, and the
+        # line is tangent when the two agree
+        w = v * s * kw
+        if abs(b) >= abs(a):
+            m = -(2 * a * lc * v + cd * b * b - ce * a * b)
+            if m * kw == 2 * kx * v * s:
+                return known, True
+            x1 = m * kw - kx * v * s
+            return _hom_point(be, b * x1, -(a * x1 + lc * w), b * w), False
+        m = -(2 * b * lc * v + ce * a * a - cd * a * b)
+        if m * kw == 2 * ky * v * s:
+            return known, True
+        y1 = m * kw - ky * v * s
+        return _hom_point(be, -(b * y1 + lc * w), a * y1, a * w), False
     a, b, lc = l.a.value, l.b.value, l.c.value
     cd, ce = c.d.value, c.e.value
     kx, ky = known.x.value, known.y.value
@@ -387,6 +560,8 @@ def second_circle_circle(c1: Circle, c2: Circle, known: Point) -> Tuple[Point, b
 def collinear3(p: Point, q: Point, r: Point) -> bool:
     """Whether the 3x3 homogeneous determinant of the three points vanishes."""
     be = _common_backend(p, q, r)
+    if be.exact:
+        return _det3(_hom(p), _hom(q), _hom(r)) == 0
     px, py, qx, qy, rx, ry = p.x.value, p.y.value, q.x.value, q.y.value, r.x.value, r.y.value
     det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return be.is_zero(det, (px, py, qx, qy, rx, ry))
@@ -399,6 +574,16 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     (circle through infinity), matching the determinant convention.
     """
     be = _common_backend(p, q, r, s)
+    if be.exact:
+        # rows (xw, yw, x^2 + y^2) scaled by w^2, expanded along the w^2 column
+        rows, last = [], []
+        for pt_ in (p, q, r, s):
+            x, y, w = _hom(pt_)
+            rows.append((x * w, y * w, x * x + y * y))
+            last.append(w * w)
+        r0, r1, r2, r3 = rows
+        return (last[1] * _det3(r0, r2, r3) + last[3] * _det3(r0, r1, r2)
+                == last[0] * _det3(r1, r2, r3) + last[2] * _det3(r0, r1, r3))
     rows = []
     for pt_ in (p, q, r, s):
         x, y = pt_.x.value, pt_.y.value
@@ -433,6 +618,12 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     and independent of line orientation.
     """
     be = _common_backend(l1, l2)
+    if be.exact:
+        (a1, b1, _), (a2, b2, _) = _iline(l1), _iline(l2)
+        den = a1 * a2 + b1 * b2
+        if den == 0:
+            return DirectedTan.infinity()
+        return DirectedTan.of(Scalar(be, Fraction(a1 * b2 - a2 * b1, den)))
     a1, b1, a2, b2 = l1.a.value, l1.b.value, l2.a.value, l2.b.value
     a1a2, b1b2 = a1 * a2, b1 * b2
     den = a1a2 + b1b2
@@ -469,6 +660,9 @@ def orthocenter3(p: Point, q: Point, r: Point) -> Point:
 def lines_equal(l1: Line, l2: Line) -> bool:
     """Equality of canonical line values (coefficient-wise on the backend)."""
     be = _common_backend(l1, l2)
+    if be.exact:
+        return (l1.a.value == l2.a.value and l1.b.value == l2.b.value
+                and l1.c.value == l2.c.value)
     return (
         be.is_zero(l1.a.value - l2.a.value)
         and be.is_zero(l1.b.value - l2.b.value)
@@ -478,6 +672,9 @@ def lines_equal(l1: Line, l2: Line) -> bool:
 
 def circles_equal(c1: Circle, c2: Circle) -> bool:
     be = _common_backend(c1, c2)
+    if be.exact:
+        return (c1.d.value == c2.d.value and c1.e.value == c2.e.value
+                and c1.f.value == c2.f.value)
     return (
         be.is_zero(c1.d.value - c2.d.value)
         and be.is_zero(c1.e.value - c2.e.value)

@@ -11,8 +11,11 @@ produced ``x``.
 This module owns the two policies every layer shares, stated on raw values:
 :meth:`Backend.is_zero` (the zero test) and :meth:`Backend.div` (division
 that raises :class:`~oblique_simson.errors.DivisionByZero` when the divisor
-is zero by that test).  The geometry computes on bare ``Fraction``/``float``
-values through these two methods.
+is zero by that test).  The exact zero rule is literal ``== 0``, so
+:mod:`~oblique_simson.geom` applies it as ``== 0`` on the homogeneous
+integers its exact branches compute on, and raises the same
+``DivisionByZero`` where a homogeneous weight is zero.  Everything else
+computes on bare ``Fraction``/``float`` values through these two methods.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
 backend, as held in points, lines, circles and parameters.  The package

@@ -1,17 +1,20 @@
 import dataclasses
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import E, P
-from oblique_simson import BackendMismatch, Circle, FloatBackend, Line
+from oblique_simson import BackendMismatch, Circle, FloatBackend, Line, Params, Point, build_scene
 from oblique_simson.errors import (
     CoincidentPoints,
     CollinearPoints,
     IdenticalCircles,
     KnownPointNotIncident,
     NoRadicalLine,
+    OutputError,
     ZeroRadius,
 )
 from oblique_simson.geom import (
@@ -36,6 +39,9 @@ from oblique_simson.geom import (
 from oblique_simson.geom import dist_sq, lines_equal, on_circle, on_line, points_equal
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+# the interpreter's integer-to-text digit limit (0: none)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 points = st.builds(P, rationals, rationals)
 
 
@@ -421,3 +427,43 @@ class TestBackendMismatch:
             mixed = args[:i] + (_as_float(args[i]),) + args[i + 1:]
             with pytest.raises(BackendMismatch):
                 fn(*mixed)
+
+
+class TestRepr:
+    """Each repr writes its values through numeric.format_scalar."""
+
+    @pytest.mark.parametrize("obj, text", [
+        (P("-7/5", 1), "Point(-7/5, 1)"),
+        (Line(E(5), E(5), E(2)), "Line(5, 5, 2)"),
+        (C3("2/5", "-6/5", 0), "Circle(2/5, -6/5, 0)"),
+        (DirectedTan.of(E("-1/3")), "DirectedTan(-1/3)"),
+        (DirectedTan.infinity(), "DirectedTan(inf)"),
+        (Point(FloatBackend().scalar(0.5), FloatBackend().scalar(-1.25)), "Point(0.5, -1.25)"),
+    ], ids=["point", "line", "circle", "tangent", "infinite-tangent", "float-point"])
+    def test_text(self, obj, text):
+        assert repr(obj) == text
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    @pytest.mark.parametrize("make", [
+        lambda huge: P(1, huge),
+        lambda huge: Line(E(1), E(huge), E(0)),
+        lambda huge: C3(0, 0, huge),
+        lambda huge: DirectedTan.of(E(Fraction(1, huge))),
+    ], ids=["point", "line", "circle", "tangent"])
+    def test_value_beyond_text_limit_raises_output_error(self, make):
+        with pytest.raises(OutputError):
+            repr(make(7 * 10 ** INT_TEXT_LIMIT))
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_scene_point_beyond_text_limit(self):
+        # a parses, but the vertex coordinates have about twice its digits
+        a = int("7" * (INT_TEXT_LIMIT // 2 + 100))
+        scene = build_scene(Params.make(a, 2, 3, Fraction(1, 2)))
+        with pytest.raises(OutputError):
+            repr(scene.points["A"])
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_coincident_points_message_beyond_text_limit(self):
+        p = P(7 * 10 ** INT_TEXT_LIMIT, 0)
+        with pytest.raises(OutputError):
+            line_through(p, p)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from oblique_simson import (
     Circle,
     FloatBackend,
     FuzzConfig,
+    Line,
     Params,
     audit_printed_formulas,
     build_scene,
@@ -15,6 +17,9 @@ from oblique_simson import (
     run_checks,
 )
 from oblique_simson.verify import AUDIT_NAMES, CHECK_NAMES, SplitMix64, fuzz_instances
+
+# the interpreter's integer-to-text digit limit (0: none)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestRunChecks:
@@ -102,6 +107,14 @@ class TestSingleVerdictPath:
         result = report.result(check)
         assert not result.passed
         assert result.witness == witness
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_tangent_witness_beyond_text_limit_is_an_error_result(self, golden_scene):
+        huge = 7 * 10 ** INT_TEXT_LIMIT
+        scene = _with(golden_scene, lines={"sideAB": Line(E(1), E(huge), E(0))})
+        result = run_checks(scene).result("equal_oblique_tangents")
+        assert not result.passed
+        assert result.witness == {"error": "a value has too many digits to write as text"}
 
 
 class TestSplitMix64:
