@@ -28,10 +28,16 @@ other operand raises ``TypeError``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import BackendMismatch, DivisionByZero, OutputError, ParseError
+
+
+# "p" or "p/q" in ASCII digits, p optionally negative: the form the JSON
+# writer emits, read by ExactBackend.parse without Fraction's string parser
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
 def parse_rational(text: str) -> Fraction:
@@ -96,6 +102,22 @@ class ExactBackend(Backend):
 
     def is_zero(self, value, entries: Iterable = ()) -> bool:
         return value == 0
+
+    def parse(self, text: str) -> "Scalar":
+        """As :meth:`Backend.parse`; "p" and "p/q" in ASCII digits with
+        q != 0 are read as integers, anything else by parse_rational."""
+        m = _PLAIN_RATIONAL(text)
+        if m is not None:
+            p, q = m.groups()
+            try:
+                if q is None:
+                    return Scalar(self, Fraction(int(p)))
+                den = int(q)
+                if den:
+                    return Scalar(self, Fraction(int(p), den))
+            except ValueError:  # past the integer-to-text limit
+                pass
+        return Scalar(self, parse_rational(text))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactBackend)

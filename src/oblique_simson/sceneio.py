@@ -2,12 +2,18 @@
 
 JSON keeps exact-backend values as canonical "p/q" strings (never floats), so
 a document round-trips to an identical Scene.  Float-backend scenes store
-plain JSON numbers plus the backend tolerance.
+plain JSON numbers plus the backend tolerance.  The exact reader takes the
+writer's form ("p" or "p/q" in ASCII digits, q nonzero) as two integers and
+builds one ``Fraction`` per value; any other string goes through
+:func:`~oblique_simson.numeric.parse_rational`.  A schema that is not the
+integer 1, or a non-null ``eps_abs`` on an exact document, is malformed.
 
 SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
 then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
 formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
 are clipped to the viewBox; circles are drawn whole even if they overflow.
+An exact value is drawn at the correctly rounded quotient of its numerator
+and denominator, as ``float()`` of a ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -66,9 +72,14 @@ def scene_to_document(scene: Scene) -> dict:
 def document_to_scene(doc: dict) -> Scene:
     """Rebuild a Scene from a document produced by scene_to_document."""
     try:
+        if type(doc["schema"]) is not int:
+            raise TypeError(f"schema must be an integer, got {doc['schema']!r}")
         if doc["schema"] != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema version {doc['schema']!r}")
         if doc["backend"] == "exact":
+            if doc.get("eps_abs") is not None:
+                raise TypeError(f"eps_abs must be null on an exact document, "
+                                f"got {doc['eps_abs']!r}")
             backend: Backend = EXACT
         elif doc["backend"] == "float":
             if isinstance(doc["eps_abs"], bool):
@@ -141,6 +152,9 @@ def scene_summary(scene: Scene) -> str:
 
 def _float(x: Scalar) -> float:
     try:
+        if x.backend.exact:
+            # the correctly rounded int division Fraction's float() does
+            return x.value.numerator / x.value.denominator
         return float(x)
     except OverflowError as exc:
         raise OutputError("scene value exceeds the float range of the SVG canvas") from exc

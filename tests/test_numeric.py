@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,9 @@ from oblique_simson.numeric import format_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
+# the interpreter's integer-to-text digit limit (0: none)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 class TestParse:
     @pytest.mark.parametrize("text,expected", [
@@ -49,6 +53,42 @@ class TestParse:
     def test_float_backend(self):
         s = FloatBackend().parse("1/2")
         assert s.value == 0.5
+
+    @pytest.mark.parametrize("text", [
+        # the JSON writer's form, read without Fraction's string parser
+        "3/4", "-3/4", "5", "-0", "-0/7", "007/010", "2/4",
+        # everything else goes to parse_rational unchanged
+        "1/0", "0/0", "1/-2", "+1/2", " 1/2 ", "1_000",
+        "\u0661/\u0662", "1.5", "1e3",
+        "", "-", "/", "1/", "/2", "--1", "1//2",
+        pytest.param("7" * 5000, marks=pytest.mark.skipif(
+            not INT_TEXT_LIMIT, reason="no integer-to-text limit")),
+        pytest.param("-" + "7" * 5000 + "/3", marks=pytest.mark.skipif(
+            not INT_TEXT_LIMIT, reason="no integer-to-text limit")),
+    ])
+    def test_exact_agrees_with_fraction(self, text):
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError):
+                EXACT.parse(text)
+        else:
+            got = EXACT.parse(text).value
+            assert type(got) is Fraction and got == want
+
+    def test_plain_rational_builds_one_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for text in ("3/4", "-0/7", "5", "007/010"):
+            EXACT.parse(text)
+        assert len(built) == 4
+        assert not any(isinstance(arg, str) for args in built for arg in args)
 
 
 class TestArithmetic:

@@ -82,6 +82,24 @@ class TestSceneDocument:
         with pytest.raises(ParseError, match="^malformed scene document: "):
             scene_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field,value", [
+        ("schema", True), ("schema", 1.0), ("schema", "1"),
+        ("eps_abs", "junk"), ("eps_abs", 1e-9),
+    ], ids=["schema-bool", "schema-float", "schema-string",
+            "exact-eps-abs-string", "exact-eps-abs-number"])
+    def test_exact_document_field_rejected(self, golden_scene, field, value):
+        doc = scene_to_document(golden_scene)
+        doc[field] = value
+        with pytest.raises(ParseError, match="^malformed scene document: "):
+            scene_from_json(json.dumps(doc))
+
+    def test_float_document_schema_bool_rejected(self):
+        scene = build_scene(Params.make(1, 2, 3, 0.5, backend=FloatBackend(1e-9)))
+        doc = scene_to_document(scene)
+        doc["schema"] = True
+        with pytest.raises(ParseError, match="^malformed scene document: "):
+            scene_from_json(json.dumps(doc))
+
     @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
     def test_value_beyond_text_limit_raises_output_error(self):
         a = int("7" * (INT_TEXT_LIMIT // 2 + 100))
