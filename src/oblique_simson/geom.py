@@ -22,9 +22,14 @@ the backend the objects carry:
   with W > 0, a line as (a, b, c), a circle as (d, e, f, v) for
   v(x^2 + y^2) + dx + ey + f = 0 - the result is one integer polynomial
   formula, each zero test is ``== 0`` on integers, and one ``Fraction`` is
-  built per stored coordinate (a line's gcd-reduced integers need none);
-* float: the primitive computes on the bare ``float`` values, with zero
-  tests and divisions by computed quantities through the backend's
+  built per stored coordinate (a line's gcd-reduced integers need none).
+  An object keeps its integers after its first exact read, in a ``_h`` slot
+  that is not a dataclass field: ``==``, ``repr``, ``vars``,
+  ``dataclasses.fields`` and ``dataclasses.replace`` see only the
+  coordinates, and copy and pickle rebuild an object from its fields.  A
+  line built by the kernel starts with its canonical integers;
+* float: the primitive computes on the bare ``float`` values (``_h`` stays
+  None), with zero tests and divisions by computed quantities through the backend's
   ``is_zero`` and ``div``.
 
 A primitive taking two or more objects checks once that they share a
@@ -55,10 +60,26 @@ from .errors import (
 from .numeric import Backend, Scalar, format_scalar
 
 
-@dataclass(frozen=True, eq=True)
+def _reduce_to_fields(obj):
+    """copy and pickle rebuild a Point, Line or Circle from its fields, so
+    the integer cache never travels with a copy (nor meets the frozen
+    ``__setattr__``)."""
+    return type(obj), tuple(obj.__dict__.values())
+
+
+@dataclass(frozen=True, eq=True, init=False)
 class Point:
+    __slots__ = ("__dict__", "_h")
     x: Scalar
     y: Scalar
+
+    def __init__(self, x: Scalar, y: Scalar):
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        _set_point_h(self, None)
+
+    __reduce__ = _reduce_to_fields
 
     @property
     def backend(self) -> Backend:
@@ -68,13 +89,23 @@ class Point:
         return f"Point({format_scalar(self.x)}, {format_scalar(self.y)})"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, init=False)
 class Line:
     """ax + by + c = 0 with (a, b) != (0, 0); build via make_line."""
 
+    __slots__ = ("__dict__", "_h")
     a: Scalar
     b: Scalar
     c: Scalar
+
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar):
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
+        _set_line_h(self, None)
+
+    __reduce__ = _reduce_to_fields
 
     @property
     def backend(self) -> Backend:
@@ -85,13 +116,23 @@ class Line:
         return f"Line({a}, {b}, {c})"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, init=False)
 class Circle:
     """x^2 + y^2 + dx + ey + f = 0 with positive discriminant d^2+e^2-4f."""
 
+    __slots__ = ("__dict__", "_h")
     d: Scalar
     e: Scalar
     f: Scalar
+
+    def __init__(self, d: Scalar, e: Scalar, f: Scalar):
+        fields = self.__dict__
+        fields["d"] = d
+        fields["e"] = e
+        fields["f"] = f
+        _set_circle_h(self, None)
+
+    __reduce__ = _reduce_to_fields
 
     @property
     def backend(self) -> Backend:
@@ -152,9 +193,10 @@ def _common_backend(first, *rest) -> Backend:
     """The backend shared by all arguments; BackendMismatch if they differ."""
     be = first.backend
     for obj in rest:
-        if obj.backend != be:
+        other = obj.backend
+        if other is not be and other != be:
             raise BackendMismatch(
-                f"cannot combine {be.name} and {obj.backend.name} objects")
+                f"cannot combine {be.name} and {other.name} objects")
     return be
 
 
@@ -163,17 +205,30 @@ def _point(be: Backend, x, y) -> Point:
 
 
 # -- the exact kernel's homogeneous integer readers and writer ----------------------
+#
+# Each reader computes an object's integers on its first exact read and keeps
+# them in the object's _h slot (None until then; float objects are never
+# read), so every later read is one attribute load.
+
+_set_point_h = Point._h.__set__
+_set_line_h = Line._h.__set__
+_set_circle_h = Circle._h.__set__
 
 
 def _hom(p: Point) -> Tuple[int, int, int]:
     """(X, Y, W) with W > 0 and p = (X/W, Y/W), over the lcm of the two
     denominators."""
-    x, y = p.x.value, p.y.value
-    xd, yd = x.denominator, y.denominator
-    if xd == yd:
-        return x.numerator, y.numerator, xd
-    g = math.gcd(xd, yd)
-    return x.numerator * (yd // g), y.numerator * (xd // g), xd // g * yd
+    h = p._h
+    if h is None:
+        x, y = p.x.value, p.y.value
+        xd, yd = x.denominator, y.denominator
+        if xd == yd:
+            h = x.numerator, y.numerator, xd
+        else:
+            g = math.gcd(xd, yd)
+            h = x.numerator * (yd // g), y.numerator * (xd // g), xd // g * yd
+        _set_point_h(p, h)
+    return h
 
 
 def _over_lcm(a: Fraction, b: Fraction, c: Fraction) -> Tuple[int, int, int, int]:
@@ -190,12 +245,20 @@ def _iline(l: Line) -> Tuple[int, int, int]:
     factor: the coefficients themselves on a canonical line (denominators
     1), else scaled by the lcm of their denominators, as a Line built
     directly need not be canonical."""
-    return _over_lcm(l.a.value, l.b.value, l.c.value)[:3]
+    h = l._h
+    if h is None:
+        h = _over_lcm(l.a.value, l.b.value, l.c.value)[:3]
+        _set_line_h(l, h)
+    return h
 
 
 def _icircle(c: Circle) -> Tuple[int, int, int, int]:
     """(d, e, f, v) with v > 0: c is v(x^2 + y^2) + dx + ey + f = 0."""
-    return _over_lcm(c.d.value, c.e.value, c.f.value)
+    h = c._h
+    if h is None:
+        h = _over_lcm(c.d.value, c.e.value, c.f.value)
+        _set_circle_h(c, h)
+    return h
 
 
 def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
@@ -222,8 +285,10 @@ def _line(be: Backend, a, b, c) -> Line:
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        return Line(Scalar(be, Fraction(a)), Scalar(be, Fraction(b)),
+        line = Line(Scalar(be, Fraction(a)), Scalar(be, Fraction(b)),
                     Scalar(be, Fraction(c)))
+        _set_line_h(line, (a, b, c))  # what _iline would read
+        return line
     norm = math.hypot(a, b)  # > eps_abs, as a and b are not both zero
     fa, fb, fc = a / norm, b / norm, c / norm
     lead = fa if abs(fa) > be.eps_abs else fb
@@ -240,26 +305,32 @@ def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     return _line(be, a.value, b.value, c.value)
 
 
+def _require_proper(d, e, f, v) -> None:
+    if not d * d + e * e - 4 * f * v > 0:
+        raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
+
+
 def _circle(be: Backend, d, e, f, v=1) -> Circle:
     """Circle v(x^2 + y^2) + dx + ey + f = 0 from raw coefficients (see
     make_circle): ints with v != 0 on the exact backend, floats with v = 1 on
     the float backend."""
+    _require_proper(d, e, f, v)
     if be.exact:
-        if not d * d + e * e - 4 * f * v > 0:
-            raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
         return Circle(Scalar(be, Fraction(d, v)), Scalar(be, Fraction(e, v)),
                       Scalar(be, Fraction(f, v)))
-    if not d * d + e * e - 4 * f > 0:
-        raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
     return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f))
 
 
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
-    """Validate the proper-circle discriminant and build a Circle."""
+    """Validate the proper-circle discriminant and build a Circle holding
+    the given Scalars."""
     be = _common_backend(d, e, f)
+    circle = Circle(d, e, f)
     if be.exact:
-        return _circle(be, *_icircle(Circle(d, e, f)))
-    return _circle(be, d.value, e.value, f.value)
+        _require_proper(*_icircle(circle))
+    else:
+        _require_proper(d.value, e.value, f.value, 1)
+    return circle
 
 
 # -- incidence helpers -----------------------------------------------------------

@@ -183,11 +183,15 @@ class Scalar:
     __slots__ = ("backend", "value")
 
     def __init__(self, backend: Backend, value):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "value", value)
+        _set_backend(self, backend)
+        _set_value(self, value)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return Scalar, (self.backend, self.value)
 
     def _operand(self, other):
         if not isinstance(other, Scalar):
@@ -219,6 +223,10 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.backend.name}, {format_scalar(self)})"
+
+
+_set_backend = Scalar.backend.__set__
+_set_value = Scalar.value.__set__
 
 
 def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:

@@ -9,7 +9,10 @@ the perpendicular bisector of JH.
 
 The pipeline never solves a general quadratic: every second intersection is
 taken against a known common point (Vieta), so a rational instance yields a
-fully rational Scene.  construct_core is the single producer of the vertices,
+fully rational Scene.  On the exact backend vertex_point, apply_similarity
+and perspector_k write p and t as n/d and build their points from integer
+formulas through geom's homogeneous kernel, so the construction stage does
+no ``Fraction`` arithmetic.  construct_core is the single producer of the vertices,
 sides, altitudes, H, vertex circles and X, Y, Z, which build_scene and the
 audit in :mod:`oblique_simson.verify` both read; the audit's closed forms are
 compared against them and used nowhere else.
@@ -118,6 +121,10 @@ def circumcircle_sigma(backend: Backend) -> Circle:
 def vertex_point(p: Scalar) -> Point:
     """The circumcircle point (2, 2p) / (1 + p^2) for vertex parameter p."""
     be, v = p.backend, p.value
+    if be.exact:
+        n, d = v.numerator, v.denominator
+        dd = d * d
+        return geom._hom_point(be, 2 * dd, 2 * n * d, dd + n * n)
     den = 1 + v * v
     return Point(Scalar(be, be.div(2, den)), Scalar(be, be.div(2 * v, den)))
 
@@ -131,6 +138,10 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
     be = p.x.backend
     if t.backend != be:
         raise BackendMismatch("similarity and point must share one backend")
+    if be.exact:
+        n, d = t.value.numerator, t.value.denominator
+        x, y, w = geom._hom(p)
+        return geom._hom_point(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
     tv, x, y = t.value, p.x.value, p.y.value
     return Point(Scalar(be, x / 2 - tv * y), Scalar(be, tv * x + y / 2))
 
@@ -147,6 +158,10 @@ def perspector_k(t: Scalar) -> Point:
     equal to J itself at t = 0.
     """
     be, v = t.backend, t.value
+    if be.exact:
+        n, d = v.numerator, v.denominator
+        nn = n * n
+        return geom._hom_point(be, 8 * nn, 4 * n * d, d * d + 4 * nn)
     den = 1 + 4 * v * v
     return Point(Scalar(be, be.div(8 * v * v, den)), Scalar(be, be.div(4 * v, den)))
 

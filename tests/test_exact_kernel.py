@@ -7,8 +7,8 @@ below is the earlier exact path, kept verbatim: each primitive computes on the
 raise the same exception type with the same message, on seeded rationals of
 magnitude 10 and 10^200, on non-canonical lines and circles built directly,
 and on degenerate inputs.  A second test makes every ``Fraction`` arithmetic
-operator raise and runs each rewritten primitive, so the kernel stays
-integer-only.
+operator raise and runs each rewritten primitive and the construction stage
+of ``simson``, so the kernel stays integer-only.
 """
 
 import math
@@ -28,9 +28,10 @@ from oblique_simson.errors import (
     ParallelLines,
     ZeroRadius,
 )
-from oblique_simson import geom
+from oblique_simson import geom, simson
 from oblique_simson.geom import Circle, DirectedTan, Line, Point
 from oblique_simson.numeric import EXACT, Scalar
+from oblique_simson.simson import Params
 
 BE = EXACT
 
@@ -445,7 +446,9 @@ def test_named_degenerate_results():
 
 class TestNoFractionArithmetic:
     """With every Fraction arithmetic and ordering operator made to raise,
-    each rewritten primitive still runs on exact inputs."""
+    each rewritten primitive, simson's vertex_point, apply_similarity and
+    perspector_k, and the whole construction stage still run on exact
+    inputs."""
 
     OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
@@ -465,3 +468,21 @@ class TestNoFractionArithmetic:
                 kernel(*args)
             except GeometryError:
                 pass
+
+    def test_construction_stage_computes_on_integers(self, monkeypatch):
+        # Params checks its parameters are distinct on Fractions: build first
+        instances = [Params.make(*raw) for raw in (
+            (1, 2, 3, Fraction(1, 2)), (Fraction(-3, 7), 0, Fraction(5, 2), 0),
+            (Fraction(-10 ** 200 + 1, 7), Fraction(3, 10 ** 200), 10 ** 200,
+             Fraction(-(10 ** 199), 13)),
+        )]
+
+        def forbidden(*_args):
+            raise AssertionError("Fraction arithmetic in the exact construction stage")
+
+        for name in self.OPERATORS:
+            monkeypatch.setattr(Fraction, name, forbidden)
+        for params in instances:
+            simson.perspector_k(params.t)
+            simson.apply_similarity(params.t, simson.vertex_point(params.a))
+            simson.construct_core(params)

@@ -15,10 +15,19 @@ from oblique_simson import (
     scene_to_json,
 )
 from oblique_simson.errors import OutputError
+from oblique_simson.geom import make_circle, make_line
+from oblique_simson.numeric import EXACT
 from oblique_simson.sceneio import scene_summary, scene_to_document
 
 # the interpreter's integer-to-text digit limit (0: none)
 INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _outcome(fn, args):
+    try:
+        return "=", repr(fn(*args))
+    except Exception as exc:  # compared by type and message
+        return "raise", type(exc).__name__, str(exc)
 
 
 class TestSceneDocument:
@@ -106,6 +115,51 @@ class TestSceneDocument:
         scene = build_scene(Params.make(a, 2, 3, Fraction(1, 2)))
         with pytest.raises(OutputError):
             scene_to_json(scene)
+
+    @pytest.mark.parametrize("coeffs", [
+        ["5", "5", "2"], ["1", "0", "-3"], ["0", "1", "7"], ["2", "4", "6"],
+        ["-1", "0", "3"], ["0", "-2", "4"], ["1/2", "1", "0"], ["0", "0", "1"],
+        ["0", "0", "0"],
+    ])
+    def test_document_line_as_make_line_builds_it(self, golden_scene, coeffs):
+        """A canonical line is kept as parsed; any other is canonicalized,
+        or rejected, exactly as make_line does."""
+        doc = scene_to_document(golden_scene)
+        doc["lines"]["gwsLine"] = coeffs
+        want = _outcome(make_line, [EXACT.parse(v) for v in coeffs])
+        got = _outcome(lambda: scene_from_json(json.dumps(doc)).lines["gwsLine"], ())
+        assert got == want
+
+    @pytest.mark.parametrize("coeffs", [
+        ["14/5", "-2", "0"], ["-2", "0", "0"], ["1/2", "-1/3", "-5"], ["0", "0", "1"],
+        ["2", "0", "1"],
+    ])
+    def test_document_circle_as_make_circle_builds_it(self, golden_scene, coeffs):
+        doc = scene_to_document(golden_scene)
+        doc["circles"]["S"] = coeffs
+        want = _outcome(make_circle, [EXACT.parse(v) for v in coeffs])
+        got = _outcome(lambda: scene_from_json(json.dumps(doc)).circles["S"], ())
+        assert got == want
+
+    def test_reader_builds_each_value_once(self, golden_scene, monkeypatch):
+        text = scene_to_json(golden_scene)
+        doc = json.loads(text)
+        values = len(doc["params"]) + sum(
+            len(coords) for part in ("points", "lines", "circles")
+            for coords in doc[part].values())
+        built = []
+        new = Fraction.__new__
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return new(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        back = scene_from_json(text)
+        monkeypatch.undo()
+        assert back == golden_scene
+        # one per parsed value, plus Params' three distinctness subtractions
+        assert len(built) == values + 3
 
     def test_exact_document_rejects_numbers(self, golden_scene):
         doc = scene_to_document(golden_scene)
