@@ -21,13 +21,16 @@ the backend the objects carry:
 * exact: the inputs are read as homogeneous integers - a point as (X, Y, W)
   with W > 0, a line as (a, b, c), a circle as (d, e, f, v) for
   v(x^2 + y^2) + dx + ey + f = 0 - the result is one integer polynomial
-  formula, each zero test is ``== 0`` on integers, and one ``Fraction`` is
-  built per stored coordinate (a line's gcd-reduced integers need none).
-  An object keeps its integers after its first exact read, in a ``_h`` slot
-  that is not a dataclass field: ``==``, ``repr``, ``vars``,
+  formula, and each zero test is ``== 0`` on integers.  A result is born
+  holding its canonical integers in a ``_h`` slot: a point's (X, Y, W) and
+  a circle's (d, e, f, v) with gcd 1 and W, v > 0, a line's content-1
+  (a, b, c).  Its coordinates are lazy Scalars, each building its
+  ``Fraction`` on the first read of ``.value``.  Any other exact object
+  gets the same canonical integers on its first exact read, so
+  :func:`points_equal` and :func:`circles_equal` compare them as tuples.
+  The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
   ``dataclasses.fields`` and ``dataclasses.replace`` see only the
-  coordinates, and copy and pickle rebuild an object from its fields.  A
-  line built by the kernel starts with its canonical integers;
+  coordinates, and copy and pickle rebuild an object from its fields;
 * float: the primitive computes on the bare ``float`` values (``_h`` stays
   None), with zero tests and divisions by computed quantities through the backend's
   ``is_zero`` and ``div``.
@@ -57,7 +60,7 @@ from .errors import (
     ParallelLines,
     ZeroRadius,
 )
-from .numeric import Backend, Scalar, format_scalar
+from .numeric import Backend, Scalar, _LazyExact, format_scalar
 
 
 def _reduce_to_fields(obj):
@@ -69,7 +72,7 @@ def _reduce_to_fields(obj):
 
 @dataclass(frozen=True, eq=True, init=False)
 class Point:
-    __slots__ = ("__dict__", "_h")
+    __slots__ = ("__dict__", "_h", "backend")
     x: Scalar
     y: Scalar
 
@@ -78,12 +81,9 @@ class Point:
         fields["x"] = x
         fields["y"] = y
         _set_point_h(self, None)
+        _set_point_backend(self, x.backend)
 
     __reduce__ = _reduce_to_fields
-
-    @property
-    def backend(self) -> Backend:
-        return self.x.backend
 
     def __repr__(self) -> str:
         return f"Point({format_scalar(self.x)}, {format_scalar(self.y)})"
@@ -93,7 +93,7 @@ class Point:
 class Line:
     """ax + by + c = 0 with (a, b) != (0, 0); build via make_line."""
 
-    __slots__ = ("__dict__", "_h")
+    __slots__ = ("__dict__", "_h", "backend")
     a: Scalar
     b: Scalar
     c: Scalar
@@ -104,12 +104,9 @@ class Line:
         fields["b"] = b
         fields["c"] = c
         _set_line_h(self, None)
+        _set_line_backend(self, a.backend)
 
     __reduce__ = _reduce_to_fields
-
-    @property
-    def backend(self) -> Backend:
-        return self.a.backend
 
     def __repr__(self) -> str:
         a, b, c = map(format_scalar, (self.a, self.b, self.c))
@@ -120,7 +117,7 @@ class Line:
 class Circle:
     """x^2 + y^2 + dx + ey + f = 0 with positive discriminant d^2+e^2-4f."""
 
-    __slots__ = ("__dict__", "_h")
+    __slots__ = ("__dict__", "_h", "backend")
     d: Scalar
     e: Scalar
     f: Scalar
@@ -131,27 +128,24 @@ class Circle:
         fields["e"] = e
         fields["f"] = f
         _set_circle_h(self, None)
+        _set_circle_backend(self, d.backend)
 
     __reduce__ = _reduce_to_fields
 
-    @property
-    def backend(self) -> Backend:
-        return self.d.backend
-
     def center(self) -> Point:
-        be = self.d.backend
+        be = self.backend
         if be.exact:
             d, e, _, v = _icircle(self)
             return _hom_point(be, -d, -e, 2 * v)
         return Point(Scalar(be, -self.d.value / 2), Scalar(be, -self.e.value / 2))
 
     def radius_sq(self) -> Scalar:
-        be = self.d.backend
+        be = self.backend
         if be.exact:
             d, e, f, v = _icircle(self)
             return Scalar(be, Fraction(d * d + e * e - 4 * f * v, 4 * v * v))
         d, e = self.d.value, self.e.value
-        return Scalar(self.d.backend, (d * d + e * e) / 4 - self.f.value)
+        return Scalar(be, (d * d + e * e) / 4 - self.f.value)
 
     def __repr__(self) -> str:
         d, e, f = map(format_scalar, (self.d, self.e, self.f))
@@ -204,20 +198,23 @@ def _point(be: Backend, x, y) -> Point:
     return Point(Scalar(be, x), Scalar(be, y))
 
 
-# -- the exact kernel's homogeneous integer readers and writer ----------------------
+# -- the exact kernel's homogeneous integer readers and writers ---------------------
 #
-# Each reader computes an object's integers on its first exact read and keeps
-# them in the object's _h slot (None until then; float objects are never
-# read), so every later read is one attribute load.
+# A kernel result starts with its canonical integers in its _h slot.  Any
+# other exact object gets them on its first exact read (None until then;
+# float objects are never read), so every later read is one attribute load.
 
 _set_point_h = Point._h.__set__
 _set_line_h = Line._h.__set__
 _set_circle_h = Circle._h.__set__
+_set_point_backend = Point.backend.__set__
+_set_line_backend = Line.backend.__set__
+_set_circle_backend = Circle.backend.__set__
 
 
 def _hom(p: Point) -> Tuple[int, int, int]:
-    """(X, Y, W) with W > 0 and p = (X/W, Y/W), over the lcm of the two
-    denominators."""
+    """(X, Y, W) with gcd 1, W > 0 and p = (X/W, Y/W): over the lcm of
+    the two reduced denominators, so this triple is unique to p."""
     h = p._h
     if h is None:
         x, y = p.x.value, p.y.value
@@ -253,7 +250,8 @@ def _iline(l: Line) -> Tuple[int, int, int]:
 
 
 def _icircle(c: Circle) -> Tuple[int, int, int, int]:
-    """(d, e, f, v) with v > 0: c is v(x^2 + y^2) + dx + ey + f = 0."""
+    """(d, e, f, v) with gcd 1 and v > 0: c is v(x^2 + y^2) + dx + ey + f
+    = 0, unique to c as _over_lcm scales the reduced coefficients."""
     h = c._h
     if h is None:
         h = _over_lcm(c.d.value, c.e.value, c.f.value)
@@ -262,10 +260,18 @@ def _icircle(c: Circle) -> Tuple[int, int, int, int]:
 
 
 def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
-    """The point (x/w, y/w); DivisionByZero when w = 0."""
+    """The point (x/w, y/w), born with the canonical triple _hom reads;
+    DivisionByZero when w = 0."""
     if w == 0:
         raise DivisionByZero("division by zero scalar")
-    return Point(Scalar(be, Fraction(x, w)), Scalar(be, Fraction(y, w)))
+    g = math.gcd(x, y, w)
+    if w < 0:
+        g = -g
+    if g != 1:
+        x, y, w = x // g, y // g, w // g
+    p = Point(_LazyExact(be, x, w), _LazyExact(be, y, w))
+    _set_point_h(p, (x, y, w))
+    return p
 
 
 # -- factories -----------------------------------------------------------------
@@ -285,8 +291,7 @@ def _line(be: Backend, a, b, c) -> Line:
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        line = Line(Scalar(be, Fraction(a)), Scalar(be, Fraction(b)),
-                    Scalar(be, Fraction(c)))
+        line = Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1))
         _set_line_h(line, (a, b, c))  # what _iline would read
         return line
     norm = math.hypot(a, b)  # > eps_abs, as a and b are not both zero
@@ -316,8 +321,14 @@ def _circle(be: Backend, d, e, f, v=1) -> Circle:
     the float backend."""
     _require_proper(d, e, f, v)
     if be.exact:
-        return Circle(Scalar(be, Fraction(d, v)), Scalar(be, Fraction(e, v)),
-                      Scalar(be, Fraction(f, v)))
+        g = math.gcd(d, e, f, v)
+        if v < 0:
+            g = -g
+        if g != 1:
+            d, e, f, v = d // g, e // g, f // g, v // g
+        circle = Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v))
+        _set_circle_h(circle, (d, e, f, v))  # what _icircle would read
+        return circle
     return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f))
 
 
@@ -397,7 +408,7 @@ def on_circle(c: Circle, p: Point) -> bool:
 def points_equal(p: Point, q: Point) -> bool:
     be = _common_backend(p, q)
     if be.exact:
-        return p.x.value == q.x.value and p.y.value == q.y.value
+        return _hom(p) == _hom(q)
     return be.is_zero(p.x.value - q.x.value) and be.is_zero(p.y.value - q.y.value)
 
 
@@ -491,7 +502,7 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
     """
     if collinear3(p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
-    be = p.x.backend
+    be = p.backend
     if be.exact:
         rows = []
         for pt_ in (p, q, r):
@@ -732,8 +743,13 @@ def lines_equal(l1: Line, l2: Line) -> bool:
     """Equality of canonical line values (coefficient-wise on the backend)."""
     be = _common_backend(l1, l2)
     if be.exact:
-        return (l1.a.value == l2.a.value and l1.b.value == l2.b.value
-                and l1.c.value == l2.c.value)
+        # each pair of rational coefficients cross-multiplied, so that a
+        # kernel line's lazy coefficients build no Fraction
+        for s, t in ((l1.a, l2.a), (l1.b, l2.b), (l1.c, l2.c)):
+            (n1, d1), (n2, d2) = s._ratio(), t._ratio()
+            if n1 * d2 != n2 * d1:
+                return False
+        return True
     return (
         be.is_zero(l1.a.value - l2.a.value)
         and be.is_zero(l1.b.value - l2.b.value)
@@ -744,8 +760,7 @@ def lines_equal(l1: Line, l2: Line) -> bool:
 def circles_equal(c1: Circle, c2: Circle) -> bool:
     be = _common_backend(c1, c2)
     if be.exact:
-        return (c1.d.value == c2.d.value and c1.e.value == c2.e.value
-                and c1.f.value == c2.f.value)
+        return _icircle(c1) == _icircle(c2)
     return (
         be.is_zero(c1.d.value - c2.d.value)
         and be.is_zero(c1.e.value - c2.e.value)

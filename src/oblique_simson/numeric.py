@@ -22,7 +22,12 @@ backend, as held in points, lines, circles and parameters.  The package
 computes on ``.value``, never on Scalars.  A Scalar combines only with a
 Scalar of the same backend (``+ - * /`` and ``==``); a Scalar of another
 backend raises :class:`~oblique_simson.errors.BackendMismatch`, and any
-other operand raises ``TypeError``.
+other operand raises ``TypeError``.  An exact Scalar hashes by its value; a
+float Scalar, equal to others within a tolerance, is unhashable.  The exact
+results of :mod:`~oblique_simson.geom` hold a numerator and denominator and
+build their ``Fraction`` on the first read of ``.value``, so a coordinate
+nothing reads costs no ``Fraction`` (:func:`format_scalar` writes it from
+the integers); they behave as any other Scalar.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from .errors import BackendMismatch, DivisionByZero, OutputError, ParseError
 
@@ -218,6 +223,17 @@ class Scalar:
     def __eq__(self, other) -> bool:
         return self.backend.is_zero(self.value - self._operand(other))
 
+    def __hash__(self) -> int:
+        if not self.backend.exact:
+            raise TypeError("float scalars compare within a tolerance, so they are unhashable")
+        # tagged, so a Scalar and an equal int or Fraction do not collide
+        return hash((Scalar, self.value))
+
+    def _ratio(self) -> Tuple[int, int]:
+        """(n, d) with d > 0 and n/d this exact Scalar's value."""
+        value = self.value
+        return value.numerator, value.denominator
+
     def __float__(self) -> float:
         return float(self.value)
 
@@ -227,6 +243,33 @@ class Scalar:
 
 _set_backend = Scalar.backend.__set__
 _set_value = Scalar.value.__set__
+
+
+class _LazyExact(Scalar):
+    """An exact Scalar n/d (d > 0, integers) whose ``Fraction`` is built on
+    the first read of ``value``, which then stays in the inherited slot."""
+
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, backend: Backend, n: int, d: int):
+        _set_backend(self, backend)
+        _set_n(self, n)
+        _set_d(self, d)
+
+    def _ratio(self) -> Tuple[int, int]:
+        return self._n, self._d  # builds no Fraction
+
+    def __getattr__(self, name):
+        # reached only while the value slot is empty
+        if name != "value":
+            raise AttributeError(f"'Scalar' object has no attribute {name!r}")
+        value = Fraction(self._n, self._d)
+        _set_value(self, value)
+        return value
+
+
+_set_n = _LazyExact._n.__set__
+_set_d = _LazyExact._d.__set__
 
 
 def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
@@ -243,8 +286,12 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
 def format_scalar(x: Scalar) -> str:
     """Text form used in all file formats: "p/q" exactly (sign on p, plain "p"
     for integers), repr of the float; OutputError beyond the interpreter's
-    integer-to-text digit limit."""
+    integer-to-text digit limit.  An unread lazy value stays unread."""
     try:
+        if x.backend.exact:
+            n, d = x._ratio()
+            g = math.gcd(n, d)
+            return str(n // g) if d == g else f"{n // g}/{d // g}"
         return str(x.value)
     except ValueError as exc:
         raise OutputError("a value has too many digits to write as text") from exc

@@ -22,8 +22,8 @@ import json
 import math
 from typing import List, Optional, Tuple
 
+from . import geom
 from .errors import OutputError, ParseError
-from .geom import Line, Point, make_circle, make_line
 from .numeric import EXACT, Backend, FloatBackend, Scalar, format_scalar
 from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
 
@@ -105,16 +105,17 @@ def document_to_scene(doc: dict) -> Scene:
         points = {}
         for name in POINT_NAMES:
             x, y = doc["points"][name]
-            points[name] = Point(_scalar_from_json(x, backend),
-                                 _scalar_from_json(y, backend))
+            points[name] = geom.Point(_scalar_from_json(x, backend),
+                                      _scalar_from_json(y, backend))
         lines = {}
         for name in LINE_NAMES:
             a, b, c = (_scalar_from_json(v, backend) for v in doc["lines"][name])
-            lines[name] = Line(a, b, c) if _canonical_line(a, b, c) else make_line(a, b, c)
+            lines[name] = (geom.Line(a, b, c) if _canonical_line(a, b, c)
+                           else geom.make_line(a, b, c))
         circles = {}
         for name in CIRCLE_NAMES:
             d, e, f = (_scalar_from_json(v, backend) for v in doc["circles"][name])
-            circles[name] = make_circle(d, e, f)
+            circles[name] = geom.make_circle(d, e, f)
         flags = doc["flags"]
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise TypeError(f"flags must be a list of strings, got {flags!r}")
@@ -167,13 +168,14 @@ def _float(x: Scalar) -> float:
     try:
         if x.backend.exact:
             # the correctly rounded int division Fraction's float() does
-            return x.value.numerator / x.value.denominator
+            n, d = x._ratio()
+            return n / d
         return float(x)
     except OverflowError as exc:
         raise OutputError("scene value exceeds the float range of the SVG canvas") from exc
 
 
-def _to_canvas(p: Point) -> Tuple[float, float]:
+def _to_canvas(p: geom.Point) -> Tuple[float, float]:
     # y axis flipped: SVG grows downwards
     return _float(p.x) * _PX_PER_UNIT, -_float(p.y) * _PX_PER_UNIT
 

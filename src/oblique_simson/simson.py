@@ -135,7 +135,7 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
     As a matrix it is ((1/2, -t), (t, 1/2)): a rotation-dilation whose
     squared scale factor is (1 + 4 t^2) / 4.
     """
-    be = p.x.backend
+    be = p.backend
     if t.backend != be:
         raise BackendMismatch("similarity and point must share one backend")
     if be.exact:

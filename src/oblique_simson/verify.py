@@ -590,11 +590,12 @@ def _audit_eq24(params: Params, core: Core):
 def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     be = params.backend
-    px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
     wx = wy = None
     if be.exact:
-        x_off, y_off = px != bx, py != by
+        (px, py, pw), (bx, by, bw) = geom._hom(printed), geom._hom(built)
+        x_off, y_off = px * bw != bx * pw, py * bw != by * pw
     else:
+        px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
         x_off = not be.is_zero(px - bx, (px, bx))
         y_off = not be.is_zero(py - by, (py, by))
     if x_off:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import xml.etree.ElementTree as ET
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import E, P
 from oblique_simson import (
     FloatBackend,
     Params,
@@ -15,7 +17,7 @@ from oblique_simson import (
     scene_to_json,
 )
 from oblique_simson.errors import OutputError
-from oblique_simson.geom import make_circle, make_line
+from oblique_simson.geom import Point, make_circle, make_line
 from oblique_simson.numeric import EXACT
 from oblique_simson.sceneio import scene_summary, scene_to_document
 
@@ -208,6 +210,24 @@ class TestSvg:
                 for attr in ("x1", "y1", "x2", "y2"):
                     whole, frac = el.attrib[attr].lstrip("-").split(".")
                     assert len(frac) == 6
+
+    def test_directly_built_points_draw_the_same(self, golden_scene):
+        """Points built from their Scalars, with unequal denominators and no
+        kernel integers, give the same bytes; a coordinate past the float
+        range is an OutputError."""
+        points = {n: Point(E(p.x.value), E(p.y.value)) for n, p in golden_scene.points.items()}
+        assert any(p.x.value.denominator != p.y.value.denominator for p in points.values())
+        assert all(p._h is None for p in points.values())
+        direct = dataclasses.replace(golden_scene, points=points)
+        assert render_svg(direct) == render_svg(golden_scene)
+        # a huge numerator over a huge denominator still fits
+        near_one = Fraction(10 ** 400 + 1, 10 ** 400)
+        points["Q"] = Point(E(near_one), E(Fraction(-1, 3)))
+        assert render_svg(dataclasses.replace(golden_scene, points=points)) == render_svg(
+            dataclasses.replace(golden_scene, points={**golden_scene.points, "Q": P(1, "-1/3")}))
+        points["Q"] = Point(E(Fraction(10 ** 400, 3)), E(0))
+        with pytest.raises(OutputError):
+            render_svg(dataclasses.replace(golden_scene, points=points))
 
     def test_value_beyond_float_range_raises_output_error(self):
         # the exact scene builds, but radius^2 of S and cA exceed the float range

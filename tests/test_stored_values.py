@@ -1,7 +1,10 @@
 """Stored values: the integers exact objects keep, and copies of every value.
 
-An exact Point, Line or Circle keeps its homogeneous integers in a ``_h``
-slot after the kernel first reads it.  The slot is not a dataclass field:
+An exact Point, Line or Circle built by the kernel is born holding its
+canonical homogeneous integers in a ``_h`` slot, and its coordinates are
+lazy Scalars that build their ``Fraction`` when first read.  Any other
+exact object fills the slot when the kernel first reads it.  The slot is
+not a dataclass field:
 ``vars``, ``dataclasses.fields``, ``==`` and ``repr`` see only the
 coordinates, an object built by ``dataclasses.replace`` starts empty, and a
 float object is never filled.  Kernel results must
@@ -9,19 +12,21 @@ not depend on whether the slot is filled.
 
 ``copy``, ``deepcopy`` and ``pickle`` rebuild a Scalar from its backend and
 value and a Point, Line or Circle from its fields, so each works on every
-stored value and no copy carries the slot.
+stored value and no copy carries the slot.  Exact values hash; float values,
+which compare within a tolerance, do not.
 """
 
 import copy
 import dataclasses
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 
-from oblique_simson import geom, sceneio, simson, verify
+from oblique_simson import geom, numeric, sceneio, simson, verify
 from oblique_simson.geom import Circle, Line, Point
-from oblique_simson.numeric import EXACT, FloatBackend, Scalar
+from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
 from oblique_simson.simson import Params
 
 BACKENDS = {"exact": EXACT, "float": FloatBackend(1e-9)}
@@ -54,6 +59,15 @@ def outcome(fn, args):
         return "=", repr(fn(*args))
     except Exception as exc:  # compared by type and message
         return "raise", type(exc).__name__, str(exc)
+
+
+def unread(scalar) -> bool:
+    """Whether a Scalar's value slot is still empty."""
+    try:
+        Scalar.value.__get__(scalar)
+    except AttributeError:
+        return True
+    return False
 
 
 @pytest.fixture
@@ -196,3 +210,176 @@ def test_copies_of_stored_values(backend, how):
             if be.exact:
                 assert READERS[type(ours)](copied) == ours._h
     assert verify.run_checks(scene_twin) == verify.run_checks(scene)
+
+
+# -- kernel results are born canonical -----------------------------------------------
+
+
+def canonical(obj, h) -> bool:
+    """Whether h is the unique integer form of obj: gcd 1 with a positive
+    weight (W of a point, v of a circle), or a line's leading sign rule."""
+    if math.gcd(*h) != 1:
+        return False
+    if isinstance(obj, Line):
+        return h[0] > 0 or (h[0] == 0 and h[1] > 0)
+    return h[-1] > 0
+
+
+def kernel_results(monkeypatch):
+    """Record every Point, Line and Circle the exact kernel writers build."""
+    born = []
+    for name in ("_hom_point", "_line", "_circle"):
+        writer = getattr(geom, name)
+
+        def recorded(*args, _writer=writer):
+            obj = _writer(*args)
+            born.append(obj)
+            return obj
+
+        monkeypatch.setattr(geom, name, recorded)
+    return born
+
+
+SAMPLES = {
+    "golden": [Params.make(1, 2, 3, Fraction(1, 2))],
+    "t0": [Params.make(Fraction(-3, 7), 2, Fraction(5, 2), 0)],
+    "mag10": [p for _, p, _ in verify.fuzz_instances(verify.FuzzConfig(seed=5, count=4))[0]],
+    "mag1e200": [p for _, p, _ in verify.fuzz_instances(verify.FuzzConfig(
+        seed=5, count=2, max_numerator=10 ** 200, max_denominator=10 ** 200))[0]],
+}
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES))
+def test_kernel_results_are_born_canonical(sample, monkeypatch):
+    for params in SAMPLES[sample]:
+        born = kernel_results(monkeypatch)
+        scene = simson.build_scene(params)
+        assert verify.run_checks(scene).all_pass
+        monkeypatch.undo()
+        assert {type(obj) for obj in born} == {Point, Line, Circle}
+        for obj in born:
+            assert obj._h is not None and canonical(obj, obj._h)
+            assert READERS[type(obj)](fresh(obj)) == obj._h
+        # every scene object, kernel-born or built directly, reads the same way
+        for obj in objects(scene):
+            h = READERS[type(obj)](obj)
+            assert canonical(obj, h) and READERS[type(obj)](fresh(obj)) == h
+
+
+def test_lines_equal_compares_coefficients_without_reading_them():
+    """Field-wise, as rationals: a lazy coefficient need not be reduced,
+    and proportional lines with different coefficients differ."""
+    lazy = numeric._LazyExact
+    kernel = geom._line(EXACT, 2, 4, 6)
+    halves = Line(lazy(EXACT, 2, 4), lazy(EXACT, 3, 3), E(Fraction(3, 2)))
+    assert geom.lines_equal(Line(E(Fraction(1, 2)), E(1), E(Fraction(3, 2))), halves)
+    assert not geom.lines_equal(Line(E(Fraction(1, 2)), E(-1), E(Fraction(3, 2))), halves)
+    assert not geom.lines_equal(kernel, halves)  # same _iline, other coefficients
+    assert geom._iline(halves) == geom._iline(kernel)
+    assert geom.lines_equal(kernel, Line(E(1), E(2), E(3)))
+    assert geom.lines_equal(kernel, geom._line(EXACT, -1, -2, -3))
+    assert not geom.lines_equal(kernel, geom._line(EXACT, 1, 2, 4))
+    assert all(unread(v) for v in vars(kernel).values())
+    assert repr(kernel) == "Line(1, 2, 3)"
+
+
+def test_equal_points_and_circles_compare_their_integers():
+    p = geom._hom_point(EXACT, 6, -4, 8)
+    assert p._h == (3, -2, 4)
+    q = geom._hom_point(EXACT, -3, 2, -4)
+    direct = Point(E(Fraction(3, 4)), E(Fraction(-1, 2)))
+    assert geom.points_equal(p, q) and geom.points_equal(p, direct)
+    assert not geom.points_equal(p, geom._hom_point(EXACT, 3, -2, 5))
+    c = geom._circle(EXACT, -4, 2, -6, 2)
+    assert c._h == (-2, 1, -3, 1)
+    assert geom.circles_equal(c, geom._circle(EXACT, 6, -3, 9, -3))
+    assert geom.circles_equal(c, Circle(E(-2), E(1), E(-3)))
+    assert not geom.circles_equal(c, Circle(E(-2), E(1), E(-4)))
+
+
+# -- lazy exact scalars ---------------------------------------------------------------
+
+
+# negative n, n = 0, d = 1, a fraction not in lowest terms, 10^200
+LAZY_CASES = [(-7, 3), (0, 5), (12, 1), (6, 4), (-(10 ** 200) - 1, 10 ** 200), (10 ** 200, 3)]
+VIEWS = {
+    "repr": repr,
+    "format_scalar": format_scalar,
+    "float": float,
+    "value": lambda s: (type(s.value), s.value),
+    "hash": hash,
+    "copy": lambda s: repr(copy.copy(s)),
+    "deepcopy": lambda s: repr(copy.deepcopy(s)),
+    "pickle": lambda s: repr(pickle.loads(pickle.dumps(s))),
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+@pytest.mark.parametrize("n, d", LAZY_CASES)
+def test_unread_lazy_scalar_matches_eager(n, d, view):
+    lazy, eager = numeric._LazyExact(EXACT, n, d), EXACT.scalar(Fraction(n, d))
+    assert unread(lazy)
+    assert VIEWS[view](lazy) == VIEWS[view](eager)
+    # text is written from (n, d); every other view reads the Fraction
+    assert unread(lazy) == (view in ("repr", "format_scalar"))
+
+
+@pytest.mark.parametrize("n, d", LAZY_CASES)
+def test_unread_lazy_scalar_compares_as_eager(n, d):
+    eager = EXACT.scalar(Fraction(n, d))
+    for lazy, other in ((numeric._LazyExact(EXACT, n, d), eager),
+                        (eager, numeric._LazyExact(EXACT, n, d)),
+                        (numeric._LazyExact(EXACT, n, d), numeric._LazyExact(EXACT, n, d))):
+        assert lazy == other
+        assert not lazy == EXACT.scalar(Fraction(n, d) + 1)
+    value = numeric._LazyExact(EXACT, n, d)
+    assert value.value is value.value  # filled once, then a slot read
+    with pytest.raises(AttributeError):
+        value.nothing  # noqa: B018
+
+
+def test_run_checks_builds_few_fractions(monkeypatch):
+    """A kernel result builds no Fraction until read: the golden instance's
+    build and checks create 41 (232 when each coordinate built one)."""
+    params = Params.make(1, 2, 3, Fraction(1, 2))
+    built = []
+    new = Fraction.__new__
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = verify.run_checks(simson.build_scene(params))
+    monkeypatch.undo()
+    assert report.all_pass
+    assert len(built) == 41
+
+
+# -- hashing ---------------------------------------------------------------------------
+
+
+def test_exact_values_hash(scene):
+    stored = [*objects(scene), scene.params]
+    scalars = [*vars(scene.params).values(), *(s for obj in objects(scene)
+                                               for s in vars(obj).values())]
+    for value in stored + scalars:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+    for obj in objects(scene):
+        assert hash(fresh(obj)) == hash(obj)
+    for values in (stored, scalars):  # a Scalar compares only with a Scalar
+        members = set(values)
+        assert len(members) == len(set(map(repr, values)))
+        assert all(copy.deepcopy(value) in members for value in values)
+    assert hash(numeric._LazyExact(EXACT, 6, 4)) == hash(E(Fraction(3, 2)))
+    # a Scalar does not share a hash slot with the equal plain number
+    assert len({Fraction(3, 2), E(Fraction(3, 2)), 1, E(1)}) == 4
+
+
+def test_float_values_do_not_hash():
+    fb = BACKENDS["float"]
+    scene = simson.build_scene(Params.make(1, 2, 3, "1/2", backend=fb))
+    for value in (fb.scalar(1), scene.params, *objects(scene)):
+        with pytest.raises(TypeError, match="tolerance"):
+            hash(value)
