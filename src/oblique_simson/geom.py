@@ -21,23 +21,26 @@ the backend the objects carry:
 * exact: the inputs are read as homogeneous integers - a point as (X, Y, W)
   with W > 0, a line as (a, b, c), a circle as (d, e, f, v) for
   v(x^2 + y^2) + dx + ey + f = 0 - the result is one integer polynomial
-  formula, and each zero test is ``== 0`` on integers.  A result is born
-  holding its canonical integers in a ``_h`` slot: a point's (X, Y, W) and
-  a circle's (d, e, f, v) with gcd 1 and W, v > 0, a line's content-1
-  (a, b, c).  Its coordinates are lazy Scalars, each building its
-  ``Fraction`` on the first read of ``.value``.  Any other exact object
-  gets the same canonical integers on its first exact read, so
-  :func:`points_equal` and :func:`circles_equal` compare them as tuples.
-  The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
-  ``dataclasses.fields`` and ``dataclasses.replace`` see only the
-  coordinates, and copy and pickle rebuild an object from its fields;
-* float: the primitive computes on the bare ``float`` values (``_h`` stays
+  formula, and each zero test is ``== 0`` on integers.  Every exact object
+  is born holding these integers in a ``_h`` slot: a point's (X, Y, W) and
+  a circle's (d, e, f, v) with gcd 1 and W, v > 0, unique to the object,
+  so :func:`points_equal` and :func:`circles_equal` compare them as tuples,
+  and a line's (a, b, c) proportional to its coefficients by a positive
+  factor (content 1 on a canonical line).  A kernel result hands the
+  constructor the integers it computed, and its coordinates are lazy
+  Scalars, each building its ``Fraction`` on the first read of ``.value``;
+  any other exact object computes them from its coordinates' numerators
+  and denominators.  The ``_h`` slot is not a dataclass field: ``==``,
+  ``repr``, ``vars``, ``dataclasses.fields`` and ``dataclasses.replace``
+  see only the coordinates, and copy and pickle rebuild an object from its
+  fields;
+* float: the primitive computes on the bare ``float`` values (``_h`` is
   None), with zero tests and divisions by computed quantities through the backend's
   ``is_zero`` and ``div``.
 
 A primitive taking two or more objects checks once that they share a
 backend and raises :class:`~oblique_simson.errors.BackendMismatch`
-otherwise.
+otherwise, as a Point, Line or Circle does for its coordinates.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .numeric import Backend, Scalar, _LazyExact, format_scalar
 
 def _reduce_to_fields(obj):
     """copy and pickle rebuild a Point, Line or Circle from its fields, so
-    the integer cache never travels with a copy (nor meets the frozen
+    a copy computes its own integers (and never meets the frozen
     ``__setattr__``)."""
     return type(obj), tuple(obj.__dict__.values())
 
@@ -76,12 +79,18 @@ class Point:
     x: Scalar
     y: Scalar
 
-    def __init__(self, x: Scalar, y: Scalar):
+    def __init__(self, x: Scalar, y: Scalar, _h=None):
         fields = self.__dict__
         fields["x"] = x
         fields["y"] = y
-        _set_point_h(self, None)
-        _set_point_backend(self, x.backend)
+        be = x.backend
+        if y.backend is not be:
+            _common_backend(x, y)
+        if _h is None and be.exact:
+            (xn, xd), (yn, yd) = x._ratio(), y._ratio()
+            _h = _content_1((xn, yn, xd) if xd == yd else (xn * yd, yn * xd, xd * yd))
+        _set_point_h(self, _h)
+        _set_point_backend(self, be)
 
     __reduce__ = _reduce_to_fields
 
@@ -98,13 +107,18 @@ class Line:
     b: Scalar
     c: Scalar
 
-    def __init__(self, a: Scalar, b: Scalar, c: Scalar):
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar, _h=None):
         fields = self.__dict__
         fields["a"] = a
         fields["b"] = b
         fields["c"] = c
-        _set_line_h(self, None)
-        _set_line_backend(self, a.backend)
+        be = a.backend
+        if b.backend is not be or c.backend is not be:
+            _common_backend(a, b, c)
+        if _h is None and be.exact:
+            _h = _over_lcm(a, b, c)[:3]
+        _set_line_h(self, _h)
+        _set_line_backend(self, be)
 
     __reduce__ = _reduce_to_fields
 
@@ -122,27 +136,32 @@ class Circle:
     e: Scalar
     f: Scalar
 
-    def __init__(self, d: Scalar, e: Scalar, f: Scalar):
+    def __init__(self, d: Scalar, e: Scalar, f: Scalar, _h=None):
         fields = self.__dict__
         fields["d"] = d
         fields["e"] = e
         fields["f"] = f
-        _set_circle_h(self, None)
-        _set_circle_backend(self, d.backend)
+        be = d.backend
+        if e.backend is not be or f.backend is not be:
+            _common_backend(d, e, f)
+        if _h is None and be.exact:
+            _h = _content_1(_over_lcm(d, e, f))
+        _set_circle_h(self, _h)
+        _set_circle_backend(self, be)
 
     __reduce__ = _reduce_to_fields
 
     def center(self) -> Point:
         be = self.backend
         if be.exact:
-            d, e, _, v = _icircle(self)
+            d, e, _, v = self._h
             return _hom_point(be, -d, -e, 2 * v)
         return Point(Scalar(be, -self.d.value / 2), Scalar(be, -self.e.value / 2))
 
     def radius_sq(self) -> Scalar:
         be = self.backend
         if be.exact:
-            d, e, f, v = _icircle(self)
+            d, e, f, v = self._h
             return Scalar(be, Fraction(d * d + e * e - 4 * f * v, 4 * v * v))
         d, e = self.d.value, self.e.value
         return Scalar(be, (d * d + e * e) / 4 - self.f.value)
@@ -198,11 +217,10 @@ def _point(be: Backend, x, y) -> Point:
     return Point(Scalar(be, x), Scalar(be, y))
 
 
-# -- the exact kernel's homogeneous integer readers and writers ---------------------
+# -- the exact kernel's homogeneous integers ---------------------------------------
 #
-# A kernel result starts with its canonical integers in its _h slot.  Any
-# other exact object gets them on its first exact read (None until then;
-# float objects are never read), so every later read is one attribute load.
+# Every exact object holds its integers in its _h slot from construction on
+# (None on float objects), so a kernel read is one attribute load.
 
 _set_point_h = Point._h.__set__
 _set_line_h = Line._h.__set__
@@ -212,56 +230,26 @@ _set_line_backend = Line.backend.__set__
 _set_circle_backend = Circle.backend.__set__
 
 
-def _hom(p: Point) -> Tuple[int, int, int]:
-    """(X, Y, W) with gcd 1, W > 0 and p = (X/W, Y/W): over the lcm of
-    the two reduced denominators, so this triple is unique to p."""
-    h = p._h
-    if h is None:
-        x, y = p.x.value, p.y.value
-        xd, yd = x.denominator, y.denominator
-        if xd == yd:
-            h = x.numerator, y.numerator, xd
-        else:
-            g = math.gcd(xd, yd)
-            h = x.numerator * (yd // g), y.numerator * (xd // g), xd // g * yd
-        _set_point_h(p, h)
-    return h
-
-
-def _over_lcm(a: Fraction, b: Fraction, c: Fraction) -> Tuple[int, int, int, int]:
-    """(a m, b m, c m, m) as integers, m the positive lcm of the denominators."""
-    ad, bd, cd = a.denominator, b.denominator, c.denominator
+def _over_lcm(a: Scalar, b: Scalar, c: Scalar) -> Tuple[int, int, int, int]:
+    """(a m, b m, c m, m) as integers for three exact Scalars, m the positive
+    lcm of their denominators (read as pairs, so no Fraction is built)."""
+    (an, ad), (bn, bd), (cn, cd) = a._ratio(), b._ratio(), c._ratio()
     if ad == bd == cd:
-        return a.numerator, b.numerator, c.numerator, ad
+        return an, bn, cn, ad
     m = math.lcm(ad, bd, cd)
-    return a.numerator * (m // ad), b.numerator * (m // bd), c.numerator * (m // cd), m
+    return an * (m // ad), bn * (m // bd), cn * (m // cd), m
 
 
-def _iline(l: Line) -> Tuple[int, int, int]:
-    """Integers (a, b, c) proportional to l's coefficients by a positive
-    factor: the coefficients themselves on a canonical line (denominators
-    1), else scaled by the lcm of their denominators, as a Line built
-    directly need not be canonical."""
-    h = l._h
-    if h is None:
-        h = _over_lcm(l.a.value, l.b.value, l.c.value)[:3]
-        _set_line_h(l, h)
-    return h
-
-
-def _icircle(c: Circle) -> Tuple[int, int, int, int]:
-    """(d, e, f, v) with gcd 1 and v > 0: c is v(x^2 + y^2) + dx + ey + f
-    = 0, unique to c as _over_lcm scales the reduced coefficients."""
-    h = c._h
-    if h is None:
-        h = _over_lcm(c.d.value, c.e.value, c.f.value)
-        _set_circle_h(c, h)
-    return h
+def _content_1(h: Tuple[int, ...]) -> Tuple[int, ...]:
+    """h (not all zero) divided by its gcd: a lazy pair need not be in
+    lowest terms, so integers over its denominator may share a factor."""
+    g = math.gcd(*h)
+    return h if g == 1 else tuple(n // g for n in h)
 
 
 def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
-    """The point (x/w, y/w), born with the canonical triple _hom reads;
-    DivisionByZero when w = 0."""
+    """The point (x/w, y/w), born with its canonical triple; DivisionByZero
+    when w = 0."""
     if w == 0:
         raise DivisionByZero("division by zero scalar")
     g = math.gcd(x, y, w)
@@ -269,9 +257,7 @@ def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
         g = -g
     if g != 1:
         x, y, w = x // g, y // g, w // g
-    p = Point(_LazyExact(be, x, w), _LazyExact(be, y, w))
-    _set_point_h(p, (x, y, w))
-    return p
+    return Point(_LazyExact(be, x, w), _LazyExact(be, y, w), (x, y, w))
 
 
 # -- factories -----------------------------------------------------------------
@@ -291,9 +277,8 @@ def _line(be: Backend, a, b, c) -> Line:
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        line = Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1))
-        _set_line_h(line, (a, b, c))  # what _iline would read
-        return line
+        return Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1),
+                    (a, b, c))
     norm = math.hypot(a, b)  # > eps_abs, as a and b are not both zero
     fa, fb, fc = a / norm, b / norm, c / norm
     lead = fa if abs(fa) > be.eps_abs else fb
@@ -303,11 +288,15 @@ def _line(be: Backend, a, b, c) -> Line:
 
 
 def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
-    """Canonicalize coefficients and build a Line; (a,b) must not both vanish."""
+    """Canonicalize coefficients and build a Line; (a,b) must not both vanish.
+    Exact coefficients already canonical give the Line holding them."""
     be = _common_backend(a, b, c)
-    if be.exact:
-        return _line(be, *_iline(Line(a, b, c)))
-    return _line(be, a.value, b.value, c.value)
+    if not be.exact:
+        return _line(be, a.value, b.value, c.value)
+    ia, ib, ic, m = _over_lcm(a, b, c)
+    if m == 1 and (ia > 0 or (ia == 0 and ib > 0)) and math.gcd(ia, ib, ic) == 1:
+        return Line(a, b, c, (ia, ib, ic))
+    return _line(be, ia, ib, ic)
 
 
 def _require_proper(d, e, f, v) -> None:
@@ -326,19 +315,17 @@ def _circle(be: Backend, d, e, f, v=1) -> Circle:
             g = -g
         if g != 1:
             d, e, f, v = d // g, e // g, f // g, v // g
-        circle = Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v))
-        _set_circle_h(circle, (d, e, f, v))  # what _icircle would read
-        return circle
+        return Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v),
+                      (d, e, f, v))
     return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f))
 
 
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
     """Validate the proper-circle discriminant and build a Circle holding
     the given Scalars."""
-    be = _common_backend(d, e, f)
     circle = Circle(d, e, f)
-    if be.exact:
-        _require_proper(*_icircle(circle))
+    if circle.backend.exact:
+        _require_proper(*circle._h)
     else:
         _require_proper(d.value, e.value, f.value, 1)
     return circle
@@ -350,7 +337,7 @@ def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
 def midpoint(p: Point, q: Point) -> Point:
     be = _common_backend(p, q)
     if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
         return _hom_point(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
     return _point(be, (p.x.value + q.x.value) / 2, (p.y.value + q.y.value) / 2)
 
@@ -358,7 +345,7 @@ def midpoint(p: Point, q: Point) -> Point:
 def dist_sq(p: Point, q: Point) -> Scalar:
     be = _common_backend(p, q)
     if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
         dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
         return Scalar(be, Fraction(dx * dx + dy * dy, w * w))
     dx, dy = p.x.value - q.x.value, p.y.value - q.y.value
@@ -378,7 +365,7 @@ def _on_line(be: Backend, a, b, c, x, y) -> bool:
 def on_line(l: Line, p: Point) -> bool:
     be = _common_backend(l, p)
     if be.exact:
-        (a, b, c), (x, y, w) = _iline(l), _hom(p)
+        (a, b, c), (x, y, w) = l._h, p._h
         return a * x + b * y + c * w == 0
     return _on_line(be, l.a.value, l.b.value, l.c.value, p.x.value, p.y.value)
 
@@ -401,14 +388,14 @@ def _ion_circle(d: int, e: int, f: int, v: int, x: int, y: int, w: int) -> bool:
 def on_circle(c: Circle, p: Point) -> bool:
     be = _common_backend(c, p)
     if be.exact:
-        return _ion_circle(*_icircle(c), *_hom(p))
+        return _ion_circle(*c._h, *p._h)
     return _on_circle(be, c.d.value, c.e.value, c.f.value, p.x.value, p.y.value)
 
 
 def points_equal(p: Point, q: Point) -> bool:
     be = _common_backend(p, q)
     if be.exact:
-        return _hom(p) == _hom(q)
+        return p._h == q._h
     return be.is_zero(p.x.value - q.x.value) and be.is_zero(p.y.value - q.y.value)
 
 
@@ -419,7 +406,7 @@ def line_through(p: Point, q: Point) -> Line:
     """The line through two distinct points."""
     be = _common_backend(p, q)
     if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
         a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
         if a == 0 and b == 0:
             raise CoincidentPoints(f"no unique line through coincident points {p}")
@@ -434,7 +421,7 @@ def perpendicular_through(p: Point, l: Line) -> Line:
     """The perpendicular to l through p (well-defined even for p on l)."""
     be = _common_backend(p, l)
     if be.exact:
-        (x, y, w), (a, b, _) = _hom(p), _iline(l)
+        (x, y, w), (a, b, _) = p._h, l._h
         return _line(be, b * w, -a * w, a * y - b * x)
     a, b = l.b.value, -l.a.value
     return _line(be, a, b, -(a * p.x.value + b * p.y.value))
@@ -452,7 +439,7 @@ def _hom_along_normal(p: Point, l: Line, k: int) -> Tuple[int, int, int]:
     """(X, Y, W) of p moved k times its offset from l along l's normal:
     the foot of the perpendicular for k = 1, the mirror image for k = 2.
     W is 0 when l has a = b = 0."""
-    (x, y, w), (a, b, c) = _hom(p), _iline(l)
+    (x, y, w), (a, b, c) = p._h, l._h
     s, n = a * a + b * b, k * (a * x + b * y + c * w)
     return x * s - n * a, y * s - n * b, w * s
 
@@ -478,7 +465,7 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     """The unique common point of two non-parallel lines."""
     be = _common_backend(l1, l2)
     if be.exact:
-        (a1, b1, c1), (a2, b2, c2) = _iline(l1), _iline(l2)
+        (a1, b1, c1), (a2, b2, c2) = l1._h, l2._h
         det = a1 * b2 - a2 * b1
         if det == 0:
             raise ParallelLines("lines are parallel or identical")
@@ -506,7 +493,7 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
     if be.exact:
         rows = []
         for pt_ in (p, q, r):
-            x, y, w = _hom(pt_)
+            x, y, w = pt_._h
             rows.append((x * x + y * y, x * w, y * w, w * w))
         (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = rows
         return _circle(be,
@@ -532,7 +519,7 @@ def circle_center_through(center: Point, p: Point) -> Circle:
     """The circle with the given center passing through p."""
     be = _common_backend(center, p)
     if be.exact:
-        (cx, cy, cw), (px, py, pw) = _hom(center), _hom(p)
+        (cx, cy, cw), (px, py, pw) = center._h, p._h
         if cx * pw == px * cw and cy * pw == py * cw:
             raise ZeroRadius("circle through its own center has zero radius")
         # x^2 + y^2 - 2cx x - 2cy y + 2(cx px + cy py) - (px^2 + py^2) = 0, times cw pw^2
@@ -555,7 +542,7 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     """
     be = _common_backend(c1, c2)
     if be.exact:
-        (d1, e1, f1, v1), (d2, e2, f2, v2) = _icircle(c1), _icircle(c2)
+        (d1, e1, f1, v1), (d2, e2, f2, v2) = c1._h, c2._h
         d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
         if d == 0 and e == 0:
             if f == 0:
@@ -581,7 +568,7 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
     """
     be = _common_backend(l, c, known)
     if be.exact:
-        (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = _iline(l), _icircle(c), _hom(known)
+        (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l._h, c._h, known._h
         if a * kx + b * ky + lc * kw != 0:
             raise KnownPointNotIncident("known point is not on the line")
         if not _ion_circle(cd, ce, cf, v, kx, ky, kw):
@@ -643,7 +630,7 @@ def collinear3(p: Point, q: Point, r: Point) -> bool:
     """Whether the 3x3 homogeneous determinant of the three points vanishes."""
     be = _common_backend(p, q, r)
     if be.exact:
-        return _det3(_hom(p), _hom(q), _hom(r)) == 0
+        return _det3(p._h, q._h, r._h) == 0
     px, py, qx, qy, rx, ry = p.x.value, p.y.value, q.x.value, q.y.value, r.x.value, r.y.value
     det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return be.is_zero(det, (px, py, qx, qy, rx, ry))
@@ -660,7 +647,7 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
         # rows (xw, yw, x^2 + y^2) scaled by w^2, expanded along the w^2 column
         rows, last = [], []
         for pt_ in (p, q, r, s):
-            x, y, w = _hom(pt_)
+            x, y, w = pt_._h
             rows.append((x * w, y * w, x * x + y * y))
             last.append(w * w)
         r0, r1, r2, r3 = rows
@@ -701,7 +688,7 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     """
     be = _common_backend(l1, l2)
     if be.exact:
-        (a1, b1, _), (a2, b2, _) = _iline(l1), _iline(l2)
+        (a1, b1, _), (a2, b2, _) = l1._h, l2._h
         den = a1 * a2 + b1 * b2
         if den == 0:
             return DirectedTan.infinity()
@@ -760,7 +747,7 @@ def lines_equal(l1: Line, l2: Line) -> bool:
 def circles_equal(c1: Circle, c2: Circle) -> bool:
     be = _common_backend(c1, c2)
     if be.exact:
-        return _icircle(c1) == _icircle(c2)
+        return c1._h == c2._h
     return (
         be.is_zero(c1.d.value - c2.d.value)
         and be.is_zero(c1.e.value - c2.e.value)

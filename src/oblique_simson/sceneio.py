@@ -19,7 +19,6 @@ and denominator, as ``float()`` of a ``Fraction`` gives.
 from __future__ import annotations
 
 import json
-import math
 from typing import List, Optional, Tuple
 
 from . import geom
@@ -48,18 +47,6 @@ def _scalar_from_json(value, backend: Backend) -> Scalar:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return backend.scalar(value)
     raise ParseError(f"float scene document requires numeric scalars, got {value!r}")
-
-
-def _canonical_line(a: Scalar, b: Scalar, c: Scalar) -> bool:
-    """Whether exact coefficients are already in make_line's canonical form:
-    integers with content 1 and the first nonzero of (a, b) positive."""
-    if not a.backend.exact:
-        return False
-    a, b, c = a.value, b.value, c.value
-    if not a.denominator == b.denominator == c.denominator == 1:
-        return False
-    a, b, c = a.numerator, b.numerator, c.numerator
-    return (a > 0 or (a == 0 and b > 0)) and math.gcd(a, b, c) == 1
 
 
 def scene_to_document(scene: Scene) -> dict:
@@ -110,8 +97,7 @@ def document_to_scene(doc: dict) -> Scene:
         lines = {}
         for name in LINE_NAMES:
             a, b, c = (_scalar_from_json(v, backend) for v in doc["lines"][name])
-            lines[name] = (geom.Line(a, b, c) if _canonical_line(a, b, c)
-                           else geom.make_line(a, b, c))
+            lines[name] = geom.make_line(a, b, c)
         circles = {}
         for name in CIRCLE_NAMES:
             d, e, f = (_scalar_from_json(v, backend) for v in doc["circles"][name])

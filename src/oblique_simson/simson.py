@@ -12,7 +12,7 @@ taken against a known common point (Vieta), so a rational instance yields a
 fully rational Scene.  On the exact backend vertex_point, apply_similarity
 and perspector_k write p and t as n/d and build their points from integer
 formulas through geom's homogeneous kernel, so the construction stage does
-no ``Fraction`` arithmetic.  construct_core is the single producer of the vertices,
+no ``Fraction`` arithmetic.  construct_core is the single producer of J, the vertices,
 sides, altitudes, H, vertex circles and X, Y, Z, which build_scene and the
 audit in :mod:`oblique_simson.verify` both read; the audit's closed forms are
 compared against them and used nowhere else.
@@ -140,7 +140,7 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
         raise BackendMismatch("similarity and point must share one backend")
     if be.exact:
         n, d = t.value.numerator, t.value.denominator
-        x, y, w = geom._hom(p)
+        x, y, w = p._h
         return geom._hom_point(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
     tv, x, y = t.value, p.x.value, p.y.value
     return Point(Scalar(be, x / 2 - tv * y), Scalar(be, tv * x + y / 2))
@@ -186,12 +186,14 @@ _LMN_SOURCES = {"L": ("B", "C"), "M": ("C", "A"), "N": ("A", "B")}
 
 
 class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen dataclass
-    """The construction stage, keyed by vertex v: sides[v] is the side
-    opposite v, altitudes[v] the altitude from v, joins[v] the line through v
-    and its image v0, circles[v] the vertex circle (centred at v0, through J
-    and v), and xyz[v] the second meet of altitudes[v] with circles[v] (X, Y
-    or Z) with its tangency flag (result = v)."""
+    """The construction stage: the origin j (J), and keyed by vertex v:
+    sides[v] is the side opposite v, altitudes[v] the altitude from v,
+    joins[v] the line through v and its image v0, circles[v] the vertex
+    circle (centred at v0, through J and v), and xyz[v] the second meet of
+    altitudes[v] with circles[v] (X, Y or Z) with its tangency flag
+    (result = v)."""
 
+    j: Point
     vertices: Dict[str, Point]
     images: Dict[str, Point]
     joins: Dict[str, Line]
@@ -209,8 +211,7 @@ class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen datac
         """L, M or N: the meet other than J of the circles of B and C, C and A,
         or A and B, flagged when they touch at J (result = J)."""
         v1, v2 = _LMN_SOURCES[which]
-        return geom.second_circle_circle(self.circles[v1], self.circles[v2],
-                                         origin_j(self.h.backend))
+        return geom.second_circle_circle(self.circles[v1], self.circles[v2], self.j)
 
 
 def construct_core(params: Params) -> Core:
@@ -228,7 +229,7 @@ def construct_core(params: Params) -> Core:
     circles = {v: geom.circle_center_through(images[v], j) for v in VERTEX_ORDER}
     xyz = {v: geom.second_line_circle(alts[v], circles[v], verts[v])
            for v in VERTEX_ORDER}
-    return Core(verts, images, joins, sides, alts, h, circles, xyz)
+    return Core(j, verts, images, joins, sides, alts, h, circles, xyz)
 
 
 # One-line public read-outs of the stage (see Core); BENCHMARK.json traces them.
@@ -308,10 +309,10 @@ def build_scene(params: Params) -> Scene:
     named check per identity.
     """
     be = params.backend
-    j = origin_j(be)
     o = circumcenter_o(be)
     sigma = circumcircle_sigma(be)
     core = construct_core(params)
+    j = core.j
     verts, images, alts, h = core.vertices, core.images, core.altitudes, core.h
     q = q_point(h, params.t)
     k = perspector_k(params.t)

@@ -592,7 +592,7 @@ def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     be = params.backend
     wx = wy = None
     if be.exact:
-        (px, py, pw), (bx, by, bw) = geom._hom(printed), geom._hom(built)
+        (px, py, pw), (bx, by, bw) = printed._h, built._h
         x_off, y_off = px * bw != bx * pw, py * bw != by * pw
     else:
         px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
@@ -621,7 +621,7 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
         # printed p/q against the constructive integers, cross-multiplied
         (rn, rd), (sn, sd), (cn, cd) = ((v.value.numerator, v.value.denominator)
                                         for v in (pa, pb, pc))
-        ba, bb, bc = geom._iline(built)
+        ba, bb, bc = built._h
         if rn * sd * bb != sn * rd * ba:
             wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
                      "constructive": _fmt_line(built)}

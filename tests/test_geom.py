@@ -428,6 +428,25 @@ class TestBackendMismatch:
             with pytest.raises(BackendMismatch):
                 fn(*mixed)
 
+    @pytest.mark.parametrize("obj", [_D, _AD, _ABC], ids=["Point", "Line", "Circle"])
+    def test_mixed_coordinates_rejected(self, obj):
+        """A Point, Line or Circle refuses coordinates from two backends,
+        whichever coordinate is the odd one, on either majority backend."""
+        exact = list(vars(obj).values())
+        floats = list(vars(_as_float(obj)).values())
+        for i in range(len(exact)):
+            for most, odd in ((exact, floats), (floats, exact)):
+                with pytest.raises(BackendMismatch):
+                    type(obj)(*most[:i], odd[i], *most[i + 1:])
+        # equal float backends combine; a float backend with another eps does not
+        assert type(obj)(*(FloatBackend().scalar(float(v)) for v in exact)) == _as_float(obj)
+        with pytest.raises(BackendMismatch):
+            type(obj)(*floats[:-1], FloatBackend(1e-6).scalar(float(exact[-1])))
+
+    def test_mixed_point_never_reaches_the_kernel(self):
+        with pytest.raises(BackendMismatch):
+            points_equal(Point(E(1), FloatBackend().scalar(2)), P(5, 7))
+
 
 class TestRepr:
     """Each repr writes its values through numeric.format_scalar."""

@@ -212,12 +212,12 @@ class TestSvg:
                     assert len(frac) == 6
 
     def test_directly_built_points_draw_the_same(self, golden_scene):
-        """Points built from their Scalars, with unequal denominators and no
-        kernel integers, give the same bytes; a coordinate past the float
-        range is an OutputError."""
+        """Points built from their values, with unequal denominators and
+        eager coordinates, hold the kernel points' integers and give the
+        same bytes; a coordinate past the float range is an OutputError."""
         points = {n: Point(E(p.x.value), E(p.y.value)) for n, p in golden_scene.points.items()}
         assert any(p.x.value.denominator != p.y.value.denominator for p in points.values())
-        assert all(p._h is None for p in points.values())
+        assert all(p._h == golden_scene.points[n]._h for n, p in points.items())
         direct = dataclasses.replace(golden_scene, points=points)
         assert render_svg(direct) == render_svg(golden_scene)
         # a huge numerator over a huge denominator still fits

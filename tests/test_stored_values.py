@@ -1,19 +1,17 @@
-"""Stored values: the integers exact objects keep, and copies of every value.
+"""Stored values: the integers exact objects hold, and copies of every value.
 
-An exact Point, Line or Circle built by the kernel is born holding its
-canonical homogeneous integers in a ``_h`` slot, and its coordinates are
-lazy Scalars that build their ``Fraction`` when first read.  Any other
-exact object fills the slot when the kernel first reads it.  The slot is
-not a dataclass field:
-``vars``, ``dataclasses.fields``, ``==`` and ``repr`` see only the
-coordinates, an object built by ``dataclasses.replace`` starts empty, and a
-float object is never filled.  Kernel results must
-not depend on whether the slot is filled.
+Every exact Point, Line and Circle is born holding its homogeneous integers
+in a ``_h`` slot.  A kernel result is handed the canonical integers it
+computed, and its coordinates are lazy Scalars that build their
+``Fraction`` when first read; any other exact object computes its integers
+from its coordinates' numerators and denominators when it is built.  The
+slot is not a dataclass field: ``vars``, ``dataclasses.fields``, ``==`` and
+``repr`` see only the coordinates, and a float object holds None.
 
 ``copy``, ``deepcopy`` and ``pickle`` rebuild a Scalar from its backend and
 value and a Point, Line or Circle from its fields, so each works on every
-stored value and no copy carries the slot.  Exact values hash; float values,
-which compare within a tolerance, do not.
+stored value and each copy computes the same integers.  Exact values hash;
+float values, which compare within a tolerance, do not.
 """
 
 import copy
@@ -30,8 +28,12 @@ from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
 from oblique_simson.simson import Params
 
 BACKENDS = {"exact": EXACT, "float": FloatBackend(1e-9)}
-READERS = {Point: geom._hom, Line: geom._iline, Circle: geom._icircle}
 FIELDS = {Point: ["x", "y"], Line: ["a", "b", "c"], Circle: ["d", "e", "f"]}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
 
 
 def E(value):
@@ -43,7 +45,7 @@ def objects(scene):
 
 
 def fresh(obj):
-    """The same value built again from its fields, with an empty slot."""
+    """The same value built again from its fields."""
     return type(obj)(*vars(obj).values())
 
 
@@ -75,25 +77,96 @@ def scene():
     return simson.build_scene(Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3)))
 
 
-# -- the read-once cache ------------------------------------------------------------------
+# -- the integers every exact object is born with ---------------------------------------
 
 
-def test_first_exact_read_fills_the_slot(scene):
-    for obj in objects(fresh_scene(scene)):
-        assert obj._h is None
-        h = READERS[type(obj)](obj)
-        assert obj._h is h
-        assert READERS[type(obj)](obj) is h
+def reference(obj):
+    """What obj's integers must be, from its coordinates' Fractions: the
+    numerators over the lcm m of the reduced denominators, then m for a
+    point or circle (gcd 1, weight m > 0)."""
+    values = [s.value for s in vars(obj).values()]
+    m = math.lcm(*(v.denominator for v in values))
+    h = tuple(v.numerator * (m // v.denominator) for v in values)
+    return h if isinstance(obj, Line) else (*h, m)
+
+
+def holds_reference(obj) -> bool:
+    """Whether obj's integers are its reference: equal for a point or a
+    circle, and for a line equal up to a positive factor."""
+    h, ref = obj._h, reference(obj)
+    if isinstance(obj, Line):
+        h, ref = (tuple(n // (math.gcd(*t) or 1) for n in t) for t in (h, ref))
+    return h == ref
+
+
+def lazy(n, d):
+    return numeric._LazyExact(EXACT, n, d)
+
+
+def route_objects():
+    """Exact points, lines and circles by every route that builds one."""
+    k1, k2 = geom._hom_point(EXACT, 6, -4, 8), geom._hom_point(EXACT, 1, 5, 3)
+    eager = [Point(E(Fraction(1, 2)), E(Fraction(1, 4))),
+             Line(E(Fraction(1, 2)), E(Fraction(-1, 3)), E(2)),
+             Circle(E(Fraction(1, 2)), E(Fraction(-1, 3)), E(-5))]
+    params = Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3))
+    scene = simson.build_scene(params)
+    a, b, c, t = params.a, params.b, params.c, params.t
+    return {
+        "kernel": [k1, k2, geom._line(EXACT, 2, 4, 6), geom._circle(EXACT, -4, 2, -6, 2),
+                   *objects(scene)],
+        "point": [geom.point(EXACT, Fraction(1, 2), Fraction(-1, 4)), geom.point(EXACT, 0, 0)],
+        "eager": eager,
+        "lazy": [Point(lazy(6, 4), lazy(2, 4)), Line(lazy(2, 4), lazy(3, 3), lazy(-9, 6)),
+                 Circle(lazy(6, 4), lazy(0, 5), lazy(-10, 4)), *objects(fresh_scene(scene))],
+        # coordinates of two kernel points, each pair over its point's weight
+        "kernel pairs": [Point(k1.x, k2.y), Point(k1.y, k1.y), Line(k1.x, k2.y, k1.y),
+                         Circle(k2.x, k1.x, k1.y)],
+        "replace": [dataclasses.replace(k1, y=E(Fraction(1, 4))),
+                    dataclasses.replace(eager[1], c=k2.y),
+                    dataclasses.replace(eager[2], f=k1.y)],
+        **{how: [clone(obj) for obj in (k1, *eager)] for how, clone in COPIES.items()},
+        "json": objects(sceneio.scene_from_json(sceneio.scene_to_json(scene))),
+        "make_line": [geom.make_line(E(1), E(2), E(3)), geom.make_line(E(2), E(-4), E(6)),
+                      geom.make_line(lazy(2, 2), E(0), E(-1)), geom.make_line(k1.x, k2.y, k1.y)],
+        "make_circle": [geom.make_circle(E(-2), E(0), E(0)),
+                        geom.make_circle(k1.x, k2.y, lazy(-6, 4))],
+        "audit": [verify._printed_vertex_line(a, t), verify._printed_vertex_circle(b, t),
+                  verify._printed_orthocenter(a, b, c), verify._printed_xyz(c, a, b, t),
+                  verify._printed_hagge(params)],
+        "zero line": [Line(E(0), E(0), E(0)), Line(E(0), E(0), E(1))],
+    }
+
+
+ROUTES = sorted(route_objects())
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_is_born_holding_its_integers(route):
+    for obj in route_objects()[route]:
+        assert obj._h is not None and holds_reference(obj), (route, obj, obj._h)
+        assert fresh(obj)._h == obj._h
+
+
+def test_constructors_read_pairs_not_values():
+    """A lazy coordinate builds no Fraction when an object is made from it,
+    and a lazy pair not in lowest terms still gives the unique integers."""
+    for make, args, want in ((Point, (lazy(6, 4), lazy(-2, 4)), (3, -1, 2)),
+                             (Line, (lazy(2, 4), lazy(3, 3), lazy(-9, 6)), (6, 12, -18)),
+                             (Circle, (lazy(6, 4), lazy(0, 5), lazy(-10, 4)), (3, 0, -5, 2))):
+        obj = make(*args)
+        assert obj._h == want
+        assert all(unread(v) for v in args)
+    assert Point(E(Fraction(1, 2)), E(Fraction(1, 4)))._h == (2, 1, 4)
 
 
 def test_slot_is_not_a_field(scene):
     for obj in objects(scene):
-        READERS[type(obj)](obj)
         names = FIELDS[type(obj)]
         assert list(vars(obj)) == names
         assert [f.name for f in dataclasses.fields(obj)] == names
         twin = fresh(obj)
-        assert twin._h is None
+        assert twin._h == obj._h
         assert obj == twin
         assert repr(obj) == repr(twin)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -102,29 +175,25 @@ def test_slot_is_not_a_field(scene):
             obj._h = None
 
 
-def test_checks_agree_on_filled_and_empty_objects(scene):
-    filled = fresh_scene(scene)
-    for obj in objects(filled):
-        READERS[type(obj)](obj)
-    assert verify.run_checks(filled) == verify.run_checks(fresh_scene(scene))
+def test_checks_agree_on_kernel_and_directly_built_objects(scene):
+    assert verify.run_checks(fresh_scene(scene)) == verify.run_checks(scene)
 
 
-def test_replace_starts_empty():
+def test_replace_computes_its_integers():
     p = geom.point(EXACT, Fraction(1, 2), Fraction(1, 3))
-    assert geom._hom(p) == (3, 2, 6)
+    assert p._h == (3, 2, 6)
     moved = dataclasses.replace(p, y=E(Fraction(1, 5)))
-    assert moved._h is None
-    assert geom._hom(moved) == (5, 2, 10)
+    assert moved._h == (5, 2, 10)
     line = geom.make_line(E(1), E(2), E(3))
-    assert line._h == (1, 2, 3)  # make_line passes its canonical integers
+    assert line._h == (1, 2, 3)
     shifted = dataclasses.replace(line, c=E(-4))
-    assert geom._iline(shifted) == (1, 2, -4)
+    assert shifted._h == (1, 2, -4)
     assert geom.on_line(shifted, geom.point(EXACT, 0, 2))
     assert not geom.on_line(line, geom.point(EXACT, 0, 2))
     circle = geom.make_circle(E(-2), E(0), E(0))
-    assert geom._icircle(circle) == (-2, 0, 0, 1)
+    assert circle._h == (-2, 0, 0, 1)
     grown = dataclasses.replace(circle, f=E(-3))
-    assert geom._icircle(grown) == (-2, 0, -3, 1)
+    assert grown._h == (-2, 0, -3, 1)
     assert geom.on_circle(grown, geom.point(EXACT, 3, 0))
     assert not geom.on_circle(circle, geom.point(EXACT, 3, 0))
 
@@ -145,12 +214,12 @@ def test_directly_built_objects():
     )
     for call in calls:
         want = outcome(call, (canonical,))
-        for line in (fresh(raw), raw, raw):  # empty, then filled
+        for line in (fresh(raw), raw):
             assert outcome(call, (line,)) == want
     assert raw._h == (2, 4, 6)
     circle = Circle(E(Fraction(1, 2)), E(Fraction(-1, 3)), E(-5))
     twin = fresh(circle)
-    for c in (circle, circle, twin):  # empty, filled, empty again
+    for c in (circle, twin):
         assert repr(c.center()) == "Point(-1/4, 1/6)"
         assert repr(c.radius_sq()) == "Scalar(exact, 733/144)"
         assert geom.on_circle(c, geom.point(EXACT, 2, 0))
@@ -162,11 +231,11 @@ def test_json_round_trip_reads_the_same_integers(scene):
     back = sceneio.scene_from_json(sceneio.scene_to_json(scene))
     assert back == scene
     for ours, theirs in zip(objects(back), objects(scene)):
-        assert READERS[type(ours)](ours) == READERS[type(theirs)](theirs)
+        assert ours._h == theirs._h
     assert verify.run_checks(back) == verify.run_checks(scene)
 
 
-def test_float_objects_never_fill_the_slot():
+def test_float_objects_hold_no_integers():
     fb = BACKENDS["float"]
     scene = simson.build_scene(Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3),
                                            backend=fb))
@@ -177,13 +246,6 @@ def test_float_objects_never_fill_the_slot():
 
 
 # -- copy, deepcopy and pickle ---------------------------------------------------------
-
-
-COPIES = {
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
-}
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))
@@ -200,15 +262,11 @@ def test_copies_of_stored_values(backend, how):
     scene_twin = clone(scene)
     assert scene_twin == scene
     for ours, theirs in zip(objects(scene), objects(scene_twin)):
-        if be.exact:
-            READERS[type(ours)](ours)  # copy an object whose slot is filled
-            assert ours._h is not None
+        assert (ours._h is not None) == be.exact
         for value in (ours, theirs):
             copied = clone(value)
             assert copied == ours and repr(copied) == repr(ours)
-            assert copied._h is None
-            if be.exact:
-                assert READERS[type(ours)](copied) == ours._h
+            assert copied._h == ours._h
     assert verify.run_checks(scene_twin) == verify.run_checks(scene)
 
 
@@ -259,23 +317,21 @@ def test_kernel_results_are_born_canonical(sample, monkeypatch):
         assert {type(obj) for obj in born} == {Point, Line, Circle}
         for obj in born:
             assert obj._h is not None and canonical(obj, obj._h)
-            assert READERS[type(obj)](fresh(obj)) == obj._h
-        # every scene object, kernel-born or built directly, reads the same way
+            assert fresh(obj)._h == obj._h
+        # every scene object, kernel-born or built directly, holds the same form
         for obj in objects(scene):
-            h = READERS[type(obj)](obj)
-            assert canonical(obj, h) and READERS[type(obj)](fresh(obj)) == h
+            assert canonical(obj, obj._h) and fresh(obj)._h == obj._h
 
 
 def test_lines_equal_compares_coefficients_without_reading_them():
     """Field-wise, as rationals: a lazy coefficient need not be reduced,
     and proportional lines with different coefficients differ."""
-    lazy = numeric._LazyExact
     kernel = geom._line(EXACT, 2, 4, 6)
-    halves = Line(lazy(EXACT, 2, 4), lazy(EXACT, 3, 3), E(Fraction(3, 2)))
+    halves = Line(lazy(2, 4), lazy(3, 3), E(Fraction(3, 2)))
     assert geom.lines_equal(Line(E(Fraction(1, 2)), E(1), E(Fraction(3, 2))), halves)
     assert not geom.lines_equal(Line(E(Fraction(1, 2)), E(-1), E(Fraction(3, 2))), halves)
-    assert not geom.lines_equal(kernel, halves)  # same _iline, other coefficients
-    assert geom._iline(halves) == geom._iline(kernel)
+    assert not geom.lines_equal(kernel, halves)  # the same line, other coefficients
+    assert halves._h == (6, 12, 18)  # over the lcm of its unreduced denominators
     assert geom.lines_equal(kernel, Line(E(1), E(2), E(3)))
     assert geom.lines_equal(kernel, geom._line(EXACT, -1, -2, -3))
     assert not geom.lines_equal(kernel, geom._line(EXACT, 1, 2, 4))
@@ -339,8 +395,9 @@ def test_unread_lazy_scalar_compares_as_eager(n, d):
 
 
 def test_run_checks_builds_few_fractions(monkeypatch):
-    """A kernel result builds no Fraction until read: the golden instance's
-    build and checks create 41 (232 when each coordinate built one)."""
+    """A kernel result builds no Fraction until read, and the stage builds
+    J once: the golden instance's build and checks create 33 (232 when each
+    coordinate built one)."""
     params = Params.make(1, 2, 3, Fraction(1, 2))
     built = []
     new = Fraction.__new__
@@ -353,7 +410,7 @@ def test_run_checks_builds_few_fractions(monkeypatch):
     report = verify.run_checks(simson.build_scene(params))
     monkeypatch.undo()
     assert report.all_pass
-    assert len(built) == 41
+    assert len(built) == 33
 
 
 # -- hashing ---------------------------------------------------------------------------
