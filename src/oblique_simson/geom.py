@@ -14,29 +14,39 @@ by the magnitude of the participating entries.
 
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
-Scalars: the primitives (and :meth:`DirectedTan.__eq__`) read every input's
-``.value`` once and wrap each output once.  Each primitive branches once on
-the backend the objects carry:
+Scalars.  Every Point, Line and Circle is born holding its homogeneous
+values in a ``_h`` slot - a point as (X, Y, W), a line as (a, b, c), a
+circle as (d, e, f, v) for v(x^2 + y^2) + dx + ey + f = 0 - and the
+primitives read their inputs there, in the same way on both backends:
 
-* exact: the inputs are read as homogeneous integers - a point as (X, Y, W)
-  with W > 0, a line as (a, b, c), a circle as (d, e, f, v) for
-  v(x^2 + y^2) + dx + ey + f = 0 - the result is one integer polynomial
-  formula, and each zero test is ``== 0`` on integers.  Every exact object
-  is born holding these integers in a ``_h`` slot: a point's (X, Y, W) and
-  a circle's (d, e, f, v) with gcd 1 and W, v > 0, unique to the object,
-  so :func:`points_equal` and :func:`circles_equal` compare them as tuples,
-  and a line's (a, b, c) proportional to its coefficients by a positive
-  factor (content 1 on a canonical line).  A kernel result hands the
-  constructor the integers it computed, and its coordinates are lazy
-  Scalars, each building its ``Fraction`` on the first read of ``.value``;
-  any other exact object computes them from its coordinates' numerators
-  and denominators.  The ``_h`` slot is not a dataclass field: ``==``,
-  ``repr``, ``vars``, ``dataclasses.fields`` and ``dataclasses.replace``
-  see only the coordinates, and copy and pickle rebuild an object from its
-  fields;
-* float: the primitive computes on the bare ``float`` values (``_h`` is
-  None), with zero tests and divisions by computed quantities through the backend's
-  ``is_zero`` and ``div``.
+* exact: Python ints.  A point's (X, Y, W) and a circle's (d, e, f, v)
+  have gcd 1 and W, v > 0, unique to the object, so :func:`points_equal`
+  and :func:`circles_equal` compare them as tuples; a line's (a, b, c) is
+  proportional to its coefficients by a positive factor (content 1 on a
+  canonical line).  A kernel result hands the constructor the integers it
+  computed, and its coordinates are lazy Scalars, each building its
+  ``Fraction`` on the first read of ``.value``; any other exact object
+  computes them from its coordinates' numerators and denominators;
+* float: the coordinates' floats with weight 1.0, (x, y, 1.0),
+  (a, b, c) and (d, e, f, 1.0).
+
+The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
+``dataclasses.fields`` and ``dataclasses.replace`` see only the
+coordinates, and copy and pickle rebuild an object from its fields.
+
+:func:`line_through`, :func:`perpendicular_through`,
+:func:`intersect_lines`, :func:`radical_line`, :func:`midpoint`,
+:func:`dist_sq`, :func:`on_line`, :func:`directed_tan` and
+:meth:`Circle.center` are each one formula for both backends: zero tests go
+through the backend's ``is_zero`` (``== 0`` on exact), divisions through its
+``div``, and results through the writers ``_hom_point``, ``_line`` and
+``_circle``, which own each backend's canonical form.  Multiplying a float by
+the weight 1.0 is exact, so on floats each performs the affine formula's
+operations, on the same operands in the same order, and gives its bits.  The
+other primitives still branch on the backend: their float formula divides
+midway, solves another system or tests zero on another quantity, so the
+homogeneous one would change float results (for :func:`on_circle`, matching
+the float association would cost the exact kernel three more products).
 
 A primitive taking two or more objects checks once that they share a
 backend and raises :class:`~oblique_simson.errors.BackendMismatch`
@@ -86,9 +96,12 @@ class Point:
         be = x.backend
         if y.backend is not be:
             _common_backend(x, y)
-        if _h is None and be.exact:
-            (xn, xd), (yn, yd) = x._ratio(), y._ratio()
-            _h = _content_1((xn, yn, xd) if xd == yd else (xn * yd, yn * xd, xd * yd))
+        if _h is None:
+            if be.exact:
+                (xn, xd), (yn, yd) = x._ratio(), y._ratio()
+                _h = _content_1((xn, yn, xd) if xd == yd else (xn * yd, yn * xd, xd * yd))
+            else:
+                _h = x.value, y.value, 1.0
         _set_point_h(self, _h)
         _set_point_backend(self, be)
 
@@ -115,8 +128,8 @@ class Line:
         be = a.backend
         if b.backend is not be or c.backend is not be:
             _common_backend(a, b, c)
-        if _h is None and be.exact:
-            _h = _over_lcm(a, b, c)[:3]
+        if _h is None:
+            _h = _over_lcm(a, b, c)[:3] if be.exact else (a.value, b.value, c.value)
         _set_line_h(self, _h)
         _set_line_backend(self, be)
 
@@ -144,27 +157,24 @@ class Circle:
         be = d.backend
         if e.backend is not be or f.backend is not be:
             _common_backend(d, e, f)
-        if _h is None and be.exact:
-            _h = _content_1(_over_lcm(d, e, f))
+        if _h is None:
+            _h = (_content_1(_over_lcm(d, e, f)) if be.exact
+                  else (d.value, e.value, f.value, 1.0))
         _set_circle_h(self, _h)
         _set_circle_backend(self, be)
 
     __reduce__ = _reduce_to_fields
 
     def center(self) -> Point:
-        be = self.backend
-        if be.exact:
-            d, e, _, v = self._h
-            return _hom_point(be, -d, -e, 2 * v)
-        return Point(Scalar(be, -self.d.value / 2), Scalar(be, -self.e.value / 2))
+        d, e, _, v = self._h
+        return _hom_point(self.backend, -d, -e, 2 * v)
 
     def radius_sq(self) -> Scalar:
         be = self.backend
+        d, e, f, v = self._h
         if be.exact:
-            d, e, f, v = self._h
             return Scalar(be, Fraction(d * d + e * e - 4 * f * v, 4 * v * v))
-        d, e = self.d.value, self.e.value
-        return Scalar(be, (d * d + e * e) / 4 - self.f.value)
+        return Scalar(be, (d * d + e * e) / 4 - f)
 
     def __repr__(self) -> str:
         d, e, f = map(format_scalar, (self.d, self.e, self.f))
@@ -219,8 +229,8 @@ def _point(be: Backend, x, y) -> Point:
 
 # -- the exact kernel's homogeneous integers ---------------------------------------
 #
-# Every exact object holds its integers in its _h slot from construction on
-# (None on float objects), so a kernel read is one attribute load.
+# Every object holds its homogeneous values in its _h slot from construction
+# on, so a kernel read is one attribute load.
 
 _set_point_h = Point._h.__set__
 _set_line_h = Line._h.__set__
@@ -247,9 +257,12 @@ def _content_1(h: Tuple[int, ...]) -> Tuple[int, ...]:
     return h if g == 1 else tuple(n // g for n in h)
 
 
-def _hom_point(be: Backend, x: int, y: int, w: int) -> Point:
-    """The point (x/w, y/w), born with its canonical triple; DivisionByZero
-    when w = 0."""
+def _hom_point(be: Backend, x, y, w) -> Point:
+    """The point (x/w, y/w); DivisionByZero when w is zero.  On the exact
+    backend x, y and w are ints and the point is born with its canonical
+    triple; on the float backend each coordinate is ``be.div(x, w)``."""
+    if not be.exact:
+        return _point(be, be.div(x, w), be.div(y, w))
     if w == 0:
         raise DivisionByZero("division by zero scalar")
     g = math.gcd(x, y, w)
@@ -324,10 +337,7 @@ def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
     """Validate the proper-circle discriminant and build a Circle holding
     the given Scalars."""
     circle = Circle(d, e, f)
-    if circle.backend.exact:
-        _require_proper(*circle._h)
-    else:
-        _require_proper(d.value, e.value, f.value, 1)
+    _require_proper(*circle._h)
     return circle
 
 
@@ -336,20 +346,15 @@ def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
 
 def midpoint(p: Point, q: Point) -> Point:
     be = _common_backend(p, q)
-    if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
-        return _hom_point(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
-    return _point(be, (p.x.value + q.x.value) / 2, (p.y.value + q.y.value) / 2)
+    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
+    return _hom_point(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
 
 
 def dist_sq(p: Point, q: Point) -> Scalar:
     be = _common_backend(p, q)
-    if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
-        dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
-        return Scalar(be, Fraction(dx * dx + dy * dy, w * w))
-    dx, dy = p.x.value - q.x.value, p.y.value - q.y.value
-    return Scalar(be, dx * dx + dy * dy)
+    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
+    dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
+    return Scalar(be, be.div(dx * dx + dy * dy, w * w))
 
 
 def line_eval(l: Line, p: Point) -> Scalar:
@@ -357,17 +362,13 @@ def line_eval(l: Line, p: Point) -> Scalar:
     return Scalar(be, l.a.value * p.x.value + l.b.value * p.y.value + l.c.value)
 
 
-def _on_line(be: Backend, a, b, c, x, y) -> bool:
-    ax, by = a * x, b * y
-    return be.is_zero(ax + by + c, (ax, by, c))
+def _on_line(be: Backend, a, b, c, x, y, w) -> bool:
+    ax, by, cw = a * x, b * y, c * w
+    return be.is_zero(ax + by + cw, (ax, by, cw))
 
 
 def on_line(l: Line, p: Point) -> bool:
-    be = _common_backend(l, p)
-    if be.exact:
-        (a, b, c), (x, y, w) = l._h, p._h
-        return a * x + b * y + c * w == 0
-    return _on_line(be, l.a.value, l.b.value, l.c.value, p.x.value, p.y.value)
+    return _on_line(_common_backend(l, p), *l._h, *p._h)
 
 
 def circle_eval(c: Circle, p: Point) -> Scalar:
@@ -405,33 +406,26 @@ def points_equal(p: Point, q: Point) -> bool:
 def line_through(p: Point, q: Point) -> Line:
     """The line through two distinct points."""
     be = _common_backend(p, q)
-    if be.exact:
-        (x1, y1, w1), (x2, y2, w2) = p._h, q._h
-        a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
-        if a == 0 and b == 0:
-            raise CoincidentPoints(f"no unique line through coincident points {p}")
-        return _line(be, a, b, x1 * y2 - x2 * y1)
-    px, py, qx, qy = p.x.value, p.y.value, q.x.value, q.y.value
-    if be.is_zero(px - qx) and be.is_zero(py - qy):
+    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
+    a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
+    if be.is_zero(a) and be.is_zero(b):
         raise CoincidentPoints(f"no unique line through coincident points {p}")
-    return _line(be, py - qy, qx - px, px * qy - qx * py)
+    return _line(be, a, b, x1 * y2 - x2 * y1)
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
     """The perpendicular to l through p (well-defined even for p on l)."""
     be = _common_backend(p, l)
-    if be.exact:
-        (x, y, w), (a, b, _) = p._h, l._h
-        return _line(be, b * w, -a * w, a * y - b * x)
-    a, b = l.b.value, -l.a.value
-    return _line(be, a, b, -(a * p.x.value + b * p.y.value))
+    (x, y, w), (a, b, _) = p._h, l._h
+    # the float constant is -(b x + (-a) y), not a y - b x: the two differ
+    # in the sign of a zero
+    return _line(be, b * w, -a * w, -(b * x + -a * y))
 
 
 def _foot(be: Backend, p: Point, l: Line):
     """Raw coordinates of the orthogonal projection of p onto l."""
-    x, y = p.x.value, p.y.value
-    a, b = l.a.value, l.b.value
-    k = be.div(a * x + b * y + l.c.value, a * a + b * b)
+    (x, y, _), (a, b, c) = p._h, l._h
+    k = be.div(a * x + b * y + c, a * a + b * b)
     return x - k * a, y - k * b
 
 
@@ -464,19 +458,12 @@ def reflect_in_line(p: Point, l: Line) -> Point:
 def intersect_lines(l1: Line, l2: Line) -> Point:
     """The unique common point of two non-parallel lines."""
     be = _common_backend(l1, l2)
-    if be.exact:
-        (a1, b1, c1), (a2, b2, c2) = l1._h, l2._h
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            raise ParallelLines("lines are parallel or identical")
-        return _hom_point(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
-    a1, b1, c1 = l1.a.value, l1.b.value, l1.c.value
-    a2, b2, c2 = l2.a.value, l2.b.value, l2.c.value
+    (a1, b1, c1), (a2, b2, c2) = l1._h, l2._h
     a1b2, a2b1 = a1 * b2, a2 * b1
     det = a1b2 - a2b1
     if be.is_zero(det, (a1b2, a2b1)):
         raise ParallelLines("lines are parallel or identical")
-    return _point(be, be.div(b1 * c2 - b2 * c1, det), be.div(c1 * a2 - c2 * a1, det))
+    return _hom_point(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
 
 
 def circle_through3(p: Point, q: Point, r: Point) -> Circle:
@@ -541,17 +528,8 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     common point and is perpendicular to the line of centers.
     """
     be = _common_backend(c1, c2)
-    if be.exact:
-        (d1, e1, f1, v1), (d2, e2, f2, v2) = c1._h, c2._h
-        d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
-        if d == 0 and e == 0:
-            if f == 0:
-                raise IdenticalCircles("radical line of identical circles is undefined")
-            raise NoRadicalLine("concentric distinct circles have no radical line")
-        return _line(be, d, e, f)
-    d1, e1, f1 = c1.d.value, c1.e.value, c1.f.value
-    d2, e2, f2 = c2.d.value, c2.e.value, c2.f.value
-    d, e, f = d1 - d2, e1 - e2, f1 - f2
+    (d1, e1, f1, v1), (d2, e2, f2, v2) = c1._h, c2._h
+    d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
     if be.is_zero(d, (d1, d2)) and be.is_zero(e, (e1, e2)):
         if be.is_zero(f, (f1, f2)):
             raise IdenticalCircles("radical line of identical circles is undefined")
@@ -567,10 +545,10 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
     point the known point itself is returned with the tangency flag set.
     """
     be = _common_backend(l, c, known)
+    (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l._h, c._h, known._h
+    if not _on_line(be, a, b, lc, kx, ky, kw):
+        raise KnownPointNotIncident("known point is not on the line")
     if be.exact:
-        (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l._h, c._h, known._h
-        if a * kx + b * ky + lc * kw != 0:
-            raise KnownPointNotIncident("known point is not on the line")
         if not _ion_circle(cd, ce, cf, v, kx, ky, kw):
             raise KnownPointNotIncident("known point is not on the circle")
         s = a * a + b * b
@@ -591,12 +569,7 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
             return known, True
         y1 = m * kw - ky * v * s
         return _hom_point(be, -(b * y1 + lc * w), a * y1, a * w), False
-    a, b, lc = l.a.value, l.b.value, l.c.value
-    cd, ce = c.d.value, c.e.value
-    kx, ky = known.x.value, known.y.value
-    if not _on_line(be, a, b, lc, kx, ky):
-        raise KnownPointNotIncident("known point is not on the line")
-    if not _on_circle(be, cd, ce, c.f.value, kx, ky):
+    if not _on_circle(be, cd, ce, cf, kx, ky):
         raise KnownPointNotIncident("known point is not on the circle")
     # eliminate the variable with the larger coefficient magnitude
     if abs(b) >= abs(a):
@@ -687,13 +660,7 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     and independent of line orientation.
     """
     be = _common_backend(l1, l2)
-    if be.exact:
-        (a1, b1, _), (a2, b2, _) = l1._h, l2._h
-        den = a1 * a2 + b1 * b2
-        if den == 0:
-            return DirectedTan.infinity()
-        return DirectedTan.of(Scalar(be, Fraction(a1 * b2 - a2 * b1, den)))
-    a1, b1, a2, b2 = l1.a.value, l1.b.value, l2.a.value, l2.b.value
+    (a1, b1, _), (a2, b2, _) = l1._h, l2._h
     a1a2, b1b2 = a1 * a2, b1 * b2
     den = a1a2 + b1b2
     if be.is_zero(den, (a1a2, b1b2)):

@@ -11,11 +11,12 @@ produced ``x``.
 This module owns the two policies every layer shares, stated on raw values:
 :meth:`Backend.is_zero` (the zero test) and :meth:`Backend.div` (division
 that raises :class:`~oblique_simson.errors.DivisionByZero` when the divisor
-is zero by that test).  The exact zero rule is literal ``== 0``, so
-:mod:`~oblique_simson.geom` applies it as ``== 0`` on the homogeneous
-integers its exact branches compute on, and raises the same
-``DivisionByZero`` where a homogeneous weight is zero.  Everything else
-computes on bare ``Fraction``/``float`` values through these two methods.
+is zero by that test).  The exact zero rule is literal ``== 0``, and
+:meth:`ExactBackend.div` returns ``Fraction(n, d)``, so both apply alike to
+``Fraction`` values and to the homogeneous integers of
+:mod:`~oblique_simson.geom`, whose single-formula primitives call them on
+either backend.  Everything else computes on bare ``Fraction``/``float``
+values through these two methods.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
 backend, as held in points, lines, circles and parameters.  The package
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -43,13 +45,25 @@ from .errors import BackendMismatch, DivisionByZero, OutputError, ParseError
 # "p" or "p/q" in ASCII digits, p optionally negative: the form the JSON
 # writer emits, read by ExactBackend.parse without Fraction's string parser
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+# the exponent of a decimal literal, in the digits Fraction's parser accepts
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z").search
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal literal into an exact rational.
 
-    Decimal literals are exact: "0.25" -> 1/4, "1e-3" -> 1/1000.
+    Decimal literals are exact: "0.25" -> 1/4, "1e-3" -> 1/1000.  An exponent
+    larger in magnitude than ``sys.get_int_max_str_digits()`` (unless that is
+    0) is a ParseError, checked before Fraction would build 10**exponent.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = _EXPONENT(text) if limit else None
+    try:
+        too_large = exponent is not None and abs(int(exponent[1])) > limit
+    except ValueError:  # the exponent's own digits pass the limit
+        too_large = True
+    if too_large:
+        raise ParseError(f"decimal exponent past the integer-to-text limit {limit}: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -107,6 +121,11 @@ class ExactBackend(Backend):
 
     def is_zero(self, value, entries: Iterable = ()) -> bool:
         return value == 0
+
+    def div(self, n, d) -> Fraction:
+        if d == 0:
+            raise DivisionByZero("division by zero scalar")
+        return Fraction(n, d)
 
     def parse(self, text: str) -> "Scalar":
         """As :meth:`Backend.parse`; "p" and "p/q" in ASCII digits with

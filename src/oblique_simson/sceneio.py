@@ -118,7 +118,7 @@ def scene_to_json(scene: Scene) -> str:
 def scene_from_json(text: str) -> Scene:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     return document_to_scene(doc)
 

@@ -77,6 +77,32 @@ class TestConstruct:
         assert captured.err == "error: a value has too many digits to write as text\n"
         assert not out_json.exists()
 
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    @pytest.mark.parametrize("flag", [["--t", "1e{}"], ["--t", "1e-{}"], ["--t=-2.5e-{}"]],
+                             ids=["big", "small", "merged-negative"])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_exponent_past_text_limit_exits_2(self, flag, backend, capsys):
+        """Before the bound, a float run read 1e-5000 as 0.0 and an exact
+        one built 10**exponent for as long as that took."""
+        flag = [part.format(INT_TEXT_LIMIT + 1) for part in flag]
+        code = main(["verify", "--a", "1", "--b", "2", "--c", "3", "--backend", backend,
+                     *flag])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = flag[-1].replace("--t=", "")
+        assert captured.err == ("error: decimal exponent past the integer-to-text "
+                                f"limit {INT_TEXT_LIMIT}: {value!r}\n")
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_unparseable_negative_value_is_left_to_argparse(self, capsys):
+        """The negative-value probe merges only what parses, so "--t -1e..."
+        past the bound reaches argparse as a flag."""
+        code = main(["verify", "--a", "1", "--b", "2", "--c", "3",
+                     "--t", f"-1e{INT_TEXT_LIMIT + 1}"])
+        assert code == 2
+        assert "argument --t: expected one argument" in capsys.readouterr().err
+
     def test_negative_rational_values(self, capsys):
         # both "--t -2/3" and "--t=-2/3" must parse
         code = main(["verify", "--a", "-3/7", "--b", "1/4", "--c", "5",

@@ -76,6 +76,34 @@ class TestParse:
             got = EXACT.parse(text).value
             assert type(got) is Fraction and got == want
 
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    @pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
+    @pytest.mark.parametrize("text", [
+        f"1e{INT_TEXT_LIMIT + 1}", f"-2.5e-{INT_TEXT_LIMIT + 1}", f" 3E+{INT_TEXT_LIMIT + 1} ",
+        "1e" + "9" * (INT_TEXT_LIMIT + 1),
+    ])
+    def test_exponent_past_text_limit_rejected(self, backend, text):
+        """Checked before Fraction parses, which would build 10**exponent."""
+        with pytest.raises(ParseError, match="decimal exponent"):
+            backend.parse(text)
+        with pytest.raises(ParseError, match="decimal exponent"):
+            backend.scalar(text)
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    def test_exponent_at_text_limit_parses(self):
+        assert EXACT.parse(f"1e-{INT_TEXT_LIMIT}").value == Fraction(1, 10 ** INT_TEXT_LIMIT)
+        assert FloatBackend().parse(f"-2.5e-{INT_TEXT_LIMIT}").value == 0.0
+
+    def test_no_exponent_bound_without_text_limit(self):
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("no integer-to-text limit")
+        set_limit(0)
+        try:
+            assert EXACT.parse("1e5000").value == 10 ** 5000
+        finally:
+            set_limit(INT_TEXT_LIMIT)
+
     def test_plain_rational_builds_one_fraction(self, monkeypatch):
         built = []
         new = Fraction.__new__

@@ -163,6 +163,22 @@ class TestSceneDocument:
         # one per parsed value, plus Params' three distinctness subtractions
         assert len(built) == values + 3
 
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            scene_from_json("[" * 100000)
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
+    @pytest.mark.parametrize("field", ["params", "points"])
+    def test_exponent_past_text_limit_rejected(self, golden_scene, field):
+        doc = scene_to_document(golden_scene)
+        value = f"1e{INT_TEXT_LIMIT + 1}"
+        if field == "params":
+            doc["params"]["t"] = value
+        else:
+            doc["points"]["Q"] = [value, "0"]
+        with pytest.raises(ParseError, match="decimal exponent"):
+            scene_from_json(json.dumps(doc))
+
     def test_exact_document_rejects_numbers(self, golden_scene):
         doc = scene_to_document(golden_scene)
         doc["points"]["Q"] = [0.5, 0.25]

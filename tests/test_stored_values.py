@@ -1,12 +1,13 @@
-"""Stored values: the integers exact objects hold, and copies of every value.
+"""Stored values: the homogeneous values objects hold, and copies of every value.
 
 Every exact Point, Line and Circle is born holding its homogeneous integers
 in a ``_h`` slot.  A kernel result is handed the canonical integers it
 computed, and its coordinates are lazy Scalars that build their
 ``Fraction`` when first read; any other exact object computes its integers
-from its coordinates' numerators and denominators when it is built.  The
+from its coordinates' numerators and denominators when it is built.  A
+float object holds its coordinates' floats there, with weight 1.0.  The
 slot is not a dataclass field: ``vars``, ``dataclasses.fields``, ``==`` and
-``repr`` see only the coordinates, and a float object holds None.
+``repr`` see only the coordinates.
 
 ``copy``, ``deepcopy`` and ``pickle`` rebuild a Scalar from its backend and
 value and a Point, Line or Circle from its fields, so each works on every
@@ -235,14 +236,58 @@ def test_json_round_trip_reads_the_same_integers(scene):
     assert verify.run_checks(back) == verify.run_checks(scene)
 
 
-def test_float_objects_hold_no_integers():
+def float_h(obj):
+    """What a float object's _h must be: its coordinates' floats, then the
+    weight 1.0 for a point or a circle."""
+    h = tuple(s.value for s in vars(obj).values())
+    return h if isinstance(obj, Line) else (*h, 1.0)
+
+
+def holds_floats(obj) -> bool:
+    """Whether obj's _h is float_h(obj), compared as text so that the
+    sign of a zero and the type of each entry count."""
+    return (all(type(v) is float for v in obj._h)
+            and repr(obj._h) == repr(float_h(obj)))
+
+
+def float_route_objects():
+    """Float points, lines and circles by every route that builds one."""
     fb = BACKENDS["float"]
-    scene = simson.build_scene(Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3),
-                                           backend=fb))
-    verify.run_checks(scene)
-    sceneio.scene_from_json(sceneio.scene_to_json(scene))
-    sceneio.render_svg(scene)
-    assert all(obj._h is None for obj in objects(scene))
+    F = fb.scalar
+    params = Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3), backend=fb)
+    scene = simson.build_scene(params)
+    a, b, c, t = params.a, params.b, params.c, params.t
+    k = geom._hom_point(fb, 6.0, -4.0, 8.0)
+    direct = [Point(F("1/2"), F(-0.0)), Line(F(3), F(-4), F(0)),
+              Circle(F("1/2"), F("-1/3"), F(-5))]
+    return {
+        "kernel": [k, geom._line(fb, 2.0, 4.0, -0.0), geom._circle(fb, -4.0, 2.0, -6.0),
+                   geom.intersect_lines(scene.lines["gwsLine"], scene.lines["sideBC"]),
+                   scene.circles["S"].center(), *objects(scene)],
+        "point": [geom.point(fb, Fraction(1, 2), Fraction(-1, 4)), geom.point(fb, 0, 0)],
+        "direct": direct,
+        "replace": [dataclasses.replace(k, y=F(-0.0)),
+                    dataclasses.replace(direct[1], c=F(2)),
+                    dataclasses.replace(direct[2], f=F(-7))],
+        **{how: [clone(obj) for obj in (k, *direct, *objects(scene))]
+           for how, clone in COPIES.items()},
+        "json": objects(sceneio.scene_from_json(sceneio.scene_to_json(scene))),
+        "make_line": [geom.make_line(F(1), F(2), F(3)), geom.make_line(F(0), F(-4), F(6))],
+        "make_circle": [geom.make_circle(F(-2), F(0), F(0))],
+        "audit": [verify._printed_vertex_line(a, t), verify._printed_vertex_circle(b, t),
+                  verify._printed_orthocenter(a, b, c), verify._printed_xyz(c, a, b, t),
+                  verify._printed_hagge(params)],
+    }
+
+
+FLOAT_ROUTES = sorted(float_route_objects())
+
+
+@pytest.mark.parametrize("route", FLOAT_ROUTES)
+def test_float_objects_hold_their_floats(route):
+    for obj in float_route_objects()[route]:
+        assert holds_floats(obj), (route, obj, obj._h)
+        assert repr(fresh(obj)._h) == repr(obj._h)
 
 
 # -- copy, deepcopy and pickle ---------------------------------------------------------
@@ -262,11 +307,11 @@ def test_copies_of_stored_values(backend, how):
     scene_twin = clone(scene)
     assert scene_twin == scene
     for ours, theirs in zip(objects(scene), objects(scene_twin)):
-        assert (ours._h is not None) == be.exact
+        assert holds_reference(ours) if be.exact else holds_floats(ours)
         for value in (ours, theirs):
             copied = clone(value)
             assert copied == ours and repr(copied) == repr(ours)
-            assert copied._h == ours._h
+            assert repr(copied._h) == repr(ours._h)
     assert verify.run_checks(scene_twin) == verify.run_checks(scene)
 
 
