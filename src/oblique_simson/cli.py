@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sceneio, verify
 from .errors import GeometryError, OutputError, ParseError
-from .numeric import EXACT, Backend, FloatBackend, parse_rational
+from .numeric import EXACT, Backend, FloatBackend
 from .simson import Params, build_scene
 from .verify import AUDIT_NAMES, FuzzConfig, Report
 
@@ -235,28 +236,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {"--a", "--b", "--c", "--t"}
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]").match
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list:
     """Join "--t -2/3" into "--t=-2/3" so negative rationals parse.
 
     argparse only recognizes plain negative numbers as values, not forms
-    like -3/7; merging keeps both spellings working.
+    like -3/7; merging keeps both spellings working.  A value flag followed
+    by "-" and a digit or "." is always merged, so a value that does not
+    parse reports its own ParseError.
     """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
-            try:
-                parse_rational(nxt)
-            except GeometryError:
-                pass
-            else:
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
+        if tok in _VALUE_FLAGS and nxt is not None and _NEGATIVE_VALUE(nxt):
+            out.append(f"{tok}={nxt}")
+            i += 2
+            continue
         out.append(tok)
         i += 1
     return out

@@ -6,27 +6,22 @@ intersection" is recovered from a known common point via Vieta's relation on
 the restricted quadratic, so exact-rational inputs give exact-rational
 outputs throughout.
 
-On the exact backend lines are canonical: integer coefficients with content 1
-and the first nonzero of (a, b) positive, so equal lines compare equal
-field-by-field.  On the float backend lines are scaled to unit normal with
-the analogous sign rule, and all zero tests use the backend tolerance scaled
-by the magnitude of the participating entries.
+Lines are canonical, the first nonzero of (a, b) positive: integers of
+content 1 on the exact backend, a unit normal on the float backend, whose
+zero tests use its tolerance scaled by the magnitude of their entries.
 
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
 Scalars.  Every Point, Line and Circle is born holding its homogeneous
 values in a ``_h`` slot - a point as (X, Y, W), a line as (a, b, c), a
-circle as (d, e, f, v) for v(x^2 + y^2) + dx + ey + f = 0 - and the
-primitives read their inputs there, in the same way on both backends:
+circle as (d, e, f, v) for v(x^2 + y^2) + dx + ey + f = 0:
 
 * exact: Python ints.  A point's (X, Y, W) and a circle's (d, e, f, v)
-  have gcd 1 and W, v > 0, unique to the object, so :func:`points_equal`
-  and :func:`circles_equal` compare them as tuples; a line's (a, b, c) is
+  have gcd 1 and W, v > 0, so :func:`points_equal` and
+  :func:`circles_equal` compare them as tuples; a line's (a, b, c) is
   proportional to its coefficients by a positive factor (content 1 on a
-  canonical line).  A kernel result hands the constructor the integers it
-  computed, and its coordinates are lazy Scalars, each building its
-  ``Fraction`` on the first read of ``.value``; any other exact object
-  computes them from its coordinates' numerators and denominators;
+  canonical line).  A kernel result's coordinates are lazy Scalars, each
+  building its ``Fraction`` on the first read of ``.value``;
 * float: the coordinates' floats with weight 1.0, (x, y, 1.0),
   (a, b, c) and (d, e, f, 1.0).
 
@@ -34,19 +29,19 @@ The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
 ``dataclasses.fields`` and ``dataclasses.replace`` see only the
 coordinates, and copy and pickle rebuild an object from its fields.
 
-:func:`line_through`, :func:`perpendicular_through`,
-:func:`intersect_lines`, :func:`radical_line`, :func:`midpoint`,
-:func:`dist_sq`, :func:`on_line`, :func:`directed_tan` and
-:meth:`Circle.center` are each one formula for both backends: zero tests go
-through the backend's ``is_zero`` (``== 0`` on exact), divisions through its
-``div``, and results through the writers ``_hom_point``, ``_line`` and
-``_circle``, which own each backend's canonical form.  Multiplying a float by
-the weight 1.0 is exact, so on floats each performs the affine formula's
-operations, on the same operands in the same order, and gives its bits.  The
-other primitives still branch on the backend: their float formula divides
-midway, solves another system or tests zero on another quantity, so the
-homogeneous one would change float results (for :func:`on_circle`, matching
-the float association would cost the exact kernel three more products).
+Each formula lives in one private *tuple function* (``_line_through_h``,
+...) on the backend and ``_h`` tuples.  It hands its raw result to a
+``write`` argument: by default ``_point_h``, ``_line_h`` or ``_circle_h``,
+which return the canonical tuple (content-1 integers with the sign rule on
+exact, the floats an object holds on float); a public primitive passes the
+object writer ``_hom_point``, ``_line`` or ``_circle``.  The checks of
+:mod:`~oblique_simson.verify` compose tuple functions and build no object;
+numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`).
+Zero tests go through the backend's ``is_zero`` and divisions through its
+``div``.  Multiplying a float by the weight 1.0 is exact, so a homogeneous
+formula serves both backends where it performs the affine float operations
+in the same order; the other tuple functions branch, as their float formula
+divides midway, solves another system or tests zero on another quantity.
 
 A primitive taking two or more objects checks once that they share a
 backend and raises :class:`~oblique_simson.errors.BackendMismatch`
@@ -166,8 +161,7 @@ class Circle:
     __reduce__ = _reduce_to_fields
 
     def center(self) -> Point:
-        d, e, _, v = self._h
-        return _hom_point(self.backend, -d, -e, 2 * v)
+        return _center_h(self.backend, self._h, _hom_point)
 
     def radius_sq(self) -> Scalar:
         be = self.backend
@@ -202,9 +196,7 @@ class DirectedTan:
         if self.infinite or other.infinite:
             return self.infinite and other.infinite
         be = _common_backend(self.value, other.value)
-        if be.exact:
-            return self.value.value == other.value.value
-        return be.is_zero(self.value.value - other.value.value)
+        return _same_value(be, self.value._ratio(), other.value._ratio())
 
     def __repr__(self) -> str:
         if self.infinite:
@@ -223,14 +215,7 @@ def _common_backend(first, *rest) -> Backend:
     return be
 
 
-def _point(be: Backend, x, y) -> Point:
-    return Point(Scalar(be, x), Scalar(be, y))
-
-
-# -- the exact kernel's homogeneous integers ---------------------------------------
-#
-# Every object holds its homogeneous values in its _h slot from construction
-# on, so a kernel read is one attribute load.
+# -- homogeneous values and the writers ----------------------------------------------
 
 _set_point_h = Point._h.__set__
 _set_line_h = Line._h.__set__
@@ -257,12 +242,11 @@ def _content_1(h: Tuple[int, ...]) -> Tuple[int, ...]:
     return h if g == 1 else tuple(n // g for n in h)
 
 
-def _hom_point(be: Backend, x, y, w) -> Point:
-    """The point (x/w, y/w); DivisionByZero when w is zero.  On the exact
-    backend x, y and w are ints and the point is born with its canonical
-    triple; on the float backend each coordinate is ``be.div(x, w)``."""
+def _point_h(be: Backend, x, y, w):
+    """The canonical tuple of the point (x/w, y/w): gcd 1 and w > 0 on exact;
+    DivisionByZero when w is zero."""
     if not be.exact:
-        return _point(be, be.div(x, w), be.div(y, w))
+        return be.div(x, w), be.div(y, w), 1.0
     if w == 0:
         raise DivisionByZero("division by zero scalar")
     g = math.gcd(x, y, w)
@@ -270,19 +254,20 @@ def _hom_point(be: Backend, x, y, w) -> Point:
         g = -g
     if g != 1:
         x, y, w = x // g, y // g, w // g
-    return Point(_LazyExact(be, x, w), _LazyExact(be, y, w), (x, y, w))
+    return x, y, w
 
 
-# -- factories -----------------------------------------------------------------
+def _hom_point(be: Backend, x, y, w) -> Point:
+    """The point (x/w, y/w), born holding its canonical tuple (see _point_h);
+    ``_hom_point(be, *h)`` is the Point of a canonical tuple h."""
+    h = x, y, w = _point_h(be, x, y, w)
+    if be.exact:
+        return Point(_LazyExact(be, x, w), _LazyExact(be, y, w), h)
+    return Point(Scalar(be, x), Scalar(be, y), h)
 
 
-def point(backend: Backend, x, y) -> Point:
-    return Point(backend.scalar(x), backend.scalar(y))
-
-
-def _line(be: Backend, a, b, c) -> Line:
-    """Canonical Line from raw coefficients (see make_line): ints on the
-    exact backend, floats on the float backend."""
+def _line_h(be: Backend, a, b, c):
+    """The canonical tuple of ax + by + c = 0: content 1 on exact, a unit normal on float."""
     if be.is_zero(a) and be.is_zero(b):
         raise GeometryError("line coefficients degenerate: a = b = 0")
     if be.exact:
@@ -290,14 +275,33 @@ def _line(be: Backend, a, b, c) -> Line:
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        return Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1),
-                    (a, b, c))
+        return a, b, c
     norm = math.hypot(a, b)  # > eps_abs, as a and b are not both zero
     fa, fb, fc = a / norm, b / norm, c / norm
     lead = fa if abs(fa) > be.eps_abs else fb
     if lead < 0:
         fa, fb, fc = -fa, -fb, -fc
-    return Line(Scalar(be, fa), Scalar(be, fb), Scalar(be, fc))
+    return fa, fb, fc
+
+
+def _line_of(be: Backend, h) -> Line:
+    """The Line holding the canonical tuple h as its coefficients."""
+    a, b, c = h
+    if be.exact:
+        return Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1), h)
+    return Line(Scalar(be, a), Scalar(be, b), Scalar(be, c), h)
+
+
+def _line(be: Backend, a, b, c) -> Line:
+    """The Line of raw coefficients, born holding its canonical tuple."""
+    return _line_of(be, _line_h(be, a, b, c))
+
+
+# -- factories -----------------------------------------------------------------
+
+
+def point(backend: Backend, x, y) -> Point:
+    return Point(backend.scalar(x), backend.scalar(y))
 
 
 def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
@@ -317,20 +321,26 @@ def _require_proper(d, e, f, v) -> None:
         raise GeometryError("not a proper circle: d^2 + e^2 - 4f <= 0")
 
 
-def _circle(be: Backend, d, e, f, v=1) -> Circle:
-    """Circle v(x^2 + y^2) + dx + ey + f = 0 from raw coefficients (see
-    make_circle): ints with v != 0 on the exact backend, floats with v = 1 on
-    the float backend."""
+def _circle_h(be: Backend, d, e, f, v=1):
+    """The canonical tuple of v(x^2 + y^2) + dx + ey + f = 0: gcd 1 and
+    v > 0 on exact, (d, e, f, 1.0) with v = 1 on float."""
     _require_proper(d, e, f, v)
+    if not be.exact:
+        return d, e, f, 1.0
+    g = math.gcd(d, e, f, v)
+    if v < 0:
+        g = -g
+    if g != 1:
+        d, e, f, v = d // g, e // g, f // g, v // g
+    return d, e, f, v
+
+
+def _circle(be: Backend, d, e, f, v=1) -> Circle:
+    """The Circle of raw coefficients, born holding its canonical tuple."""
+    h = d, e, f, v = _circle_h(be, d, e, f, v)
     if be.exact:
-        g = math.gcd(d, e, f, v)
-        if v < 0:
-            g = -g
-        if g != 1:
-            d, e, f, v = d // g, e // g, f // g, v // g
-        return Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v),
-                      (d, e, f, v))
-    return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f))
+        return Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v), h)
+    return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f), h)
 
 
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
@@ -341,20 +351,69 @@ def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
     return circle
 
 
+def _same_value(be: Backend, r1, r2, scaled: bool = False) -> bool:
+    """Whether the pairs' values n1/d1 and n2/d2 agree, cross-multiplied: on
+    float d = 1.0, so this tests n1 - n2 (scaled by |n1|, |n2| if *scaled*)."""
+    (n1, d1), (n2, d2) = r1, r2
+    u, v = n1 * d2, n2 * d1
+    return be.is_zero(u - v, (u, v) if scaled else ())
+
+
+def _same_h(be: Backend, h1, h2) -> bool:
+    """Equality of canonical point or circle tuples (float: within tolerance)."""
+    if be.exact:
+        return h1 == h2
+    return all(be.is_zero(u - v) for u, v in zip(h1, h2[:-1]))
+
+
+def _coefficients_are(be: Backend, pairs, l: Line) -> bool:
+    """Whether l's coefficients have the values of the (n, d) pairs, field-wise."""
+    return all(_same_value(be, r, s._ratio()) for r, s in zip(pairs, (l.a, l.b, l.c)))
+
+
+def _line_is(be: Backend, h, l: Line) -> bool:
+    """lines_equal(l1, l) for the Line l1 that writes the canonical tuple h."""
+    return _coefficients_are(be, [(a, 1) for a in h], l)
+
+
+def points_equal(p: Point, q: Point) -> bool:
+    return _same_h(_common_backend(p, q), p._h, q._h)
+
+
+def lines_equal(l1: Line, l2: Line) -> bool:
+    """Equality of line values, coefficient by coefficient: each pair of
+    exact coefficients cross-multiplied, so that a kernel line's lazy
+    coefficients build no Fraction."""
+    be = _common_backend(l1, l2)
+    return _coefficients_are(be, (l1.a._ratio(), l1.b._ratio(), l1.c._ratio()), l2)
+
+
+def circles_equal(c1: Circle, c2: Circle) -> bool:
+    return _same_h(_common_backend(c1, c2), c1._h, c2._h)
+
+
 # -- incidence helpers -----------------------------------------------------------
 
 
+def _midpoint_h(be: Backend, p, q, write=_point_h):
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    return write(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
+
+
 def midpoint(p: Point, q: Point) -> Point:
-    be = _common_backend(p, q)
-    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
-    return _hom_point(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
+    return _midpoint_h(_common_backend(p, q), p._h, q._h, _hom_point)
+
+
+def _dist_sq_h(be: Backend, p, q):
+    """|pq|^2 as a pair (n, d) (d = 1.0 on float)."""
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
+    return dx * dx + dy * dy, w * w
 
 
 def dist_sq(p: Point, q: Point) -> Scalar:
     be = _common_backend(p, q)
-    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
-    dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
-    return Scalar(be, be.div(dx * dx + dy * dy, w * w))
+    return Scalar(be, be.div(*_dist_sq_h(be, p._h, q._h)))
 
 
 def line_eval(l: Line, p: Point) -> Scalar:
@@ -362,13 +421,14 @@ def line_eval(l: Line, p: Point) -> Scalar:
     return Scalar(be, l.a.value * p.x.value + l.b.value * p.y.value + l.c.value)
 
 
-def _on_line(be: Backend, a, b, c, x, y, w) -> bool:
+def _on_line_h(be: Backend, l, p) -> bool:
+    (a, b, c), (x, y, w) = l, p
     ax, by, cw = a * x, b * y, c * w
     return be.is_zero(ax + by + cw, (ax, by, cw))
 
 
 def on_line(l: Line, p: Point) -> bool:
-    return _on_line(_common_backend(l, p), *l._h, *p._h)
+    return _on_line_h(_common_backend(l, p), l._h, p._h)
 
 
 def circle_eval(c: Circle, p: Point) -> Scalar:
@@ -377,118 +437,100 @@ def circle_eval(c: Circle, p: Point) -> Scalar:
     return Scalar(be, x * x + y * y + c.d.value * x + c.e.value * y + c.f.value)
 
 
-def _on_circle(be: Backend, d, e, f, x, y) -> bool:
+def _on_circle_h(be: Backend, c, p) -> bool:
+    (d, e, f, v), (x, y, w) = c, p
+    if be.exact:
+        return v * (x * x + y * y) + w * (d * x + e * y + f * w) == 0
     xx, yy, dx, ey = x * x, y * y, d * x, e * y
     return be.is_zero(xx + yy + dx + ey + f, (xx, yy, dx, ey, f))
 
 
-def _ion_circle(d: int, e: int, f: int, v: int, x: int, y: int, w: int) -> bool:
-    return v * (x * x + y * y) + w * (d * x + e * y + f * w) == 0
-
-
 def on_circle(c: Circle, p: Point) -> bool:
-    be = _common_backend(c, p)
-    if be.exact:
-        return _ion_circle(*c._h, *p._h)
-    return _on_circle(be, c.d.value, c.e.value, c.f.value, p.x.value, p.y.value)
-
-
-def points_equal(p: Point, q: Point) -> bool:
-    be = _common_backend(p, q)
-    if be.exact:
-        return p._h == q._h
-    return be.is_zero(p.x.value - q.x.value) and be.is_zero(p.y.value - q.y.value)
+    return _on_circle_h(_common_backend(c, p), c._h, p._h)
 
 
 # -- constructions ----------------------------------------------------------------
 
 
-def line_through(p: Point, q: Point) -> Line:
-    """The line through two distinct points."""
-    be = _common_backend(p, q)
-    (x1, y1, w1), (x2, y2, w2) = p._h, q._h
+def _line_through_h(be: Backend, p, q, write=_line_h):
+    (x1, y1, w1), (x2, y2, w2) = p, q
     a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
     if be.is_zero(a) and be.is_zero(b):
-        raise CoincidentPoints(f"no unique line through coincident points {p}")
-    return _line(be, a, b, x1 * y2 - x2 * y1)
+        raise CoincidentPoints(
+            f"no unique line through coincident points {_hom_point(be, *p)}")
+    return write(be, a, b, x1 * y2 - x2 * y1)
+
+
+def line_through(p: Point, q: Point) -> Line:
+    """The line through two distinct points."""
+    return _line_through_h(_common_backend(p, q), p._h, q._h, _line)
+
+
+def _perpendicular_h(be: Backend, p, l, write=_line_h):
+    (x, y, w), (a, b, _) = p, l
+    # the float constant is -(b x + (-a) y), not a y - b x: the two differ
+    # in the sign of a zero
+    return write(be, b * w, -a * w, -(b * x + -a * y))
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
     """The perpendicular to l through p (well-defined even for p on l)."""
-    be = _common_backend(p, l)
-    (x, y, w), (a, b, _) = p._h, l._h
-    # the float constant is -(b x + (-a) y), not a y - b x: the two differ
-    # in the sign of a zero
-    return _line(be, b * w, -a * w, -(b * x + -a * y))
+    return _perpendicular_h(_common_backend(p, l), p._h, l._h, _line)
 
 
-def _foot(be: Backend, p: Point, l: Line):
-    """Raw coordinates of the orthogonal projection of p onto l."""
-    (x, y, _), (a, b, c) = p._h, l._h
-    k = be.div(a * x + b * y + c, a * a + b * b)
-    return x - k * a, y - k * b
-
-
-def _hom_along_normal(p: Point, l: Line, k: int) -> Tuple[int, int, int]:
-    """(X, Y, W) of p moved k times its offset from l along l's normal:
-    the foot of the perpendicular for k = 1, the mirror image for k = 2.
-    W is 0 when l has a = b = 0."""
-    (x, y, w), (a, b, c) = p._h, l._h
-    s, n = a * a + b * b, k * (a * x + b * y + c * w)
-    return x * s - n * a, y * s - n * b, w * s
+def _along_normal_h(be: Backend, p, l, k: int, write=_point_h):
+    """p moved k times its offset from l along l's normal: the foot of the
+    perpendicular for k = 1, the mirror image for k = 2.  DivisionByZero
+    when l has a = b = 0."""
+    (x, y, w), (a, b, c) = p, l
+    if be.exact:
+        s, n = a * a + b * b, k * (a * x + b * y + c * w)
+        return write(be, x * s - n * a, y * s - n * b, w * s)
+    t = be.div(a * x + b * y + c, a * a + b * b)
+    fx, fy = x - t * a, y - t * b
+    if k == 1:
+        return write(be, fx, fy, 1.0)
+    return write(be, 2 * fx - x, 2 * fy - y, 1.0)
 
 
 def foot_perpendicular(p: Point, l: Line) -> Point:
     """Orthogonal projection of p onto l."""
-    be = _common_backend(p, l)
-    if be.exact:
-        return _hom_point(be, *_hom_along_normal(p, l, 1))
-    return _point(be, *_foot(be, p, l))
+    return _along_normal_h(_common_backend(p, l), p._h, l._h, 1, _hom_point)
 
 
 def reflect_in_line(p: Point, l: Line) -> Point:
     """Mirror image of p in l; an involution fixing exactly the points of l."""
-    be = _common_backend(p, l)
-    if be.exact:
-        return _hom_point(be, *_hom_along_normal(p, l, 2))
-    fx, fy = _foot(be, p, l)
-    return _point(be, 2 * fx - p.x.value, 2 * fy - p.y.value)
+    return _along_normal_h(_common_backend(p, l), p._h, l._h, 2, _hom_point)
 
 
-def intersect_lines(l1: Line, l2: Line) -> Point:
-    """The unique common point of two non-parallel lines."""
-    be = _common_backend(l1, l2)
-    (a1, b1, c1), (a2, b2, c2) = l1._h, l2._h
+def _intersect_h(be: Backend, l1, l2, write=_point_h):
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
     a1b2, a2b1 = a1 * b2, a2 * b1
     det = a1b2 - a2b1
     if be.is_zero(det, (a1b2, a2b1)):
         raise ParallelLines("lines are parallel or identical")
-    return _hom_point(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
+    return write(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
 
 
-def circle_through3(p: Point, q: Point, r: Point) -> Circle:
-    """The circumcircle of three non-collinear points.
+def intersect_lines(l1: Line, l2: Line) -> Point:
+    """The unique common point of two non-parallel lines."""
+    return _intersect_h(_common_backend(l1, l2), l1._h, l2._h, _hom_point)
 
-    Solves the 2x2 linear system obtained by subtracting the circle equation
-    pairwise (eliminating f), then recovers f from the first point.  On the
-    exact backend the coefficients (v, d, e, f) are instead the signed 3x3
-    minors of the rows (x^2 + y^2, xw, yw, w^2) of the three points.
-    """
-    if collinear3(p, q, r):
+
+def _circle_through3_h(be: Backend, p, q, r, write=_circle_h):
+    if _collinear3_h(be, p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
-    be = p.backend
     if be.exact:
         rows = []
-        for pt_ in (p, q, r):
-            x, y, w = pt_._h
+        for x, y, w in (p, q, r):
             rows.append((x * x + y * y, x * w, y * w, w * w))
         (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = rows
-        return _circle(be,
-                       -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
-                       _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
-                       -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
-                       _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
-    px, py, qx, qy, rx, ry = p.x.value, p.y.value, q.x.value, q.y.value, r.x.value, r.y.value
+        return write(be,
+                     -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
+                     _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
+                     -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
+                     _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
+    (px, py, _), (qx, qy, _), (rx, ry, _) = p, q, r
     s1 = px * px + py * py
     s2 = qx * qx + qy * qy
     s3 = rx * rx + ry * ry
@@ -499,26 +541,55 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
     d = be.div(b1 * a22 - b2 * a12, det)
     e = be.div(a11 * b2 - a21 * b1, det)
     f = -(s1 + d * px + e * py)
-    return _circle(be, d, e, f)
+    return write(be, d, e, f)
 
 
-def circle_center_through(center: Point, p: Point) -> Circle:
-    """The circle with the given center passing through p."""
-    be = _common_backend(center, p)
+def circle_through3(p: Point, q: Point, r: Point) -> Circle:
+    """The circumcircle of three non-collinear points.
+
+    Solves the 2x2 linear system obtained by subtracting the circle equation
+    pairwise (eliminating f), then recovers f from the first point.  On the
+    exact backend the coefficients (v, d, e, f) are instead the signed 3x3
+    minors of the rows (x^2 + y^2, xw, yw, w^2) of the three points.
+    """
+    return _circle_through3_h(_common_backend(p, q, r), p._h, q._h, r._h, _circle)
+
+
+def _circle_center_through_h(be: Backend, center, p, write=_circle_h):
     if be.exact:
-        (cx, cy, cw), (px, py, pw) = center._h, p._h
+        (cx, cy, cw), (px, py, pw) = center, p
         if cx * pw == px * cw and cy * pw == py * cw:
             raise ZeroRadius("circle through its own center has zero radius")
         # x^2 + y^2 - 2cx x - 2cy y + 2(cx px + cy py) - (px^2 + py^2) = 0, times cw pw^2
         ww = pw * pw
-        return _circle(be, -2 * cx * ww, -2 * cy * ww,
-                       2 * (cx * px + cy * py) * pw - (px * px + py * py) * cw, cw * ww)
-    cx, cy, px, py = center.x.value, center.y.value, p.x.value, p.y.value
+        return write(be, -2 * cx * ww, -2 * cy * ww,
+                     2 * (cx * px + cy * py) * pw - (px * px + py * py) * cw, cw * ww)
+    (cx, cy, _), (px, py, _) = center, p
     dx, dy = cx - px, cy - py
     if be.is_zero(dx) and be.is_zero(dy):
         raise ZeroRadius("circle through its own center has zero radius")
     r_sq = dx * dx + dy * dy
-    return _circle(be, -2 * cx, -2 * cy, cx * cx + cy * cy - r_sq)
+    return write(be, -2 * cx, -2 * cy, cx * cx + cy * cy - r_sq)
+
+
+def circle_center_through(center: Point, p: Point) -> Circle:
+    """The circle with the given center passing through p."""
+    return _circle_center_through_h(_common_backend(center, p), center._h, p._h, _circle)
+
+
+def _center_h(be: Backend, c, write=_point_h):
+    d, e, _, v = c
+    return write(be, -d, -e, 2 * v)
+
+
+def _radical_h(be: Backend, c1, c2, write=_line_h):
+    (d1, e1, f1, v1), (d2, e2, f2, v2) = c1, c2
+    d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
+    if be.is_zero(d, (d1, d2)) and be.is_zero(e, (e1, e2)):
+        if be.is_zero(f, (f1, f2)):
+            raise IdenticalCircles("radical line of identical circles is undefined")
+        raise NoRadicalLine("concentric distinct circles have no radical line")
+    return write(be, d, e, f)
 
 
 def radical_line(c1: Circle, c2: Circle) -> Line:
@@ -527,30 +598,17 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     Obtained by subtracting the two general-form equations; it contains every
     common point and is perpendicular to the line of centers.
     """
-    be = _common_backend(c1, c2)
-    (d1, e1, f1, v1), (d2, e2, f2, v2) = c1._h, c2._h
-    d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
-    if be.is_zero(d, (d1, d2)) and be.is_zero(e, (e1, e2)):
-        if be.is_zero(f, (f1, f2)):
-            raise IdenticalCircles("radical line of identical circles is undefined")
-        raise NoRadicalLine("concentric distinct circles have no radical line")
-    return _line(be, d, e, f)
+    return _radical_h(_common_backend(c1, c2), c1._h, c2._h, _line)
 
 
-def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
-    """The other intersection of l and c, given one known common point.
-
-    Uses Vieta's relation on the restricted quadratic, so the result is
-    rational whenever the inputs are.  If l is tangent to c at the known
-    point the known point itself is returned with the tangency flag set.
-    """
-    be = _common_backend(l, c, known)
-    (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l._h, c._h, known._h
-    if not _on_line(be, a, b, lc, kx, ky, kw):
+def _second_line_circle_h(be: Backend, l, c, known, write=_point_h):
+    """(the other meet of l and c, tangent); known itself when l touches c."""
+    if not _on_line_h(be, l, known):
         raise KnownPointNotIncident("known point is not on the line")
+    if not _on_circle_h(be, c, known):
+        raise KnownPointNotIncident("known point is not on the circle")
+    (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l, c, known
     if be.exact:
-        if not _ion_circle(cd, ce, cf, v, kx, ky, kw):
-            raise KnownPointNotIncident("known point is not on the circle")
         s = a * a + b * b
         if s == 0:
             raise DivisionByZero("division by zero scalar")
@@ -563,14 +621,12 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
             if m * kw == 2 * kx * v * s:
                 return known, True
             x1 = m * kw - kx * v * s
-            return _hom_point(be, b * x1, -(a * x1 + lc * w), b * w), False
+            return write(be, b * x1, -(a * x1 + lc * w), b * w), False
         m = -(2 * b * lc * v + ce * a * a - cd * a * b)
         if m * kw == 2 * ky * v * s:
             return known, True
         y1 = m * kw - ky * v * s
-        return _hom_point(be, -(b * y1 + lc * w), a * y1, a * w), False
-    if not _on_circle(be, cd, ce, cf, kx, ky):
-        raise KnownPointNotIncident("known point is not on the circle")
+        return write(be, -(b * y1 + lc * w), a * y1, a * w), False
     # eliminate the variable with the larger coefficient magnitude
     if abs(b) >= abs(a):
         # substitute y = -(a x + c)/b: (a^2+b^2) x^2 + (2ac + d b^2 - e a b) x + ... = 0
@@ -583,7 +639,19 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
         x1 = be.div(-(b * y1 + lc), a)
     if be.is_zero(x1 - kx) and be.is_zero(y1 - ky):
         return known, True
-    return _point(be, x1, y1), False
+    return write(be, x1, y1, 1.0), False
+
+
+def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
+    """The other intersection of l and c, given one known common point.
+
+    Uses Vieta's relation on the restricted quadratic, so the result is
+    rational whenever the inputs are.  If l is tangent to c at the known
+    point the known point itself is returned with the tangency flag set.
+    """
+    be = _common_backend(l, c, known)
+    meet, tangent = _second_line_circle_h(be, l._h, c._h, known._h, _hom_point)
+    return (known if tangent else meet), tangent
 
 
 def second_circle_circle(c1: Circle, c2: Circle, known: Point) -> Tuple[Point, bool]:
@@ -592,21 +660,45 @@ def second_circle_circle(c1: Circle, c2: Circle, known: Point) -> Tuple[Point, b
     Reduces to the radical axis and the second line-circle intersection;
     the tangency flag is set when the circles touch at the known point.
     """
-    rad = radical_line(c1, c2)
-    return second_line_circle(rad, c1, known)
+    be = _common_backend(c1, c2)
+    rad = _radical_h(be, c1._h, c2._h)
+    _common_backend(c1, known)
+    meet, tangent = _second_line_circle_h(be, rad, c1._h, known._h, _hom_point)
+    return (known if tangent else meet), tangent
 
 
 # -- predicates ---------------------------------------------------------------------
 
 
-def collinear3(p: Point, q: Point, r: Point) -> bool:
-    """Whether the 3x3 homogeneous determinant of the three points vanishes."""
-    be = _common_backend(p, q, r)
+def _collinear3_h(be: Backend, p, q, r) -> bool:
     if be.exact:
-        return _det3(p._h, q._h, r._h) == 0
-    px, py, qx, qy, rx, ry = p.x.value, p.y.value, q.x.value, q.y.value, r.x.value, r.y.value
+        return _det3(p, q, r) == 0
+    (px, py, _), (qx, qy, _), (rx, ry, _) = p, q, r
     det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return be.is_zero(det, (px, py, qx, qy, rx, ry))
+
+
+def collinear3(p: Point, q: Point, r: Point) -> bool:
+    """Whether the 3x3 homogeneous determinant of the three points vanishes."""
+    return _collinear3_h(_common_backend(p, q, r), p._h, q._h, r._h)
+
+
+def _concyclic4_h(be: Backend, p, q, r, s) -> bool:
+    if be.exact:
+        # rows (xw, yw, x^2 + y^2) scaled by w^2, expanded along the w^2 column
+        rows, last = [], []
+        for x, y, w in (p, q, r, s):
+            rows.append((x * w, y * w, x * x + y * y))
+            last.append(w * w)
+        r0, r1, r2, r3 = rows
+        return (last[1] * _det3(r0, r2, r3) + last[3] * _det3(r0, r1, r2)
+                == last[0] * _det3(r1, r2, r3) + last[2] * _det3(r0, r1, r3))
+    rows = []
+    for x, y, _ in (p, q, r, s):
+        rows.append((x, y, x * x + y * y))
+    det = _det4_homogeneous(rows)
+    entries = [v for row in rows for v in row]
+    return be.is_zero(det, entries)
 
 
 def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
@@ -615,24 +707,7 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     Rows are (x, y, x^2 + y^2, 1); collinear triples count as concyclic
     (circle through infinity), matching the determinant convention.
     """
-    be = _common_backend(p, q, r, s)
-    if be.exact:
-        # rows (xw, yw, x^2 + y^2) scaled by w^2, expanded along the w^2 column
-        rows, last = [], []
-        for pt_ in (p, q, r, s):
-            x, y, w = pt_._h
-            rows.append((x * w, y * w, x * x + y * y))
-            last.append(w * w)
-        r0, r1, r2, r3 = rows
-        return (last[1] * _det3(r0, r2, r3) + last[3] * _det3(r0, r1, r2)
-                == last[0] * _det3(r1, r2, r3) + last[2] * _det3(r0, r1, r3))
-    rows = []
-    for pt_ in (p, q, r, s):
-        x, y = pt_.x.value, pt_.y.value
-        rows.append((x, y, x * x + y * y))
-    det = _det4_homogeneous(rows)
-    entries = [v for row in rows for v in row]
-    return be.is_zero(det, entries)
+    return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 
 
 def _det3(r0, r1, r2):
@@ -652,6 +727,28 @@ def _det4_homogeneous(rows):
     return _det3(d1, d2, d3)
 
 
+def _directed_tan_h(be: Backend, l1, l2):
+    """directed_tan as a pair (n, d), or None when it is infinite."""
+    (a1, b1, _), (a2, b2, _) = l1, l2
+    a1a2, b1b2 = a1 * a2, b1 * b2
+    den = a1a2 + b1b2
+    if be.is_zero(den, (a1a2, b1b2)):
+        return None
+    num = a1 * b2 - a2 * b1
+    if be.exact:
+        return num, den
+    return be.div(num, den), 1.0
+
+
+def _tans_equal(be: Backend, t1, t2) -> bool:
+    """DirectedTan equality on two _directed_tan_h results."""
+    return t1 is t2 if t1 is None or t2 is None else _same_value(be, t1, t2)
+
+
+def _tan_of(be: Backend, t) -> DirectedTan:
+    return DirectedTan.infinity() if t is None else DirectedTan.of(Scalar(be, be.div(*t)))
+
+
 def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     """Tangent of the directed angle from l1 to l2, working mod pi.
 
@@ -660,29 +757,24 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     and independent of line orientation.
     """
     be = _common_backend(l1, l2)
-    (a1, b1, _), (a2, b2, _) = l1._h, l2._h
-    a1a2, b1b2 = a1 * a2, b1 * b2
-    den = a1a2 + b1b2
-    if be.is_zero(den, (a1a2, b1b2)):
-        return DirectedTan.infinity()
-    return DirectedTan.of(Scalar(be, be.div(a1 * b2 - a2 * b1, den)))
+    return _tan_of(be, _directed_tan_h(be, l1._h, l2._h))
 
 
-def _orthocentric(p: Point, q: Point, r: Point):
+def _orthocentric_h(be: Backend, p, q, r):
     """Sides (qr, rp, pq), altitudes (from p, q, r) and orthocentre of a
     proper triangle: the meet of the first two altitudes, checked against the
     third (a miss means broken arithmetic or an intolerably ill-conditioned
     float instance)."""
-    if collinear3(p, q, r):
+    if _collinear3_h(be, p, q, r):
         raise CollinearPoints("orthocentre of collinear points is undefined")
-    side_p = line_through(q, r)
-    alt_p = perpendicular_through(p, side_p)
-    side_q = line_through(r, p)
-    alt_q = perpendicular_through(q, side_q)
-    h = intersect_lines(alt_p, alt_q)
-    side_r = line_through(p, q)
-    alt_r = perpendicular_through(r, side_r)
-    if not on_line(alt_r, h):
+    side_p = _line_through_h(be, q, r)
+    alt_p = _perpendicular_h(be, p, side_p)
+    side_q = _line_through_h(be, r, p)
+    alt_q = _perpendicular_h(be, q, side_q)
+    h = _intersect_h(be, alt_p, alt_q)
+    side_r = _line_through_h(be, p, q)
+    alt_r = _perpendicular_h(be, r, side_r)
+    if not _on_line_h(be, alt_r, h):
         raise ConstructionError("orthocentre failed third-altitude incidence")
     return (side_p, side_q, side_r), (alt_p, alt_q, alt_r), h
 
@@ -690,33 +782,5 @@ def _orthocentric(p: Point, q: Point, r: Point):
 def orthocenter3(p: Point, q: Point, r: Point) -> Point:
     """Orthocentre of a proper triangle, as the meet of two altitudes
     checked against the third."""
-    return _orthocentric(p, q, r)[2]
-
-
-def lines_equal(l1: Line, l2: Line) -> bool:
-    """Equality of canonical line values (coefficient-wise on the backend)."""
-    be = _common_backend(l1, l2)
-    if be.exact:
-        # each pair of rational coefficients cross-multiplied, so that a
-        # kernel line's lazy coefficients build no Fraction
-        for s, t in ((l1.a, l2.a), (l1.b, l2.b), (l1.c, l2.c)):
-            (n1, d1), (n2, d2) = s._ratio(), t._ratio()
-            if n1 * d2 != n2 * d1:
-                return False
-        return True
-    return (
-        be.is_zero(l1.a.value - l2.a.value)
-        and be.is_zero(l1.b.value - l2.b.value)
-        and be.is_zero(l1.c.value - l2.c.value)
-    )
-
-
-def circles_equal(c1: Circle, c2: Circle) -> bool:
-    be = _common_backend(c1, c2)
-    if be.exact:
-        return c1._h == c2._h
-    return (
-        be.is_zero(c1.d.value - c2.d.value)
-        and be.is_zero(c1.e.value - c2.e.value)
-        and be.is_zero(c1.f.value - c2.f.value)
-    )
+    be = _common_backend(p, q, r)
+    return _hom_point(be, *_orthocentric_h(be, p._h, q._h, r._h)[2])

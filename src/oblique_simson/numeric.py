@@ -177,6 +177,8 @@ class FloatBackend(Backend):
             raise ParseError("value exceeds the float range") from exc
         if not math.isfinite(result):
             raise ParseError(f"not a finite float: {value!r}")
+        if result == 0 and value != 0:
+            raise ParseError("nonzero value is below the float range (rounds to 0.0)")
         return result
 
     def is_zero(self, value, entries: Iterable = ()) -> bool:
@@ -248,10 +250,12 @@ class Scalar:
         # tagged, so a Scalar and an equal int or Fraction do not collide
         return hash((Scalar, self.value))
 
-    def _ratio(self) -> Tuple[int, int]:
-        """(n, d) with d > 0 and n/d this exact Scalar's value."""
+    def _ratio(self) -> Tuple:
+        """(n, d) with n/d this Scalar's value: ints with d > 0, or float over 1.0."""
         value = self.value
-        return value.numerator, value.denominator
+        if self.backend.exact:
+            return value.numerator, value.denominator
+        return value, 1.0
 
     def __float__(self) -> float:
         return float(self.value)

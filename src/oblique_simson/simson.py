@@ -67,7 +67,7 @@ class Params:
             if s.backend != be:
                 raise BackendMismatch("all parameters must share one backend")
         for n1, v1, n2, v2 in pairs:
-            if be.is_zero(v1.value - v2.value):
+            if geom._same_value(be, v1._ratio(), v2._ratio()):
                 raise DegenerateTriangle(f"degenerate triangle: {n1} = {n2}")
 
     @classmethod
@@ -138,12 +138,15 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
     be = p.backend
     if t.backend != be:
         raise BackendMismatch("similarity and point must share one backend")
+    return _similarity_h(be, t, p._h, geom._hom_point)
+
+
+def _similarity_h(be: Backend, t: Scalar, p, write=geom._point_h):
+    """apply_similarity on the tuple of a point (see geom's tuple functions)."""
+    (x, y, w), (n, d) = p, t._ratio()
     if be.exact:
-        n, d = t.value.numerator, t.value.denominator
-        x, y, w = p._h
-        return geom._hom_point(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
-    tv, x, y = t.value, p.x.value, p.y.value
-    return Point(Scalar(be, x / 2 - tv * y), Scalar(be, tv * x + y / 2))
+        return write(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
+    return write(be, x / 2 - n * y, n * x + y / 2, 1.0)  # n is t, d is 1.0
 
 
 def image_vertex(p: Scalar, t: Scalar) -> Point:
@@ -172,7 +175,7 @@ def q_point(h: Point, t: Scalar) -> Point:
     Q runs over the whole perpendicular bisector of JH as t varies; t = 0
     gives the midpoint of JH (the classical case).
     """
-    if geom.points_equal(h, origin_j(h.backend)):
+    if geom._same_h(h.backend, h._h, (0, 0, 1)):  # H is J, the origin
         raise JEqualsH("H coincides with J: perpendicular bisector undefined")
     return apply_similarity(t, h)
 
@@ -220,10 +223,13 @@ def construct_core(params: Params) -> Core:
     vertices through geom's orthocentre routine, each vertex circle is centred
     at its image through J, and X, Y, Z come from altitude, vertex circle and
     vertex."""
-    j = origin_j(params.backend)
+    be = params.backend
+    j = origin_j(be)
     verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
-    side_list, alt_list, h = geom._orthocentric(*verts.values())
-    sides, alts = dict(zip(VERTEX_ORDER, side_list)), dict(zip(VERTEX_ORDER, alt_list))
+    sides_h, alts_h, h = geom._orthocentric_h(be, *(p._h for p in verts.values()))
+    sides, alts = ({v: geom._line_of(be, line) for v, line in zip(VERTEX_ORDER, lines)}
+                   for lines in (sides_h, alts_h))
+    h = geom._hom_point(be, *h)
     images = {v: apply_similarity(params.t, verts[v]) for v in VERTEX_ORDER}
     joins = {v: geom.line_through(verts[v], images[v]) for v in VERTEX_ORDER}
     circles = {v: geom.circle_center_through(images[v], j) for v in VERTEX_ORDER}
@@ -259,14 +265,16 @@ def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
     return construct_core(params).lmn(which)
 
 
-def _line_through_collinear(p: Point, q: Point, r: Point,
-                            not_collinear: str, all_coincide: str) -> Line:
-    """The line through the first distinct pair of three collinear points."""
-    if not geom.collinear3(p, q, r):
+def _line_through_collinear_h(be: Backend, p, q, r,
+                              not_collinear: str = "L, M, N are not collinear",
+                              all_coincide: str = "all three points coincide; no unique line"):
+    """The line through the first distinct pair of three collinear points, on
+    tuples; gws_line's messages by default."""
+    if not geom._collinear3_h(be, p, q, r):
         raise NotCollinear(not_collinear)
     for u, v in ((p, q), (p, r), (q, r)):
-        if not geom.points_equal(u, v):
-            return geom.line_through(u, v)
+        if not geom._same_h(be, u, v):
+            return geom._line_through_h(be, u, v)
     raise AllCoincident(all_coincide)
 
 
@@ -276,8 +284,18 @@ def gws_line(l: Point, m: Point, n: Point) -> Line:
     Raises NotCollinear if the points do not line up; on scenes built by this
     package that indicates an internal bug, never a valid configuration.
     """
-    return _line_through_collinear(l, m, n, "L, M, N are not collinear",
-                                   "all three points coincide; no unique line")
+    be = geom._common_backend(l, m, n)
+    return geom._line_of(be, _line_through_collinear_h(be, l._h, m._h, n._h))
+
+
+def _double_simson_h(be: Backend, j, p, q, r):
+    """double_simson_line on point tuples."""
+    if not geom._on_circle_h(be, geom._circle_through3_h(be, p, q, r), j):
+        raise NotOnCircumcircle("point is not on the circumcircle of the triangle")
+    refs = [geom._along_normal_h(be, j, geom._line_through_h(be, u, v), 2)
+            for u, v in ((q, r), (r, p), (p, q))]
+    return _line_through_collinear_h(be, *refs, "side reflections failed to line up",
+                                     "all three reflections coincide")
 
 
 def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
@@ -286,16 +304,8 @@ def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
     Requires j on the circumcircle of pqr; the returned line passes through
     the orthocentre of pqr (checked by the verifier, not here).
     """
-    circ = geom.circle_through3(p, q, r)
-    if not geom.on_circle(circ, j):
-        raise NotOnCircumcircle("point is not on the circumcircle of the triangle")
-    refs = [
-        geom.reflect_in_line(j, geom.line_through(q, r)),
-        geom.reflect_in_line(j, geom.line_through(r, p)),
-        geom.reflect_in_line(j, geom.line_through(p, q)),
-    ]
-    return _line_through_collinear(*refs, "side reflections failed to line up",
-                                   "all three reflections coincide")
+    be = geom._common_backend(p, q, r, j)
+    return geom._line_of(be, _double_simson_h(be, j._h, p._h, q._h, r._h))
 
 
 def build_scene(params: Params) -> Scene:
@@ -319,7 +329,8 @@ def build_scene(params: Params) -> Scene:
 
     # only the tangency flag is read here; perspector_common judges the meet
     flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
-             if geom.second_line_circle(core.joins[v], sigma, verts[v])[1]]
+             if geom._second_line_circle_h(be, core.joins[v]._h, sigma._h,
+                                           verts[v]._h)[1]]
     xyz = {n: core.xyz[v] for n, v in zip("XYZ", VERTEX_ORDER)}
     flags += [f"tangent:{n}" for n, (_, tangent) in xyz.items() if tangent]
     s_circle = core.hagge()

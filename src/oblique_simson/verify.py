@@ -2,9 +2,12 @@
 
 Every check re-derives its assertion from the scene contents, and each of the
 paper's identities has its verdict here only: ``build_scene`` builds the
-objects without asserting them.  A deliberately corrupted scene, or a float
-instance whose tolerance misses an identity, therefore produces FAIL results
-with witnesses rather than exceptions.  On the exact backend a failing check
+objects without asserting them.  A check composes geom's tuple functions on
+the ``_h`` tuples of the scene's objects and builds objects only for a
+failure's witness, so a passing check builds no Point, Line, Circle or
+Scalar.  A deliberately corrupted scene, or a float instance whose tolerance
+misses an identity, therefore produces FAIL results with witnesses rather
+than exceptions.  On the exact backend a failing check
 on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import geom, simson
-from .errors import GeometryError, JEqualsH
+from .errors import BackendMismatch, GeometryError, JEqualsH
 from .geom import Circle, Line, Point
 from .numeric import EXACT, Scalar, format_scalar
 from .simson import Core, Params, Scene
@@ -96,9 +99,13 @@ def params_echo(params: Params) -> Dict[str, str]:
 # -- the nineteen named checks ---------------------------------------------------
 
 
-def _incidences_on_circle(circle: Circle, named: Sequence[Tuple[str, Point]]):
+def _fmt_h(be, h) -> str:
+    return _fmt_point(geom._hom_point(be, *h))
+
+
+def _incidences_on_circle(be, circle: Circle, named: Sequence[Tuple[str, Point]]):
     for name, p in named:
-        if not geom.on_circle(circle, p):
+        if not geom._on_circle_h(be, circle._h, p._h):
             return {"point": name, "residual": _fmt(geom.circle_eval(circle, p))}
     return None
 
@@ -106,7 +113,7 @@ def _incidences_on_circle(circle: Circle, named: Sequence[Tuple[str, Point]]):
 def _chk_on_circumcircle(scene: Scene):
     pts = scene.points
     return _incidences_on_circle(
-        scene.circles["Sigma"],
+        scene.backend, scene.circles["Sigma"],
         [(n, pts[n]) for n in ("A", "B", "C", "K")],
     )
 
@@ -114,88 +121,93 @@ def _chk_on_circumcircle(scene: Scene):
 def _chk_sigma0(scene: Scene):
     pts = scene.points
     return _incidences_on_circle(
-        scene.circles["Sigma0"],
+        scene.backend, scene.circles["Sigma0"],
         [(n, pts[n]) for n in ("A0", "B0", "C0", "J", "K")],
     )
 
 
 def _chk_q_equidistant(scene: Scene):
-    pts = scene.points
-    dj = geom.dist_sq(pts["Q"], pts["J"])
-    dh = geom.dist_sq(pts["Q"], pts["H"])
-    if not scene.backend.is_zero(dj.value - dh.value, (dj.value, dh.value)):
-        return {"QJ^2": _fmt(dj), "QH^2": _fmt(dh)}
+    pts, be = scene.points, scene.backend
+    dj, dh = (geom._dist_sq_h(be, pts["Q"]._h, pts[n]._h) for n in "JH")
+    if not geom._same_value(be, dj, dh, scaled=True):
+        return {"QJ^2": _fmt(Scalar(be, be.div(*dj))), "QH^2": _fmt(Scalar(be, be.div(*dh)))}
     return None
 
 
 def _chk_q_is_image_of_h(scene: Scene):
-    pts = scene.points
-    expected = simson.apply_similarity(scene.params.t, pts["H"])
-    if not geom.points_equal(pts["Q"], expected):
-        return {"Q": _fmt_point(pts["Q"]), "similarity(H)": _fmt_point(expected)}
-    ortho0 = geom.orthocenter3(pts["A0"], pts["B0"], pts["C0"])
-    if not geom.points_equal(ortho0, pts["Q"]):
-        return {"orthocentre(A0B0C0)": _fmt_point(ortho0), "Q": _fmt_point(pts["Q"])}
+    pts, be = scene.points, scene.backend
+    q = pts["Q"]._h
+    expected = simson._similarity_h(be, scene.params.t, pts["H"]._h)
+    if not geom._same_h(be, q, expected):
+        return {"Q": _fmt_point(pts["Q"]), "similarity(H)": _fmt_h(be, expected)}
+    ortho0 = geom._orthocentric_h(be, *(pts[n]._h for n in ("A0", "B0", "C0")))[2]
+    if not geom._same_h(be, ortho0, q):
+        return {"orthocentre(A0B0C0)": _fmt_h(be, ortho0), "Q": _fmt_point(pts["Q"])}
     return None
 
 
 def _chk_similarity_ratio(scene: Scene):
-    pts = scene.points
-    be, t = scene.backend, scene.params.t.value
-    ratio = 1 + 4 * t * t
+    pts, be = scene.points, scene.backend
+    j = pts["J"]._h
+    tn, td = scene.params.t._ratio()
+    ratio_n, ratio_d = td * td + 4 * tn * tn, td * td  # 1 + 4t^2
     for v in simson.VERTEX_ORDER:
-        lhs = 4 * geom.dist_sq(pts["J"], pts[v + "0"]).value
-        rhs = ratio * geom.dist_sq(pts["J"], pts[v]).value
-        if not be.is_zero(lhs - rhs, (lhs, rhs)):
-            return {"vertex": v, "4*|J->image|^2": _fmt(Scalar(be, lhs)),
-                    "(1+4t^2)*|J->vertex|^2": _fmt(Scalar(be, rhs))}
+        n0, d0 = geom._dist_sq_h(be, j, pts[v + "0"]._h)
+        n, d = geom._dist_sq_h(be, j, pts[v]._h)
+        lhs, rhs = (4 * n0, d0), (ratio_n * n, ratio_d * d)
+        if not geom._same_value(be, lhs, rhs, scaled=True):
+            return {"vertex": v, "4*|J->image|^2": _fmt(Scalar(be, be.div(*lhs))),
+                    "(1+4t^2)*|J->vertex|^2": _fmt(Scalar(be, be.div(*rhs)))}
     return None
 
 
 def _chk_perspector_common(scene: Scene):
-    pts = scene.points
-    sigma = scene.circles["Sigma"]
+    pts, be = scene.points, scene.backend
+    sigma, k = scene.circles["Sigma"]._h, pts["K"]._h
     for v in simson.VERTEX_ORDER:
-        join = geom.line_through(pts[v], pts[v + "0"])
-        second, _ = geom.second_line_circle(join, sigma, pts[v])
-        if not geom.points_equal(second, pts["K"]):
-            return {"vertex": v, "second": _fmt_point(second), "K": _fmt_point(pts["K"])}
+        vertex = pts[v]._h
+        join = geom._line_through_h(be, vertex, pts[v + "0"]._h)
+        second, _ = geom._second_line_circle_h(be, join, sigma, vertex)
+        if not geom._same_h(be, second, k):
+            return {"vertex": v, "second": _fmt_h(be, second), "K": _fmt_point(pts["K"])}
     return None
 
 
 def _chk_xyz_incidences(scene: Scene):
-    pts = scene.points
+    pts, be = scene.points, scene.backend
+    s = scene.circles["S"]._h
     plan = (("X", "altA", "cA"), ("Y", "altB", "cB"), ("Z", "altC", "cC"))
     for name, alt, circ in plan:
-        p = pts[name]
-        if not geom.on_line(scene.lines[alt], p):
+        p = pts[name]._h
+        if not geom._on_line_h(be, scene.lines[alt]._h, p):
             return {"point": name, "off": alt}
-        if not geom.on_circle(scene.circles[circ], p):
+        if not geom._on_circle_h(be, scene.circles[circ]._h, p):
             return {"point": name, "off": circ}
-        if not geom.on_circle(scene.circles["S"], p):
+        if not geom._on_circle_h(be, s, p):
             return {"point": name, "off": "S"}
     return None
 
 
 def _chk_hagge(scene: Scene):
-    pts = scene.points
+    pts, be = scene.points, scene.backend
     s = scene.circles["S"]
-    if not geom.points_equal(s.center(), pts["Q"]):
-        return {"center": _fmt_point(s.center()), "Q": _fmt_point(pts["Q"])}
-    return _incidences_on_circle(s, [("J", pts["J"]), ("H", pts["H"])])
+    center = geom._center_h(be, s._h)
+    if not geom._same_h(be, center, pts["Q"]._h):
+        return {"center": _fmt_h(be, center), "Q": _fmt_point(pts["Q"])}
+    return _incidences_on_circle(be, s, [("J", pts["J"]), ("H", pts["H"])])
 
 
 def _on_side(scene: Scene, point_name: str, side_name: str):
     p = scene.points[point_name]
     side = scene.lines[side_name]
-    if not geom.on_line(side, p):
+    if not geom._on_line_h(scene.backend, side._h, p._h):
         return {"point": _fmt_point(p), "residual": _fmt(geom.line_eval(side, p))}
     return None
 
 
 def _chk_lmn_collinear(scene: Scene):
     pts = scene.points
-    if not geom.collinear3(pts["L"], pts["M"], pts["N"]):
+    if not geom._collinear3_h(scene.backend, pts["L"]._h, pts["M"]._h, pts["N"]._h):
         return {"L": _fmt_point(pts["L"]), "M": _fmt_point(pts["M"]),
                 "N": _fmt_point(pts["N"])}
     return None
@@ -204,47 +216,51 @@ def _chk_lmn_collinear(scene: Scene):
 def _chk_q_on_line(scene: Scene):
     q = scene.points["Q"]
     line = scene.lines["gwsLine"]
-    if not geom.on_line(line, q):
+    if not geom._on_line_h(scene.backend, line._h, q._h):
         return {"Q": _fmt_point(q), "residual": _fmt(geom.line_eval(line, q))}
     return None
 
 
 def _chk_reflection_route(scene: Scene):
-    pts = scene.points
+    pts, be = scene.points, scene.backend
+    j = pts["J"]._h
     plan = (("L", "imageSideB0C0"), ("M", "imageSideC0A0"), ("N", "imageSideA0B0"))
     for name, side in plan:
-        reflected = geom.reflect_in_line(pts["J"], scene.lines[side])
-        if not geom.points_equal(reflected, pts[name]):
+        reflected = geom._along_normal_h(be, j, scene.lines[side]._h, 2)
+        if not geom._same_h(be, reflected, pts[name]._h):
             return {"point": name, "radical-route": _fmt_point(pts[name]),
-                    "reflection-route": _fmt_point(reflected)}
+                    "reflection-route": _fmt_h(be, reflected)}
     return None
 
 
 def _chk_double_simson_of_image(scene: Scene):
-    pts = scene.points
-    line = simson.double_simson_line(pts["J"], pts["A0"], pts["B0"], pts["C0"])
-    if not geom.lines_equal(line, scene.lines["gwsLine"]):
-        return {"double-simson": _fmt_line(line),
-                "gwsLine": _fmt_line(scene.lines["gwsLine"])}
+    pts, be = scene.points, scene.backend
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")))
+    gws = scene.lines["gwsLine"]
+    if not geom._line_is(be, line, gws):
+        return {"double-simson": _fmt_line(geom._line_of(be, line)),
+                "gwsLine": _fmt_line(gws)}
     return None
 
 
 def _chk_equal_oblique_tangents(scene: Scene):
-    pts = scene.points
-    j = pts["J"]
+    pts, be = scene.points, scene.backend
+    j = pts["J"]._h
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
     tangents = []
     skipped = []
     for name, side in plan:
-        if geom.points_equal(pts[name], j):
+        p = pts[name]._h
+        if geom._same_h(be, p, j):
             skipped.append(name)
             continue
         tangents.append(
-            (name, geom.directed_tan(geom.line_through(j, pts[name]),
-                                     scene.lines[side])))
+            (name, geom._directed_tan_h(be, geom._line_through_h(be, j, p),
+                                        scene.lines[side]._h)))
     for (n1, t1), (n2, t2) in zip(tangents, tangents[1:]):
-        if not t1 == t2:
-            return {"pair": f"{n1},{n2}", n1: repr(t1), n2: repr(t2)}
+        if not geom._tans_equal(be, t1, t2):
+            return {"pair": f"{n1},{n2}", n1: repr(geom._tan_of(be, t1)),
+                    n2: repr(geom._tan_of(be, t2))}
     if skipped:
         # vacuous (or reduced) comparison is a pass; record what was skipped
         return {"note": "skipped points at J: " + ",".join(skipped), "_pass": "1"}
@@ -259,40 +275,42 @@ _CONCYCLIC_CHAINS = (
 
 
 def _chk_concyclic_chains(scene: Scene):
-    pts = scene.points
+    pts, be = scene.points, scene.backend
     for chain in _CONCYCLIC_CHAINS:
-        if not geom.concyclic4(*(pts[n] for n in chain)):
+        if not geom._concyclic4_h(be, *(pts[n]._h for n in chain)):
             return {"chain": ",".join(chain)}
     return None
 
 
 def _chk_t_zero_reduction(scene: Scene):
-    pts = scene.points
-    if not scene.backend.is_zero(scene.params.t.value):
+    pts, be = scene.points, scene.backend
+    if not be.is_zero(scene.params.t.value):
         return {"note": "not applicable: t != 0", "_pass": "1"}
+    j = pts["J"]._h
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
     feet = []
     for name, side in plan:
-        foot = geom.foot_perpendicular(pts["J"], scene.lines[side])
+        foot = geom._along_normal_h(be, j, scene.lines[side]._h, 1)
         feet.append(foot)
-        if not geom.points_equal(foot, pts[name]):
-            return {"point": name, "foot": _fmt_point(foot),
+        if not geom._same_h(be, foot, pts[name]._h):
+            return {"point": name, "foot": _fmt_h(be, foot),
                     "scene": _fmt_point(pts[name])}
-    mid = geom.midpoint(pts["J"], pts["H"])
-    if not geom.points_equal(mid, pts["Q"]):
-        return {"midpoint(J,H)": _fmt_point(mid), "Q": _fmt_point(pts["Q"])}
-    classical = simson.gws_line(*feet)
-    if not geom.lines_equal(classical, scene.lines["gwsLine"]):
-        return {"classical": _fmt_line(classical),
-                "gwsLine": _fmt_line(scene.lines["gwsLine"])}
+    mid = geom._midpoint_h(be, j, pts["H"]._h)
+    if not geom._same_h(be, mid, pts["Q"]._h):
+        return {"midpoint(J,H)": _fmt_h(be, mid), "Q": _fmt_point(pts["Q"])}
+    classical = simson._line_through_collinear_h(be, *feet)
+    gws = scene.lines["gwsLine"]
+    if not geom._line_is(be, classical, gws):
+        return {"classical": _fmt_line(geom._line_of(be, classical)),
+                "gwsLine": _fmt_line(gws)}
     return None
 
 
 def _chk_double_simson_abc(scene: Scene):
-    pts = scene.points
-    line = simson.double_simson_line(pts["J"], pts["A"], pts["B"], pts["C"])
-    if not geom.on_line(line, pts["H"]):
-        return {"line": _fmt_line(line), "H": _fmt_point(pts["H"])}
+    pts, be = scene.points, scene.backend
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")))
+    if not geom._on_line_h(be, line, pts["H"]._h):
+        return {"line": _fmt_line(geom._line_of(be, line)), "H": _fmt_point(pts["H"])}
     return None
 
 
@@ -324,8 +342,16 @@ CHECK_NAMES = tuple(_CHECK_IMPLS)
 def run_checks(scene: Scene) -> Report:
     """Run all named checks; failures become results, never exceptions."""
     results: List[CheckResult] = []
+    try:  # the checks compute on the tuples of the scene's one backend
+        geom._common_backend(scene.params.a, *scene.points.values(),
+                             *scene.lines.values(), *scene.circles.values())
+        mismatch = None
+    except BackendMismatch as exc:
+        mismatch = exc
     for name, check in _CHECK_IMPLS.items():
         try:
+            if mismatch is not None:
+                raise mismatch
             witness = check(scene)
         except GeometryError as exc:
             results.append(CheckResult(name, False, {"error": str(exc)}))
@@ -591,13 +617,9 @@ def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     be = params.backend
     wx = wy = None
-    if be.exact:
-        (px, py, pw), (bx, by, bw) = printed._h, built._h
-        x_off, y_off = px * bw != bx * pw, py * bw != by * pw
-    else:
-        px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
-        x_off = not be.is_zero(px - bx, (px, bx))
-        y_off = not be.is_zero(py - by, (py, by))
+    (px, py, pw), (bx, by, bw) = printed._h, built._h
+    x_off = not geom._same_value(be, (px, pw), (bx, bw), scaled=True)
+    y_off = not geom._same_value(be, (py, pw), (by, bw), scaled=True)
     if x_off:
         wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
     if y_off:

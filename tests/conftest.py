@@ -17,6 +17,31 @@ def P(x, y):
     return Point(E(x), E(y))
 
 
+def count_fractions(monkeypatch):
+    """A list that records every Fraction built until ``monkeypatch.undo()``.
+
+    A Fraction is built through ``Fraction.__new__``, or, where the class has
+    it (CPython 3.12 on), through ``Fraction._from_coprime_ints``, which its
+    arithmetic uses without calling ``__new__``; both are counted.
+    """
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(*args, **kwargs):
+        built.append(args)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
+    if coprime is not None:
+        def counted_coprime(cls, *args):
+            built.append((cls, *args))
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return built
+
+
 @pytest.fixture(scope="session")
 def golden_params():
     return Params.make(1, 2, 3, Fraction(1, 2))

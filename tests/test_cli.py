@@ -95,13 +95,27 @@ class TestConstruct:
                                 f"limit {INT_TEXT_LIMIT}: {value!r}\n")
 
     @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
-    def test_unparseable_negative_value_is_left_to_argparse(self, capsys):
-        """The negative-value probe merges only what parses, so "--t -1e..."
-        past the bound reaches argparse as a flag."""
-        code = main(["verify", "--a", "1", "--b", "2", "--c", "3",
-                     "--t", f"-1e{INT_TEXT_LIMIT + 1}"])
+    def test_negative_value_past_text_limit_names_the_limit(self, capsys):
+        """"--t -1e..." past the bound is merged like any negative value, so
+        its own ParseError is printed, not argparse's "expected one argument"."""
+        value = f"-1e-{INT_TEXT_LIMIT + 1}"
+        code = main(["verify", "--a", "1", "--b", "2", "--c", "3", "--t", value])
         assert code == 2
-        assert "argument --t: expected one argument" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: decimal exponent past the integer-to-text "
+                                f"limit {INT_TEXT_LIMIT}: {value!r}\n")
+
+    def test_float_underflow_exits_2(self, capsys):
+        """A nonzero value that rounds to 0.0 on the float backend is an input
+        error: read as 0.0 it would silently run the classical t = 0 case."""
+        code = main(["verify", "--a", "1", "--b", "2", "--c", "3", "--t", "1e-400",
+                     "--backend", "float"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: nonzero value is below the float range "
+                                "(rounds to 0.0)\n")
 
     def test_negative_rational_values(self, capsys):
         # both "--t -2/3" and "--t=-2/3" must parse
@@ -110,6 +124,8 @@ class TestConstruct:
         assert code == 0
         assert "19/19 checks passed" in capsys.readouterr().out
         code = main(["verify", "--a=-3/7", "--b", "1/4", "--c", "5", "--t=-2/3"])
+        assert code == 0
+        code = main(["verify", "--a", "-.5", "--b", "1/4", "--c", "5", "--t", "-2/3"])
         assert code == 0
 
 

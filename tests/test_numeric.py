@@ -92,7 +92,9 @@ class TestParse:
     @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
     def test_exponent_at_text_limit_parses(self):
         assert EXACT.parse(f"1e-{INT_TEXT_LIMIT}").value == Fraction(1, 10 ** INT_TEXT_LIMIT)
-        assert FloatBackend().parse(f"-2.5e-{INT_TEXT_LIMIT}").value == 0.0
+        # past the exponent bound's check, the float backend rejects the underflow
+        with pytest.raises(ParseError, match="below the float range"):
+            FloatBackend().parse(f"-2.5e-{INT_TEXT_LIMIT}")
 
     def test_no_exponent_bound_without_text_limit(self):
         set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -197,6 +199,23 @@ class TestFloatDomain:
     def test_overflowing_params_rejected(self):
         with pytest.raises(ParseError):
             Params.make(Fraction(10 ** 400), 2, 3, 1, backend=FloatBackend())
+
+    @pytest.mark.parametrize("value", ["1e-400", "-1e-400", Fraction(1, 10 ** 400)],
+                             ids=["text", "negative-text", "fraction"])
+    def test_underflowing_values_rejected(self, value):
+        """A nonzero value that rounds to 0.0 would silently become zero
+        (t = 0 is the classical case)."""
+        with pytest.raises(ParseError, match="below the float range"):
+            Params.make(1, 2, 3, value, backend=FloatBackend())
+
+    def test_subnormal_and_zero_accepted(self):
+        assert FloatBackend().scalar("5e-324").value == 5e-324
+        assert Params.make(1, 2, 3, "5e-324", backend=FloatBackend()).t.value == 5e-324
+        assert FloatBackend().scalar(0).value == 0.0
+        assert FloatBackend().scalar("-0.0").value == 0.0
+
+    def test_exact_keeps_tiny_values(self):
+        assert Params.make(1, 2, 3, "1e-400").t.value == Fraction(1, 10 ** 400)
 
 
 class TestZeroTest:

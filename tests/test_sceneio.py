@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import E, P
+from conftest import E, P, count_fractions
 from oblique_simson import (
     FloatBackend,
     Params,
@@ -149,19 +149,12 @@ class TestSceneDocument:
         values = len(doc["params"]) + sum(
             len(coords) for part in ("points", "lines", "circles")
             for coords in doc[part].values())
-        built = []
-        new = Fraction.__new__
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return new(*args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted)
+        built = count_fractions(monkeypatch)
         back = scene_from_json(text)
         monkeypatch.undo()
         assert back == golden_scene
-        # one per parsed value, plus Params' three distinctness subtractions
-        assert len(built) == values + 3
+        # one per parsed value: Params tests distinctness by cross-multiplying
+        assert len(built) == values
 
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError, match="^invalid JSON: "):

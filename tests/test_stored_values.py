@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import count_fractions
 from oblique_simson import geom, numeric, sceneio, simson, verify
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
@@ -440,22 +441,16 @@ def test_unread_lazy_scalar_compares_as_eager(n, d):
 
 
 def test_run_checks_builds_few_fractions(monkeypatch):
-    """A kernel result builds no Fraction until read, and the stage builds
-    J once: the golden instance's build and checks create 33 (232 when each
-    coordinate built one)."""
+    """A kernel result builds no Fraction until read, the stage builds J
+    once, and the checks compare integers: the golden instance's build and
+    checks create 7, the integer coordinates of J, O and Sigma (232 when
+    each coordinate built one, 33 when the checks built objects)."""
     params = Params.make(1, 2, 3, Fraction(1, 2))
-    built = []
-    new = Fraction.__new__
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return new(*args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = count_fractions(monkeypatch)
     report = verify.run_checks(simson.build_scene(params))
     monkeypatch.undo()
     assert report.all_pass
-    assert len(built) == 33
+    assert len(built) == 7
 
 
 # -- hashing ---------------------------------------------------------------------------
