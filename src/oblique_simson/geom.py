@@ -36,7 +36,9 @@ which return the canonical tuple (content-1 integers with the sign rule on
 exact, the floats an object holds on float); a public primitive passes the
 object writer ``_hom_point``, ``_line`` or ``_circle``.  The checks of
 :mod:`~oblique_simson.verify` compose tuple functions and build no object;
-numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`).
+numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`),
+and :func:`_ratio_of` forms the pair of a quotient n/d: (n, d) on exact,
+(n/d, 1.0) on float, where the float formula divides midway.
 Zero tests go through the backend's ``is_zero`` and divisions through its
 ``div``.  Multiplying a float by the weight 1.0 is exact, so a homogeneous
 formula serves both backends where it performs the affine float operations
@@ -357,6 +359,14 @@ def _same_value(be: Backend, r1, r2, scaled: bool = False) -> bool:
     (n1, d1), (n2, d2) = r1, r2
     u, v = n1 * d2, n2 * d1
     return be.is_zero(u - v, (u, v) if scaled else ())
+
+
+def _ratio_of(be: Backend, n, d):
+    """n/d as a pair: (n, d) on exact, (n/d, 1.0) on float, for a formula
+    whose float form divides midway."""
+    if be.exact:
+        return n, d
+    return be.div(n, d), 1.0
 
 
 def _same_h(be: Backend, h1, h2) -> bool:
@@ -734,10 +744,7 @@ def _directed_tan_h(be: Backend, l1, l2):
     den = a1a2 + b1b2
     if be.is_zero(den, (a1a2, b1b2)):
         return None
-    num = a1 * b2 - a2 * b1
-    if be.exact:
-        return num, den
-    return be.div(num, den), 1.0
+    return _ratio_of(be, a1 * b2 - a2 * b1, den)
 
 
 def _tans_equal(be: Backend, t1, t2) -> bool:

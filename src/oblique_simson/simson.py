@@ -9,13 +9,17 @@ the perpendicular bisector of JH.
 
 The pipeline never solves a general quadratic: every second intersection is
 taken against a known common point (Vieta), so a rational instance yields a
-fully rational Scene.  On the exact backend vertex_point, apply_similarity
-and perspector_k write p and t as n/d and build their points from integer
-formulas through geom's homogeneous kernel, so the construction stage does
-no ``Fraction`` arithmetic.  construct_core is the single producer of J, the vertices,
-sides, altitudes, H, vertex circles and X, Y, Z, which build_scene and the
-audit in :mod:`oblique_simson.verify` both read; the audit's closed forms are
-compared against them and used nowhere else.
+fully rational Scene.  vertex_point and perspector_k read p and t as a pair
+(n, d), d = 1.0 on float, and build their points from one homogeneous
+formula through geom's ``_hom_point`` on both backends, as origin_j and
+circumcenter_o do from their integer tuples.  The similarity keeps an
+integer and a float body: its float form halves the coordinates before it
+adds, which the homogeneous form cannot match at subnormal or overflowing
+values.  On the exact backend the construction stage therefore does no
+``Fraction`` arithmetic.  construct_core is the single producer of J, the
+vertices, sides, altitudes, H, vertex circles and X, Y, Z, which
+build_scene and the audit in :mod:`oblique_simson.verify` both read; the
+audit's closed forms are compared against them and used nowhere else.
 """
 
 from __future__ import annotations
@@ -106,11 +110,11 @@ class Scene:
 
 
 def origin_j(backend: Backend) -> Point:
-    return geom.point(backend, 0, 0)
+    return geom._hom_point(backend, 0, 0, 1)
 
 
 def circumcenter_o(backend: Backend) -> Point:
-    return geom.point(backend, 1, 0)
+    return geom._hom_point(backend, 1, 0, 1)
 
 
 def circumcircle_sigma(backend: Backend) -> Circle:
@@ -120,13 +124,8 @@ def circumcircle_sigma(backend: Backend) -> Circle:
 
 def vertex_point(p: Scalar) -> Point:
     """The circumcircle point (2, 2p) / (1 + p^2) for vertex parameter p."""
-    be, v = p.backend, p.value
-    if be.exact:
-        n, d = v.numerator, v.denominator
-        dd = d * d
-        return geom._hom_point(be, 2 * dd, 2 * n * d, dd + n * n)
-    den = 1 + v * v
-    return Point(Scalar(be, be.div(2, den)), Scalar(be, be.div(2 * v, den)))
+    n, d = p._ratio()
+    return geom._hom_point(p.backend, 2 * d * d, 2 * n * d, d * d + n * n)
 
 
 def apply_similarity(t: Scalar, p: Point) -> Point:
@@ -160,13 +159,8 @@ def perspector_k(t: Scalar) -> Point:
     K = (8t^2, 4t) / (1 + 4t^2); independent of the vertex parameters, and
     equal to J itself at t = 0.
     """
-    be, v = t.backend, t.value
-    if be.exact:
-        n, d = v.numerator, v.denominator
-        nn = n * n
-        return geom._hom_point(be, 8 * nn, 4 * n * d, d * d + 4 * nn)
-    den = 1 + 4 * v * v
-    return Point(Scalar(be, be.div(8 * v * v, den)), Scalar(be, be.div(4 * v, den)))
+    n, d = t._ratio()
+    return geom._hom_point(t.backend, 8 * n * n, 4 * n * d, d * d + 4 * n * n)
 
 
 def q_point(h: Point, t: Scalar) -> Point:

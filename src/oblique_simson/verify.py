@@ -17,13 +17,16 @@ reads from :func:`simson.construct_core` (the checks above re-derive from the
 scene alone).  Two of them disagree with the construction on generic
 instances - the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2
 term) and the altitude constant term (off by 4(b+c)) - and the audit
-documents exactly that, per instance, without guessing intent.  On the exact
-backend each closed form is evaluated on integers: its parameters are read
-over one common denominator D (the lcm of their denominators, so p = P/D),
-each term is brought to the formula's top degree by a power of D, one
-``Fraction`` is built per stored coordinate (a line goes through geom's
-integer canonicalization), and the eq2.5 and eq2.6 rows compare by integer
-cross-multiplication.  The float branches compute on the float values.
+documents exactly that, per instance, without guessing intent.  Each closed
+form is one homogeneous formula for both backends: its parameters are read
+over one common denominator D (``_over_common``: integers over the lcm of
+their denominators on exact, so p = P/D, and the floats over D = 1.0 on
+float), and each term of the float formula, kept in its float order, is
+brought to the formula's top degree by a power of D.  A product with 1.0 is
+exact, so the float results keep every bit, and on exact the formula runs
+on integers.  Results go through geom's writers and ``Backend.div``, and the
+eq2.5 and eq2.6 rows compare (n, d) pairs with ``geom._same_value``, by
+integer cross-multiplication on exact.
 """
 
 from __future__ import annotations
@@ -485,9 +488,12 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 # -- audit of the handed-down closed forms ----------------------------------------
 
 
-def _over_common(*values: Scalar) -> Tuple[int, ...]:
-    """The exact values as integers N_i over one D (the lcm of their
-    denominators): (N_1, ..., N_k, D) with value_i = N_i / D."""
+def _over_common(*values: Scalar) -> Tuple:
+    """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D:
+    integers over the lcm of the denominators on exact, the floats over 1.0
+    on float."""
+    if not values[0].backend.exact:
+        return (*(v.value for v in values), 1.0)
     fracs = [v.value for v in values]
     d = math.lcm(*(f.denominator for f in fracs))
     return (*(f.numerator * (d // f.denominator) for f in fracs), d)
@@ -495,103 +501,68 @@ def _over_common(*values: Scalar) -> Tuple[int, ...]:
 
 def _printed_vertex_line(p: Scalar, t: Scalar) -> Line:
     # (p - 2t) x - (1 + 2pt) y + 4t = 0
-    if p.backend.exact:
-        P, T, D = _over_common(p, t)
-        return geom._line(p.backend, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
-    be, p, t = p.backend, p.value, t.value
-    return geom.make_line(*(Scalar(be, v) for v in (p - 2 * t, -(1 + 2 * p * t), 4 * t)))
+    P, T, D = _over_common(p, t)
+    return geom._line(p.backend, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
 
 
 def _printed_vertex_circle(p: Scalar, t: Scalar) -> Circle:
-    if p.backend.exact:
-        be = p.backend
-        P, T, D = _over_common(p, t)
-        den = D * D + P * P
-        return Circle(Scalar(be, Fraction(-2 * (D * D - 2 * P * T), den)),
-                      Scalar(be, Fraction(-2 * (P + 2 * T) * D, den)), be.scalar(0))
-    be, p, t = p.backend, p.value, t.value
-    den = 1 + p * p
-    return Circle(Scalar(be, be.div(-2 * (1 - 2 * p * t), den)),
-                  Scalar(be, be.div(-2 * (p + 2 * t), den)), be.scalar(0))
+    be = p.backend
+    P, T, D = _over_common(p, t)
+    den = D * D + P * P
+    return Circle(Scalar(be, be.div(-2 * (D * D - 2 * P * T), den)),
+                  Scalar(be, be.div(-2 * (P + 2 * T) * D, den)), be.scalar(0))
 
 
 def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar) -> Point:
-    if a.backend.exact:
-        A, B, C, D = _over_common(a, b, c)
-        D2, A2, B2, C2 = D * D, A * A, B * B, C * C
-        den = (D2 + A2) * (D2 + B2) * (D2 + C2)
-        x = 2 * ((2 * D2 + A2 + B2 + C2) * D2 * D2 - 2 * A2 * B2 * C2)
-        y = 2 * D * ((A + B + C) * D2 * D2 + A * B * C * (B * C + C * A + A * B)
-                     + (A * (B2 + C2) + B * (C2 + A2) + C * (A2 + B2)) * D2)
-        return geom._hom_point(a.backend, x, y, den)
-    be, a, b, c = a.backend, a.value, b.value, c.value
-    den = (1 + a * a) * (1 + b * b) * (1 + c * c)
-    a2, b2, c2 = a * a, b * b, c * c
-    x = be.div(2 * (2 + a2 + b2 + c2 - 2 * a2 * b2 * c2), den)
-    y = be.div(2 * (a + b + c
-                    + a * b2 * c2 + b * c2 * a2 + c * a2 * b2
-                    + a * b2 + a * c2 + b * c2 + b * a2 + c * a2 + c * b2), den)
-    return Point(Scalar(be, x), Scalar(be, y))
+    A, B, C, D = _over_common(a, b, c)
+    A2, B2, C2 = A * A, B * B, C * C
+    D2 = D * D
+    D4 = D2 * D2
+    den = (D2 + A2) * (D2 + B2) * (D2 + C2)
+    x = 2 * ((2 * D2 + A2 + B2 + C2) * D4 - 2 * A2 * B2 * C2)
+    y = 2 * ((A + B + C) * D4
+             + A * B2 * C2 + B * C2 * A2 + C * A2 * B2
+             + A * B2 * D2 + A * C2 * D2 + B * C2 * D2
+             + B * A2 * D2 + C * A2 * D2 + C * B2 * D2) * D
+    return geom._hom_point(a.backend, x, y, den)
 
 
 def _printed_altitude_coeffs(params: Params) -> Tuple[Scalar, Scalar, Scalar]:
     # (1+a^2)(b+c) x - (1+a^2)(1-bc) y + 2(a+b+c-abc) = 0, the altitude from A
-    if params.backend.exact:
-        be = params.backend
-        A, B, C, D = _over_common(params.a, params.b, params.c)
-        D2, lead = D * D, D * D + A * A
-        D3 = D2 * D
-        return (Scalar(be, Fraction(lead * (B + C), D3)),
-                Scalar(be, Fraction(-lead * (D2 - B * C), D3 * D)),
-                Scalar(be, Fraction(2 * ((A + B + C) * D2 - A * B * C), D3)))
-    be, a, b, c = params.backend, params.a.value, params.b.value, params.c.value
-    return (Scalar(be, (1 + a * a) * (b + c)),
-            Scalar(be, -(1 + a * a) * (1 - b * c)),
-            Scalar(be, 2 * (a + b + c - a * b * c)))
+    be = params.backend
+    A, B, C, D = _over_common(params.a, params.b, params.c)
+    D2, lead = D * D, D * D + A * A
+    D3 = D2 * D
+    return (Scalar(be, be.div(lead * (B + C), D3)),
+            Scalar(be, be.div(-lead * (D2 - B * C), D3 * D)),
+            Scalar(be, be.div(2 * ((A + B + C) * D2 - A * B * C), D3)))
 
 
 def _printed_xyz(own: Scalar, q: Scalar, r: Scalar, t: Scalar) -> Point:
-    if own.backend.exact:
-        O, Q, R, T, D = _over_common(own, q, r, t)
-        D2 = D * D
-        den = (D2 + O * O) * (D2 + Q * Q) * (D2 + R * R)
-        lead = O * Q * R + (Q + R - O) * D2
-        x = 2 * ((Q + R + 2 * T) * D2 - 2 * Q * R * T) * lead
-        y = 2 * lead * (Q * R + 2 * T * (Q + R) - D2) * D
-        return geom._hom_point(own.backend, x, y, den)
-    be, own, q, r, t = own.backend, own.value, q.value, r.value, t.value
-    den = (1 + own * own) * (1 + q * q) * (1 + r * r)
-    lead = own * q * r - own + q + r
-    x = be.div(2 * (q + r + 2 * t - 2 * q * r * t) * lead, den)
-    y = be.div(2 * lead * (q * r + 2 * t * (q + r) - 1), den)
-    return Point(Scalar(be, x), Scalar(be, y))
+    O, Q, R, T, D = _over_common(own, q, r, t)
+    D2 = D * D
+    den = (D2 + O * O) * (D2 + Q * Q) * (D2 + R * R)
+    lead = O * Q * R - O * D2 + Q * D2 + R * D2
+    x = 2 * ((Q + R + 2 * T) * D2 - 2 * Q * R * T) * lead
+    y = 2 * lead * (Q * R + 2 * T * (Q + R) - D2) * D
+    return geom._hom_point(own.backend, x, y, den)
 
 
 def _printed_hagge(params: Params) -> Circle:
     be = params.backend
-    if be.exact:
-        A, B, C, T, D = _over_common(params.a, params.b, params.c, params.t)
-        D2, A2, B2, C2 = D * D, A * A, B * B, C * C
-        D4, abc, sq = D2 * D2, A * B * C, A2 + B2 + C2
-        den = (D2 + A2) * (D2 + B2) * (D2 + C2)
-        sym = A2 * (B + C) + B2 * (C + A) + C2 * (A + B)
-        ee = B * C + C * A + A * B
-        xb = (abc * abc + 2 * abc * T * ee + 2 * T * sym * D2
-              + (2 * T * (A + B + C) - sq) * D4 - 2 * D4 * D2)
-        yb = (2 * abc * abc * T - abc * ee * D2 - (2 * T * sq + sym) * D4
-              - (A + B + C + 4 * T) * D4 * D2)
-        return Circle(Scalar(be, Fraction(2 * xb, den)),
-                      Scalar(be, Fraction(2 * yb, den * D)), be.scalar(0))
-    a, b, c, t = params.a.value, params.b.value, params.c.value, params.t.value
-    a2, b2, c2 = a * a, b * b, c * c
-    den = (1 + a2) * (1 + b2) * (1 + c2)
-    sym = a2 * b + a2 * c + b2 * c + b2 * a + c2 * a + c2 * b
-    ee = b * c + c * a + a * b
-    xb = (a2 * b2 * c2 + 2 * a * b * c * t * ee + 2 * t * sym
-          + 2 * t * (a + b + c) - a2 - b2 - c2 - 2)
-    yb = (2 * a2 * b2 * c2 * t - a * b * c * ee - 2 * t * (a2 + b2 + c2)
-          - sym - (a + b + c + 4 * t))
-    return Circle(Scalar(be, be.div(2 * xb, den)), Scalar(be, be.div(2 * yb, den)),
+    A, B, C, T, D = _over_common(params.a, params.b, params.c, params.t)
+    A2, B2, C2 = A * A, B * B, C * C
+    D2 = D * D
+    D4 = D2 * D2
+    D6 = D4 * D2
+    den = (D2 + A2) * (D2 + B2) * (D2 + C2)
+    sym = A2 * B + A2 * C + B2 * C + B2 * A + C2 * A + C2 * B
+    ee = B * C + C * A + A * B
+    xb = (A2 * B2 * C2 + 2 * A * B * C * T * ee + 2 * T * sym * D2
+          + 2 * T * (A + B + C) * D4 - A2 * D4 - B2 * D4 - C2 * D4 - 2 * D6)
+    yb = (2 * A2 * B2 * C2 * T - A * B * C * ee * D2 - 2 * T * (A2 + B2 + C2) * D4
+          - sym * D4 - (A + B + C + 4 * T) * D6)
+    return Circle(Scalar(be, be.div(2 * xb, den)), Scalar(be, be.div(2 * yb, den * D)),
                   be.scalar(0))
 
 
@@ -639,32 +610,19 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     pa, pb, pc = _printed_altitude_coeffs(params)
     built = core.altitudes["A"]
     be = params.backend
-    if be.exact:
-        # printed p/q against the constructive integers, cross-multiplied
-        (rn, rd), (sn, sd), (cn, cd) = ((v.value.numerator, v.value.denominator)
-                                        for v in (pa, pb, pc))
-        ba, bb, bc = built._h
-        if rn * sd * bb != sn * rd * ba:
-            wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
-                     "constructive": _fmt_line(built)}
-            return wcoef, None
-        # the constant term rescaled by lambda = pa/ba (or pb/bb when ba = 0)
-        num, den = (rn * bc, rd * ba) if ba != 0 else (sn * bc, sd * bb)
-        if cn * den != num * cd:
-            return None, {"printed": _fmt(pc),
-                          "constructive": _fmt(Scalar(be, Fraction(num, den)))}
-        return None, None
-    ra, rb, rc = pa.value, pb.value, pc.value
-    ba, bb, bc = built.a.value, built.b.value, built.c.value
-    ra_bb, rb_ba = ra * bb, rb * ba
-    if not be.is_zero(ra_bb - rb_ba, (ra_bb, rb_ba)):
+    (rn, rd), (sn, sd) = pa._ratio(), pb._ratio()
+    ba, bb, bc = built._h
+    if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
         wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
                  "constructive": _fmt_line(built)}
         return wcoef, None
-    lam = be.div(ra, ba) if not be.is_zero(ba) else be.div(rb, bb)
-    scaled_const = lam * bc
-    if not be.is_zero(rc - scaled_const, (rc, scaled_const)):
-        return None, {"printed": _fmt(pc), "constructive": _fmt(Scalar(be, scaled_const))}
+    # lambda = pa/ba (or pb/bb when ba = 0), divided out before it scales the
+    # constant term: the float result depends on that order
+    ln, ld = (geom._ratio_of(be, rn, rd * ba) if not be.is_zero(ba)
+              else geom._ratio_of(be, sn, sd * bb))
+    scaled = ln * bc, ld
+    if not geom._same_value(be, pc._ratio(), scaled, scaled=True):
+        return None, {"printed": _fmt(pc), "constructive": _fmt(Scalar(be, be.div(*scaled)))}
     return None, None
 
 

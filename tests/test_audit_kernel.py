@@ -1,15 +1,19 @@
-"""The audit's printed formulas on integers against the rational bodies they
-replaced.
+"""The audit's printed formulas, written once for both backends, against
+the bodies they replaced.
 
-On the exact backend ``verify`` evaluates each printed closed form as an
-integer polynomial over one common denominator of its parameters, and
-``_audit_eq25``/``_audit_eq26`` compare by integer cross-multiplication.  The
-reference below is the earlier code, kept verbatim (same names, same
-bodies): it computes on the ``Fraction`` (or ``float``) values and divides
-with ``Backend.div``.  Every printed object, and the whole
-``audit_printed_formulas`` report, must have the same ``repr`` on seeded
-parameters of magnitude 10, 10^6 and 10^200, including the instances whose
-verdicts change (a = 0, abc = 0, b + c = 0) and t = 0, on both backends.  A
+``verify`` evaluates each printed closed form as one homogeneous
+polynomial over a common denominator D of its parameters: integers over
+their lcm on exact, the floats over D = 1.0 on float, where each term keeps
+the float operations in their order (a product with 1.0 is exact).  The
+``_audit_eq25``/``_audit_eq26`` rows compare (n, d) pairs through
+``geom._same_value`` on both backends.  The reference below is the earlier
+code, kept verbatim (same names, same bodies): it computes on the
+``Fraction`` (or ``float``) values and divides with ``Backend.div``.  Every
+printed object, and the whole ``audit_printed_formulas`` report, must have
+the same ``repr``, or raise the same exception with the same message, on
+seeded parameters of magnitude 10, 10^6 and 10^200, including the instances
+whose verdicts change (a = 0, abc = 0, b + c = 0) and t = 0, on both
+backends, and on float at -0.0, the least subnormal, 1e-300 and 1e150.  A
 guard makes every ``Fraction`` arithmetic and ordering operator raise and
 runs the integer paths.
 """
@@ -133,6 +137,18 @@ def special_params(mag):
             (0, p, -p, 0)]
 
 
+# float values where a product with 1.0 must keep every bit: a signed zero,
+# the least subnormal, a tiny and a huge normal
+FLOAT_EDGES = (-0.0, 5e-324, 1e-300, 1e150)
+
+
+def float_edge_params():
+    """Each edge value as a vertex parameter and as t, and rows mixing them."""
+    rows = [(e, Fraction(1, 2), -2, Fraction(3, 4)) for e in FLOAT_EDGES]
+    rows += [(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), e) for e in FLOAT_EDGES]
+    return rows + [(1e-300, 1e150, -3, -0.0), (5e-324, -1e150, 2, 1e-300)]
+
+
 def drawn_params(mag, seed, count):
     rng = random.Random(seed)
 
@@ -203,7 +219,8 @@ def test_audit_matches_rational_bodies(backend, mag, seed, count, monkeypatch,
                                        no_text_limit):
     be = BACKENDS[backend]
     verdicts = set()
-    for raw in special_params(mag) + drawn_params(mag, seed, count):
+    edges = [] if be.exact else float_edge_params()
+    for raw in special_params(mag) + drawn_params(mag, seed, count) + edges:
         params = Params.make(*raw, backend=be)
         for name, args in printed_calls(params):
             want = outcome(REFERENCE[name], args)

@@ -1,13 +1,16 @@
-"""simson's integer helpers against the rational bodies they replaced.
+"""simson's vertex, similarity and perspector formulas against the bodies
+they replaced.
 
-On the exact backend ``vertex_point``, ``apply_similarity`` and
-``perspector_k`` write p and t as n/d, read a point as homogeneous integers
-and evaluate one integer formula per coordinate.  The reference below is the
-earlier code, kept verbatim (same names, same bodies): it computes on the
-``Fraction`` (or ``float``) values and divides with ``Backend.div``.  Every
-result must have the same ``repr``, or raise the same exception type with
-the same message, at magnitudes 10, 10^6 and 10^200, with t = 0, p = 0 and
-negative p among the inputs, on both backends.
+``vertex_point`` and ``perspector_k`` write p and t as a pair (n, d), with
+d = 1.0 on float, and evaluate one homogeneous formula through geom's
+``_hom_point`` on both backends; ``apply_similarity`` keeps an integer and a
+float body.  The reference below is the earlier code, kept verbatim (same
+names, same bodies): it computes on the ``Fraction`` (or ``float``) values
+and divides with ``Backend.div``.  Every result must have the same
+``repr``, or raise the same exception type with the same message, at
+magnitudes 10, 10^6 and 10^200, with t = 0, p = 0 and negative p among the
+inputs, on both backends, and on float at -0.0, the least subnormal, 1e-300
+and 1e150.
 """
 
 import random
@@ -58,6 +61,11 @@ def perspector_k(t: Scalar) -> Point:
 # -- the comparison ---------------------------------------------------------------------
 
 
+# float values where a product with 1.0 must keep every bit: a signed zero,
+# the least subnormal, a tiny and a huge normal
+FLOAT_EDGES = (-0.0, 5e-324, 1e-300, 1e150)
+
+
 def values(mag, seed, count):
     """0, negative and mixed-sign rationals up to mag, then seeded ones."""
     rng = random.Random(seed)
@@ -79,7 +87,8 @@ def outcome(fn, args):
     (FloatBackend(1e-9), 10, 4, 20), (FloatBackend(1e-9), 10 ** 6, 5, 10),
 ], ids=["exact-mag10", "exact-mag1e6", "exact-mag1e200", "float-mag10", "float-mag1e6"])
 def test_helpers_match_rational_bodies(backend, mag, seed, count):
-    scalars = [backend.scalar(v) for v in values(mag, seed, count)]
+    edges = [] if backend.exact else [backend.scalar(v) for v in FLOAT_EDGES]
+    scalars = [backend.scalar(v) for v in values(mag, seed, count)] + edges
     rng = random.Random(seed)
     for p in scalars:
         assert outcome(simson.vertex_point, (p,)) == outcome(vertex_point, (p,)), p
@@ -88,7 +97,7 @@ def test_helpers_match_rational_bodies(backend, mag, seed, count):
     points = [Point(x, y) for x, y in zip(scalars, reversed(scalars))]
     points += [vertex_point(p) for p in scalars[:6]]
     for pt in points:
-        for t in [scalars[0]] + rng.sample(scalars, 4):  # t = 0 first
+        for t in [scalars[0]] + rng.sample(scalars, 4) + edges:  # t = 0 first
             assert outcome(simson.apply_similarity, (t, pt)) == \
                 outcome(apply_similarity, (t, pt)), (t, pt)
     other = FloatBackend(1e-6) if backend.exact else EXACT

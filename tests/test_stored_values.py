@@ -441,16 +441,17 @@ def test_unread_lazy_scalar_compares_as_eager(n, d):
 
 
 def test_run_checks_builds_few_fractions(monkeypatch):
-    """A kernel result builds no Fraction until read, the stage builds J
-    once, and the checks compare integers: the golden instance's build and
-    checks create 7, the integer coordinates of J, O and Sigma (232 when
-    each coordinate built one, 33 when the checks built objects)."""
+    """A kernel result builds no Fraction until read, J and O are born
+    holding their integers, and the checks compare integers: the golden
+    instance's build and checks create 3, the coefficients of Sigma (232
+    when each coordinate built one, 33 when the checks built objects, 7 when
+    J and O built theirs)."""
     params = Params.make(1, 2, 3, Fraction(1, 2))
     built = count_fractions(monkeypatch)
     report = verify.run_checks(simson.build_scene(params))
     monkeypatch.undo()
     assert report.all_pass
-    assert len(built) == 7
+    assert len(built) == 3
 
 
 # -- hashing ---------------------------------------------------------------------------
