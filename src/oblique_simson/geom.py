@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (
@@ -167,10 +166,7 @@ class Circle:
 
     def radius_sq(self) -> Scalar:
         be = self.backend
-        d, e, f, v = self._h
-        if be.exact:
-            return Scalar(be, Fraction(d * d + e * e - 4 * f * v, 4 * v * v))
-        return Scalar(be, (d * d + e * e) / 4 - f)
+        return Scalar(be, be.div(*_radius_sq_h(be, self._h)))
 
     def __repr__(self) -> str:
         d, e, f = map(format_scalar, (self.d, self.e, self.f))
@@ -325,10 +321,11 @@ def _require_proper(d, e, f, v) -> None:
 
 def _circle_h(be: Backend, d, e, f, v=1):
     """The canonical tuple of v(x^2 + y^2) + dx + ey + f = 0: gcd 1 and
-    v > 0 on exact, (d, e, f, 1.0) with v = 1 on float."""
+    v > 0 on exact, the floats (d/v, e/v, f/v, 1.0) on float (v = 1 gives
+    the entries as floats)."""
     _require_proper(d, e, f, v)
     if not be.exact:
-        return d, e, f, 1.0
+        return d / v, e / v, f / v, 1.0
     g = math.gcd(d, e, f, v)
     if v < 0:
         g = -g
@@ -590,6 +587,15 @@ def circle_center_through(center: Point, p: Point) -> Circle:
 def _center_h(be: Backend, c, write=_point_h):
     d, e, _, v = c
     return write(be, -d, -e, 2 * v)
+
+
+def _radius_sq_h(be: Backend, c):
+    """The squared radius as a pair (n, d): (d^2 + e^2 - 4fv, 4v^2) on exact;
+    on float the affine formula's value over 1.0."""
+    d, e, f, v = c
+    if be.exact:
+        return d * d + e * e - 4 * f * v, 4 * v * v
+    return (d * d + e * e) / 4 - f, 1.0
 
 
 def _radical_h(be: Backend, c1, c2, write=_line_h):

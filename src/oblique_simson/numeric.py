@@ -4,7 +4,7 @@ The exact backend works on :class:`fractions.Fraction` (arbitrary-precision,
 always canonical: positive denominator, gcd-reduced, zero as 0/1), so every
 identity the geometry asserts can be checked as a literal equality.  The
 approximate backend works on finite binary floats together with an absolute
-tolerance ``eps_abs`` (finite and positive); its zero test is
+tolerance ``eps_abs`` (0 < eps_abs < 1); its zero test is
 ``|x| <= eps_abs``, optionally scaled by the magnitude of the quantities that
 produced ``x``.
 
@@ -25,7 +25,8 @@ Scalar of the same backend (``+ - * /`` and ``==``); a Scalar of another
 backend raises :class:`~oblique_simson.errors.BackendMismatch`, and any
 other operand raises ``TypeError``.  An exact Scalar hashes by its value; a
 float Scalar, equal to others within a tolerance, is unhashable.  The exact
-results of :mod:`~oblique_simson.geom` hold a numerator and denominator and
+results of :mod:`~oblique_simson.geom`, and "p/q" text read by
+:meth:`ExactBackend.parse`, hold a numerator and denominator and
 build their ``Fraction`` on the first read of ``.value``, so a coordinate
 nothing reads costs no ``Fraction`` (:func:`format_scalar` writes it from
 the integers); they behave as any other Scalar.
@@ -129,16 +130,16 @@ class ExactBackend(Backend):
 
     def parse(self, text: str) -> "Scalar":
         """As :meth:`Backend.parse`; "p" and "p/q" in ASCII digits with
-        q != 0 are read as integers, anything else by parse_rational."""
+        q != 0 are read as an integer pair and give a lazy Scalar, which
+        builds no ``Fraction`` until ``.value`` is read; anything else goes
+        through parse_rational."""
         m = _PLAIN_RATIONAL(text)
         if m is not None:
             p, q = m.groups()
             try:
-                if q is None:
-                    return Scalar(self, Fraction(int(p)))
-                den = int(q)
+                den = 1 if q is None else int(q)
                 if den:
-                    return Scalar(self, Fraction(int(p), den))
+                    return _LazyExact(self, int(p), den)
             except ValueError:  # past the integer-to-text limit
                 pass
         return Scalar(self, parse_rational(text))
@@ -160,8 +161,9 @@ class FloatBackend(Backend):
     exact = False
 
     def __init__(self, eps_abs: float = 1e-9):
-        if not (math.isfinite(eps_abs) and eps_abs > 0):
-            raise ValueError(f"eps_abs must be finite and positive, got {eps_abs!r}")
+        # at eps_abs >= 1, is_zero(1.0) holds and every division raises
+        if not 0 < eps_abs < 1:
+            raise ValueError(f"eps_abs must satisfy 0 < eps_abs < 1, got {eps_abs!r}")
         self.eps_abs = float(eps_abs)
 
     def coerce(self, value) -> float:

@@ -2,9 +2,15 @@
 
 JSON keeps exact-backend values as canonical "p/q" strings (never floats), so
 a document round-trips to an identical Scene.  Float-backend scenes store
-plain JSON numbers plus the backend tolerance.  The exact reader takes the
-writer's form ("p" or "p/q" in ASCII digits, q nonzero) as two integers and
-builds one ``Fraction`` per value; any other string goes through
+plain JSON numbers plus the backend tolerance.  The writer formats the
+schema-1 layout itself, byte for byte as ``json.dumps(document, indent=2)``
+lays it out: exact values through
+:func:`~oblique_simson.numeric.format_scalar`, float values as ``json.dumps``
+writes them, and names and flags through ``json``'s own string encoder;
+:func:`scene_to_document` parses that text.  The exact reader takes the
+writer's form ("p" or "p/q" in ASCII digits, q nonzero) through
+:meth:`~oblique_simson.numeric.ExactBackend.parse` as an integer pair held in
+a lazy Scalar, so it builds no ``Fraction``; any other string goes through
 :func:`~oblique_simson.numeric.parse_rational`.  A schema that is not the
 integer 1, or a non-null ``eps_abs`` on an exact document, is malformed.
 
@@ -12,13 +18,16 @@ SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
 then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
 formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
 are clipped to the viewBox; circles are drawn whole even if they overflow.
-An exact value is drawn at the correctly rounded quotient of its numerator
-and denominator, as ``float()`` of a ``Fraction`` gives.
+Points and circles are drawn from their ``_h`` tuples: a point (X, Y, W) at
+X/W, a circle's centre at -d/(2v) and its squared radius from geom's
+``_radius_sq_h``.  An exact value is drawn at the correctly rounded quotient
+of its numerator and denominator, as ``float()`` of a ``Fraction`` gives.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import List, Optional, Tuple
 
 from . import geom
@@ -27,6 +36,9 @@ from .numeric import EXACT, Backend, FloatBackend, Scalar, format_scalar
 from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
 
 SCHEMA_VERSION = 1
+
+# json.dumps' own string encoder (ASCII output), for names and flags
+_string = json.encoder.encode_basestring_ascii
 
 # rendering constants: canonical-frame coordinates are O(1), so scale up
 _PX_PER_UNIT = 200.0
@@ -49,24 +61,51 @@ def _scalar_from_json(value, backend: Backend) -> Scalar:
     raise ParseError(f"float scene document requires numeric scalars, got {value!r}")
 
 
-def scene_to_document(scene: Scene) -> dict:
-    """Build the versioned, JSON-ready mapping for a Scene."""
+def _float_text(x: Scalar) -> str:
+    value = x.value
+    # json.dumps writes a finite number as its repr, and spells out the others
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _block(members: List[str], depth: int, brackets: str = "{}") -> str:
+    """The text json.dumps(..., indent=2) gives a container at nesting
+    *depth* whose members are already written."""
+    if not members:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(members)}\n{'  ' * depth}{brackets[1]}"
+
+
+def scene_to_json(scene: Scene) -> str:
+    """The schema-1 document of a Scene as JSON text, byte for byte what
+    ``json.dumps(document, indent=2) + "\n"`` writes."""
     backend = scene.backend
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "backend": backend.name,
-        "eps_abs": None if backend.exact else backend.eps_abs,
-        "params": {k: _scalar_to_json(getattr(scene.params, k))
-                   for k in ("a", "b", "c", "t")},
-        "points": {n: [_scalar_to_json(p.x), _scalar_to_json(p.y)]
-                   for n, p in scene.points.items()},
-        "lines": {n: [_scalar_to_json(l.a), _scalar_to_json(l.b), _scalar_to_json(l.c)]
-                  for n, l in scene.lines.items()},
-        "circles": {n: [_scalar_to_json(C.d), _scalar_to_json(C.e), _scalar_to_json(C.f)]
-                    for n, C in scene.circles.items()},
-        "flags": list(scene.flags),
-    }
-    return doc
+    # an exact value is a string of digits, "-" and "/", which need no escape
+    text, q = (format_scalar, '"') if backend.exact else (_float_text, "")
+    sep = f'{q},\n      {q}'
+
+    def section(objects, fields):
+        # each object is an array of two or three numbers
+        return _block([f"{_string(name)}: [\n      {q}{sep.join(map(text, fields(obj)))}{q}"
+                       "\n    ]" for name, obj in objects.items()], 1)
+
+    params = scene.params
+    members = [
+        f'"schema": {SCHEMA_VERSION}',
+        f'"backend": {_string(backend.name)}',
+        '"eps_abs": ' + json.dumps(None if backend.exact else backend.eps_abs),
+        '"params": ' + _block([f'"{k}": {q}{text(getattr(params, k))}{q}' for k in "abct"], 1),
+        '"points": ' + section(scene.points, lambda p: (p.x, p.y)),
+        '"lines": ' + section(scene.lines, lambda l: (l.a, l.b, l.c)),
+        '"circles": ' + section(scene.circles, lambda C: (C.d, C.e, C.f)),
+        '"flags": ' + _block([_string(f) for f in scene.flags], 1, "[]"),
+    ]
+    return _block(members, 0) + "\n"
+
+
+def scene_to_document(scene: Scene) -> dict:
+    """The versioned, JSON-ready mapping for a Scene: scene_to_json's text, parsed."""
+    return json.loads(scene_to_json(scene))
 
 
 def document_to_scene(doc: dict) -> Scene:
@@ -111,10 +150,6 @@ def document_to_scene(doc: dict) -> Scene:
                  flags=tuple(flags))
 
 
-def scene_to_json(scene: Scene) -> str:
-    return json.dumps(scene_to_document(scene), indent=2) + "\n"
-
-
 def scene_from_json(text: str) -> Scene:
     try:
         doc = json.loads(text)
@@ -150,20 +185,19 @@ def scene_summary(scene: Scene) -> str:
 # -- SVG ------------------------------------------------------------------------
 
 
-def _float(x: Scalar) -> float:
+def _quotient(n, d) -> float:
+    """n / d as a float: correctly rounded for ints, as float() of a
+    Fraction gives; OutputError past the float range."""
     try:
-        if x.backend.exact:
-            # the correctly rounded int division Fraction's float() does
-            n, d = x._ratio()
-            return n / d
-        return float(x)
+        return n / d
     except OverflowError as exc:
         raise OutputError("scene value exceeds the float range of the SVG canvas") from exc
 
 
-def _to_canvas(p: geom.Point) -> Tuple[float, float]:
-    # y axis flipped: SVG grows downwards
-    return _float(p.x) * _PX_PER_UNIT, -_float(p.y) * _PX_PER_UNIT
+def _canvas(be, x, y, w) -> Tuple[float, float]:
+    """The canvas position of the point (x/w, y/w), a geom point writer: y
+    axis flipped, as SVG grows downwards."""
+    return _quotient(x, w) * _PX_PER_UNIT, -_quotient(y, w) * _PX_PER_UNIT
 
 
 def _f(v: float) -> str:
@@ -205,7 +239,8 @@ def render_svg(scene: Scene) -> str:
 
     Raises OutputError when a scene value does not fit a float.
     """
-    canvas = {name: _to_canvas(p) for name, p in scene.points.items()}
+    be = scene.backend
+    canvas = {name: _canvas(be, *p._h) for name, p in scene.points.items()}
     xs = [v[0] for v in canvas.values()]
     ys = [v[1] for v in canvas.values()]
     width = max(xs) - min(xs)
@@ -233,8 +268,8 @@ def render_svg(scene: Scene) -> str:
         l = scene.lines[name]
         # canvas coords: x_c = s*x, y_c = -s*y, so ax+by+c=0 becomes
         # a*x_c - b*y_c + s*c = 0
-        seg = _clip_line_to_box(_float(l.a), -_float(l.b),
-                                _PX_PER_UNIT * _float(l.c), box)
+        a, b, c = (_quotient(*v._ratio()) for v in (l.a, l.b, l.c))
+        seg = _clip_line_to_box(a, -b, _PX_PER_UNIT * c, box)
         if seg is None:
             continue
         stroke = "#cc0000" if name == "gwsLine" else "#555555"
@@ -243,10 +278,9 @@ def render_svg(scene: Scene) -> str:
             f'x2="{_f(seg[2])}" y2="{_f(seg[3])}" stroke="{stroke}" stroke-width="1"/>'
         )
     for name in sorted(scene.circles):
-        C = scene.circles[name]
-        center = C.center()
-        cx, cy = _to_canvas(center)
-        radius = _float(C.radius_sq()) ** 0.5 * _PX_PER_UNIT
+        h = scene.circles[name]._h
+        cx, cy = geom._center_h(be, h, _canvas)
+        radius = _quotient(*geom._radius_sq_h(be, h)) ** 0.5 * _PX_PER_UNIT
         parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
             'fill="none" stroke="#1f77b4" stroke-width="1"/>'

@@ -119,7 +119,7 @@ def circumcenter_o(backend: Backend) -> Point:
 
 def circumcircle_sigma(backend: Backend) -> Circle:
     """x^2 + y^2 - 2x = 0: center (1, 0), radius 1."""
-    return Circle(backend.scalar(-2), backend.scalar(0), backend.scalar(0))
+    return geom._circle(backend, -2, 0, 0)
 
 
 def vertex_point(p: Scalar) -> Point:

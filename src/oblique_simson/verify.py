@@ -24,9 +24,13 @@ their denominators on exact, so p = P/D, and the floats over D = 1.0 on
 float), and each term of the float formula, kept in its float order, is
 brought to the formula's top degree by a power of D.  A product with 1.0 is
 exact, so the float results keep every bit, and on exact the formula runs
-on integers.  Results go through geom's writers and ``Backend.div``, and the
-eq2.5 and eq2.6 rows compare (n, d) pairs with ``geom._same_value``, by
-integer cross-multiplication on exact.
+on integers.  Each closed form returns what geom's tuple functions return: a
+canonical tuple from ``_point_h``, ``_line_h`` or ``_circle_h``, or (n, d)
+pairs from ``_ratio_of`` for the altitude coefficients.  The rows compare
+them with the construction's ``_h`` tuples (``_same_h``, ``_line_is``, and
+``_same_value`` by integer cross-multiplication on exact), the circle S
+comes from ``_circle_through3_h`` on X, Y and Z, and a row builds a Point,
+Line, Circle or Scalar only for a MISMATCH witness.
 """
 
 from __future__ import annotations
@@ -106,6 +110,15 @@ def _fmt_h(be, h) -> str:
     return _fmt_point(geom._hom_point(be, *h))
 
 
+def _fmt_circle_h(be, h) -> str:
+    return _fmt_circle(geom._circle(be, *h))
+
+
+def _fmt_ratio(be, r) -> str:
+    """The value n/d of a pair (n, d)."""
+    return _fmt(Scalar(be, be.div(*r)))
+
+
 def _incidences_on_circle(be, circle: Circle, named: Sequence[Tuple[str, Point]]):
     for name, p in named:
         if not geom._on_circle_h(be, circle._h, p._h):
@@ -133,7 +146,7 @@ def _chk_q_equidistant(scene: Scene):
     pts, be = scene.points, scene.backend
     dj, dh = (geom._dist_sq_h(be, pts["Q"]._h, pts[n]._h) for n in "JH")
     if not geom._same_value(be, dj, dh, scaled=True):
-        return {"QJ^2": _fmt(Scalar(be, be.div(*dj))), "QH^2": _fmt(Scalar(be, be.div(*dh)))}
+        return {"QJ^2": _fmt_ratio(be, dj), "QH^2": _fmt_ratio(be, dh)}
     return None
 
 
@@ -159,8 +172,8 @@ def _chk_similarity_ratio(scene: Scene):
         n, d = geom._dist_sq_h(be, j, pts[v]._h)
         lhs, rhs = (4 * n0, d0), (ratio_n * n, ratio_d * d)
         if not geom._same_value(be, lhs, rhs, scaled=True):
-            return {"vertex": v, "4*|J->image|^2": _fmt(Scalar(be, be.div(*lhs))),
-                    "(1+4t^2)*|J->vertex|^2": _fmt(Scalar(be, be.div(*rhs)))}
+            return {"vertex": v, "4*|J->image|^2": _fmt_ratio(be, lhs),
+                    "(1+4t^2)*|J->vertex|^2": _fmt_ratio(be, rhs)}
     return None
 
 
@@ -287,7 +300,7 @@ def _chk_concyclic_chains(scene: Scene):
 
 def _chk_t_zero_reduction(scene: Scene):
     pts, be = scene.points, scene.backend
-    if not be.is_zero(scene.params.t.value):
+    if not be.is_zero(scene.params.t._ratio()[0]):
         return {"note": "not applicable: t != 0", "_pass": "1"}
     j = pts["J"]._h
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
@@ -494,26 +507,24 @@ def _over_common(*values: Scalar) -> Tuple:
     on float."""
     if not values[0].backend.exact:
         return (*(v.value for v in values), 1.0)
-    fracs = [v.value for v in values]
-    d = math.lcm(*(f.denominator for f in fracs))
-    return (*(f.numerator * (d // f.denominator) for f in fracs), d)
+    pairs = [v._ratio() for v in values]
+    d = math.lcm(*(q for _, q in pairs))
+    return (*(p * (d // q) for p, q in pairs), d)
 
 
-def _printed_vertex_line(p: Scalar, t: Scalar) -> Line:
+def _printed_vertex_line(p: Scalar, t: Scalar):
     # (p - 2t) x - (1 + 2pt) y + 4t = 0
     P, T, D = _over_common(p, t)
-    return geom._line(p.backend, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
+    return geom._line_h(p.backend, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
 
 
-def _printed_vertex_circle(p: Scalar, t: Scalar) -> Circle:
-    be = p.backend
+def _printed_vertex_circle(p: Scalar, t: Scalar):
     P, T, D = _over_common(p, t)
-    den = D * D + P * P
-    return Circle(Scalar(be, be.div(-2 * (D * D - 2 * P * T), den)),
-                  Scalar(be, be.div(-2 * (P + 2 * T) * D, den)), be.scalar(0))
+    return geom._circle_h(p.backend, -2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D, 0,
+                          D * D + P * P)
 
 
-def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar) -> Point:
+def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar):
     A, B, C, D = _over_common(a, b, c)
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
@@ -524,32 +535,31 @@ def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar) -> Point:
              + A * B2 * C2 + B * C2 * A2 + C * A2 * B2
              + A * B2 * D2 + A * C2 * D2 + B * C2 * D2
              + B * A2 * D2 + C * A2 * D2 + C * B2 * D2) * D
-    return geom._hom_point(a.backend, x, y, den)
+    return geom._point_h(a.backend, x, y, den)
 
 
-def _printed_altitude_coeffs(params: Params) -> Tuple[Scalar, Scalar, Scalar]:
+def _printed_altitude_coeffs(params: Params):
     # (1+a^2)(b+c) x - (1+a^2)(1-bc) y + 2(a+b+c-abc) = 0, the altitude from A
     be = params.backend
     A, B, C, D = _over_common(params.a, params.b, params.c)
     D2, lead = D * D, D * D + A * A
     D3 = D2 * D
-    return (Scalar(be, be.div(lead * (B + C), D3)),
-            Scalar(be, be.div(-lead * (D2 - B * C), D3 * D)),
-            Scalar(be, be.div(2 * ((A + B + C) * D2 - A * B * C), D3)))
+    return (geom._ratio_of(be, lead * (B + C), D3),
+            geom._ratio_of(be, -lead * (D2 - B * C), D3 * D),
+            geom._ratio_of(be, 2 * ((A + B + C) * D2 - A * B * C), D3))
 
 
-def _printed_xyz(own: Scalar, q: Scalar, r: Scalar, t: Scalar) -> Point:
+def _printed_xyz(own: Scalar, q: Scalar, r: Scalar, t: Scalar):
     O, Q, R, T, D = _over_common(own, q, r, t)
     D2 = D * D
     den = (D2 + O * O) * (D2 + Q * Q) * (D2 + R * R)
     lead = O * Q * R - O * D2 + Q * D2 + R * D2
     x = 2 * ((Q + R + 2 * T) * D2 - 2 * Q * R * T) * lead
     y = 2 * lead * (Q * R + 2 * T * (Q + R) - D2) * D
-    return geom._hom_point(own.backend, x, y, den)
+    return geom._point_h(own.backend, x, y, den)
 
 
-def _printed_hagge(params: Params) -> Circle:
-    be = params.backend
+def _printed_hagge(params: Params):
     A, B, C, T, D = _over_common(params.a, params.b, params.c, params.t)
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
@@ -562,39 +572,39 @@ def _printed_hagge(params: Params) -> Circle:
           + 2 * T * (A + B + C) * D4 - A2 * D4 - B2 * D4 - C2 * D4 - 2 * D6)
     yb = (2 * A2 * B2 * C2 * T - A * B * C * ee * D2 - 2 * T * (A2 + B2 + C2) * D4
           - sym * D4 - (A + B + C + 4 * T) * D6)
-    return Circle(Scalar(be, be.div(2 * xb, den)), Scalar(be, be.div(2 * yb, den * D)),
-                  be.scalar(0))
+    # d = 2 xb / den and e = 2 yb / (den D), over the common weight den D
+    return geom._circle_h(params.backend, 2 * xb * D, 2 * yb, 0, den * D)
 
 
 def _audit_eq23(params: Params, core: Core):
+    be = params.backend
     for v in simson.VERTEX_ORDER:
         printed = _printed_vertex_line(params.vertex_parameter(v), params.t)
-        if not geom.lines_equal(printed, core.joins[v]):
-            return {"vertex": v, "printed": _fmt_line(printed),
+        if not geom._line_is(be, printed, core.joins[v]):
+            return {"vertex": v, "printed": _fmt_line(geom._line_of(be, printed)),
                     "constructive": _fmt_line(core.joins[v])}
     return None
 
 
 def _audit_eq24(params: Params, core: Core):
+    be = params.backend
     for v in simson.VERTEX_ORDER:
         printed = _printed_vertex_circle(params.vertex_parameter(v), params.t)
-        if not geom.circles_equal(printed, core.circles[v]):
-            return {"vertex": v, "printed": _fmt_circle(printed),
+        if not geom._same_h(be, printed, core.circles[v]._h):
+            return {"vertex": v, "printed": _fmt_circle_h(be, printed),
                     "constructive": _fmt_circle(core.circles[v])}
     return None
 
 
 def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
-    printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
-    be = params.backend
+    be, built = params.backend, core.h
+    printed = _printed_orthocenter(params.a, params.b, params.c)
+    (px, py, pw), (bx, by, bw) = printed, built._h
     wx = wy = None
-    (px, py, pw), (bx, by, bw) = printed._h, built._h
-    x_off = not geom._same_value(be, (px, pw), (bx, bw), scaled=True)
-    y_off = not geom._same_value(be, (py, pw), (by, bw), scaled=True)
-    if x_off:
-        wx = {"printed": _fmt(printed.x), "constructive": _fmt(built.x)}
-    if y_off:
-        wy = {"printed": _fmt(printed.y), "constructive": _fmt(built.y)}
+    if not geom._same_value(be, (px, pw), (bx, bw), scaled=True):
+        wx = {"printed": _fmt_ratio(be, (px, pw)), "constructive": _fmt(built.x)}
+    if not geom._same_value(be, (py, pw), (by, bw), scaled=True):
+        wy = {"printed": _fmt_ratio(be, (py, pw)), "constructive": _fmt(built.y)}
     return wx, wy
 
 
@@ -610,10 +620,10 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     pa, pb, pc = _printed_altitude_coeffs(params)
     built = core.altitudes["A"]
     be = params.backend
-    (rn, rd), (sn, sd) = pa._ratio(), pb._ratio()
+    (rn, rd), (sn, sd) = pa, pb
     ba, bb, bc = built._h
     if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
-        wcoef = {"printed": f"[{_fmt(pa)}, {_fmt(pb)}]",
+        wcoef = {"printed": f"[{_fmt_ratio(be, pa)}, {_fmt_ratio(be, pb)}]",
                  "constructive": _fmt_line(built)}
         return wcoef, None
     # lambda = pa/ba (or pb/bb when ba = 0), divided out before it scales the
@@ -621,27 +631,29 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     ln, ld = (geom._ratio_of(be, rn, rd * ba) if not be.is_zero(ba)
               else geom._ratio_of(be, sn, sd * bb))
     scaled = ln * bc, ld
-    if not geom._same_value(be, pc._ratio(), scaled, scaled=True):
-        return None, {"printed": _fmt(pc), "constructive": _fmt(Scalar(be, be.div(*scaled)))}
+    if not geom._same_value(be, pc, scaled, scaled=True):
+        return None, {"printed": _fmt_ratio(be, pc), "constructive": _fmt_ratio(be, scaled)}
     return None, None
 
 
 def _audit_eq27(params: Params, core: Core):
+    be = params.backend
     for v in simson.VERTEX_ORDER:
         q, r = params.other_parameters(v)
         printed = _printed_xyz(params.vertex_parameter(v), q, r, params.t)
         built, _ = core.xyz[v]
-        if not geom.points_equal(printed, built):
-            return {"vertex": v, "printed": _fmt_point(printed),
+        if not geom._same_h(be, printed, built._h):
+            return {"vertex": v, "printed": _fmt_h(be, printed),
                     "constructive": _fmt_point(built)}
     return None
 
 
 def _audit_eq28(params: Params, core: Core):
+    be = params.backend
     printed = _printed_hagge(params)
-    built = core.hagge()
-    if not geom.circles_equal(printed, built):
-        return {"printed": _fmt_circle(printed), "constructive": _fmt_circle(built)}
+    built = geom._circle_through3_h(be, *(core.xyz[v][0]._h for v in simson.VERTEX_ORDER))
+    if not geom._same_h(be, printed, built):
+        return {"printed": _fmt_circle_h(be, printed), "constructive": _fmt_circle_h(be, built)}
     return None
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oblique_simson import EXACT, Params, Point, build_scene
+from oblique_simson import EXACT, Params, Point, Scalar, build_scene, geom, verify
 
 
 def E(value):
@@ -40,6 +40,21 @@ def count_fractions(monkeypatch):
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
     return built
+
+
+def printed_object(name, *args):
+    """The object that the audit's printed formula ``verify.<name>`` stands
+    for, built from the tuples it returns: the line, circle or point of a
+    canonical tuple, or the altitude coefficients of (n, d) pairs."""
+    be = args[0].backend
+    printed = getattr(verify, name)(*args)
+    if name == "_printed_vertex_line":
+        return geom._line_of(be, printed)
+    if name in ("_printed_vertex_circle", "_printed_hagge"):
+        return geom._circle(be, *printed)
+    if name == "_printed_altitude_coeffs":
+        return tuple(Scalar(be, be.div(*r)) for r in printed)
+    return geom._hom_point(be, *printed)
 
 
 @pytest.fixture(scope="session")

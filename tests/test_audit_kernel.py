@@ -25,11 +25,12 @@ from typing import Tuple
 
 import pytest
 
+from conftest import printed_object
 from oblique_simson import geom, simson, verify
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import Core, Params
-from oblique_simson.verify import _fmt, _fmt_line
+from oblique_simson.verify import _fmt, _fmt_circle, _fmt_line, _fmt_point
 
 
 # -- reference: the rational bodies, verbatim -----------------------------------------
@@ -91,6 +92,24 @@ def _printed_hagge(params: Params) -> Circle:
                   be.scalar(0))
 
 
+def _audit_eq23(params: Params, core: Core):
+    for v in simson.VERTEX_ORDER:
+        printed = _printed_vertex_line(params.vertex_parameter(v), params.t)
+        if not geom.lines_equal(printed, core.joins[v]):
+            return {"vertex": v, "printed": _fmt_line(printed),
+                    "constructive": _fmt_line(core.joins[v])}
+    return None
+
+
+def _audit_eq24(params: Params, core: Core):
+    for v in simson.VERTEX_ORDER:
+        printed = _printed_vertex_circle(params.vertex_parameter(v), params.t)
+        if not geom.circles_equal(printed, core.circles[v]):
+            return {"vertex": v, "printed": _fmt_circle(printed),
+                    "constructive": _fmt_circle(core.circles[v])}
+    return None
+
+
 def _audit_eq25(params: Params, core: Core):
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     be = params.backend
@@ -119,6 +138,25 @@ def _audit_eq26(params: Params, core: Core):
     if not be.is_zero(rc - scaled_const, (rc, scaled_const)):
         return None, {"printed": _fmt(pc), "constructive": _fmt(Scalar(be, scaled_const))}
     return None, None
+
+
+def _audit_eq27(params: Params, core: Core):
+    for v in simson.VERTEX_ORDER:
+        q, r = params.other_parameters(v)
+        printed = _printed_xyz(params.vertex_parameter(v), q, r, params.t)
+        built, _ = core.xyz[v]
+        if not geom.points_equal(printed, built):
+            return {"vertex": v, "printed": _fmt_point(printed),
+                    "constructive": _fmt_point(built)}
+    return None
+
+
+def _audit_eq28(params: Params, core: Core):
+    printed = _printed_hagge(params)
+    built = core.hagge()
+    if not geom.circles_equal(printed, built):
+        return {"printed": _fmt_circle(printed), "constructive": _fmt_circle(built)}
+    return None
 
 
 REFERENCE = {name: fn for name, fn in dict(globals()).items()
@@ -183,6 +221,10 @@ def outcome(fn, args):
         return "raise", type(exc).__name__, str(exc)
 
 
+def printed_outcome(name, args):
+    return outcome(lambda *a: printed_object(name, *a), args)
+
+
 def reference_report(params, monkeypatch):
     with monkeypatch.context() as patch:
         for name, fn in REFERENCE.items():
@@ -224,7 +266,7 @@ def test_audit_matches_rational_bodies(backend, mag, seed, count, monkeypatch,
         params = Params.make(*raw, backend=be)
         for name, args in printed_calls(params):
             want = outcome(REFERENCE[name], args)
-            assert outcome(getattr(verify, name), args) == want, (name, raw)
+            assert printed_outcome(name, args) == want, (name, raw)
         want = reference_report(params, monkeypatch)
         got = outcome(verify.audit_printed_formulas, (params,))
         assert got == want, raw

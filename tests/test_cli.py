@@ -166,7 +166,7 @@ class TestVerify:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1", "2"])
     def test_eps_not_finite_positive_is_an_input_error(self, eps, capsys):
         code = main(["verify", *GOLDEN, "--backend", "float", "--eps", eps])
         assert code == 2

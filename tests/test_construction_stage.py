@@ -12,10 +12,12 @@ reports, and for raises the exception type and message.
 """
 
 from fractions import Fraction
+from functools import partial
 from typing import List, Tuple
 
 import pytest
 
+from conftest import printed_object
 from oblique_simson import geom, simson
 from oblique_simson.errors import ConstructionError, JEqualsH
 from oblique_simson.numeric import EXACT, FloatBackend, is_zero
@@ -42,18 +44,19 @@ from oblique_simson.verify import (
     _fmt_circle,
     _fmt_line,
     _fmt_point,
-    _printed_altitude_coeffs,
-    _printed_hagge,
-    _printed_orthocenter,
-    _printed_vertex_circle,
-    _printed_vertex_line,
-    _printed_xyz,
     audit_printed_formulas,
     params_echo,
     run_checks,
 )
 
 # -- the reference: the per-object route, as it was ---------------------------------
+
+# the printed formulas as the objects they stand for, as the route compared them
+(_printed_altitude_coeffs, _printed_hagge, _printed_orthocenter, _printed_vertex_circle,
+ _printed_vertex_line, _printed_xyz) = (
+    partial(printed_object, name) for name in (
+        "_printed_altitude_coeffs", "_printed_hagge", "_printed_orthocenter",
+        "_printed_vertex_circle", "_printed_vertex_line", "_printed_xyz"))
 
 
 def _check(cond: bool, what: str) -> None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import count_fractions
 from oblique_simson import (
     EXACT,
     BackendMismatch,
@@ -106,19 +107,16 @@ class TestParse:
         finally:
             set_limit(INT_TEXT_LIMIT)
 
-    def test_plain_rational_builds_one_fraction(self, monkeypatch):
-        built = []
-        new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        for text in ("3/4", "-0/7", "5", "007/010"):
-            EXACT.parse(text)
-        assert len(built) == 4
-        assert not any(isinstance(arg, str) for args in built for arg in args)
+    def test_plain_rational_builds_no_fraction(self, monkeypatch):
+        """The text "p" or "p/q" reads as an integer pair: its Fraction is
+        built only when the value is read, and it is the value of the text."""
+        texts = ("3/4", "-0/7", "5", "007/010", "2/4")
+        built = count_fractions(monkeypatch)
+        scalars = [EXACT.parse(text) for text in texts]
+        monkeypatch.undo()
+        assert built == []
+        assert [s.value for s in scalars] == [Fraction(text) for text in texts]
+        assert [format_scalar(s) for s in scalars] == ["3/4", "0", "5", "7/10", "1/2"]
 
 
 class TestArithmetic:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import sys
 import xml.etree.ElementTree as ET
@@ -16,10 +17,12 @@ from oblique_simson import (
     scene_from_json,
     scene_to_json,
 )
-from oblique_simson.errors import OutputError
+from oblique_simson.errors import GeometryError, OutputError
 from oblique_simson.geom import Point, make_circle, make_line
-from oblique_simson.numeric import EXACT
+from oblique_simson.numeric import EXACT, Scalar, format_scalar, parse_rational
 from oblique_simson.sceneio import scene_summary, scene_to_document
+from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Scene
+from oblique_simson.verify import SplitMix64
 
 # the interpreter's integer-to-text digit limit (0: none)
 INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -85,7 +88,10 @@ class TestSceneDocument:
         ("flags", "tangent:AA0"),
         ("flags", [1, None]),
         ("eps_abs", True),
-    ], ids=["flags-string", "flags-not-strings", "eps-abs-bool"])
+        ("eps_abs", 1),
+        ("eps_abs", 2.5),
+    ], ids=["flags-string", "flags-not-strings", "eps-abs-bool", "eps-abs-one",
+            "eps-abs-above-one"])
     def test_mistyped_field_rejected(self, field, value):
         scene = build_scene(Params.make(1, 2, 3, 0.5, backend=FloatBackend(1e-9)))
         doc = scene_to_document(scene)
@@ -144,17 +150,22 @@ class TestSceneDocument:
         assert got == want
 
     def test_reader_builds_each_value_once(self, golden_scene, monkeypatch):
+        """The writer's values are read as integer pairs: a document read
+        builds no Fraction (86 before, one per parsed value); a value in
+        another form builds the one Fraction of the string parser."""
         text = scene_to_json(golden_scene)
-        doc = json.loads(text)
-        values = len(doc["params"]) + sum(
-            len(coords) for part in ("points", "lines", "circles")
-            for coords in doc[part].values())
         built = count_fractions(monkeypatch)
         back = scene_from_json(text)
         monkeypatch.undo()
+        assert built == []
         assert back == golden_scene
-        # one per parsed value: Params tests distinctness by cross-multiplying
-        assert len(built) == values
+        doc = json.loads(text)
+        doc["points"]["Q"] = ["-1.4", "+1"]
+        built = count_fractions(monkeypatch)
+        back = scene_from_json(json.dumps(doc))
+        monkeypatch.undo()
+        assert len(built) == 2
+        assert back == golden_scene
 
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError, match="^invalid JSON: "):
@@ -177,6 +188,152 @@ class TestSceneDocument:
         doc["points"]["Q"] = [0.5, 0.25]
         with pytest.raises(ParseError):
             scene_from_json(json.dumps(doc))
+
+
+# -- the writer, the reader and the SVG against the code they replaced ------------------
+
+
+def _draws(seed, count, mag, den):
+    """Seeded (a, b, c, t) draws with distinct a, b, c."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        abc = []
+        while len(abc) < 3:
+            r = rng.rational(mag, den)
+            if r not in abc:
+                abc.append(r)
+        out.append((*abc, rng.rational(mag, den)))
+    return out
+
+
+def _seeded_scenes(backend, seed, count, mag, den):
+    """The scenes of the seeded draws that build (a float draw may raise)."""
+    for raw in _draws(seed, count, mag, den):
+        try:
+            yield build_scene(Params.make(*raw, backend=backend))
+        except GeometryError:
+            pass
+
+
+SWEEPS = [(EXACT, 10, 10, 40), (EXACT, 10 ** 200, 10 ** 200, 4),
+          (FloatBackend(1e-9), 10, 10, 40), (FloatBackend(1e-6), 10 ** 4, 100, 10)]
+SVG_SWEEP_DIGEST = "d77cb2454009cadb47a78f43e8adc626505daf5f9e183645449a631840611eda"
+
+
+def _sweep_scenes():
+    for backend, mag, den, count in SWEEPS:
+        yield from _seeded_scenes(backend, 11, count, mag, den)
+
+
+def _old_document(scene):
+    """The schema-1 mapping as it was built field by field for json.dumps."""
+    be = scene.backend
+
+    def value(x):
+        return format_scalar(x) if be.exact else x.value
+
+    return {
+        "schema": 1,
+        "backend": be.name,
+        "eps_abs": None if be.exact else be.eps_abs,
+        "params": {k: value(getattr(scene.params, k)) for k in ("a", "b", "c", "t")},
+        "points": {n: [value(p.x), value(p.y)] for n, p in scene.points.items()},
+        "lines": {n: [value(l.a), value(l.b), value(l.c)] for n, l in scene.lines.items()},
+        "circles": {n: [value(C.d), value(C.e), value(C.f)]
+                    for n, C in scene.circles.items()},
+        "flags": list(scene.flags),
+    }
+
+
+def _old_json(scene):
+    return json.dumps(_old_document(scene), indent=2) + "\n"
+
+
+def _old_exact_reader(doc):
+    """document_to_scene on an exact document as it was: each value through
+    the string parser, one eager Fraction each."""
+    def value(v):
+        if not isinstance(v, str):
+            raise ParseError(f"exact scene document requires string scalars, got {v!r}")
+        return Scalar(EXACT, parse_rational(v))
+
+    try:
+        params = Params(*(value(doc["params"][k]) for k in ("a", "b", "c", "t")))
+        points = {n: Point(*map(value, doc["points"][n])) for n in POINT_NAMES}
+        lines = {n: make_line(*map(value, doc["lines"][n])) for n in LINE_NAMES}
+        circles = {n: make_circle(*map(value, doc["circles"][n])) for n in CIRCLE_NAMES}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed scene document: {exc}") from exc
+    return Scene(params=params, points=points, lines=lines, circles=circles,
+                 flags=tuple(doc["flags"]))
+
+
+class TestWriterReaderSvgDifferential:
+    def test_writer_is_json_dumps_of_the_old_document(self, golden_scene, classical_scene):
+        scenes = [golden_scene, classical_scene, *_sweep_scenes()]
+        assert any(s.flags for s in scenes) and any(not s.flags for s in scenes)
+        for scene in scenes:
+            assert scene_to_json(scene) == _old_json(scene)
+
+    def test_writer_escapes_flags_as_json_dumps(self, golden_scene):
+        doc = scene_to_document(golden_scene)
+        doc["flags"] = ['say "tangent"', "back\\slash", "ünïcödé → λ", "tab\tnew\nline", ""]
+        scene = scene_from_json(json.dumps(doc))
+        assert scene.flags == tuple(doc["flags"])
+        assert scene_to_json(scene) == _old_json(scene)
+        assert scene_from_json(scene_to_json(scene)) == scene
+
+    def test_writer_writes_float_values_as_json_dumps(self):
+        fb = FloatBackend(1e-9)
+        scene = build_scene(Params.make(Fraction(-3, 7), 2, Fraction(5, 2), 0, backend=fb))
+        assert all(type(s.value) is float for s in vars(scene.circles["Sigma"]).values())
+        points = dict(scene.points)
+        points["Q"] = Point(fb.scalar(-0.0), Scalar(fb, float("inf")))
+        points["K"] = Point(fb.scalar(5e-324), fb.scalar(1e300))
+        for s in (scene, dataclasses.replace(scene, points=points)):
+            assert scene_to_json(s) == _old_json(s)
+
+    @pytest.mark.parametrize("text", ["2/4", "-0", "+3", "0/7", " 1/2", "1e3", "1/0", "1/2/3",
+                                      "0x10", "", "-", "huge"])
+    @pytest.mark.parametrize("where", ["param-a", "param-t", "point", "line", "circle"])
+    def test_reader_agrees_with_the_string_parser(self, golden_scene, text, where):
+        if text == "huge":
+            text = "7" * (INT_TEXT_LIMIT + 1) if INT_TEXT_LIMIT else "7" * 5000
+        doc = scene_to_document(golden_scene)
+        if where.startswith("param"):
+            doc["params"][where[-1]] = text
+        else:
+            part, name = {"point": ("points", "Q"), "line": ("lines", "gwsLine"),
+                          "circle": ("circles", "S")}[where]
+            doc[part][name][0] = text
+        try:
+            want = _old_exact_reader(doc)
+        except Exception as exc:  # compared by type
+            with pytest.raises(type(exc)):
+                scene_from_json(json.dumps(doc))
+            return
+        got = scene_from_json(json.dumps(doc))
+        assert got == want and repr(got) == repr(want)
+        for part in ("points", "lines", "circles"):
+            for name, obj in getattr(got, part).items():
+                assert obj._h == getattr(want, part)[name]._h
+        # non-canonical input writes back canonical
+        assert scene_to_json(got) == _old_json(want)
+
+    def test_svg_sweep_digest(self):
+        """render_svg on seeded exact, float and 10^200 scenes, raises
+        included, hashed as one text; the digest was recorded with every
+        coordinate drawn from its Fraction or float value."""
+        outcomes = []
+        for scene in _sweep_scenes():
+            try:
+                outcomes.append(render_svg(scene))
+            except OutputError as exc:
+                outcomes.append(f"raise OutputError: {exc}")
+        assert any(o.startswith("raise") for o in outcomes)
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == SVG_SWEEP_DIGEST
 
 
 class TestSummary:

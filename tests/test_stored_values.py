@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_fractions
+from conftest import count_fractions, printed_object
 from oblique_simson import geom, numeric, sceneio, simson, verify
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
@@ -133,9 +133,12 @@ def route_objects():
                       geom.make_line(lazy(2, 2), E(0), E(-1)), geom.make_line(k1.x, k2.y, k1.y)],
         "make_circle": [geom.make_circle(E(-2), E(0), E(0)),
                         geom.make_circle(k1.x, k2.y, lazy(-6, 4))],
-        "audit": [verify._printed_vertex_line(a, t), verify._printed_vertex_circle(b, t),
-                  verify._printed_orthocenter(a, b, c), verify._printed_xyz(c, a, b, t),
-                  verify._printed_hagge(params)],
+        # the objects an audit witness builds from the printed formulas' tuples
+        "audit": [printed_object("_printed_vertex_line", a, t),
+                  printed_object("_printed_vertex_circle", b, t),
+                  printed_object("_printed_orthocenter", a, b, c),
+                  printed_object("_printed_xyz", c, a, b, t),
+                  printed_object("_printed_hagge", params)],
         "zero line": [Line(E(0), E(0), E(0)), Line(E(0), E(0), E(1))],
     }
 
@@ -275,9 +278,12 @@ def float_route_objects():
         "json": objects(sceneio.scene_from_json(sceneio.scene_to_json(scene))),
         "make_line": [geom.make_line(F(1), F(2), F(3)), geom.make_line(F(0), F(-4), F(6))],
         "make_circle": [geom.make_circle(F(-2), F(0), F(0))],
-        "audit": [verify._printed_vertex_line(a, t), verify._printed_vertex_circle(b, t),
-                  verify._printed_orthocenter(a, b, c), verify._printed_xyz(c, a, b, t),
-                  verify._printed_hagge(params)],
+        # the objects an audit witness builds from the printed formulas' tuples
+        "audit": [printed_object("_printed_vertex_line", a, t),
+                  printed_object("_printed_vertex_circle", b, t),
+                  printed_object("_printed_orthocenter", a, b, c),
+                  printed_object("_printed_xyz", c, a, b, t),
+                  printed_object("_printed_hagge", params)],
     }
 
 
@@ -441,17 +447,17 @@ def test_unread_lazy_scalar_compares_as_eager(n, d):
 
 
 def test_run_checks_builds_few_fractions(monkeypatch):
-    """A kernel result builds no Fraction until read, J and O are born
-    holding their integers, and the checks compare integers: the golden
-    instance's build and checks create 3, the coefficients of Sigma (232
-    when each coordinate built one, 33 when the checks built objects, 7 when
-    J and O built theirs)."""
+    """A kernel result builds no Fraction until read, J, O and Sigma are
+    born holding their integers, and the checks compare integers: the golden
+    instance's build and checks create none (232 when each coordinate built
+    one, 33 when the checks built objects, 7 when J and O built theirs, 3
+    when Sigma built its coefficients)."""
     params = Params.make(1, 2, 3, Fraction(1, 2))
     built = count_fractions(monkeypatch)
     report = verify.run_checks(simson.build_scene(params))
     monkeypatch.undo()
     assert report.all_pass
-    assert len(built) == 3
+    assert built == []
 
 
 # -- hashing ---------------------------------------------------------------------------
