@@ -12,18 +12,20 @@ zero tests use its tolerance scaled by the magnitude of their entries.
 
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
-Scalars.  Every Point, Line and Circle is born holding its homogeneous
-values in a ``_h`` slot - a point as (X, Y, W), a line as (a, b, c), a
-circle as (d, e, f, v) for v(x^2 + y^2) + dx + ey + f = 0:
+Scalars: a Scalar is read as its pair (n, d), and :func:`_over_common`
+reads several over one common denominator.  Every Point, Line and Circle is
+born holding its homogeneous values in a ``_h`` slot - a point as
+(X, Y, W), a line as (a, b, c), a circle as (d, e, f, v) for
+v(x^2 + y^2) + dx + ey + f = 0:
 
 * exact: Python ints.  A point's (X, Y, W) and a circle's (d, e, f, v)
   have gcd 1 and W, v > 0, so :func:`points_equal` and
   :func:`circles_equal` compare them as tuples; a line's (a, b, c) is
   proportional to its coefficients by a positive factor (content 1 on a
-  canonical line).  A kernel result's coordinates are lazy Scalars, each
-  building its ``Fraction`` on the first read of ``.value``;
+  canonical line).  A kernel result's coordinates are the pairs (X, W),
+  (Y, W), (a, 1), ..., (d, v), ..., so they build no ``Fraction``;
 * float: the coordinates' floats with weight 1.0, (x, y, 1.0),
-  (a, b, c) and (d, e, f, 1.0).
+  (a, b, c) and (d, e, f, 1.0), and each coordinate the pair (x, 1.0).
 
 The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
 ``dataclasses.fields`` and ``dataclasses.replace`` see only the
@@ -69,7 +71,7 @@ from .errors import (
     ParallelLines,
     ZeroRadius,
 )
-from .numeric import Backend, Scalar, _LazyExact, format_scalar
+from .numeric import Backend, Scalar, _pair, format_scalar
 
 
 def _reduce_to_fields(obj):
@@ -93,11 +95,7 @@ class Point:
         if y.backend is not be:
             _common_backend(x, y)
         if _h is None:
-            if be.exact:
-                (xn, xd), (yn, yd) = x._ratio(), y._ratio()
-                _h = _content_1((xn, yn, xd) if xd == yd else (xn * yd, yn * xd, xd * yd))
-            else:
-                _h = x.value, y.value, 1.0
+            _h = _point_h(be, *_over_common(x, y))
         _set_point_h(self, _h)
         _set_point_backend(self, be)
 
@@ -125,7 +123,7 @@ class Line:
         if b.backend is not be or c.backend is not be:
             _common_backend(a, b, c)
         if _h is None:
-            _h = _over_lcm(a, b, c)[:3] if be.exact else (a.value, b.value, c.value)
+            _h = _over_common(a, b, c)[:3]
         _set_line_h(self, _h)
         _set_line_backend(self, be)
 
@@ -154,8 +152,7 @@ class Circle:
         if e.backend is not be or f.backend is not be:
             _common_backend(d, e, f)
         if _h is None:
-            _h = (_content_1(_over_lcm(d, e, f)) if be.exact
-                  else (d.value, e.value, f.value, 1.0))
+            _h = _over_v(be, *_over_common(d, e, f))
         _set_circle_h(self, _h)
         _set_circle_backend(self, be)
 
@@ -165,8 +162,7 @@ class Circle:
         return _center_h(self.backend, self._h, _hom_point)
 
     def radius_sq(self) -> Scalar:
-        be = self.backend
-        return Scalar(be, be.div(*_radius_sq_h(be, self._h)))
+        return _pair(self.backend, *_radius_sq_h(self.backend, self._h))
 
     def __repr__(self) -> str:
         d, e, f = map(format_scalar, (self.d, self.e, self.f))
@@ -223,21 +219,16 @@ _set_line_backend = Line.backend.__set__
 _set_circle_backend = Circle.backend.__set__
 
 
-def _over_lcm(a: Scalar, b: Scalar, c: Scalar) -> Tuple[int, int, int, int]:
-    """(a m, b m, c m, m) as integers for three exact Scalars, m the positive
-    lcm of their denominators (read as pairs, so no Fraction is built)."""
-    (an, ad), (bn, bd), (cn, cd) = a._ratio(), b._ratio(), c._ratio()
-    if ad == bd == cd:
-        return an, bn, cn, ad
-    m = math.lcm(ad, bd, cd)
-    return an * (m // ad), bn * (m // bd), cn * (m // cd), m
-
-
-def _content_1(h: Tuple[int, ...]) -> Tuple[int, ...]:
-    """h (not all zero) divided by its gcd: a lazy pair need not be in
-    lowest terms, so integers over its denominator may share a factor."""
-    g = math.gcd(*h)
-    return h if g == 1 else tuple(n // g for n in h)
+def _over_common(*values: Scalar) -> Tuple:
+    """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D,
+    read from their pairs: integers over the lcm of the denominators on
+    exact, the floats over 1.0 on float, where every pair has d = 1.0."""
+    pairs = [v._ratio() for v in values]
+    d = pairs[0][1]
+    if all(q == d for _, q in pairs):
+        return (*(n for n, _ in pairs), d)
+    d = math.lcm(*(q for _, q in pairs))
+    return (*(n * (d // q) for n, q in pairs), d)
 
 
 def _point_h(be: Backend, x, y, w):
@@ -259,9 +250,7 @@ def _hom_point(be: Backend, x, y, w) -> Point:
     """The point (x/w, y/w), born holding its canonical tuple (see _point_h);
     ``_hom_point(be, *h)`` is the Point of a canonical tuple h."""
     h = x, y, w = _point_h(be, x, y, w)
-    if be.exact:
-        return Point(_LazyExact(be, x, w), _LazyExact(be, y, w), h)
-    return Point(Scalar(be, x), Scalar(be, y), h)
+    return Point(_pair(be, x, w), _pair(be, y, w), h)
 
 
 def _line_h(be: Backend, a, b, c):
@@ -285,9 +274,7 @@ def _line_h(be: Backend, a, b, c):
 def _line_of(be: Backend, h) -> Line:
     """The Line holding the canonical tuple h as its coefficients."""
     a, b, c = h
-    if be.exact:
-        return Line(_LazyExact(be, a, 1), _LazyExact(be, b, 1), _LazyExact(be, c, 1), h)
-    return Line(Scalar(be, a), Scalar(be, b), Scalar(be, c), h)
+    return Line(_pair(be, a, be.one), _pair(be, b, be.one), _pair(be, c, be.one), h)
 
 
 def _line(be: Backend, a, b, c) -> Line:
@@ -304,12 +291,17 @@ def point(backend: Backend, x, y) -> Point:
 
 def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     """Canonicalize coefficients and build a Line; (a,b) must not both vanish.
-    Exact coefficients already canonical give the Line holding them."""
+    Coefficients already canonical - content-1 integers on exact, a unit
+    normal (within the tolerance) on float, the first nonzero of (a, b)
+    positive - give the Line holding them, so a written line reads back
+    as itself."""
     be = _common_backend(a, b, c)
-    if not be.exact:
-        return _line(be, a.value, b.value, c.value)
-    ia, ib, ic, m = _over_lcm(a, b, c)
-    if m == 1 and (ia > 0 or (ia == 0 and ib > 0)) and math.gcd(ia, ib, ic) == 1:
+    ia, ib, ic, m = _over_common(a, b, c)
+    if be.exact:
+        canonical = m == 1 and math.gcd(ia, ib, ic) == 1
+    else:
+        canonical = be.is_zero(ia * ia + ib * ib - 1)
+    if canonical and (ib if be.is_zero(ia) else ia) > 0:
         return Line(a, b, c, (ia, ib, ic))
     return _line(be, ia, ib, ic)
 
@@ -320,10 +312,15 @@ def _require_proper(d, e, f, v) -> None:
 
 
 def _circle_h(be: Backend, d, e, f, v=1):
-    """The canonical tuple of v(x^2 + y^2) + dx + ey + f = 0: gcd 1 and
-    v > 0 on exact, the floats (d/v, e/v, f/v, 1.0) on float (v = 1 gives
-    the entries as floats)."""
+    """The canonical tuple of the proper circle v(x^2 + y^2) + dx + ey + f = 0
+    (see _over_v)."""
     _require_proper(d, e, f, v)
+    return _over_v(be, d, e, f, v)
+
+
+def _over_v(be: Backend, d, e, f, v):
+    """The canonical circle tuple: gcd 1 and v > 0 on exact, the floats
+    (d/v, e/v, f/v, 1.0) on float (v = 1 gives the entries as floats)."""
     if not be.exact:
         return d / v, e / v, f / v, 1.0
     g = math.gcd(d, e, f, v)
@@ -337,9 +334,7 @@ def _circle_h(be: Backend, d, e, f, v=1):
 def _circle(be: Backend, d, e, f, v=1) -> Circle:
     """The Circle of raw coefficients, born holding its canonical tuple."""
     h = d, e, f, v = _circle_h(be, d, e, f, v)
-    if be.exact:
-        return Circle(_LazyExact(be, d, v), _LazyExact(be, e, v), _LazyExact(be, f, v), h)
-    return Circle(Scalar(be, d), Scalar(be, e), Scalar(be, f), h)
+    return Circle(_pair(be, d, v), _pair(be, e, v), _pair(be, f, v), h)
 
 
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
@@ -389,8 +384,7 @@ def points_equal(p: Point, q: Point) -> bool:
 
 def lines_equal(l1: Line, l2: Line) -> bool:
     """Equality of line values, coefficient by coefficient: each pair of
-    exact coefficients cross-multiplied, so that a kernel line's lazy
-    coefficients build no Fraction."""
+    exact coefficients cross-multiplied, so that no Fraction is built."""
     be = _common_backend(l1, l2)
     return _coefficients_are(be, (l1.a._ratio(), l1.b._ratio(), l1.c._ratio()), l2)
 
@@ -420,12 +414,14 @@ def _dist_sq_h(be: Backend, p, q):
 
 def dist_sq(p: Point, q: Point) -> Scalar:
     be = _common_backend(p, q)
-    return Scalar(be, be.div(*_dist_sq_h(be, p._h, q._h)))
+    return _pair(be, *_dist_sq_h(be, p._h, q._h))
 
 
 def line_eval(l: Line, p: Point) -> Scalar:
+    """ax + by + c at p, for the line's own coefficients (not its _h)."""
     be = _common_backend(l, p)
-    return Scalar(be, l.a.value * p.x.value + l.b.value * p.y.value + l.c.value)
+    (a, b, c, m), (x, y, w) = _over_common(l.a, l.b, l.c), p._h
+    return _pair(be, a * x + b * y + c * w, m * w)
 
 
 def _on_line_h(be: Backend, l, p) -> bool:
@@ -439,9 +435,10 @@ def on_line(l: Line, p: Point) -> bool:
 
 
 def circle_eval(c: Circle, p: Point) -> Scalar:
+    """x^2 + y^2 + dx + ey + f at p, each term brought to the weight v w^2."""
     be = _common_backend(c, p)
-    x, y = p.x.value, p.y.value
-    return Scalar(be, x * x + y * y + c.d.value * x + c.e.value * y + c.f.value)
+    (d, e, f, v), (x, y, w) = c._h, p._h
+    return _pair(be, x * x * v + y * y * v + d * x * w + e * y * w + f * w * w, v * w * w)
 
 
 def _on_circle_h(be: Backend, c, p) -> bool:

@@ -1,12 +1,11 @@
 """Scalar arithmetic behind all geometry, with two interchangeable backends.
 
-The exact backend works on :class:`fractions.Fraction` (arbitrary-precision,
-always canonical: positive denominator, gcd-reduced, zero as 0/1), so every
-identity the geometry asserts can be checked as a literal equality.  The
-approximate backend works on finite binary floats together with an absolute
-tolerance ``eps_abs`` (0 < eps_abs < 1); its zero test is
-``|x| <= eps_abs``, optionally scaled by the magnitude of the quantities that
-produced ``x``.
+The exact backend works on arbitrary-precision rationals, as integer pairs
+and :class:`fractions.Fraction`, so every identity the geometry asserts can
+be checked as a literal equality.  The approximate backend works on finite
+binary floats together with an absolute tolerance ``eps_abs``
+(0 < eps_abs < 1); its zero test is ``|x| <= eps_abs``, optionally scaled
+by the magnitude of the quantities that produced ``x``.
 
 This module owns the two policies every layer shares, stated on raw values:
 :meth:`Backend.is_zero` (the zero test) and :meth:`Backend.div` (division
@@ -15,21 +14,20 @@ is zero by that test).  The exact zero rule is literal ``== 0``, and
 :meth:`ExactBackend.div` returns ``Fraction(n, d)``, so both apply alike to
 ``Fraction`` values and to the homogeneous integers of
 :mod:`~oblique_simson.geom`, whose single-formula primitives call them on
-either backend.  Everything else computes on bare ``Fraction``/``float``
-values through these two methods.
+either backend.  Everything else computes on integers and floats through
+these two methods.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
-backend, as held in points, lines, circles and parameters.  The package
-computes on ``.value``, never on Scalars.  A Scalar combines only with a
-Scalar of the same backend (``+ - * /`` and ``==``); a Scalar of another
-backend raises :class:`~oblique_simson.errors.BackendMismatch`, and any
-other operand raises ``TypeError``.  An exact Scalar hashes by its value; a
-float Scalar, equal to others within a tolerance, is unhashable.  The exact
-results of :mod:`~oblique_simson.geom`, and "p/q" text read by
-:meth:`ExactBackend.parse`, hold a numerator and denominator and
-build their ``Fraction`` on the first read of ``.value``, so a coordinate
-nothing reads costs no ``Fraction`` (:func:`format_scalar` writes it from
-the integers); they behave as any other Scalar.
+backend, as held in points, lines, circles and parameters.  It stores one
+pair (n, d) with value n/d, as :mod:`~oblique_simson.geom`'s formulas carry
+numbers: ints with d > 0 on exact (not necessarily in lowest terms), the
+float over 1.0 on float.  ``_ratio()`` returns the pair, and the package
+computes on pairs, never on Scalars; ``.value`` is a read-out that builds a
+``Fraction`` on exact.  A Scalar combines only with a Scalar of the same
+backend (``+ - * /`` and ``==``); a Scalar of another backend raises
+:class:`~oblique_simson.errors.BackendMismatch`, and any other operand raises
+``TypeError``.  An exact Scalar hashes by its value; a float Scalar, equal
+to others within a tolerance, is unhashable.
 """
 
 from __future__ import annotations
@@ -76,6 +74,7 @@ class Backend:
 
     name: str
     exact: bool
+    one: object  # the d of an integer's pair (n, d): 1 on exact, 1.0 on float
 
     def coerce(self, value):
         raise NotImplementedError
@@ -110,6 +109,7 @@ class Backend:
 class ExactBackend(Backend):
     name = "exact"
     exact = True
+    one = 1
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
@@ -130,16 +130,15 @@ class ExactBackend(Backend):
 
     def parse(self, text: str) -> "Scalar":
         """As :meth:`Backend.parse`; "p" and "p/q" in ASCII digits with
-        q != 0 are read as an integer pair and give a lazy Scalar, which
-        builds no ``Fraction`` until ``.value`` is read; anything else goes
-        through parse_rational."""
+        q != 0 are read as the integer pair (p, q), which builds no
+        ``Fraction``; anything else goes through parse_rational."""
         m = _PLAIN_RATIONAL(text)
         if m is not None:
             p, q = m.groups()
             try:
                 den = 1 if q is None else int(q)
                 if den:
-                    return _LazyExact(self, int(p), den)
+                    return _pair(self, int(p), den)
             except ValueError:  # past the integer-to-text limit
                 pass
         return Scalar(self, parse_rational(text))
@@ -159,6 +158,7 @@ class FloatBackend(Backend):
 
     name = "float"
     exact = False
+    one = 1.0
 
     def __init__(self, eps_abs: float = 1e-9):
         # at eps_abs >= 1, is_zero(1.0) holds and every division raises
@@ -205,14 +205,24 @@ EXACT = ExactBackend()
 
 
 class Scalar:
-    """An immutable number bound to a backend; it combines only with Scalars
-    of the same backend."""
+    """An immutable number bound to a backend, stored as the pair (n, d);
+    it combines only with Scalars of the same backend."""
 
-    __slots__ = ("backend", "value")
+    __slots__ = ("backend", "_n", "_d")
 
     def __init__(self, backend: Backend, value):
         _set_backend(self, backend)
-        _set_value(self, value)
+        if backend.exact:
+            _set_n(self, value.numerator)
+            _set_d(self, value.denominator)
+        else:
+            _set_n(self, value)
+            _set_d(self, 1.0)
+
+    @property
+    def value(self):
+        """The number: a Fraction on exact, the float on float."""
+        return Fraction(self._n, self._d) if self.backend.exact else self._n
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
@@ -254,47 +264,29 @@ class Scalar:
 
     def _ratio(self) -> Tuple:
         """(n, d) with n/d this Scalar's value: ints with d > 0, or float over 1.0."""
-        value = self.value
-        if self.backend.exact:
-            return value.numerator, value.denominator
-        return value, 1.0
+        return self._n, self._d
 
     def __float__(self) -> float:
-        return float(self.value)
+        return self._n / self._d  # correctly rounded for ints, as float() of a Fraction
 
     def __repr__(self) -> str:
         return f"Scalar({self.backend.name}, {format_scalar(self)})"
 
 
+_new = object.__new__
 _set_backend = Scalar.backend.__set__
-_set_value = Scalar.value.__set__
+_set_n = Scalar._n.__set__
+_set_d = Scalar._d.__set__
 
 
-class _LazyExact(Scalar):
-    """An exact Scalar n/d (d > 0, integers) whose ``Fraction`` is built on
-    the first read of ``value``, which then stays in the inherited slot."""
-
-    __slots__ = ("_n", "_d")
-
-    def __init__(self, backend: Backend, n: int, d: int):
-        _set_backend(self, backend)
-        _set_n(self, n)
-        _set_d(self, d)
-
-    def _ratio(self) -> Tuple[int, int]:
-        return self._n, self._d  # builds no Fraction
-
-    def __getattr__(self, name):
-        # reached only while the value slot is empty
-        if name != "value":
-            raise AttributeError(f"'Scalar' object has no attribute {name!r}")
-        value = Fraction(self._n, self._d)
-        _set_value(self, value)
-        return value
-
-
-_set_n = _LazyExact._n.__set__
-_set_d = _LazyExact._d.__set__
+def _pair(backend: Backend, n, d) -> Scalar:
+    """The Scalar holding the pair (n, d) as it stands: ints with d > 0 on
+    exact, d = 1.0 on float.  Builds no Fraction."""
+    scalar = _new(Scalar)
+    _set_backend(scalar, backend)
+    _set_n(scalar, n)
+    _set_d(scalar, d)
+    return scalar
 
 
 def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
@@ -305,18 +297,18 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
     that fed the tested quantity, e.g. determinant entries), never below
     ``eps_abs`` itself.
     """
-    return x.backend.is_zero(x.value, map(float, entries))
+    return x.backend.is_zero(x._n, map(float, entries))
 
 
 def format_scalar(x: Scalar) -> str:
     """Text form used in all file formats: "p/q" exactly (sign on p, plain "p"
     for integers), repr of the float; OutputError beyond the interpreter's
-    integer-to-text digit limit.  An unread lazy value stays unread."""
+    integer-to-text digit limit.  Written from the pair; builds no Fraction."""
+    n, d = x._ratio()
     try:
-        if x.backend.exact:
-            n, d = x._ratio()
-            g = math.gcd(n, d)
-            return str(n // g) if d == g else f"{n // g}/{d // g}"
-        return str(x.value)
+        if not x.backend.exact:
+            return str(n)
+        g = math.gcd(n, d)
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
     except ValueError as exc:
         raise OutputError("a value has too many digits to write as text") from exc

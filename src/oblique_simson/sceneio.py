@@ -9,9 +9,12 @@ lays it out: exact values through
 writes them, and names and flags through ``json``'s own string encoder;
 :func:`scene_to_document` parses that text.  The exact reader takes the
 writer's form ("p" or "p/q" in ASCII digits, q nonzero) through
-:meth:`~oblique_simson.numeric.ExactBackend.parse` as an integer pair held in
-a lazy Scalar, so it builds no ``Fraction``; any other string goes through
-:func:`~oblique_simson.numeric.parse_rational`.  A schema that is not the
+:meth:`~oblique_simson.numeric.ExactBackend.parse` as the integer pair a
+Scalar holds, so it builds no ``Fraction``; any other string goes through
+:func:`~oblique_simson.numeric.parse_rational`.  A float line whose
+coefficients already form a canonical unit normal is read as written (see
+:func:`~oblique_simson.geom.make_line`), so a float document, like an
+exact one, writes back byte for byte.  A schema that is not the
 integer 1, or a non-null ``eps_abs`` on an exact document, is malformed.
 
 SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
@@ -48,7 +51,7 @@ _FONT_SIZE = 10.0
 
 
 def _scalar_to_json(x: Scalar):
-    return format_scalar(x) if x.backend.exact else x.value
+    return format_scalar(x) if x.backend.exact else x._ratio()[0]
 
 
 def _scalar_from_json(value, backend: Backend) -> Scalar:
@@ -62,7 +65,7 @@ def _scalar_from_json(value, backend: Backend) -> Scalar:
 
 
 def _float_text(x: Scalar) -> str:
-    value = x.value
+    value = x._ratio()[0]
     # json.dumps writes a finite number as its repr, and spells out the others
     return repr(value) if math.isfinite(value) else json.dumps(value)
 

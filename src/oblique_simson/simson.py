@@ -355,6 +355,15 @@ def build_scene(params: Params) -> Scene:
 # -- frame normalization -----------------------------------------------------------
 
 
+def _to_canonical_h(be: Backend, origin, unit, p, write=geom._point_h):
+    """FrameTransform.to_canonical on point tuples: u = p - origin, then
+    (u . v, u x v) / |v|^2 for the unit v; DivisionByZero when v is zero."""
+    (x, y, w), (vx, vy, vw), (ox, oy, ow) = p, unit, origin
+    ux, uy = x * ow - ox * w, y * ow - oy * w  # over the weight w ow
+    return write(be, (ux * vx + uy * vy) * vw, (uy * vx - ux * vy) * vw,
+                 w * ow * (vx * vx + vy * vy))
+
+
 @dataclass(frozen=True)
 class FrameTransform:
     """Similarity w -> (w - origin) / unit mapping a configuration to the
@@ -365,18 +374,14 @@ class FrameTransform:
 
     def to_canonical(self, p: Point) -> Point:
         be = geom._common_backend(self.origin, p)
-        ux, uy = p.x.value - self.origin.x.value, p.y.value - self.origin.y.value
-        vx, vy = self.unit.x.value, self.unit.y.value
-        den = vx * vx + vy * vy
-        return Point(Scalar(be, be.div(ux * vx + uy * vy, den)),
-                     Scalar(be, be.div(uy * vx - ux * vy, den)))
+        return _to_canonical_h(be, self.origin._h, self.unit._h, p._h, geom._hom_point)
 
     def from_canonical(self, p: Point) -> Point:
         be = geom._common_backend(self.origin, p)
-        x, y = p.x.value, p.y.value
-        vx, vy = self.unit.x.value, self.unit.y.value
-        return Point(Scalar(be, x * vx - y * vy + self.origin.x.value),
-                     Scalar(be, x * vy + y * vx + self.origin.y.value))
+        (x, y, w), (vx, vy, vw), (ox, oy, ow) = p._h, self.unit._h, self.origin._h
+        # x vx - y vy + ox over the weight w vw ow, term by term
+        return geom._hom_point(be, x * vx * ow - y * vy * ow + ox * w * vw,
+                               x * vy * ow + y * vx * ow + oy * w * vw, w * vw * ow)
 
     @property
     def identity(self) -> bool:
@@ -417,15 +422,13 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
     bis_ac = geom.perpendicular_through(geom.midpoint(a_pt, c_pt),
                                         geom.line_through(a_pt, c_pt))
     center = geom.intersect_lines(bis_ab, bis_ac)
-    be = center.backend
-    dj, da = geom.dist_sq(j_pt, center).value, geom.dist_sq(a_pt, center).value
-    if not be.is_zero(dj - da, (dj, da)):
+    be, (cx, cy, cw), (jx, jy, jw) = center.backend, center._h, j_pt._h
+    dj, da = (geom._dist_sq_h(be, p._h, center._h) for p in (j_pt, a_pt))
+    if not geom._same_value(be, dj, da, scaled=True):
         raise NotOnCircumcircle("J is not on the circumcircle of the triangle")
-    unit = Point(Scalar(be, center.x.value - j_pt.x.value),
-                 Scalar(be, center.y.value - j_pt.y.value))
-    transform = FrameTransform(origin=j_pt, unit=unit)
+    unit = geom._hom_point(be, cx * jw - jx * cw, cy * jw - jy * cw, cw * jw)
     out: List[Scalar] = []
     for v in (a_pt, b_pt, c_pt):
-        m = transform.to_canonical(v)
-        out.append(Scalar(be, be.div(m.y.value, m.x.value)))
-    return NormalizedFrame(*out, transform=transform)
+        x, y, _ = _to_canonical_h(be, j_pt._h, unit._h, v._h)
+        out.append(Scalar(be, be.div(y, x)))  # the parameter y/x
+    return NormalizedFrame(*out, transform=FrameTransform(origin=j_pt, unit=unit))

@@ -18,13 +18,13 @@ scene alone).  Two of them disagree with the construction on generic
 instances - the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2
 term) and the altitude constant term (off by 4(b+c)) - and the audit
 documents exactly that, per instance, without guessing intent.  Each closed
-form is one homogeneous formula for both backends: its parameters are read
-over one common denominator D (``_over_common``: integers over the lcm of
-their denominators on exact, so p = P/D, and the floats over D = 1.0 on
-float), and each term of the float formula, kept in its float order, is
-brought to the formula's top degree by a power of D.  A product with 1.0 is
-exact, so the float results keep every bit, and on exact the formula runs
-on integers.  Each closed form returns what geom's tuple functions return: a
+form is one homogeneous formula for both backends on the numbers
+(A, B, C, T, D), which the audit reads once with geom's ``_over_common``:
+a = A/D, ..., t = T/D, integers over the lcm of the denominators on exact
+and the floats over D = 1.0 on float.  Each term of the float formula, kept
+in its float order, is brought to the formula's top degree by a power of
+D.  A product with 1.0 is exact, so the float results keep every bit, and
+on exact the formula runs on integers.  Each closed form returns what geom's tuple functions return: a
 canonical tuple from ``_point_h``, ``_line_h`` or ``_circle_h``, or (n, d)
 pairs from ``_ratio_of`` for the altitude coefficients.  The rows compare
 them with the construction's ``_h`` tuples (``_same_h``, ``_line_is``, and
@@ -35,7 +35,6 @@ Line, Circle or Scalar only for a MISMATCH witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -501,31 +500,17 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 # -- audit of the handed-down closed forms ----------------------------------------
 
 
-def _over_common(*values: Scalar) -> Tuple:
-    """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D:
-    integers over the lcm of the denominators on exact, the floats over 1.0
-    on float."""
-    if not values[0].backend.exact:
-        return (*(v.value for v in values), 1.0)
-    pairs = [v._ratio() for v in values]
-    d = math.lcm(*(q for _, q in pairs))
-    return (*(p * (d // q) for p, q in pairs), d)
-
-
-def _printed_vertex_line(p: Scalar, t: Scalar):
+def _printed_vertex_line(be, P, T, D):
     # (p - 2t) x - (1 + 2pt) y + 4t = 0
-    P, T, D = _over_common(p, t)
-    return geom._line_h(p.backend, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
+    return geom._line_h(be, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
 
 
-def _printed_vertex_circle(p: Scalar, t: Scalar):
-    P, T, D = _over_common(p, t)
-    return geom._circle_h(p.backend, -2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D, 0,
+def _printed_vertex_circle(be, P, T, D):
+    return geom._circle_h(be, -2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D, 0,
                           D * D + P * P)
 
 
-def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar):
-    A, B, C, D = _over_common(a, b, c)
+def _printed_orthocenter(be, A, B, C, D):
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
     D4 = D2 * D2
@@ -535,13 +520,11 @@ def _printed_orthocenter(a: Scalar, b: Scalar, c: Scalar):
              + A * B2 * C2 + B * C2 * A2 + C * A2 * B2
              + A * B2 * D2 + A * C2 * D2 + B * C2 * D2
              + B * A2 * D2 + C * A2 * D2 + C * B2 * D2) * D
-    return geom._point_h(a.backend, x, y, den)
+    return geom._point_h(be, x, y, den)
 
 
-def _printed_altitude_coeffs(params: Params):
+def _printed_altitude_coeffs(be, A, B, C, D):
     # (1+a^2)(b+c) x - (1+a^2)(1-bc) y + 2(a+b+c-abc) = 0, the altitude from A
-    be = params.backend
-    A, B, C, D = _over_common(params.a, params.b, params.c)
     D2, lead = D * D, D * D + A * A
     D3 = D2 * D
     return (geom._ratio_of(be, lead * (B + C), D3),
@@ -549,18 +532,16 @@ def _printed_altitude_coeffs(params: Params):
             geom._ratio_of(be, 2 * ((A + B + C) * D2 - A * B * C), D3))
 
 
-def _printed_xyz(own: Scalar, q: Scalar, r: Scalar, t: Scalar):
-    O, Q, R, T, D = _over_common(own, q, r, t)
+def _printed_xyz(be, O, Q, R, T, D):
     D2 = D * D
     den = (D2 + O * O) * (D2 + Q * Q) * (D2 + R * R)
     lead = O * Q * R - O * D2 + Q * D2 + R * D2
     x = 2 * ((Q + R + 2 * T) * D2 - 2 * Q * R * T) * lead
     y = 2 * lead * (Q * R + 2 * T * (Q + R) - D2) * D
-    return geom._point_h(own.backend, x, y, den)
+    return geom._point_h(be, x, y, den)
 
 
-def _printed_hagge(params: Params):
-    A, B, C, T, D = _over_common(params.a, params.b, params.c, params.t)
+def _printed_hagge(be, A, B, C, T, D):
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
     D4 = D2 * D2
@@ -573,32 +554,39 @@ def _printed_hagge(params: Params):
     yb = (2 * A2 * B2 * C2 * T - A * B * C * ee * D2 - 2 * T * (A2 + B2 + C2) * D4
           - sym * D4 - (A + B + C + 4 * T) * D6)
     # d = 2 xb / den and e = 2 yb / (den D), over the common weight den D
-    return geom._circle_h(params.backend, 2 * xb * D, 2 * yb, 0, den * D)
+    return geom._circle_h(be, 2 * xb * D, 2 * yb, 0, den * D)
 
 
-def _audit_eq23(params: Params, core: Core):
-    be = params.backend
-    for v in simson.VERTEX_ORDER:
-        printed = _printed_vertex_line(params.vertex_parameter(v), params.t)
+def _by_vertex(num):
+    """(vertex, own, the other two) per vertex, from the audit's numbers
+    (A, B, C, T, D), in the order of Params.other_parameters."""
+    A, B, C, _, _ = num
+    return (("A", A, B, C), ("B", B, C, A), ("C", C, A, B))
+
+
+def _audit_eq23(params: Params, core: Core, num):
+    be, (*_, T, D) = params.backend, num
+    for v, own, _, _ in _by_vertex(num):
+        printed = _printed_vertex_line(be, own, T, D)
         if not geom._line_is(be, printed, core.joins[v]):
             return {"vertex": v, "printed": _fmt_line(geom._line_of(be, printed)),
                     "constructive": _fmt_line(core.joins[v])}
     return None
 
 
-def _audit_eq24(params: Params, core: Core):
-    be = params.backend
-    for v in simson.VERTEX_ORDER:
-        printed = _printed_vertex_circle(params.vertex_parameter(v), params.t)
+def _audit_eq24(params: Params, core: Core, num):
+    be, (*_, T, D) = params.backend, num
+    for v, own, _, _ in _by_vertex(num):
+        printed = _printed_vertex_circle(be, own, T, D)
         if not geom._same_h(be, printed, core.circles[v]._h):
             return {"vertex": v, "printed": _fmt_circle_h(be, printed),
                     "constructive": _fmt_circle(core.circles[v])}
     return None
 
 
-def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
-    be, built = params.backend, core.h
-    printed = _printed_orthocenter(params.a, params.b, params.c)
+def _audit_eq25(params: Params, core: Core, num) -> Tuple[Optional[dict], Optional[dict]]:
+    be, built, (A, B, C, _, D) = params.backend, core.h, num
+    printed = _printed_orthocenter(be, A, B, C, D)
     (px, py, pw), (bx, by, bw) = printed, built._h
     wx = wy = None
     if not geom._same_value(be, (px, pw), (bx, bw), scaled=True):
@@ -608,7 +596,7 @@ def _audit_eq25(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     return wx, wy
 
 
-def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[dict]]:
+def _audit_eq26(params: Params, core: Core, num) -> Tuple[Optional[dict], Optional[dict]]:
     """Compare the printed altitude-from-A coefficients with the construction.
 
     Only the altitude from A is audited: that is the one equation actually
@@ -617,9 +605,9 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     so its (x, y) coefficients agree with the printed ones; the verdicts are
     (coefficient proportionality, constant term after that rescaling).
     """
-    pa, pb, pc = _printed_altitude_coeffs(params)
+    be, (A, B, C, _, D) = params.backend, num
+    pa, pb, pc = _printed_altitude_coeffs(be, A, B, C, D)
     built = core.altitudes["A"]
-    be = params.backend
     (rn, rd), (sn, sd) = pa, pb
     ba, bb, bc = built._h
     if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
@@ -636,11 +624,10 @@ def _audit_eq26(params: Params, core: Core) -> Tuple[Optional[dict], Optional[di
     return None, None
 
 
-def _audit_eq27(params: Params, core: Core):
-    be = params.backend
-    for v in simson.VERTEX_ORDER:
-        q, r = params.other_parameters(v)
-        printed = _printed_xyz(params.vertex_parameter(v), q, r, params.t)
+def _audit_eq27(params: Params, core: Core, num):
+    be, (*_, T, D) = params.backend, num
+    for v, own, q, r in _by_vertex(num):
+        printed = _printed_xyz(be, own, q, r, T, D)
         built, _ = core.xyz[v]
         if not geom._same_h(be, printed, built._h):
             return {"vertex": v, "printed": _fmt_h(be, printed),
@@ -648,9 +635,9 @@ def _audit_eq27(params: Params, core: Core):
     return None
 
 
-def _audit_eq28(params: Params, core: Core):
+def _audit_eq28(params: Params, core: Core, num):
     be = params.backend
-    printed = _printed_hagge(params)
+    printed = _printed_hagge(be, *num)
     built = geom._circle_through3_h(be, *(core.xyz[v][0]._h for v in simson.VERTEX_ORDER))
     if not geom._same_h(be, printed, built):
         return {"printed": _fmt_circle_h(be, printed), "constructive": _fmt_circle_h(be, built)}
@@ -660,9 +647,10 @@ def _audit_eq28(params: Params, core: Core):
 def audit_printed_formulas(params: Params) -> Report:
     """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH)."""
     core = simson.construct_core(params)
-    w25, w26 = _audit_eq25(params, core), _audit_eq26(params, core)
-    witnesses = (_audit_eq23(params, core), _audit_eq24(params, core), *w25, *w26,
-                 _audit_eq27(params, core), _audit_eq28(params, core))
+    num = geom._over_common(params.a, params.b, params.c, params.t)
+    w25, w26 = _audit_eq25(params, core, num), _audit_eq26(params, core, num)
+    witnesses = (_audit_eq23(params, core, num), _audit_eq24(params, core, num), *w25, *w26,
+                 _audit_eq27(params, core, num), _audit_eq28(params, core, num))
     results = tuple(CheckResult(name, witness is None, witness)
                     for name, witness in zip(AUDIT_NAMES, witnesses))
     return Report(backend=params.backend.name, params=params_echo(params),

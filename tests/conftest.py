@@ -42,12 +42,22 @@ def count_fractions(monkeypatch):
     return built
 
 
+def printed_formula(name, *args):
+    """The audit's printed formula ``verify.<name>`` at the parameters *args*
+    (Scalars, or the Params of a whole-instance formula), read over their
+    common denominator as the audit reads them."""
+    if isinstance(args[0], Params):
+        p = args[0]
+        args = (p.a, p.b, p.c) if name == "_printed_altitude_coeffs" else (p.a, p.b, p.c, p.t)
+    return getattr(verify, name)(args[0].backend, *geom._over_common(*args))
+
+
 def printed_object(name, *args):
     """The object that the audit's printed formula ``verify.<name>`` stands
     for, built from the tuples it returns: the line, circle or point of a
     canonical tuple, or the altitude coefficients of (n, d) pairs."""
     be = args[0].backend
-    printed = getattr(verify, name)(*args)
+    printed = printed_formula(name, *args)
     if name == "_printed_vertex_line":
         return geom._line_of(be, printed)
     if name in ("_printed_vertex_circle", "_printed_hagge"):

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import pytest
 
-from oblique_simson import geom, numeric, simson, verify
+from oblique_simson import geom, simson, verify
 from oblique_simson.errors import AllCoincident, GeometryError, NotCollinear, NotOnCircumcircle
 from oblique_simson.geom import Circle, DirectedTan, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
@@ -402,12 +402,18 @@ def test_run_checks_builds_no_objects(backend, monkeypatch):
     golden instance)."""
     scenes = [simson.build_scene(p) for p in passing_params(BACKENDS[backend])[:8]]
     born = []
-    for cls in (Point, Line, Circle, Scalar, numeric._LazyExact, DirectedTan):
+    for cls in (Point, Line, Circle, Scalar, DirectedTan):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             born.append(type(self).__name__)
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted_pair(*args, _pair=geom._pair):  # the pairs geom's writers hold
+        born.append("Scalar")
+        return _pair(*args)
+
+    monkeypatch.setattr(geom, "_pair", counted_pair)
     reports = [verify.run_checks(scene) for scene in scenes]
     monkeypatch.undo()
     assert all(report.all_pass for report in reports)

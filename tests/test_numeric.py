@@ -259,6 +259,16 @@ class TestFormat:
         with pytest.raises(AttributeError):
             s.value = Fraction(2)
 
+    def test_value_reads_out_the_pair(self):
+        """An exact Scalar reads out an equal Fraction, also one made from
+        an int or from a pair not in lowest terms; a float one its float."""
+        for s in (Scalar(EXACT, 3), EXACT.scalar(3), EXACT.parse("6/2")):
+            assert type(s.value) is Fraction and s.value == 3
+            assert s._ratio()[1] > 0
+        assert Scalar(EXACT, Fraction(-3, 4))._ratio() == (-3, 4)
+        half = Scalar(FloatBackend(), 0.5)
+        assert half.value == 0.5 and half._ratio() == (0.5, 1.0)
+
 
 class TestNoScalarArithmetic:
     """The package computes on bare Fraction/float values: with every Scalar

@@ -14,6 +14,7 @@ from oblique_simson import (
     ParseError,
     build_scene,
     render_svg,
+    run_checks,
     scene_from_json,
     scene_to_json,
 )
@@ -71,6 +72,34 @@ class TestSceneDocument:
         for name, p in scene.points.items():
             assert again.points[name].x.value == p.x.value
             assert again.points[name].y.value == p.y.value
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_float_document_writes_back_byte_for_byte(self, eps):
+        """A written float line is a unit normal obeying the sign rule, so
+        the reader keeps it as written rather than dividing by its norm
+        again: the golden and seeded float documents write back byte for
+        byte, to an equal scene with an equal report."""
+        fb = FloatBackend(eps)
+        golden = build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=fb))
+        scenes = [golden, *_seeded_scenes(fb, 5, 40, 10, 10)]
+        assert len(scenes) > 30
+        for scene in scenes:
+            text = scene_to_json(scene)
+            back = scene_from_json(text)
+            assert scene_to_json(back) == text
+            assert back == scene
+            assert run_checks(back) == run_checks(scene)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([2, 0, -2], [1.0, 0.0, -1.0]), ([-1.0, 0.0, 1.0], [1.0, -0.0, -1.0]),
+        ([0.6, 0.8, 2.0], [0.6, 0.8, 2.0]), ([0.0, -1.0, 3.0], [-0.0, 1.0, -3.0]),
+    ])
+    def test_float_document_line_is_canonicalized(self, coeffs, want):
+        """A float line not yet a unit normal with the sign rule is made one."""
+        doc = scene_to_document(build_scene(Params.make(1, 2, 3, 0.5, backend=FloatBackend())))
+        doc["lines"]["gwsLine"] = coeffs
+        line = scene_from_json(json.dumps(doc)).lines["gwsLine"]
+        assert repr([s.value for s in (line.a, line.b, line.c)]) == repr(want)
 
     def test_malformed_document_rejected(self, golden_scene):
         with pytest.raises(ParseError):

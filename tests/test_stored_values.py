@@ -2,9 +2,9 @@
 
 Every exact Point, Line and Circle is born holding its homogeneous integers
 in a ``_h`` slot.  A kernel result is handed the canonical integers it
-computed, and its coordinates are lazy Scalars that build their
-``Fraction`` when first read; any other exact object computes its integers
-from its coordinates' numerators and denominators when it is built.  A
+computed, and its coordinates are Scalars holding pairs of them, so they
+build no ``Fraction``; any other exact object computes its integers from
+its coordinates' pairs (n, d) when it is built.  A
 float object holds its coordinates' floats there, with weight 1.0.  The
 slot is not a dataclass field: ``vars``, ``dataclasses.fields``, ``==`` and
 ``repr`` see only the coordinates.
@@ -65,15 +65,6 @@ def outcome(fn, args):
         return "raise", type(exc).__name__, str(exc)
 
 
-def unread(scalar) -> bool:
-    """Whether a Scalar's value slot is still empty."""
-    try:
-        Scalar.value.__get__(scalar)
-    except AttributeError:
-        return True
-    return False
-
-
 @pytest.fixture
 def scene():
     return simson.build_scene(Params.make(Fraction(-3, 7), 2, Fraction(5, 2), Fraction(1, 3)))
@@ -101,8 +92,9 @@ def holds_reference(obj) -> bool:
     return h == ref
 
 
-def lazy(n, d):
-    return numeric._LazyExact(EXACT, n, d)
+def pair(n, d):
+    """The exact Scalar holding (n, d) as it stands, not in lowest terms."""
+    return numeric._pair(EXACT, n, d)
 
 
 def route_objects():
@@ -119,8 +111,8 @@ def route_objects():
                    *objects(scene)],
         "point": [geom.point(EXACT, Fraction(1, 2), Fraction(-1, 4)), geom.point(EXACT, 0, 0)],
         "eager": eager,
-        "lazy": [Point(lazy(6, 4), lazy(2, 4)), Line(lazy(2, 4), lazy(3, 3), lazy(-9, 6)),
-                 Circle(lazy(6, 4), lazy(0, 5), lazy(-10, 4)), *objects(fresh_scene(scene))],
+        "pair": [Point(pair(6, 4), pair(2, 4)), Line(pair(2, 4), pair(3, 3), pair(-9, 6)),
+                 Circle(pair(6, 4), pair(0, 5), pair(-10, 4)), *objects(fresh_scene(scene))],
         # coordinates of two kernel points, each pair over its point's weight
         "kernel pairs": [Point(k1.x, k2.y), Point(k1.y, k1.y), Line(k1.x, k2.y, k1.y),
                          Circle(k2.x, k1.x, k1.y)],
@@ -130,9 +122,9 @@ def route_objects():
         **{how: [clone(obj) for obj in (k1, *eager)] for how, clone in COPIES.items()},
         "json": objects(sceneio.scene_from_json(sceneio.scene_to_json(scene))),
         "make_line": [geom.make_line(E(1), E(2), E(3)), geom.make_line(E(2), E(-4), E(6)),
-                      geom.make_line(lazy(2, 2), E(0), E(-1)), geom.make_line(k1.x, k2.y, k1.y)],
+                      geom.make_line(pair(2, 2), E(0), E(-1)), geom.make_line(k1.x, k2.y, k1.y)],
         "make_circle": [geom.make_circle(E(-2), E(0), E(0)),
-                        geom.make_circle(k1.x, k2.y, lazy(-6, 4))],
+                        geom.make_circle(k1.x, k2.y, pair(-6, 4))],
         # the objects an audit witness builds from the printed formulas' tuples
         "audit": [printed_object("_printed_vertex_line", a, t),
                   printed_object("_printed_vertex_circle", b, t),
@@ -153,15 +145,18 @@ def test_every_route_is_born_holding_its_integers(route):
         assert fresh(obj)._h == obj._h
 
 
-def test_constructors_read_pairs_not_values():
-    """A lazy coordinate builds no Fraction when an object is made from it,
-    and a lazy pair not in lowest terms still gives the unique integers."""
-    for make, args, want in ((Point, (lazy(6, 4), lazy(-2, 4)), (3, -1, 2)),
-                             (Line, (lazy(2, 4), lazy(3, 3), lazy(-9, 6)), (6, 12, -18)),
-                             (Circle, (lazy(6, 4), lazy(0, 5), lazy(-10, 4)), (3, 0, -5, 2))):
-        obj = make(*args)
+def test_constructors_read_pairs_not_values(monkeypatch):
+    """Making an object from pair coordinates builds no Fraction, and a
+    pair not in lowest terms still gives the unique integers."""
+    cases = ((Point, (pair(6, 4), pair(-2, 4)), (3, -1, 2)),
+             (Line, (pair(2, 4), pair(3, 3), pair(-9, 6)), (6, 12, -18)),
+             (Circle, (pair(6, 4), pair(0, 5), pair(-10, 4)), (3, 0, -5, 2)))
+    built = count_fractions(monkeypatch)
+    made = [(make(*args), want) for make, args, want in cases]
+    monkeypatch.undo()
+    assert built == []
+    for obj, want in made:
         assert obj._h == want
-        assert all(unread(v) for v in args)
     assert Point(E(Fraction(1, 2)), E(Fraction(1, 4)))._h == (2, 1, 4)
 
 
@@ -375,19 +370,25 @@ def test_kernel_results_are_born_canonical(sample, monkeypatch):
             assert canonical(obj, obj._h) and fresh(obj)._h == obj._h
 
 
-def test_lines_equal_compares_coefficients_without_reading_them():
-    """Field-wise, as rationals: a lazy coefficient need not be reduced,
-    and proportional lines with different coefficients differ."""
+def test_lines_equal_compares_coefficients_without_reading_them(monkeypatch):
+    """Field-wise, as rationals, on the pairs: a pair need not be reduced,
+    proportional lines with different coefficients differ, and no Fraction
+    is built."""
     kernel = geom._line(EXACT, 2, 4, 6)
-    halves = Line(lazy(2, 4), lazy(3, 3), E(Fraction(3, 2)))
-    assert geom.lines_equal(Line(E(Fraction(1, 2)), E(1), E(Fraction(3, 2))), halves)
-    assert not geom.lines_equal(Line(E(Fraction(1, 2)), E(-1), E(Fraction(3, 2))), halves)
+    halves = Line(pair(2, 4), pair(3, 3), E(Fraction(3, 2)))
+    lines = {name: Line(E(Fraction(1, 2)), E(sign), E(Fraction(3, 2)))
+             for name, sign in (("same", 1), ("other", -1))}
+    lines["direct"] = Line(E(1), E(2), E(3))
+    built = count_fractions(monkeypatch)
+    assert geom.lines_equal(lines["same"], halves)
+    assert not geom.lines_equal(lines["other"], halves)
     assert not geom.lines_equal(kernel, halves)  # the same line, other coefficients
-    assert halves._h == (6, 12, 18)  # over the lcm of its unreduced denominators
-    assert geom.lines_equal(kernel, Line(E(1), E(2), E(3)))
+    assert geom.lines_equal(kernel, lines["direct"])
     assert geom.lines_equal(kernel, geom._line(EXACT, -1, -2, -3))
     assert not geom.lines_equal(kernel, geom._line(EXACT, 1, 2, 4))
-    assert all(unread(v) for v in vars(kernel).values())
+    monkeypatch.undo()
+    assert built == []
+    assert halves._h == (6, 12, 18)  # over the lcm of its unreduced denominators
     assert repr(kernel) == "Line(1, 2, 3)"
 
 
@@ -405,11 +406,11 @@ def test_equal_points_and_circles_compare_their_integers():
     assert not geom.circles_equal(c, Circle(E(-2), E(1), E(-4)))
 
 
-# -- lazy exact scalars ---------------------------------------------------------------
+# -- exact pairs ------------------------------------------------------------------------
 
 
 # negative n, n = 0, d = 1, a fraction not in lowest terms, 10^200
-LAZY_CASES = [(-7, 3), (0, 5), (12, 1), (6, 4), (-(10 ** 200) - 1, 10 ** 200), (10 ** 200, 3)]
+PAIR_CASES = [(-7, 3), (0, 5), (12, 1), (6, 4), (-(10 ** 200) - 1, 10 ** 200), (10 ** 200, 3)]
 VIEWS = {
     "repr": repr,
     "format_scalar": format_scalar,
@@ -423,31 +424,30 @@ VIEWS = {
 
 
 @pytest.mark.parametrize("view", sorted(VIEWS))
-@pytest.mark.parametrize("n, d", LAZY_CASES)
-def test_unread_lazy_scalar_matches_eager(n, d, view):
-    lazy, eager = numeric._LazyExact(EXACT, n, d), EXACT.scalar(Fraction(n, d))
-    assert unread(lazy)
-    assert VIEWS[view](lazy) == VIEWS[view](eager)
-    # text is written from (n, d); every other view reads the Fraction
-    assert unread(lazy) == (view in ("repr", "format_scalar"))
+@pytest.mark.parametrize("n, d", PAIR_CASES)
+def test_pair_scalar_matches_eager(n, d, view, monkeypatch):
+    held, eager = pair(n, d), EXACT.scalar(Fraction(n, d))
+    built = count_fractions(monkeypatch)
+    got = VIEWS[view](held)
+    monkeypatch.undo()
+    assert got == VIEWS[view](eager)
+    # text and float are computed from (n, d); every other view reads .value
+    assert (built == []) == (view in ("repr", "format_scalar", "float"))
 
 
-@pytest.mark.parametrize("n, d", LAZY_CASES)
-def test_unread_lazy_scalar_compares_as_eager(n, d):
+@pytest.mark.parametrize("n, d", PAIR_CASES)
+def test_pair_scalar_compares_as_eager(n, d):
     eager = EXACT.scalar(Fraction(n, d))
-    for lazy, other in ((numeric._LazyExact(EXACT, n, d), eager),
-                        (eager, numeric._LazyExact(EXACT, n, d)),
-                        (numeric._LazyExact(EXACT, n, d), numeric._LazyExact(EXACT, n, d))):
-        assert lazy == other
-        assert not lazy == EXACT.scalar(Fraction(n, d) + 1)
-    value = numeric._LazyExact(EXACT, n, d)
-    assert value.value is value.value  # filled once, then a slot read
+    for held, other in ((pair(n, d), eager), (eager, pair(n, d)), (pair(n, d), pair(n, d))):
+        assert held == other
+        assert not held == EXACT.scalar(Fraction(n, d) + 1)
+    assert pair(n, d).value == Fraction(n, d)
     with pytest.raises(AttributeError):
-        value.nothing  # noqa: B018
+        pair(n, d).nothing  # noqa: B018
 
 
 def test_run_checks_builds_few_fractions(monkeypatch):
-    """A kernel result builds no Fraction until read, J, O and Sigma are
+    """A kernel result holds pairs, J, O and Sigma are
     born holding their integers, and the checks compare integers: the golden
     instance's build and checks create none (232 when each coordinate built
     one, 33 when the checks built objects, 7 when J and O built theirs, 3
@@ -476,7 +476,7 @@ def test_exact_values_hash(scene):
         members = set(values)
         assert len(members) == len(set(map(repr, values)))
         assert all(copy.deepcopy(value) in members for value in values)
-    assert hash(numeric._LazyExact(EXACT, 6, 4)) == hash(E(Fraction(3, 2)))
+    assert hash(pair(6, 4)) == hash(E(Fraction(3, 2)))
     # a Scalar does not share a hash slot with the equal plain number
     assert len({Fraction(3, 2), E(Fraction(3, 2)), 1, E(1)}) == 4
 
@@ -487,3 +487,61 @@ def test_float_values_do_not_hash():
     for value in (fb.scalar(1), scene.params, *objects(scene)):
         with pytest.raises(TypeError, match="tolerance"):
             hash(value)
+
+
+# -- the package computes on pairs -------------------------------------------------------
+
+
+def corrupted(scene):
+    """The scene with each object of a sample moved off its place, so that
+    the checks write witnesses: a point, a line and a circle."""
+    be = scene.backend
+    step = E(Fraction(1, 7)) if be.exact else be.scalar(1 / 7)
+    p, l, c = scene.points["L"], scene.lines["gwsLine"], scene.circles["Sigma0"]
+    return dataclasses.replace(
+        scene, points={**scene.points, "L": Point(p.x + step, p.y)},
+        lines={**scene.lines, "gwsLine": Line(l.a, l.b, l.c + step)},
+        circles={**scene.circles, "Sigma0": Circle(c.d, c.e, c.f + step)})
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_package_never_reads_scalar_value(backend, monkeypatch):
+    """Outside Scalar's own operators, ==, hash and copy, no package code
+    reads ``Scalar.value``: with the property made to raise, the golden and
+    seeded instances build, check (with witnesses on a corrupted scene),
+    audit, round-trip through JSON, draw and normalize as before."""
+    be = BACKENDS[backend]
+    raws = [(1, 2, 3, Fraction(1, 2)), (Fraction(-3, 7), 2, Fraction(5, 2), 0)]
+    raws += [tuple(s.value for s in vars(p).values())
+             for _, p, _ in verify.fuzz_instances(verify.FuzzConfig(seed=5, count=6))[0]]
+    want = []
+    runs = []
+    for raw in raws:
+        params = Params.make(*raw, backend=be)
+        scene = simson.build_scene(params)
+        bad = corrupted(scene)
+        pts = scene.points
+        frame = (pts["A"], pts["B"], pts["C"], pts["J"])
+
+        def run(params=params, scene=scene, bad=bad, frame=frame):
+            built = simson.build_scene(params)
+            text = sceneio.scene_to_json(built)
+            norm = simson.normalize_frame(*frame)
+            moved = norm.transform.from_canonical(norm.transform.to_canonical(frame[0]))
+            return (repr(built), verify.run_checks(built), verify.run_checks(bad),
+                    verify.audit_printed_formulas(params), text,
+                    sceneio.scene_to_json(sceneio.scene_from_json(text)),
+                    sceneio.render_svg(built), sceneio.scene_summary(built),
+                    repr(norm.params(0)), repr(moved))
+
+        runs.append(run)
+        want.append(run())
+    assert all(w[1].all_pass and not w[2].all_pass for w in want)
+
+    def forbidden(_self):
+        raise AssertionError("package code read Scalar.value")
+
+    monkeypatch.setattr(Scalar, "value", property(forbidden))
+    got = [run() for run in runs]
+    monkeypatch.undo()
+    assert got == want
