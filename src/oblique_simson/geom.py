@@ -246,11 +246,15 @@ def _point_h(be: Backend, x, y, w):
     return x, y, w
 
 
-def _hom_point(be: Backend, x, y, w) -> Point:
-    """The point (x/w, y/w), born holding its canonical tuple (see _point_h);
-    ``_hom_point(be, *h)`` is the Point of a canonical tuple h."""
-    h = x, y, w = _point_h(be, x, y, w)
+def _point_of(be: Backend, h) -> Point:
+    """The Point holding the canonical tuple h (see _point_h)."""
+    x, y, w = h
     return Point(_pair(be, x, w), _pair(be, y, w), h)
+
+
+def _hom_point(be: Backend, x, y, w) -> Point:
+    """The point (x/w, y/w), born holding its canonical tuple."""
+    return _point_of(be, _point_h(be, x, y, w))
 
 
 def _line_h(be: Backend, a, b, c):
@@ -331,10 +335,15 @@ def _over_v(be: Backend, d, e, f, v):
     return d, e, f, v
 
 
+def _circle_of(be: Backend, h) -> Circle:
+    """The Circle holding the canonical tuple h (see _over_v)."""
+    d, e, f, v = h
+    return Circle(_pair(be, d, v), _pair(be, e, v), _pair(be, f, v), h)
+
+
 def _circle(be: Backend, d, e, f, v=1) -> Circle:
     """The Circle of raw coefficients, born holding its canonical tuple."""
-    h = d, e, f, v = _circle_h(be, d, e, f, v)
-    return Circle(_pair(be, d, v), _pair(be, e, v), _pair(be, f, v), h)
+    return _circle_of(be, _circle_h(be, d, e, f, v))
 
 
 def make_circle(d: Scalar, e: Scalar, f: Scalar) -> Circle:
@@ -362,10 +371,11 @@ def _ratio_of(be: Backend, n, d):
 
 
 def _same_h(be: Backend, h1, h2) -> bool:
-    """Equality of canonical point or circle tuples (float: within tolerance)."""
+    """Equality of canonical point, line or circle tuples (float: entry by
+    entry within tolerance)."""
     if be.exact:
         return h1 == h2
-    return all(be.is_zero(u - v) for u, v in zip(h1, h2[:-1]))
+    return all(be.is_zero(u - v) for u, v in zip(h1, h2))
 
 
 def _coefficients_are(be: Backend, pairs, l: Line) -> bool:

@@ -204,6 +204,9 @@ def _canvas(be, x, y, w) -> Tuple[float, float]:
 
 
 def _f(v: float) -> str:
+    """Every number the SVG writes; OutputError unless it is finite."""
+    if not math.isfinite(v):
+        raise OutputError("scene value exceeds the float range of the SVG canvas")
     s = f"{v:.6f}"
     return "0.000000" if s == "-0.000000" else s
 

@@ -9,23 +9,22 @@ the perpendicular bisector of JH.
 
 The pipeline never solves a general quadratic: every second intersection is
 taken against a known common point (Vieta), so a rational instance yields a
-fully rational Scene.  vertex_point and perspector_k read p and t as a pair
-(n, d), d = 1.0 on float, and build their points from one homogeneous
-formula through geom's ``_hom_point`` on both backends, as origin_j and
-circumcenter_o do from their integer tuples.  The similarity keeps an
-integer and a float body: its float form halves the coordinates before it
-adds, which the homogeneous form cannot match at subnormal or overflowing
-values.  On the exact backend the construction stage therefore does no
-``Fraction`` arithmetic.  construct_core is the single producer of J, the
-vertices, sides, altitudes, H, vertex circles and X, Y, Z, which
-build_scene and the audit in :mod:`oblique_simson.verify` both read; the
-audit's closed forms are compared against them and used nowhere else.
+fully rational Scene.  Each formula is a tuple function on geom's canonical
+``_h`` tuples: the vertex, perspector and Q forms read p and t as a pair
+(n, d), d = 1.0 on float, in one homogeneous formula for both backends; the
+similarity keeps an integer and a float body, as its float form halves the
+coordinates before it adds, which the homogeneous form cannot match at
+subnormal or overflowing values.  The exact construction therefore does no
+``Fraction`` arithmetic.  construct_core computes the stage's tuples, keyed
+by scene name; build_scene extends them to the whole figure and writes each
+of the scene's 33 objects once, and the audit in :mod:`oblique_simson.verify`
+compares its closed forms with the stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from . import geom
 from .errors import (
@@ -52,6 +51,12 @@ LINE_NAMES = (
     "imageSideB0C0", "imageSideC0A0", "imageSideA0B0",
 )
 CIRCLE_NAMES = ("Sigma", "Sigma0", "S", "cA", "cB", "cC")
+
+# per vertex A, B, C: the side opposite it, and the meet of its altitude and circle
+_SIDES = ("sideBC", "sideCA", "sideAB")
+_XYZ = ("X", "Y", "Z")
+# L, M, N: the meets other than J of the vertex circles of B and C, C and A, A and B
+_LMN = {"L": ("cB", "cC"), "M": ("cC", "cA"), "N": ("cA", "cB")}
 
 
 @dataclass(frozen=True)
@@ -83,16 +88,6 @@ class Params:
     def backend(self) -> Backend:
         return self.a.backend
 
-    def vertex_parameter(self, vertex: str) -> Scalar:
-        return {"A": self.a, "B": self.b, "C": self.c}[vertex]
-
-    def other_parameters(self, vertex: str) -> Tuple[Scalar, Scalar]:
-        return {
-            "A": (self.b, self.c),
-            "B": (self.c, self.a),
-            "C": (self.a, self.b),
-        }[vertex]
-
 
 @dataclass(frozen=True, eq=True)
 class Scene:
@@ -122,10 +117,15 @@ def circumcircle_sigma(backend: Backend) -> Circle:
     return geom._circle(backend, -2, 0, 0)
 
 
+def _vertex_h(be: Backend, p: Scalar, write=geom._point_h):
+    """vertex_point on the pair of p (see geom's tuple functions)."""
+    n, d = p._ratio()
+    return write(be, 2 * d * d, 2 * n * d, d * d + n * n)
+
+
 def vertex_point(p: Scalar) -> Point:
     """The circumcircle point (2, 2p) / (1 + p^2) for vertex parameter p."""
-    n, d = p._ratio()
-    return geom._hom_point(p.backend, 2 * d * d, 2 * n * d, d * d + n * n)
+    return _vertex_h(p.backend, p, geom._hom_point)
 
 
 def apply_similarity(t: Scalar, p: Point) -> Point:
@@ -141,7 +141,7 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
 
 
 def _similarity_h(be: Backend, t: Scalar, p, write=geom._point_h):
-    """apply_similarity on the tuple of a point (see geom's tuple functions)."""
+    """apply_similarity on the tuple of a point."""
     (x, y, w), (n, d) = p, t._ratio()
     if be.exact:
         return write(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
@@ -153,14 +153,26 @@ def image_vertex(p: Scalar, t: Scalar) -> Point:
     return apply_similarity(t, vertex_point(p))
 
 
+def _perspector_h(be: Backend, t: Scalar, write=geom._point_h):
+    """perspector_k on the pair of t."""
+    n, d = t._ratio()
+    return write(be, 8 * n * n, 4 * n * d, d * d + 4 * n * n)
+
+
 def perspector_k(t: Scalar) -> Point:
     """The common second intersection of every vertex-image line with Sigma.
 
     K = (8t^2, 4t) / (1 + 4t^2); independent of the vertex parameters, and
     equal to J itself at t = 0.
     """
-    n, d = t._ratio()
-    return geom._hom_point(t.backend, 8 * n * n, 4 * n * d, d * d + 4 * n * n)
+    return _perspector_h(t.backend, t, geom._hom_point)
+
+
+def _q_h(be: Backend, h, t: Scalar, write=geom._point_h):
+    """q_point on the tuple of H; JEqualsH when H is J."""
+    if geom._same_h(be, h, (0, 0, 1)):  # H is J, the origin
+        raise JEqualsH("H coincides with J: perpendicular bisector undefined")
+    return _similarity_h(be, t, h, write)
 
 
 def q_point(h: Point, t: Scalar) -> Point:
@@ -169,9 +181,7 @@ def q_point(h: Point, t: Scalar) -> Point:
     Q runs over the whole perpendicular bisector of JH as t varies; t = 0
     gives the midpoint of JH (the classical case).
     """
-    if geom._same_h(h.backend, h._h, (0, 0, 1)):  # H is J, the origin
-        raise JEqualsH("H coincides with J: perpendicular bisector undefined")
-    return apply_similarity(t, h)
+    return _q_h(geom._common_backend(h, t), h._h, t, geom._hom_point)
 
 
 def vertex_circle(p: Scalar, t: Scalar) -> Circle:
@@ -179,84 +189,24 @@ def vertex_circle(p: Scalar, t: Scalar) -> Circle:
     return geom.circle_center_through(image_vertex(p, t), origin_j(p.backend))
 
 
-_LMN_SOURCES = {"L": ("B", "C"), "M": ("C", "A"), "N": ("A", "B")}
-
-
-class Core(NamedTuple):  # frozen; ~1.5 ms cheaper at import than a frozen dataclass
-    """The construction stage: the origin j (J), and keyed by vertex v:
-    sides[v] is the side opposite v, altitudes[v] the altitude from v,
-    joins[v] the line through v and its image v0, circles[v] the vertex
-    circle (centred at v0, through J and v), and xyz[v] the second meet of
-    altitudes[v] with circles[v] (X, Y or Z) with its tangency flag
-    (result = v)."""
-
-    j: Point
-    vertices: Dict[str, Point]
-    images: Dict[str, Point]
-    joins: Dict[str, Line]
-    sides: Dict[str, Line]
-    altitudes: Dict[str, Line]
-    h: Point
-    circles: Dict[str, Circle]
-    xyz: Dict[str, Tuple[Point, bool]]
-
-    def hagge(self) -> Circle:
-        """The circle S through X, Y, Z."""
-        return geom.circle_through3(*(self.xyz[v][0] for v in VERTEX_ORDER))
-
-    def lmn(self, which: str) -> Tuple[Point, bool]:
-        """L, M or N: the meet other than J of the circles of B and C, C and A,
-        or A and B, flagged when they touch at J (result = J)."""
-        v1, v2 = _LMN_SOURCES[which]
-        return geom.second_circle_circle(self.circles[v1], self.circles[v2], self.j)
-
-
-def construct_core(params: Params) -> Core:
-    """The single producer of the stage: each object is built once, from
-    objects the stage already has.  Sides, altitudes and H come from the
-    vertices through geom's orthocentre routine, each vertex circle is centred
-    at its image through J, and X, Y, Z come from altitude, vertex circle and
-    vertex."""
-    be = params.backend
-    j = origin_j(be)
-    verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
-    sides_h, alts_h, h = geom._orthocentric_h(be, *(p._h for p in verts.values()))
-    sides, alts = ({v: geom._line_of(be, line) for v, line in zip(VERTEX_ORDER, lines)}
-                   for lines in (sides_h, alts_h))
-    h = geom._hom_point(be, *h)
-    images = {v: apply_similarity(params.t, verts[v]) for v in VERTEX_ORDER}
-    joins = {v: geom.line_through(verts[v], images[v]) for v in VERTEX_ORDER}
-    circles = {v: geom.circle_center_through(images[v], j) for v in VERTEX_ORDER}
-    xyz = {v: geom.second_line_circle(alts[v], circles[v], verts[v])
-           for v in VERTEX_ORDER}
-    return Core(j, verts, images, joins, sides, alts, h, circles, xyz)
-
-
-# One-line public read-outs of the stage (see Core); BENCHMARK.json traces them.
-
-
-def orthocenter_h(params: Params) -> Point:
-    return construct_core(params).h
-
-
-def side_line(vertex: str, params: Params) -> Line:
-    return construct_core(params).sides[vertex]
-
-
-def altitude_line(vertex: str, params: Params) -> Line:
-    return construct_core(params).altitudes[vertex]
-
-
-def xyz_point(vertex: str, params: Params) -> Tuple[Point, bool]:
-    return construct_core(params).xyz[vertex]
-
-
-def hagge_circle(params: Params) -> Circle:
-    return construct_core(params).hagge()
-
-
-def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
-    return construct_core(params).lmn(which)
+def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
+    """The stage's canonical tuples by scene name, each computed once from
+    the ones before, and the tangency flags of X, Y, Z.  The vertex circle
+    cA is centred at A0 through J (and A), X is its second meet with altA,
+    and the line AA0 through A and A0, not a scene object, is kept too."""
+    be, t = params.backend, params.t
+    j = geom._point_h(be, 0, 0, 1)
+    verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]
+    sides, alts, h = geom._orthocentric_h(be, *verts)
+    images = [_similarity_h(be, t, v) for v in verts]
+    joins = [geom._line_through_h(be, v, image) for v, image in zip(verts, images)]
+    circles = [geom._circle_center_through_h(be, image, j) for image in images]
+    xyz = [geom._second_line_circle_h(be, *meet) for meet in zip(alts, circles, verts)]
+    stage = {"J": j, "H": h}
+    for i, v in enumerate(VERTEX_ORDER):
+        stage.update({v: verts[i], _SIDES[i]: sides[i], "alt" + v: alts[i], v + "0": images[i],
+                      v + v + "0": joins[i], "c" + v: circles[i], _XYZ[i]: xyz[i][0]})
+    return stage, [f"tangent:{n}" for n, (_, tangent) in zip(_XYZ, xyz) if tangent]
 
 
 def _line_through_collinear_h(be: Backend, p, q, r,
@@ -305,51 +255,70 @@ def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
 def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
-    Every object construct_core holds is taken from it, its single producer,
-    and L, M, N come from its vertex circles.  It raises only where an
+    The stage's tuples are extended by the rest of the figure, and each
+    scene object is written once from its tuple.  It raises only where an
     object cannot be built (degenerate input, H = J, an orthocentre off its
     third altitude, ...); whether the built objects satisfy the paper's
-    incidences is the verdict of :func:`oblique_simson.verify.run_checks`, one
-    named check per identity.
+    incidences is the verdict of :func:`oblique_simson.verify.run_checks`,
+    one named check per identity.
     """
-    be = params.backend
-    o = circumcenter_o(be)
-    sigma = circumcircle_sigma(be)
-    core = construct_core(params)
-    j = core.j
-    verts, images, alts, h = core.vertices, core.images, core.altitudes, core.h
-    q = q_point(h, params.t)
-    k = perspector_k(params.t)
-
+    be, t = params.backend, params.t
+    stage, xyz_flags = construct_core(params)
+    j, sigma = stage["J"], geom._circle_h(be, -2, 0, 0)
+    stage.update(O=geom._point_h(be, 1, 0, 1), Sigma=sigma,
+                 Q=_q_h(be, stage["H"], t), K=_perspector_h(be, t))
     # only the tangency flag is read here; perspector_common judges the meet
     flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
-             if geom._second_line_circle_h(be, core.joins[v]._h, sigma._h,
-                                           verts[v]._h)[1]]
-    xyz = {n: core.xyz[v] for n, v in zip("XYZ", VERTEX_ORDER)}
-    flags += [f"tangent:{n}" for n, (_, tangent) in xyz.items() if tangent]
-    s_circle = core.hagge()
-    sigma0 = geom.circle_through3(images["A"], images["B"], images["C"])
-    lmn = {n: core.lmn(n) for n in "LMN"}
-    flags += [f"tangent:{n}" for n, (_, tangent) in lmn.items() if tangent]
-    gws = gws_line(*(pt for pt, _ in lmn.values()))
-
-    points = {"J": j, "O": o, **verts, "H": h, "Q": q, "K": k,
-              **{v + "0": images[v] for v in VERTEX_ORDER},
-              **{n: pt for n, (pt, _) in (*xyz.items(), *lmn.items())}}
-    lines = {
-        "sideBC": core.sides["A"], "sideCA": core.sides["B"], "sideAB": core.sides["C"],
-        "altA": alts["A"], "altB": alts["B"], "altC": alts["C"],
-        "gwsLine": gws,
-        "imageSideB0C0": geom.line_through(images["B"], images["C"]),
-        "imageSideC0A0": geom.line_through(images["C"], images["A"]),
-        "imageSideA0B0": geom.line_through(images["A"], images["B"]),
-    }
-    circles = {
-        "Sigma": sigma, "Sigma0": sigma0, "S": s_circle,
-        "cA": core.circles["A"], "cB": core.circles["B"], "cC": core.circles["C"],
-    }
-    return Scene(params=params, points=points, lines=lines, circles=circles,
+             if geom._second_line_circle_h(be, stage[v + v + "0"], sigma, stage[v])[1]]
+    flags += xyz_flags
+    stage["S"] = geom._circle_through3_h(be, *(stage[n] for n in _XYZ))
+    stage["Sigma0"] = geom._circle_through3_h(be, *(stage[v + "0"] for v in VERTEX_ORDER))
+    for n, (c1, c2) in _LMN.items():
+        radical = geom._radical_h(be, stage[c1], stage[c2])
+        stage[n], tangent = geom._second_line_circle_h(be, radical, stage[c1], j)
+        if tangent:
+            flags.append(f"tangent:{n}")
+    stage["gwsLine"] = _line_through_collinear_h(be, *(stage[n] for n in _LMN))
+    for p, q in (("B0", "C0"), ("C0", "A0"), ("A0", "B0")):
+        stage[f"imageSide{p}{q}"] = geom._line_through_h(be, stage[p], stage[q])
+    return Scene(params=params,
+                 points={n: geom._point_of(be, stage[n]) for n in POINT_NAMES},
+                 lines={n: geom._line_of(be, stage[n]) for n in LINE_NAMES},
+                 circles={n: geom._circle_of(be, stage[n]) for n in CIRCLE_NAMES},
                  flags=tuple(flags))
+
+
+# Public read-outs of one scene object each; BENCHMARK.json traces them.
+
+
+def orthocenter_h(params: Params) -> Point:
+    return build_scene(params).points["H"]
+
+
+def side_line(vertex: str, params: Params) -> Line:
+    return build_scene(params).lines[_SIDES[VERTEX_ORDER.index(vertex)]]
+
+
+def altitude_line(vertex: str, params: Params) -> Line:
+    return build_scene(params).lines["alt" + vertex]
+
+
+def _flagged(params: Params, name: str) -> Tuple[Point, bool]:
+    """The scene point *name* and whether it is flagged tangent."""
+    scene = build_scene(params)
+    return scene.points[name], f"tangent:{name}" in scene.flags
+
+
+def xyz_point(vertex: str, params: Params) -> Tuple[Point, bool]:
+    return _flagged(params, _XYZ[VERTEX_ORDER.index(vertex)])
+
+
+def hagge_circle(params: Params) -> Circle:
+    return build_scene(params).circles["S"]
+
+
+def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
+    return _flagged(params, {n: n for n in _LMN}[which])
 
 
 # -- frame normalization -----------------------------------------------------------

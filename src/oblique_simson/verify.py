@@ -12,25 +12,25 @@ on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
-construction (rows Eq2.3-Eq2.8) against the constructive objects, which it
-reads from :func:`simson.construct_core` (the checks above re-derive from the
-scene alone).  Two of them disagree with the construction on generic
-instances - the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2
-term) and the altitude constant term (off by 4(b+c)) - and the audit
-documents exactly that, per instance, without guessing intent.  Each closed
-form is one homogeneous formula for both backends on the numbers
-(A, B, C, T, D), which the audit reads once with geom's ``_over_common``:
-a = A/D, ..., t = T/D, integers over the lcm of the denominators on exact
-and the floats over D = 1.0 on float.  Each term of the float formula, kept
-in its float order, is brought to the formula's top degree by a power of
-D.  A product with 1.0 is exact, so the float results keep every bit, and
-on exact the formula runs on integers.  Each closed form returns what geom's tuple functions return: a
-canonical tuple from ``_point_h``, ``_line_h`` or ``_circle_h``, or (n, d)
-pairs from ``_ratio_of`` for the altitude coefficients.  The rows compare
-them with the construction's ``_h`` tuples (``_same_h``, ``_line_is``, and
-``_same_value`` by integer cross-multiplication on exact), the circle S
-comes from ``_circle_through3_h`` on X, Y and Z, and a row builds a Point,
-Line, Circle or Scalar only for a MISMATCH witness.
+construction (rows Eq2.3-Eq2.8) against the tuples of the construction stage,
+:func:`simson.construct_core` (the checks above re-derive from the scene
+alone).  Two of them disagree with the construction on generic instances -
+the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2 term) and
+the altitude constant term (off by 4(b+c)) - and the audit documents exactly
+that, per instance, without guessing intent.  Each closed form is one
+homogeneous formula for both backends on the numbers (A, B, C, T, D), which
+the audit reads once with geom's ``_over_common``: a = A/D, ..., t = T/D,
+integers over the lcm of the denominators on exact and the floats over
+D = 1.0 on float.  Each term of the float formula, kept in its float order,
+is brought to the formula's top degree by a power of D.  A product with 1.0
+is exact, so the float results keep every bit, and on exact the formula runs
+on integers.  Each closed form returns a canonical tuple from ``_point_h``,
+``_line_h`` or ``_circle_h``, or (n, d) pairs from ``_ratio_of`` for the
+altitude coefficients.  Each row takes (backend, stage, numbers) and compares
+tuples with tuples (``_same_h``, and ``_same_value`` by integer
+cross-multiplication on exact); the circle S comes from
+``_circle_through3_h`` on X, Y and Z, and a row builds a Point, Line, Circle
+or Scalar only for a MISMATCH witness.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import geom, simson
 from .errors import BackendMismatch, GeometryError, JEqualsH
 from .geom import Circle, Line, Point
 from .numeric import EXACT, Scalar, format_scalar
-from .simson import Core, Params, Scene
+from .simson import Params, Scene
 
 # one per audit row, in order; eq2.5 and eq2.6 each give two verdicts
 AUDIT_NAMES = (
@@ -107,6 +107,10 @@ def params_echo(params: Params) -> Dict[str, str]:
 
 def _fmt_h(be, h) -> str:
     return _fmt_point(geom._hom_point(be, *h))
+
+
+def _fmt_line_h(be, h) -> str:
+    return _fmt_line(geom._line_of(be, h))
 
 
 def _fmt_circle_h(be, h) -> str:
@@ -253,7 +257,7 @@ def _chk_double_simson_of_image(scene: Scene):
     line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")))
     gws = scene.lines["gwsLine"]
     if not geom._line_is(be, line, gws):
-        return {"double-simson": _fmt_line(geom._line_of(be, line)),
+        return {"double-simson": _fmt_line_h(be, line),
                 "gwsLine": _fmt_line(gws)}
     return None
 
@@ -316,7 +320,7 @@ def _chk_t_zero_reduction(scene: Scene):
     classical = simson._line_through_collinear_h(be, *feet)
     gws = scene.lines["gwsLine"]
     if not geom._line_is(be, classical, gws):
-        return {"classical": _fmt_line(geom._line_of(be, classical)),
+        return {"classical": _fmt_line_h(be, classical),
                 "gwsLine": _fmt_line(gws)}
     return None
 
@@ -325,7 +329,7 @@ def _chk_double_simson_abc(scene: Scene):
     pts, be = scene.points, scene.backend
     line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")))
     if not geom._on_line_h(be, line, pts["H"]._h):
-        return {"line": _fmt_line(geom._line_of(be, line)), "H": _fmt_point(pts["H"])}
+        return {"line": _fmt_line_h(be, line), "H": _fmt_point(pts["H"])}
     return None
 
 
@@ -559,44 +563,43 @@ def _printed_hagge(be, A, B, C, T, D):
 
 def _by_vertex(num):
     """(vertex, own, the other two) per vertex, from the audit's numbers
-    (A, B, C, T, D), in the order of Params.other_parameters."""
+    (A, B, C, T, D): B and C for A, C and A for B, A and B for C."""
     A, B, C, _, _ = num
     return (("A", A, B, C), ("B", B, C, A), ("C", C, A, B))
 
 
-def _audit_eq23(params: Params, core: Core, num):
-    be, (*_, T, D) = params.backend, num
+def _audit_eq23(be, stage, num):
+    *_, T, D = num
     for v, own, _, _ in _by_vertex(num):
-        printed = _printed_vertex_line(be, own, T, D)
-        if not geom._line_is(be, printed, core.joins[v]):
-            return {"vertex": v, "printed": _fmt_line(geom._line_of(be, printed)),
-                    "constructive": _fmt_line(core.joins[v])}
+        printed, built = _printed_vertex_line(be, own, T, D), stage[v + v + "0"]
+        if not geom._same_h(be, printed, built):
+            return {"vertex": v, "printed": _fmt_line_h(be, printed),
+                    "constructive": _fmt_line_h(be, built)}
     return None
 
 
-def _audit_eq24(params: Params, core: Core, num):
-    be, (*_, T, D) = params.backend, num
+def _audit_eq24(be, stage, num):
+    *_, T, D = num
     for v, own, _, _ in _by_vertex(num):
-        printed = _printed_vertex_circle(be, own, T, D)
-        if not geom._same_h(be, printed, core.circles[v]._h):
+        printed, built = _printed_vertex_circle(be, own, T, D), stage["c" + v]
+        if not geom._same_h(be, printed, built):
             return {"vertex": v, "printed": _fmt_circle_h(be, printed),
-                    "constructive": _fmt_circle(core.circles[v])}
+                    "constructive": _fmt_circle_h(be, built)}
     return None
 
 
-def _audit_eq25(params: Params, core: Core, num) -> Tuple[Optional[dict], Optional[dict]]:
-    be, built, (A, B, C, _, D) = params.backend, core.h, num
-    printed = _printed_orthocenter(be, A, B, C, D)
-    (px, py, pw), (bx, by, bw) = printed, built._h
+def _audit_eq25(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
+    A, B, C, _, D = num
+    (px, py, pw), (bx, by, bw) = _printed_orthocenter(be, A, B, C, D), stage["H"]
     wx = wy = None
     if not geom._same_value(be, (px, pw), (bx, bw), scaled=True):
-        wx = {"printed": _fmt_ratio(be, (px, pw)), "constructive": _fmt(built.x)}
+        wx = {"printed": _fmt_ratio(be, (px, pw)), "constructive": _fmt_ratio(be, (bx, bw))}
     if not geom._same_value(be, (py, pw), (by, bw), scaled=True):
-        wy = {"printed": _fmt_ratio(be, (py, pw)), "constructive": _fmt(built.y)}
+        wy = {"printed": _fmt_ratio(be, (py, pw)), "constructive": _fmt_ratio(be, (by, bw))}
     return wx, wy
 
 
-def _audit_eq26(params: Params, core: Core, num) -> Tuple[Optional[dict], Optional[dict]]:
+def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
     """Compare the printed altitude-from-A coefficients with the construction.
 
     Only the altitude from A is audited: that is the one equation actually
@@ -605,14 +608,13 @@ def _audit_eq26(params: Params, core: Core, num) -> Tuple[Optional[dict], Option
     so its (x, y) coefficients agree with the printed ones; the verdicts are
     (coefficient proportionality, constant term after that rescaling).
     """
-    be, (A, B, C, _, D) = params.backend, num
+    A, B, C, _, D = num
     pa, pb, pc = _printed_altitude_coeffs(be, A, B, C, D)
-    built = core.altitudes["A"]
     (rn, rd), (sn, sd) = pa, pb
-    ba, bb, bc = built._h
+    built = ba, bb, bc = stage["altA"]
     if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
         wcoef = {"printed": f"[{_fmt_ratio(be, pa)}, {_fmt_ratio(be, pb)}]",
-                 "constructive": _fmt_line(built)}
+                 "constructive": _fmt_line_h(be, built)}
         return wcoef, None
     # lambda = pa/ba (or pb/bb when ba = 0), divided out before it scales the
     # constant term: the float result depends on that order
@@ -624,21 +626,19 @@ def _audit_eq26(params: Params, core: Core, num) -> Tuple[Optional[dict], Option
     return None, None
 
 
-def _audit_eq27(params: Params, core: Core, num):
-    be, (*_, T, D) = params.backend, num
-    for v, own, q, r in _by_vertex(num):
+def _audit_eq27(be, stage, num):
+    *_, T, D = num
+    for (v, own, q, r), n in zip(_by_vertex(num), "XYZ"):
         printed = _printed_xyz(be, own, q, r, T, D)
-        built, _ = core.xyz[v]
-        if not geom._same_h(be, printed, built._h):
+        if not geom._same_h(be, printed, stage[n]):
             return {"vertex": v, "printed": _fmt_h(be, printed),
-                    "constructive": _fmt_point(built)}
+                    "constructive": _fmt_h(be, stage[n])}
     return None
 
 
-def _audit_eq28(params: Params, core: Core, num):
-    be = params.backend
+def _audit_eq28(be, stage, num):
     printed = _printed_hagge(be, *num)
-    built = geom._circle_through3_h(be, *(core.xyz[v][0]._h for v in simson.VERTEX_ORDER))
+    built = geom._circle_through3_h(be, *(stage[n] for n in "XYZ"))
     if not geom._same_h(be, printed, built):
         return {"printed": _fmt_circle_h(be, printed), "constructive": _fmt_circle_h(be, built)}
     return None
@@ -646,12 +646,11 @@ def _audit_eq28(params: Params, core: Core, num):
 
 def audit_printed_formulas(params: Params) -> Report:
     """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH)."""
-    core = simson.construct_core(params)
+    be, (stage, _) = params.backend, simson.construct_core(params)
     num = geom._over_common(params.a, params.b, params.c, params.t)
-    w25, w26 = _audit_eq25(params, core, num), _audit_eq26(params, core, num)
-    witnesses = (_audit_eq23(params, core, num), _audit_eq24(params, core, num), *w25, *w26,
-                 _audit_eq27(params, core, num), _audit_eq28(params, core, num))
+    w25, w26 = _audit_eq25(be, stage, num), _audit_eq26(be, stage, num)
+    witnesses = (_audit_eq23(be, stage, num), _audit_eq24(be, stage, num), *w25, *w26,
+                 _audit_eq27(be, stage, num), _audit_eq28(be, stage, num))
     results = tuple(CheckResult(name, witness is None, witness)
                     for name, witness in zip(AUDIT_NAMES, witnesses))
-    return Report(backend=params.backend.name, params=params_echo(params),
-                  flags=(), results=results)
+    return Report(backend=be.name, params=params_echo(params), flags=(), results=results)

@@ -7,8 +7,11 @@ their lcm on exact, the floats over D = 1.0 on float, where each term keeps
 the float operations in their order (a product with 1.0 is exact).  The
 ``_audit_eq25``/``_audit_eq26`` rows compare (n, d) pairs through
 ``geom._same_value`` on both backends.  The reference below is the earlier
-code, kept verbatim (same names, same bodies): it computes on the
-``Fraction`` (or ``float``) values and divides with ``Backend.div``.  Every
+code, kept verbatim (same names, same bodies) but for two changes: it reads
+a vertex's parameters through ``vertex_parameter`` and ``other_parameters``
+(once methods of ``Params``), and its rows compare with the objects that
+``stage_objects`` writes from the construction stage's tuples.  It computes
+on the ``Fraction`` (or ``float``) values and divides with ``Backend.div``.  Every
 printed object, and the whole ``audit_printed_formulas`` report, must have
 the same ``repr``, or raise the same exception with the same message, on
 seeded parameters of magnitude 10, 10^6 and 10^200, including the instances
@@ -21,6 +24,8 @@ runs the integer paths.
 import random
 import sys
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 from typing import Tuple
 
 import pytest
@@ -29,11 +34,36 @@ from conftest import printed_formula, printed_object
 from oblique_simson import geom, simson, verify
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
-from oblique_simson.simson import Core, Params
+from oblique_simson.simson import VERTEX_ORDER, Params
 from oblique_simson.verify import _fmt, _fmt_circle, _fmt_line, _fmt_point
 
 
 # -- reference: the rational bodies, verbatim -----------------------------------------
+
+
+def vertex_parameter(params: Params, vertex: str) -> Scalar:
+    return {"A": params.a, "B": params.b, "C": params.c}[vertex]
+
+
+def other_parameters(params: Params, vertex: str) -> Tuple[Scalar, Scalar]:
+    return {
+        "A": (params.b, params.c),
+        "B": (params.c, params.a),
+        "C": (params.a, params.b),
+    }[vertex]
+
+
+def stage_objects(be, stage) -> SimpleNamespace:
+    """The objects the reference rows compare with, keyed by vertex, written
+    from the tuples of ``simson.construct_core``."""
+    point, line = partial(geom._point_of, be), partial(geom._line_of, be)
+    xyz = {v: (point(stage[n]), None) for v, n in zip(VERTEX_ORDER, "XYZ")}
+    return SimpleNamespace(
+        h=point(stage["H"]), xyz=xyz,
+        joins={v: line(stage[v + v + "0"]) for v in VERTEX_ORDER},
+        altitudes={v: line(stage["alt" + v]) for v in VERTEX_ORDER},
+        circles={v: geom._circle_of(be, stage["c" + v]) for v in VERTEX_ORDER},
+        hagge=lambda: geom.circle_through3(*(p for p, _ in xyz.values())))
 
 
 def _printed_vertex_line(p: Scalar, t: Scalar) -> Line:
@@ -92,25 +122,25 @@ def _printed_hagge(params: Params) -> Circle:
                   be.scalar(0))
 
 
-def _audit_eq23(params: Params, core: Core):
+def _audit_eq23(params: Params, core):
     for v in simson.VERTEX_ORDER:
-        printed = _printed_vertex_line(params.vertex_parameter(v), params.t)
+        printed = _printed_vertex_line(vertex_parameter(params, v), params.t)
         if not geom.lines_equal(printed, core.joins[v]):
             return {"vertex": v, "printed": _fmt_line(printed),
                     "constructive": _fmt_line(core.joins[v])}
     return None
 
 
-def _audit_eq24(params: Params, core: Core):
+def _audit_eq24(params: Params, core):
     for v in simson.VERTEX_ORDER:
-        printed = _printed_vertex_circle(params.vertex_parameter(v), params.t)
+        printed = _printed_vertex_circle(vertex_parameter(params, v), params.t)
         if not geom.circles_equal(printed, core.circles[v]):
             return {"vertex": v, "printed": _fmt_circle(printed),
                     "constructive": _fmt_circle(core.circles[v])}
     return None
 
 
-def _audit_eq25(params: Params, core: Core):
+def _audit_eq25(params: Params, core):
     printed, built = _printed_orthocenter(params.a, params.b, params.c), core.h
     be = params.backend
     px, py, bx, by = printed.x.value, printed.y.value, built.x.value, built.y.value
@@ -122,7 +152,7 @@ def _audit_eq25(params: Params, core: Core):
     return wx, wy
 
 
-def _audit_eq26(params: Params, core: Core):
+def _audit_eq26(params: Params, core):
     pa, pb, pc = _printed_altitude_coeffs(params)
     built = core.altitudes["A"]
     be = params.backend
@@ -140,10 +170,10 @@ def _audit_eq26(params: Params, core: Core):
     return None, None
 
 
-def _audit_eq27(params: Params, core: Core):
+def _audit_eq27(params: Params, core):
     for v in simson.VERTEX_ORDER:
-        q, r = params.other_parameters(v)
-        printed = _printed_xyz(params.vertex_parameter(v), q, r, params.t)
+        q, r = other_parameters(params, v)
+        printed = _printed_xyz(vertex_parameter(params, v), q, r, params.t)
         built, _ = core.xyz[v]
         if not geom.points_equal(printed, built):
             return {"vertex": v, "printed": _fmt_point(printed),
@@ -151,7 +181,7 @@ def _audit_eq27(params: Params, core: Core):
     return None
 
 
-def _audit_eq28(params: Params, core: Core):
+def _audit_eq28(params: Params, core):
     printed = _printed_hagge(params)
     built = core.hagge()
     if not geom.circles_equal(printed, built):
@@ -205,7 +235,7 @@ def printed_calls(params):
     """Every printed object the audit evaluates, as (helper name, args)."""
     calls = []
     for v in simson.VERTEX_ORDER:
-        own, (q, r) = params.vertex_parameter(v), params.other_parameters(v)
+        own, (q, r) = vertex_parameter(params, v), other_parameters(params, v)
         calls += [("_printed_vertex_line", (own, params.t)),
                   ("_printed_vertex_circle", (own, params.t)),
                   ("_printed_xyz", (own, q, r, params.t))]
@@ -227,12 +257,13 @@ def printed_outcome(name, args):
 
 def reference_report(params, monkeypatch):
     """The report with each row replaced by its reference; a row of the
-    audit also takes the numbers (A, B, C, T, D), which the reference reads
-    from params itself."""
+    audit takes (backend, stage, numbers), its reference params and the
+    stage's objects."""
     with monkeypatch.context() as patch:
         for name, fn in REFERENCE.items():
             if name.startswith("_audit_eq"):
-                patch.setattr(verify, name, lambda params, core, _num, _fn=fn: _fn(params, core))
+                patch.setattr(verify, name, lambda be, stage, _num, _fn=fn:
+                              _fn(params, stage_objects(be, stage)))
         return outcome(verify.audit_printed_formulas, (params,))
 
 
@@ -306,7 +337,7 @@ class TestNoFractionArithmetic:
     def test_audit_and_reader_compute_on_integers(self, monkeypatch):
         instances = [Params.make(*raw) for raw in
                      special_params(10) + drawn_params(10 ** 200, 6, 2)]
-        cores = [simson.construct_core(p) for p in instances]
+        stages = [simson.construct_core(p)[0] for p in instances]
         texts = ["3/4", "-3/4", "5", "-0", "-0/7", "007/010", "2/4", "7" * 300]
 
         def forbidden(*_args):
@@ -314,11 +345,11 @@ class TestNoFractionArithmetic:
 
         for name in self.OPERATORS:
             monkeypatch.setattr(Fraction, name, forbidden)
-        for params, core in zip(instances, cores):
+        for params, stage in zip(instances, stages):
             for name, args in printed_calls(params):
                 printed_formula(name, *args)
             num = geom._over_common(params.a, params.b, params.c, params.t)
-            verify._audit_eq25(params, core, num)
-            verify._audit_eq26(params, core, num)
+            verify._audit_eq25(params.backend, stage, num)
+            verify._audit_eq26(params.backend, stage, num)
         for text in texts:
             EXACT.parse(text)

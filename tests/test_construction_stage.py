@@ -59,6 +59,16 @@ from oblique_simson.verify import (
         "_printed_vertex_circle", "_printed_vertex_line", "_printed_xyz"))
 
 
+# a vertex's own parameter and the other two, as Params once read them out
+def vertex_parameter(params, vertex):
+    return {"A": params.a, "B": params.b, "C": params.c}[vertex]
+
+
+def other_parameters(params, vertex):
+    return {"A": (params.b, params.c), "B": (params.c, params.a),
+            "C": (params.a, params.b)}[vertex]
+
+
 def _check(cond: bool, what: str) -> None:
     if not cond:
         raise ConstructionError(f"construction invariant failed: {what}")
@@ -70,17 +80,17 @@ def ref_orthocenter_h(params):
 
 
 def ref_side_line(vertex, params):
-    q, r = params.other_parameters(vertex)
+    q, r = other_parameters(params, vertex)
     return geom.line_through(vertex_point(q), vertex_point(r))
 
 
 def ref_altitude_line(vertex, params):
-    own = params.vertex_parameter(vertex)
+    own = vertex_parameter(params, vertex)
     return geom.perpendicular_through(vertex_point(own), ref_side_line(vertex, params))
 
 
 def ref_xyz_point(vertex, params):
-    own = params.vertex_parameter(vertex)
+    own = vertex_parameter(params, vertex)
     return geom.second_line_circle(ref_altitude_line(vertex, params),
                                    vertex_circle(own, params.t), vertex_point(own))
 
@@ -94,8 +104,8 @@ _LMN_SOURCES = {"L": ("B", "C"), "M": ("C", "A"), "N": ("A", "B")}
 
 def ref_lmn_point(which, params):
     v1, v2 = _LMN_SOURCES[which]
-    c1 = vertex_circle(params.vertex_parameter(v1), params.t)
-    c2 = vertex_circle(params.vertex_parameter(v2), params.t)
+    c1 = vertex_circle(vertex_parameter(params, v1), params.t)
+    c2 = vertex_circle(vertex_parameter(params, v2), params.t)
     return geom.second_circle_circle(c1, c2, origin_j(params.backend))
 
 
@@ -105,7 +115,7 @@ def ref_build_scene(params):
     o = circumcenter_o(be)
     sigma = circumcircle_sigma(be)
 
-    verts = {v: vertex_point(params.vertex_parameter(v)) for v in VERTEX_ORDER}
+    verts = {v: vertex_point(vertex_parameter(params, v)) for v in VERTEX_ORDER}
     for v, pt in verts.items():
         _check(geom.on_circle(sigma, pt), f"vertex {v} off the circumcircle")
 
@@ -131,7 +141,7 @@ def ref_build_scene(params):
     for v in VERTEX_ORDER:
         _check(geom.on_line(alts[v], h), f"altitude {v} misses the orthocentre")
 
-    circles_v = {v: vertex_circle(params.vertex_parameter(v), params.t)
+    circles_v = {v: vertex_circle(vertex_parameter(params, v), params.t)
                  for v in VERTEX_ORDER}
 
     xyz = {}
@@ -185,7 +195,7 @@ def ref_build_scene(params):
 
 def ref_audit_eq23(params):
     for v in VERTEX_ORDER:
-        own = params.vertex_parameter(v)
+        own = vertex_parameter(params, v)
         printed = _printed_vertex_line(own, params.t)
         built = geom.line_through(vertex_point(own), image_vertex(own, params.t))
         if not geom.lines_equal(printed, built):
@@ -196,7 +206,7 @@ def ref_audit_eq23(params):
 
 def ref_audit_eq24(params):
     for v in VERTEX_ORDER:
-        own = params.vertex_parameter(v)
+        own = vertex_parameter(params, v)
         printed = _printed_vertex_circle(own, params.t)
         built = vertex_circle(own, params.t)
         if not geom.circles_equal(printed, built):
@@ -233,8 +243,8 @@ def ref_audit_eq26(params):
 
 def ref_audit_eq27(params):
     for v in VERTEX_ORDER:
-        own = params.vertex_parameter(v)
-        q, r = params.other_parameters(v)
+        own = vertex_parameter(params, v)
+        q, r = other_parameters(params, v)
         printed = _printed_xyz(own, q, r, params.t)
         built, _ = ref_xyz_point(v, params)
         if not geom.points_equal(printed, built):
@@ -363,10 +373,38 @@ def test_read_out_helpers_match_reference():
 
 def test_stage_builds_each_vertex_once(monkeypatch):
     calls = []
-    real = simson.vertex_point
-    monkeypatch.setattr(simson, "vertex_point", lambda p: calls.append(p) or real(p))
+    real = simson._vertex_h
+    monkeypatch.setattr(simson, "_vertex_h", lambda *args: calls.append(args) or real(*args))
     simson.build_scene(Params.make(1, 2, 3, Fraction(1, 2)))
     assert len(calls) == 3
     calls.clear()
     audit_printed_formulas(Params.make(1, 2, 3, Fraction(1, 2)))
     assert len(calls) == 3
+
+
+def count_objects(monkeypatch):
+    """A list that records every Point, Line and Circle constructed until
+    ``monkeypatch.undo()``."""
+    made = []
+    for cls in (geom.Point, geom.Line, geom.Circle):
+        def counted(self, *args, _init=cls.__init__):
+            made.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_each_scene_object_is_written_once(monkeypatch):
+    """build_scene constructs its 33 objects and nothing else; an audit whose
+    rows all MATCH constructs none."""
+    golden, matching = Params.make(1, 2, 3, Fraction(1, 2)), Params.make(0, 1, -1, Fraction(1, 3))
+    made = count_objects(monkeypatch)
+    scene = simson.build_scene(golden)
+    assert len(made) == 33
+    assert len(made) == len(scene.points) + len(scene.lines) + len(scene.circles)
+    made.clear()
+    report = audit_printed_formulas(matching)
+    monkeypatch.undo()
+    assert report.all_pass
+    assert made == []

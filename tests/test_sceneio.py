@@ -21,7 +21,7 @@ from oblique_simson import (
 from oblique_simson.errors import GeometryError, OutputError
 from oblique_simson.geom import Point, make_circle, make_line
 from oblique_simson.numeric import EXACT, Scalar, format_scalar, parse_rational
-from oblique_simson.sceneio import scene_summary, scene_to_document
+from oblique_simson.sceneio import document_to_scene, scene_summary, scene_to_document
 from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Scene
 from oblique_simson.verify import SplitMix64
 
@@ -429,3 +429,13 @@ class TestSvg:
         scene = build_scene(Params.make(1, 2, 3, 10 ** 154))
         with pytest.raises(OutputError):
             render_svg(scene)
+
+    @pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])
+    def test_canvas_overflow_raises_output_error(self, backend):
+        """K at (10^307, 0) fits a float, but its canvas position at 200 px
+        per unit, and the viewBox fitted to it, do not."""
+        golden = build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=backend))
+        doc = scene_to_document(golden)
+        doc["points"]["K"] = ["1" + "0" * 307, "0"] if backend.exact else [1e307, 0.0]
+        with pytest.raises(OutputError):
+            render_svg(document_to_scene(doc))

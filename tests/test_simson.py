@@ -239,7 +239,7 @@ class TestXYZ:
         for vertex in "ABC":
             pt, _ = xyz_point(vertex, params)
             assert on_line(altitude_line(vertex, params), pt)
-            assert on_circle(vertex_circle(params.vertex_parameter(vertex), params.t), pt)
+            assert on_circle(vertex_circle(getattr(params, vertex.lower()), params.t), pt)
             assert on_circle(s, pt)
 
 

@@ -333,7 +333,7 @@ def canonical(obj, h) -> bool:
 def kernel_results(monkeypatch):
     """Record every Point, Line and Circle the exact kernel writers build."""
     born = []
-    for name in ("_hom_point", "_line", "_circle"):
+    for name in ("_point_of", "_line_of", "_circle_of"):
         writer = getattr(geom, name)
 
         def recorded(*args, _writer=writer):
