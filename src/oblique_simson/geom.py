@@ -32,11 +32,12 @@ The ``_h`` slot is not a dataclass field: ``==``, ``repr``, ``vars``,
 coordinates, and copy and pickle rebuild an object from its fields.
 
 Each formula lives in one private *tuple function* (``_line_through_h``,
-...) on the backend and ``_h`` tuples.  It hands its raw result to a
-``write`` argument: by default ``_point_h``, ``_line_h`` or ``_circle_h``,
-which return the canonical tuple (content-1 integers with the sign rule on
-exact, the floats an object holds on float); a public primitive passes the
-object writer ``_hom_point``, ``_line`` or ``_circle``.  The checks of
+...) on the backend and ``_h`` tuples.  It returns the canonical tuple of
+its result from ``_point_h``, ``_line_h`` or ``_circle_h`` (content-1
+integers with the sign rule on exact, the floats an object holds on float).
+Objects exist only at the API edge: a public primitive composes tuple
+functions, calls no other public one, and writes its result once through
+``_point_of``, ``_line_of`` or ``_circle_of``.  The checks of
 :mod:`~oblique_simson.verify` compose tuple functions and build no object;
 numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`),
 and :func:`_ratio_of` forms the pair of a quotient n/d: (n, d) on exact,
@@ -74,16 +75,28 @@ from .errors import (
 from .numeric import Backend, Scalar, _pair, format_scalar
 
 
-def _reduce_to_fields(obj):
-    """copy and pickle rebuild a Point, Line or Circle from its fields, so
-    a copy computes its own integers (and never meets the frozen
-    ``__setattr__``)."""
-    return type(obj), tuple(obj.__dict__.values())
+class _Stored:
+    """What a Point, Line and Circle share: the fields in ``__dict__``, the
+    canonical tuple ``_h`` and the backend in slots.  copy and pickle rebuild
+    an object from its fields, so a copy computes its own integers (and
+    never meets the frozen ``__setattr__``)."""
 
-
-@dataclass(frozen=True, eq=True, init=False)
-class Point:
     __slots__ = ("__dict__", "_h", "backend")
+
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__.values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(format_scalar, self.__dict__.values()))})"
+
+
+_set_h = _Stored._h.__set__
+_set_backend = _Stored.backend.__set__
+
+
+@dataclass(frozen=True, eq=True, init=False, repr=False)
+class Point(_Stored):
+    __slots__ = ()
     x: Scalar
     y: Scalar
 
@@ -96,20 +109,15 @@ class Point:
             _common_backend(x, y)
         if _h is None:
             _h = _point_h(be, *_over_common(x, y))
-        _set_point_h(self, _h)
-        _set_point_backend(self, be)
-
-    __reduce__ = _reduce_to_fields
-
-    def __repr__(self) -> str:
-        return f"Point({format_scalar(self.x)}, {format_scalar(self.y)})"
+        _set_h(self, _h)
+        _set_backend(self, be)
 
 
-@dataclass(frozen=True, eq=True, init=False)
-class Line:
+@dataclass(frozen=True, eq=True, init=False, repr=False)
+class Line(_Stored):
     """ax + by + c = 0 with (a, b) != (0, 0); build via make_line."""
 
-    __slots__ = ("__dict__", "_h", "backend")
+    __slots__ = ()
     a: Scalar
     b: Scalar
     c: Scalar
@@ -124,21 +132,15 @@ class Line:
             _common_backend(a, b, c)
         if _h is None:
             _h = _over_common(a, b, c)[:3]
-        _set_line_h(self, _h)
-        _set_line_backend(self, be)
-
-    __reduce__ = _reduce_to_fields
-
-    def __repr__(self) -> str:
-        a, b, c = map(format_scalar, (self.a, self.b, self.c))
-        return f"Line({a}, {b}, {c})"
+        _set_h(self, _h)
+        _set_backend(self, be)
 
 
-@dataclass(frozen=True, eq=True, init=False)
-class Circle:
+@dataclass(frozen=True, eq=True, init=False, repr=False)
+class Circle(_Stored):
     """x^2 + y^2 + dx + ey + f = 0 with positive discriminant d^2+e^2-4f."""
 
-    __slots__ = ("__dict__", "_h", "backend")
+    __slots__ = ()
     d: Scalar
     e: Scalar
     f: Scalar
@@ -153,20 +155,14 @@ class Circle:
             _common_backend(d, e, f)
         if _h is None:
             _h = _over_v(be, *_over_common(d, e, f))
-        _set_circle_h(self, _h)
-        _set_circle_backend(self, be)
-
-    __reduce__ = _reduce_to_fields
+        _set_h(self, _h)
+        _set_backend(self, be)
 
     def center(self) -> Point:
-        return _center_h(self.backend, self._h, _hom_point)
+        return _point_of(self.backend, _center_h(self.backend, self._h))
 
     def radius_sq(self) -> Scalar:
         return _pair(self.backend, *_radius_sq_h(self.backend, self._h))
-
-    def __repr__(self) -> str:
-        d, e, f = map(format_scalar, (self.d, self.e, self.f))
-        return f"Circle({d}, {e}, {f})"
 
 
 @dataclass(frozen=True)
@@ -210,13 +206,6 @@ def _common_backend(first, *rest) -> Backend:
 
 
 # -- homogeneous values and the writers ----------------------------------------------
-
-_set_point_h = Point._h.__set__
-_set_line_h = Line._h.__set__
-_set_circle_h = Circle._h.__set__
-_set_point_backend = Point.backend.__set__
-_set_line_backend = Line.backend.__set__
-_set_circle_backend = Circle.backend.__set__
 
 
 def _over_common(*values: Scalar) -> Tuple:
@@ -406,13 +395,13 @@ def circles_equal(c1: Circle, c2: Circle) -> bool:
 # -- incidence helpers -----------------------------------------------------------
 
 
-def _midpoint_h(be: Backend, p, q, write=_point_h):
+def _midpoint_h(be: Backend, p, q):
     (x1, y1, w1), (x2, y2, w2) = p, q
-    return write(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
+    return _point_h(be, x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return _midpoint_h(_common_backend(p, q), p._h, q._h, _hom_point)
+    return _point_of(p.backend, _midpoint_h(_common_backend(p, q), p._h, q._h))
 
 
 def _dist_sq_h(be: Backend, p, q):
@@ -466,72 +455,72 @@ def on_circle(c: Circle, p: Point) -> bool:
 # -- constructions ----------------------------------------------------------------
 
 
-def _line_through_h(be: Backend, p, q, write=_line_h):
+def _line_through_h(be: Backend, p, q):
     (x1, y1, w1), (x2, y2, w2) = p, q
     a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
     if be.is_zero(a) and be.is_zero(b):
         raise CoincidentPoints(
-            f"no unique line through coincident points {_hom_point(be, *p)}")
-    return write(be, a, b, x1 * y2 - x2 * y1)
+            f"no unique line through coincident points {_point_of(be, p)}")
+    return _line_h(be, a, b, x1 * y2 - x2 * y1)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The line through two distinct points."""
-    return _line_through_h(_common_backend(p, q), p._h, q._h, _line)
+    return _line_of(p.backend, _line_through_h(_common_backend(p, q), p._h, q._h))
 
 
-def _perpendicular_h(be: Backend, p, l, write=_line_h):
+def _perpendicular_h(be: Backend, p, l):
     (x, y, w), (a, b, _) = p, l
     # the float constant is -(b x + (-a) y), not a y - b x: the two differ
     # in the sign of a zero
-    return write(be, b * w, -a * w, -(b * x + -a * y))
+    return _line_h(be, b * w, -a * w, -(b * x + -a * y))
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
     """The perpendicular to l through p (well-defined even for p on l)."""
-    return _perpendicular_h(_common_backend(p, l), p._h, l._h, _line)
+    return _line_of(p.backend, _perpendicular_h(_common_backend(p, l), p._h, l._h))
 
 
-def _along_normal_h(be: Backend, p, l, k: int, write=_point_h):
+def _along_normal_h(be: Backend, p, l, k: int):
     """p moved k times its offset from l along l's normal: the foot of the
     perpendicular for k = 1, the mirror image for k = 2.  DivisionByZero
     when l has a = b = 0."""
     (x, y, w), (a, b, c) = p, l
     if be.exact:
         s, n = a * a + b * b, k * (a * x + b * y + c * w)
-        return write(be, x * s - n * a, y * s - n * b, w * s)
+        return _point_h(be, x * s - n * a, y * s - n * b, w * s)
     t = be.div(a * x + b * y + c, a * a + b * b)
     fx, fy = x - t * a, y - t * b
     if k == 1:
-        return write(be, fx, fy, 1.0)
-    return write(be, 2 * fx - x, 2 * fy - y, 1.0)
+        return _point_h(be, fx, fy, 1.0)
+    return _point_h(be, 2 * fx - x, 2 * fy - y, 1.0)
 
 
 def foot_perpendicular(p: Point, l: Line) -> Point:
     """Orthogonal projection of p onto l."""
-    return _along_normal_h(_common_backend(p, l), p._h, l._h, 1, _hom_point)
+    return _point_of(p.backend, _along_normal_h(_common_backend(p, l), p._h, l._h, 1))
 
 
 def reflect_in_line(p: Point, l: Line) -> Point:
     """Mirror image of p in l; an involution fixing exactly the points of l."""
-    return _along_normal_h(_common_backend(p, l), p._h, l._h, 2, _hom_point)
+    return _point_of(p.backend, _along_normal_h(_common_backend(p, l), p._h, l._h, 2))
 
 
-def _intersect_h(be: Backend, l1, l2, write=_point_h):
+def _intersect_h(be: Backend, l1, l2):
     (a1, b1, c1), (a2, b2, c2) = l1, l2
     a1b2, a2b1 = a1 * b2, a2 * b1
     det = a1b2 - a2b1
     if be.is_zero(det, (a1b2, a2b1)):
         raise ParallelLines("lines are parallel or identical")
-    return write(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
+    return _point_h(be, b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
     """The unique common point of two non-parallel lines."""
-    return _intersect_h(_common_backend(l1, l2), l1._h, l2._h, _hom_point)
+    return _point_of(l1.backend, _intersect_h(_common_backend(l1, l2), l1._h, l2._h))
 
 
-def _circle_through3_h(be: Backend, p, q, r, write=_circle_h):
+def _circle_through3_h(be: Backend, p, q, r):
     if _collinear3_h(be, p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
     if be.exact:
@@ -539,11 +528,11 @@ def _circle_through3_h(be: Backend, p, q, r, write=_circle_h):
         for x, y, w in (p, q, r):
             rows.append((x * x + y * y, x * w, y * w, w * w))
         (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = rows
-        return write(be,
-                     -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
-                     _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
-                     -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
-                     _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
+        return _circle_h(be,
+                         -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
+                         _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
+                         -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
+                         _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
     (px, py, _), (qx, qy, _), (rx, ry, _) = p, q, r
     s1 = px * px + py * py
     s2 = qx * qx + qy * qy
@@ -555,7 +544,7 @@ def _circle_through3_h(be: Backend, p, q, r, write=_circle_h):
     d = be.div(b1 * a22 - b2 * a12, det)
     e = be.div(a11 * b2 - a21 * b1, det)
     f = -(s1 + d * px + e * py)
-    return write(be, d, e, f)
+    return _circle_h(be, d, e, f)
 
 
 def circle_through3(p: Point, q: Point, r: Point) -> Circle:
@@ -566,34 +555,35 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
     exact backend the coefficients (v, d, e, f) are instead the signed 3x3
     minors of the rows (x^2 + y^2, xw, yw, w^2) of the three points.
     """
-    return _circle_through3_h(_common_backend(p, q, r), p._h, q._h, r._h, _circle)
+    return _circle_of(p.backend, _circle_through3_h(_common_backend(p, q, r), p._h, q._h, r._h))
 
 
-def _circle_center_through_h(be: Backend, center, p, write=_circle_h):
+def _circle_center_through_h(be: Backend, center, p):
     if be.exact:
         (cx, cy, cw), (px, py, pw) = center, p
         if cx * pw == px * cw and cy * pw == py * cw:
             raise ZeroRadius("circle through its own center has zero radius")
         # x^2 + y^2 - 2cx x - 2cy y + 2(cx px + cy py) - (px^2 + py^2) = 0, times cw pw^2
         ww = pw * pw
-        return write(be, -2 * cx * ww, -2 * cy * ww,
-                     2 * (cx * px + cy * py) * pw - (px * px + py * py) * cw, cw * ww)
+        return _circle_h(be, -2 * cx * ww, -2 * cy * ww,
+                         2 * (cx * px + cy * py) * pw - (px * px + py * py) * cw, cw * ww)
     (cx, cy, _), (px, py, _) = center, p
     dx, dy = cx - px, cy - py
     if be.is_zero(dx) and be.is_zero(dy):
         raise ZeroRadius("circle through its own center has zero radius")
     r_sq = dx * dx + dy * dy
-    return write(be, -2 * cx, -2 * cy, cx * cx + cy * cy - r_sq)
+    return _circle_h(be, -2 * cx, -2 * cy, cx * cx + cy * cy - r_sq)
 
 
 def circle_center_through(center: Point, p: Point) -> Circle:
     """The circle with the given center passing through p."""
-    return _circle_center_through_h(_common_backend(center, p), center._h, p._h, _circle)
+    be = _common_backend(center, p)
+    return _circle_of(be, _circle_center_through_h(be, center._h, p._h))
 
 
-def _center_h(be: Backend, c, write=_point_h):
+def _center_h(be: Backend, c):
     d, e, _, v = c
-    return write(be, -d, -e, 2 * v)
+    return _point_h(be, -d, -e, 2 * v)
 
 
 def _radius_sq_h(be: Backend, c):
@@ -605,14 +595,14 @@ def _radius_sq_h(be: Backend, c):
     return (d * d + e * e) / 4 - f, 1.0
 
 
-def _radical_h(be: Backend, c1, c2, write=_line_h):
+def _radical_h(be: Backend, c1, c2):
     (d1, e1, f1, v1), (d2, e2, f2, v2) = c1, c2
     d, e, f = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1
     if be.is_zero(d, (d1, d2)) and be.is_zero(e, (e1, e2)):
         if be.is_zero(f, (f1, f2)):
             raise IdenticalCircles("radical line of identical circles is undefined")
         raise NoRadicalLine("concentric distinct circles have no radical line")
-    return write(be, d, e, f)
+    return _line_h(be, d, e, f)
 
 
 def radical_line(c1: Circle, c2: Circle) -> Line:
@@ -621,10 +611,10 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     Obtained by subtracting the two general-form equations; it contains every
     common point and is perpendicular to the line of centers.
     """
-    return _radical_h(_common_backend(c1, c2), c1._h, c2._h, _line)
+    return _line_of(c1.backend, _radical_h(_common_backend(c1, c2), c1._h, c2._h))
 
 
-def _second_line_circle_h(be: Backend, l, c, known, write=_point_h):
+def _second_line_circle_h(be: Backend, l, c, known):
     """(the other meet of l and c, tangent); known itself when l touches c."""
     if not _on_line_h(be, l, known):
         raise KnownPointNotIncident("known point is not on the line")
@@ -644,12 +634,12 @@ def _second_line_circle_h(be: Backend, l, c, known, write=_point_h):
             if m * kw == 2 * kx * v * s:
                 return known, True
             x1 = m * kw - kx * v * s
-            return write(be, b * x1, -(a * x1 + lc * w), b * w), False
+            return _point_h(be, b * x1, -(a * x1 + lc * w), b * w), False
         m = -(2 * b * lc * v + ce * a * a - cd * a * b)
         if m * kw == 2 * ky * v * s:
             return known, True
         y1 = m * kw - ky * v * s
-        return write(be, -(b * y1 + lc * w), a * y1, a * w), False
+        return _point_h(be, -(b * y1 + lc * w), a * y1, a * w), False
     # eliminate the variable with the larger coefficient magnitude
     if abs(b) >= abs(a):
         # substitute y = -(a x + c)/b: (a^2+b^2) x^2 + (2ac + d b^2 - e a b) x + ... = 0
@@ -662,7 +652,7 @@ def _second_line_circle_h(be: Backend, l, c, known, write=_point_h):
         x1 = be.div(-(b * y1 + lc), a)
     if be.is_zero(x1 - kx) and be.is_zero(y1 - ky):
         return known, True
-    return write(be, x1, y1, 1.0), False
+    return _point_h(be, x1, y1, 1.0), False
 
 
 def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
@@ -673,8 +663,8 @@ def second_line_circle(l: Line, c: Circle, known: Point) -> Tuple[Point, bool]:
     point the known point itself is returned with the tangency flag set.
     """
     be = _common_backend(l, c, known)
-    meet, tangent = _second_line_circle_h(be, l._h, c._h, known._h, _hom_point)
-    return (known if tangent else meet), tangent
+    meet, tangent = _second_line_circle_h(be, l._h, c._h, known._h)
+    return (known if tangent else _point_of(be, meet)), tangent
 
 
 def second_circle_circle(c1: Circle, c2: Circle, known: Point) -> Tuple[Point, bool]:
@@ -686,8 +676,8 @@ def second_circle_circle(c1: Circle, c2: Circle, known: Point) -> Tuple[Point, b
     be = _common_backend(c1, c2)
     rad = _radical_h(be, c1._h, c2._h)
     _common_backend(c1, known)
-    meet, tangent = _second_line_circle_h(be, rad, c1._h, known._h, _hom_point)
-    return (known if tangent else meet), tangent
+    meet, tangent = _second_line_circle_h(be, rad, c1._h, known._h)
+    return (known if tangent else _point_of(be, meet)), tangent
 
 
 # -- predicates ---------------------------------------------------------------------
@@ -803,4 +793,4 @@ def orthocenter3(p: Point, q: Point, r: Point) -> Point:
     """Orthocentre of a proper triangle, as the meet of two altitudes
     checked against the third."""
     be = _common_backend(p, q, r)
-    return _hom_point(be, *_orthocentric_h(be, p._h, q._h, r._h)[2])
+    return _point_of(be, _orthocentric_h(be, p._h, q._h, r._h)[2])

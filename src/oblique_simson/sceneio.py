@@ -22,8 +22,8 @@ then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
 formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
 are clipped to the viewBox; circles are drawn whole even if they overflow.
 Points and circles are drawn from their ``_h`` tuples: a point (X, Y, W) at
-X/W, a circle's centre at -d/(2v) and its squared radius from geom's
-``_radius_sq_h``.  An exact value is drawn at the correctly rounded quotient
+X/W, a circle's centre at the canonical tuple of geom's ``_center_h`` and its
+squared radius from geom's ``_radius_sq_h``.  An exact value is drawn at the correctly rounded quotient
 of its numerator and denominator, as ``float()`` of a ``Fraction`` gives.
 """
 
@@ -48,10 +48,6 @@ _PX_PER_UNIT = 200.0
 _MARGIN_FRACTION = 0.10
 _DOT_RADIUS = 2.0
 _FONT_SIZE = 10.0
-
-
-def _scalar_to_json(x: Scalar):
-    return format_scalar(x) if x.backend.exact else x._ratio()[0]
 
 
 def _scalar_from_json(value, backend: Backend) -> Scalar:
@@ -166,21 +162,21 @@ def scene_summary(scene: Scene) -> str:
     out: List[str] = []
     out.append(f"backend: {scene.backend.name}")
     out.append("params: " + " ".join(
-        f"{k}={_scalar_to_json(getattr(scene.params, k))}" for k in ("a", "b", "c", "t")))
+        f"{k}={format_scalar(getattr(scene.params, k))}" for k in ("a", "b", "c", "t")))
     out.append("flags: " + (", ".join(scene.flags) if scene.flags else "(none)"))
     out.append("points:")
     for name in POINT_NAMES:
         p = scene.points[name]
-        out.append(f"  {name:<3} = ({_scalar_to_json(p.x)}, {_scalar_to_json(p.y)})")
+        out.append(f"  {name:<3} = ({format_scalar(p.x)}, {format_scalar(p.y)})")
     out.append("lines (a*x + b*y + c = 0):")
     for name in LINE_NAMES:
         l = scene.lines[name]
-        coeffs = ", ".join(str(_scalar_to_json(v)) for v in (l.a, l.b, l.c))
+        coeffs = ", ".join(map(format_scalar, (l.a, l.b, l.c)))
         out.append(f"  {name:<14} [{coeffs}]")
     out.append("circles (x^2 + y^2 + d*x + e*y + f = 0):")
     for name in CIRCLE_NAMES:
         C = scene.circles[name]
-        coeffs = ", ".join(str(_scalar_to_json(v)) for v in (C.d, C.e, C.f))
+        coeffs = ", ".join(map(format_scalar, (C.d, C.e, C.f)))
         out.append(f"  {name:<7} [{coeffs}]")
     return "\n".join(out) + "\n"
 
@@ -198,8 +194,8 @@ def _quotient(n, d) -> float:
 
 
 def _canvas(be, x, y, w) -> Tuple[float, float]:
-    """The canvas position of the point (x/w, y/w), a geom point writer: y
-    axis flipped, as SVG grows downwards."""
+    """The canvas position of the point (x/w, y/w): y axis flipped, as SVG
+    grows downwards."""
     return _quotient(x, w) * _PX_PER_UNIT, -_quotient(y, w) * _PX_PER_UNIT
 
 
@@ -285,7 +281,7 @@ def render_svg(scene: Scene) -> str:
         )
     for name in sorted(scene.circles):
         h = scene.circles[name]._h
-        cx, cy = geom._center_h(be, h, _canvas)
+        cx, cy = _canvas(be, *geom._center_h(be, h))
         radius = _quotient(*geom._radius_sq_h(be, h)) ** 0.5 * _PX_PER_UNIT
         parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '

@@ -18,7 +18,9 @@ subnormal or overflowing values.  The exact construction therefore does no
 ``Fraction`` arithmetic.  construct_core computes the stage's tuples, keyed
 by scene name; build_scene extends them to the whole figure and writes each
 of the scene's 33 objects once, and the audit in :mod:`oblique_simson.verify`
-compares its closed forms with the stage.
+compares its closed forms with the stage.  As in geom, a public function
+writes only the object it returns; only build_scene and the read-outs of
+one scene object call another public function.
 """
 
 from __future__ import annotations
@@ -117,15 +119,15 @@ def circumcircle_sigma(backend: Backend) -> Circle:
     return geom._circle(backend, -2, 0, 0)
 
 
-def _vertex_h(be: Backend, p: Scalar, write=geom._point_h):
+def _vertex_h(be: Backend, p: Scalar):
     """vertex_point on the pair of p (see geom's tuple functions)."""
     n, d = p._ratio()
-    return write(be, 2 * d * d, 2 * n * d, d * d + n * n)
+    return geom._point_h(be, 2 * d * d, 2 * n * d, d * d + n * n)
 
 
 def vertex_point(p: Scalar) -> Point:
     """The circumcircle point (2, 2p) / (1 + p^2) for vertex parameter p."""
-    return _vertex_h(p.backend, p, geom._hom_point)
+    return geom._point_of(p.backend, _vertex_h(p.backend, p))
 
 
 def apply_similarity(t: Scalar, p: Point) -> Point:
@@ -134,29 +136,34 @@ def apply_similarity(t: Scalar, p: Point) -> Point:
     As a matrix it is ((1/2, -t), (t, 1/2)): a rotation-dilation whose
     squared scale factor is (1 + 4 t^2) / 4.
     """
-    be = p.backend
-    if t.backend != be:
-        raise BackendMismatch("similarity and point must share one backend")
-    return _similarity_h(be, t, p._h, geom._hom_point)
+    return geom._point_of(p.backend, _checked_similarity_h(p.backend, t, p._h))
 
 
-def _similarity_h(be: Backend, t: Scalar, p, write=geom._point_h):
+def _similarity_h(be: Backend, t: Scalar, p):
     """apply_similarity on the tuple of a point."""
     (x, y, w), (n, d) = p, t._ratio()
     if be.exact:
-        return write(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
-    return write(be, x / 2 - n * y, n * x + y / 2, 1.0)  # n is t, d is 1.0
+        return geom._point_h(be, x * d - 2 * n * y, 2 * n * x + y * d, 2 * d * w)
+    return geom._point_h(be, x / 2 - n * y, n * x + y / 2, 1.0)  # n is t, d is 1.0
+
+
+def _checked_similarity_h(be: Backend, t: Scalar, p):
+    """_similarity_h, raising BackendMismatch unless t is on the point's backend be."""
+    if t.backend != be:
+        raise BackendMismatch("similarity and point must share one backend")
+    return _similarity_h(be, t, p)
 
 
 def image_vertex(p: Scalar, t: Scalar) -> Point:
     """Image of the vertex with parameter p under the similarity."""
-    return apply_similarity(t, vertex_point(p))
+    be = p.backend
+    return geom._point_of(be, _checked_similarity_h(be, t, _vertex_h(be, p)))
 
 
-def _perspector_h(be: Backend, t: Scalar, write=geom._point_h):
+def _perspector_h(be: Backend, t: Scalar):
     """perspector_k on the pair of t."""
     n, d = t._ratio()
-    return write(be, 8 * n * n, 4 * n * d, d * d + 4 * n * n)
+    return geom._point_h(be, 8 * n * n, 4 * n * d, d * d + 4 * n * n)
 
 
 def perspector_k(t: Scalar) -> Point:
@@ -165,14 +172,14 @@ def perspector_k(t: Scalar) -> Point:
     K = (8t^2, 4t) / (1 + 4t^2); independent of the vertex parameters, and
     equal to J itself at t = 0.
     """
-    return _perspector_h(t.backend, t, geom._hom_point)
+    return geom._point_of(t.backend, _perspector_h(t.backend, t))
 
 
-def _q_h(be: Backend, h, t: Scalar, write=geom._point_h):
+def _q_h(be: Backend, h, t: Scalar):
     """q_point on the tuple of H; JEqualsH when H is J."""
     if geom._same_h(be, h, (0, 0, 1)):  # H is J, the origin
         raise JEqualsH("H coincides with J: perpendicular bisector undefined")
-    return _similarity_h(be, t, h, write)
+    return _similarity_h(be, t, h)
 
 
 def q_point(h: Point, t: Scalar) -> Point:
@@ -181,12 +188,14 @@ def q_point(h: Point, t: Scalar) -> Point:
     Q runs over the whole perpendicular bisector of JH as t varies; t = 0
     gives the midpoint of JH (the classical case).
     """
-    return _q_h(geom._common_backend(h, t), h._h, t, geom._hom_point)
+    return geom._point_of(h.backend, _q_h(geom._common_backend(h, t), h._h, t))
 
 
 def vertex_circle(p: Scalar, t: Scalar) -> Circle:
     """Circle centered at the image vertex, through J (hence through the vertex)."""
-    return geom.circle_center_through(image_vertex(p, t), origin_j(p.backend))
+    be = p.backend
+    image = _checked_similarity_h(be, t, _vertex_h(be, p))
+    return geom._circle_of(be, geom._circle_center_through_h(be, image, geom._point_h(be, 0, 0, 1)))
 
 
 def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
@@ -197,6 +206,9 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     be, t = params.backend, params.t
     j = geom._point_h(be, 0, 0, 1)
     verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]
+    for v, vert in zip(VERTEX_ORDER, verts):
+        if geom._same_h(be, vert, j):  # only on float, within the tolerance
+            raise DegenerateTriangle(f"degenerate triangle: vertex {v} coincides with J")
     sides, alts, h = geom._orthocentric_h(be, *verts)
     images = [_similarity_h(be, t, v) for v in verts]
     joins = [geom._line_through_h(be, v, image) for v, image in zip(verts, images)]
@@ -324,13 +336,13 @@ def lmn_point(which: str, params: Params) -> Tuple[Point, bool]:
 # -- frame normalization -----------------------------------------------------------
 
 
-def _to_canonical_h(be: Backend, origin, unit, p, write=geom._point_h):
+def _to_canonical_h(be: Backend, origin, unit, p):
     """FrameTransform.to_canonical on point tuples: u = p - origin, then
     (u . v, u x v) / |v|^2 for the unit v; DivisionByZero when v is zero."""
     (x, y, w), (vx, vy, vw), (ox, oy, ow) = p, unit, origin
     ux, uy = x * ow - ox * w, y * ow - oy * w  # over the weight w ow
-    return write(be, (ux * vx + uy * vy) * vw, (uy * vx - ux * vy) * vw,
-                 w * ow * (vx * vx + vy * vy))
+    return geom._point_h(be, (ux * vx + uy * vy) * vw, (uy * vx - ux * vy) * vw,
+                         w * ow * (vx * vx + vy * vy))
 
 
 @dataclass(frozen=True)
@@ -343,7 +355,7 @@ class FrameTransform:
 
     def to_canonical(self, p: Point) -> Point:
         be = geom._common_backend(self.origin, p)
-        return _to_canonical_h(be, self.origin._h, self.unit._h, p._h, geom._hom_point)
+        return geom._point_of(be, _to_canonical_h(be, self.origin._h, self.unit._h, p._h))
 
     def from_canonical(self, p: Point) -> Point:
         be = geom._common_backend(self.origin, p)
@@ -355,8 +367,9 @@ class FrameTransform:
     @property
     def identity(self) -> bool:
         be = self.origin.backend
-        return geom.points_equal(self.origin, geom.point(be, 0, 0)) and \
-            geom.points_equal(self.unit, geom.point(be, 1, 0))
+        return (geom._same_h(be, self.origin._h, geom._point_h(be, 0, 0, 1))
+                and geom._same_h(geom._common_backend(self.unit, self.origin),
+                                 self.unit._h, geom._point_h(be, 1, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -380,24 +393,25 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
     are read off as y/x of each mapped vertex.  J' must be on the circumcircle
     and distinct from every vertex.
     """
-    if geom.collinear3(a_pt, b_pt, c_pt):
+    be = geom._common_backend(a_pt, b_pt, c_pt)
+    a, b, c, j = a_pt._h, b_pt._h, c_pt._h, j_pt._h
+    if geom._collinear3_h(be, a, b, c):
         raise DegenerateTriangle("triangle vertices are collinear")
-    for name, v in (("A", a_pt), ("B", b_pt), ("C", c_pt)):
-        if geom.points_equal(v, j_pt):
+    geom._common_backend(a_pt, j_pt)  # BackendMismatch unless J shares their backend
+    for name, v in (("A", a), ("B", b), ("C", c)):
+        if geom._same_h(be, v, j):
             raise DegenerateTriangle(
                 f"J coincides with vertex {name}: parameter undefined")
-    bis_ab = geom.perpendicular_through(geom.midpoint(a_pt, b_pt),
-                                        geom.line_through(a_pt, b_pt))
-    bis_ac = geom.perpendicular_through(geom.midpoint(a_pt, c_pt),
-                                        geom.line_through(a_pt, c_pt))
-    center = geom.intersect_lines(bis_ab, bis_ac)
-    be, (cx, cy, cw), (jx, jy, jw) = center.backend, center._h, j_pt._h
-    dj, da = (geom._dist_sq_h(be, p._h, center._h) for p in (j_pt, a_pt))
+    bis_ab, bis_ac = (geom._perpendicular_h(be, geom._midpoint_h(be, a, v),
+                                            geom._line_through_h(be, a, v)) for v in (b, c))
+    center = geom._intersect_h(be, bis_ab, bis_ac)
+    (cx, cy, cw), (jx, jy, jw) = center, j
+    dj, da = (geom._dist_sq_h(be, p, center) for p in (j, a))
     if not geom._same_value(be, dj, da, scaled=True):
         raise NotOnCircumcircle("J is not on the circumcircle of the triangle")
-    unit = geom._hom_point(be, cx * jw - jx * cw, cy * jw - jy * cw, cw * jw)
+    unit = geom._point_h(be, cx * jw - jx * cw, cy * jw - jy * cw, cw * jw)
     out: List[Scalar] = []
-    for v in (a_pt, b_pt, c_pt):
-        x, y, _ = _to_canonical_h(be, j_pt._h, unit._h, v._h)
+    for v in (a, b, c):
+        x, y, _ = _to_canonical_h(be, j, unit, v)
         out.append(Scalar(be, be.div(y, x)))  # the parameter y/x
-    return NormalizedFrame(*out, transform=FrameTransform(origin=j_pt, unit=unit))
+    return NormalizedFrame(*out, transform=FrameTransform(j_pt, geom._point_of(be, unit)))

@@ -106,7 +106,7 @@ def params_echo(params: Params) -> Dict[str, str]:
 
 
 def _fmt_h(be, h) -> str:
-    return _fmt_point(geom._hom_point(be, *h))
+    return _fmt_point(geom._point_of(be, h))
 
 
 def _fmt_line_h(be, h) -> str:
@@ -114,7 +114,7 @@ def _fmt_line_h(be, h) -> str:
 
 
 def _fmt_circle_h(be, h) -> str:
-    return _fmt_circle(geom._circle(be, *h))
+    return _fmt_circle(geom._circle_of(be, h))
 
 
 def _fmt_ratio(be, r) -> str:

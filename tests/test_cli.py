@@ -144,6 +144,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "t_zero_reduction" in out and "19/19 checks passed" in out
 
+    @pytest.mark.parametrize("command", ["verify", "audit", "construct"])
+    def test_float_vertex_at_j_exits_2(self, command, capsys):
+        """A float vertex within the tolerance of J is reported as the
+        degenerate triangle it is, by every command that builds the stage."""
+        code = main([command, "--a", "10000000000", "--b", "2", "--c", "3", "--t", "1/2",
+                     "--backend", "float"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degenerate triangle: vertex A coincides with J\n"
+
     def test_float_backend_passes(self, capsys):
         code = main(["verify", *GOLDEN, "--backend", "float", "--eps", "1e-9"])
         assert code == 0

@@ -408,3 +408,15 @@ def test_each_scene_object_is_written_once(monkeypatch):
     monkeypatch.undo()
     assert report.all_pass
     assert made == []
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])
+def test_normalize_frame_writes_only_its_unit_point(monkeypatch, backend):
+    """normalize_frame composes tuple functions: of its objects only the
+    unit point of the transform is constructed, no bisector or centre."""
+    frame = [vertex_point(backend.scalar(p)) for p in (1, 2, 3)] + [origin_j(backend)]
+    made = count_objects(monkeypatch)
+    normalized = simson.normalize_frame(*frame)
+    monkeypatch.undo()
+    assert made == ["Point"]
+    assert normalized.transform.identity

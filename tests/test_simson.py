@@ -43,7 +43,7 @@ from oblique_simson.geom import (
 )
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES
-from oblique_simson.verify import fuzz_instances
+from oblique_simson.verify import audit_printed_formulas, fuzz_instances
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -324,6 +324,18 @@ class TestBuildScene:
             Params.make(1, 2, 1, 0)
         with pytest.raises(DegenerateTriangle, match="a = b"):
             build_scene(Params.make("1/2", "2/4", 3, 1))
+
+    @pytest.mark.parametrize("abc, name", [((10**10, 2, 3), "A"), ((1, -2 * 10**10, 3), "B")])
+    def test_float_vertex_within_tolerance_of_j_rejected(self, abc, name):
+        """A vertex parameter so large that its vertex lies within the float
+        tolerance of J is a degenerate triangle, named before any line is
+        drawn through that vertex, by the build and by the audit alike."""
+        params = Params.make(*abc, Fraction(1, 2), backend=FloatBackend(1e-9))
+        message = f"^degenerate triangle: vertex {name} coincides with J$"
+        with pytest.raises(DegenerateTriangle, match=message):
+            build_scene(params)
+        with pytest.raises(DegenerateTriangle, match=message):
+            audit_printed_formulas(params)
 
     def test_scene_is_fully_named(self, golden_scene):
         assert tuple(golden_scene.points) == POINT_NAMES
