@@ -521,18 +521,23 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 
 def _circle_through3_h(be: Backend, p, q, r):
+    if be.exact:
+        # the null vector (v, d, e, f) of the rows (x^2 + y^2, xw, yw, w^2)
+        (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = [
+            (x * x + y * y, x * w, y * w, w * w) for x, y, w in (p, q, r)]
+        # the 2x2 minors of the rows of q and r, then each 3x3 minor along p's row
+        sx, sy, sw = s2 * x3 - s3 * x2, s2 * y3 - s3 * y2, s2 * w3 - s3 * w2
+        xy, xw, yw = x2 * y3 - x3 * y2, x2 * w3 - x3 * w2, y2 * w3 - y3 * w2
+        # v is det(p, q, r) times a nonzero factor of the weights: 0 iff p, q, r are collinear
+        v = x1 * yw - y1 * xw + w1 * xy
+        if v == 0:
+            raise CollinearPoints("no circle through collinear (or repeated) points")
+        d = y1 * sw - s1 * yw - w1 * sy
+        e = s1 * xw - x1 * sw + w1 * sx
+        f = x1 * sy - s1 * xy - y1 * sx
+        return _circle_h(be, d, e, f, v)
     if _collinear3_h(be, p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
-    if be.exact:
-        rows = []
-        for x, y, w in (p, q, r):
-            rows.append((x * x + y * y, x * w, y * w, w * w))
-        (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = rows
-        return _circle_h(be,
-                         -_det3((s1, y1, w1), (s2, y2, w2), (s3, y3, w3)),
-                         _det3((s1, x1, w1), (s2, x2, w2), (s3, x3, w3)),
-                         -_det3((s1, x1, y1), (s2, x2, y2), (s3, x3, y3)),
-                         _det3((x1, y1, w1), (x2, y2, w2), (x3, y3, w3)))
     (px, py, _), (qx, qy, _), (rx, ry, _) = p, q, r
     s1 = px * px + py * py
     s2 = qx * qx + qy * qy
@@ -552,8 +557,10 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
 
     Solves the 2x2 linear system obtained by subtracting the circle equation
     pairwise (eliminating f), then recovers f from the first point.  On the
-    exact backend the coefficients (v, d, e, f) are instead the signed 3x3
-    minors of the rows (x^2 + y^2, xw, yw, w^2) of the three points.
+    exact backend (v, d, e, f) is instead the null vector of the rows
+    (x^2 + y^2, xw, yw, w^2) of the three points: the six 2x2 minors of the
+    last two rows, expanded along the first.  The points are collinear iff
+    v = 0.
     """
     return _circle_of(p.backend, _circle_through3_h(_common_backend(p, q, r), p._h, q._h, r._h))
 
@@ -698,14 +705,14 @@ def collinear3(p: Point, q: Point, r: Point) -> bool:
 
 def _concyclic4_h(be: Backend, p, q, r, s) -> bool:
     if be.exact:
-        # rows (xw, yw, x^2 + y^2) scaled by w^2, expanded along the w^2 column
-        rows, last = [], []
-        for x, y, w in (p, q, r, s):
-            rows.append((x * w, y * w, x * x + y * y))
-            last.append(w * w)
-        r0, r1, r2, r3 = rows
-        return (last[1] * _det3(r0, r2, r3) + last[3] * _det3(r0, r1, r2)
-                == last[0] * _det3(r1, r2, r3) + last[2] * _det3(r0, r1, r3))
+        # translate p to the origin: the others are (u/W, v/W) with W = w w0, and
+        # their rows (x, y, x^2 + y^2) times W^2 are (uW, vW, u^2 + v^2); dividing
+        # the first two columns by w0 != 0 leaves the rows (uw, vw, u^2 + v^2)
+        (x0, y0, w0), rows = p, []
+        for x, y, w in (q, r, s):
+            u, v = x * w0 - x0 * w, y * w0 - y0 * w
+            rows.append((u * w, v * w, u * u + v * v))
+        return _det3(*rows) == 0
     rows = []
     for x, y, _ in (p, q, r, s):
         rows.append((x, y, x * x + y * y))
@@ -718,7 +725,9 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     """Whether the standard 4x4 concyclicity determinant vanishes.
 
     Rows are (x, y, x^2 + y^2, 1); collinear triples count as concyclic
-    (circle through infinity), matching the determinant convention.
+    (circle through infinity), matching the determinant convention.  On the
+    exact backend p is first translated to the origin, which leaves one 3x3
+    determinant of the other three points' rows (x, y, x^2 + y^2).
     """
     return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 

@@ -28,6 +28,7 @@ from oblique_simson.cli import main
 from oblique_simson.verify import SplitMix64
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
+WIDE = ["--max-mag", str(10 ** 200), "--max-den", str(10 ** 200)]
 
 
 def _sha(data: str) -> str:
@@ -44,7 +45,11 @@ def _sha(data: str) -> str:
     (["verify", "--a", "-3/7", "--b", "5/2", "--c", "9", "--t", "0",
       "--backend", "float", "--eps", "1e-6"],
      "8d3b77f70a1994942c1911e327293f42d45aa99505e5fccdc74e78de9537f3b6"),
-], ids=["fuzz", "audit-seeded", "audit-float", "verify-float"])
+    (["fuzz", "--seed", "5", "--count", "30", *WIDE],
+     "9095540dff5b556e1fcb097735165ee6155503aa14ea4858ebc8b95d06080f20"),
+    (["audit", "--seed", "9", "--count", "10", *WIDE],
+     "176525dba644d6a7a3f594f85e1af11bade270193417d7bda1461072428fa3b8"),
+], ids=["fuzz", "audit-seeded", "audit-float", "verify-float", "fuzz-1e200", "audit-1e200"])
 def test_stdout_digest(argv, digest, capsys):
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out) == digest

@@ -8,7 +8,8 @@ raise the same exception type with the same message, on seeded rationals of
 magnitude 10 and 10^200, on non-canonical lines and circles built directly,
 and on degenerate inputs.  A second test makes every ``Fraction`` arithmetic
 operator raise and runs each rewritten primitive and the construction stage
-of ``simson``, so the kernel stays integer-only.
+of ``simson``, so the kernel stays integer-only.  A third counts the 3x3
+determinants that building and checking the golden scene evaluates.
 """
 
 import math
@@ -28,7 +29,7 @@ from oblique_simson.errors import (
     ParallelLines,
     ZeroRadius,
 )
-from oblique_simson import geom, simson
+from oblique_simson import geom, simson, verify
 from oblique_simson.geom import Circle, DirectedTan, Line, Point
 from oblique_simson.numeric import EXACT, Scalar
 from oblique_simson.simson import Params
@@ -297,6 +298,11 @@ def cases(mag: int, seed: int, rounds: int):
     def pt():
         return ref_point(rat(), rat())
 
+    def over(w):
+        """A point of canonical weight w: its y has a numerator 1 mod w."""
+        return ref_point(Fraction(rng.randint(-mag, mag), w),
+                         Fraction(1 + w * rng.randint(-mag, mag), w))
+
     out = []
     for _ in range(rounds):
         p, q, r, s = pt(), pt(), pt(), pt()
@@ -318,6 +324,17 @@ def cases(mag: int, seed: int, rounds: int):
         touching = ref_circle_center_through(ref_midpoint(ref_center(c1), p), p)
         on_c1, _ = ref_second_line_circle(ref_line_through(p, s), c1, p)
         t12 = ref_directed_tan(l1, l2)
+        # three points over one common weight w, the third once on the line of the first two
+        w = rng.randint(2, mag)
+        u1, u2, u3 = over(w), over(w), over(w)
+        u_on = ref_point(2 * u2.x.value - u1.x.value, 2 * u2.y.value - u1.y.value)
+        assert {u._h[2] for u in (u1, u2, u3, u_on)} == {w}
+        ints = [ref_point(Fraction(rng.randint(-mag, mag)), Fraction(rng.randint(-mag, mag)))
+                for _ in range(3)]
+        # weights proportional to, but not equal to, w
+        v1, v2, v3 = over(w), over(2 * w), over(3 * w)
+        j = ref_point(Fraction(0), Fraction(0))
+        on_jpq, _ = ref_second_line_circle(ref_line_through(j, r), ref_circle_through3(j, p, q), j)
         out += [
             ("line_through", (p, q)), ("line_through", (p, copy_point(p))),
             ("perpendicular_through", (r, l1)), ("perpendicular_through", (r, scaled_line(l1, k))),
@@ -344,6 +361,11 @@ def cases(mag: int, seed: int, rounds: int):
             ("second_circle_circle", (c1, concentric, s)),
             ("circle_through3", (p, q, r)), ("circle_through3", (p, q, on_pq)),
             ("circle_through3", (p, copy_point(p), q)), ("circle_through3", (p, on_c1, s)),
+            ("circle_through3", (p, q, q)), ("circle_through3", (q, p, copy_point(q))),
+            ("circle_through3", (u1, u2, u3)), ("circle_through3", (u3, u1, u2)),
+            ("circle_through3", (u1, u2, u_on)), ("circle_through3", (u1, u2, u1)),
+            ("circle_through3", tuple(ints)), ("circle_through3", (v1, v2, v3)),
+            ("circle_through3", (u1, v2, u3)),
             ("circle_center_through", (r, p)), ("circle_center_through", (p, copy_point(p))),
             ("radical_line", (c1, c2)), ("radical_line", (c1, ref_circle_through3(p, q, r))),
             ("radical_line", (c1, concentric)), ("radical_line", (raw_circle, c1)),
@@ -355,6 +377,11 @@ def cases(mag: int, seed: int, rounds: int):
             ("collinear3", (p, q, r)), ("collinear3", (p, q, on_pq)), ("collinear3", (p, p, r)),
             ("concyclic4", (p, q, r, s)), ("concyclic4", (p, q, r, on_c1)),
             ("concyclic4", (p, on_pq, q, on_pq)), ("concyclic4", (r, s, p, q)),
+            ("concyclic4", (on_c1, p, q, r)), ("concyclic4", (p, p, q, r)),
+            ("concyclic4", (p, q, r, copy_point(p))), ("concyclic4", (p, q, p, s)),
+            ("concyclic4", (j, p, q, on_jpq)), ("concyclic4", (p, j, q, on_jpq)),
+            ("concyclic4", (on_jpq, q, j, p)), ("concyclic4", (p, q, j, s)),
+            ("concyclic4", (u1, u2, u3, u_on)), ("concyclic4", (v1, v2, v3, u1)),
             ("directed_tan", (l1, l2)), ("directed_tan", (scaled_line(l1, k), l2)),
             ("directed_tan", (l1, ref_perpendicular_through(r, l1))),
             ("directed_tan", (LINE0, l1)), ("directed_tan", (raw_line, l2)),
@@ -442,6 +469,24 @@ def test_named_degenerate_results():
     circle = ref_circle_center_through(ref_point(0, 0), p)
     tangent = ref_perpendicular_through(p, ref_line_through(ref_point(0, 0), p))
     assert geom.second_line_circle(scaled_line(tangent, Fraction(-3, 7)), circle, p) == (p, True)
+
+
+def test_golden_scene_evaluates_few_determinants(monkeypatch):
+    """circle_through3 shares its 2x2 minors and evaluates no 3x3 determinant,
+    and concyclic4 evaluates one: building and checking the golden scene
+    takes 12 (50 with four determinants in each kernel)."""
+    golden = Params.make(1, 2, 3, Fraction(1, 2))
+    calls = []
+
+    def counted(*rows, _det3=geom._det3):
+        calls.append(rows)
+        return _det3(*rows)
+
+    monkeypatch.setattr(geom, "_det3", counted)
+    report = verify.run_checks(simson.build_scene(golden))
+    monkeypatch.undo()
+    assert report.all_pass
+    assert len(calls) <= 12
 
 
 class TestNoFractionArithmetic:
