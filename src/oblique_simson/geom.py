@@ -732,6 +732,26 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 
 
+def _on_circumcircle_h(be: Backend, j, p, q, r) -> bool:
+    """Whether j is on the circle through p, q and r; CollinearPoints when
+    there is none.  On float, j is tested on _circle_through3_h's circle."""
+    if not be.exact:
+        return _on_circle_h(be, _circle_through3_h(be, p, q, r), j)
+    # translate j to the origin: the others are (u, v) over w w0, and j is on
+    # their circle iff its equation has no constant term.  With the minors m_k
+    # of the (u, v) columns, the leading coefficient is sum w_k m_k and the
+    # constant term sum s_k w_i w_j m_k, each up to a nonzero factor of the weights
+    (x0, y0, w0), rows = j, []
+    for x, y, w in (p, q, r):
+        u, v = x * w0 - x0 * w, y * w0 - y0 * w
+        rows.append((u, v, w, u * u + v * v))
+    (u1, v1, w1, s1), (u2, v2, w2, s2), (u3, v3, w3, s3) = rows
+    m1, m2, m3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1
+    if w1 * m1 + w2 * m2 + w3 * m3 == 0:
+        raise CollinearPoints("no circle through collinear (or repeated) points")
+    return s1 * w2 * w3 * m1 + s2 * w3 * w1 * m2 + s3 * w1 * w2 * m3 == 0
+
+
 def _det3(r0, r1, r2):
     return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])

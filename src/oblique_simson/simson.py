@@ -18,7 +18,11 @@ subnormal or overflowing values.  The exact construction therefore does no
 ``Fraction`` arithmetic.  construct_core computes the stage's tuples, keyed
 by scene name; build_scene extends them to the whole figure and writes each
 of the scene's 33 objects once, and the audit in :mod:`oblique_simson.verify`
-compares its closed forms with the stage.  As in geom, a public function
+compares its closed forms with the stage.  On exact, build_scene builds the
+circles S and Sigma0 from their centres, Q and the image of O, through J,
+and the double-Simson precondition (J on the circle of the triangle) is one
+integer test that builds no circle; float keeps the circles through X, Y, Z
+and A0, B0, C0, which fixes its bits.  As in geom, a public function
 writes only the object it returns; only build_scene and the read-outs of
 one scene object call another public function.
 """
@@ -206,9 +210,10 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     be, t = params.backend, params.t
     j = geom._point_h(be, 0, 0, 1)
     verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]
-    for v, vert in zip(VERTEX_ORDER, verts):
-        if geom._same_h(be, vert, j):  # only on float, within the tolerance
-            raise DegenerateTriangle(f"degenerate triangle: vertex {v} coincides with J")
+    if not be.exact:  # on exact a vertex's weight d^2 + n^2 is never 0, so never J
+        for v, vert in zip(VERTEX_ORDER, verts):
+            if geom._same_h(be, vert, j):  # within the tolerance
+                raise DegenerateTriangle(f"degenerate triangle: vertex {v} coincides with J")
     sides, alts, h = geom._orthocentric_h(be, *verts)
     images = [_similarity_h(be, t, v) for v in verts]
     joins = [geom._line_through_h(be, v, image) for v, image in zip(verts, images)]
@@ -246,7 +251,7 @@ def gws_line(l: Point, m: Point, n: Point) -> Line:
 
 def _double_simson_h(be: Backend, j, p, q, r):
     """double_simson_line on point tuples."""
-    if not geom._on_circle_h(be, geom._circle_through3_h(be, p, q, r), j):
+    if not geom._on_circumcircle_h(be, j, p, q, r):
         raise NotOnCircumcircle("point is not on the circumcircle of the triangle")
     refs = [geom._along_normal_h(be, j, geom._line_through_h(be, u, v), 2)
             for u, v in ((q, r), (r, p), (p, q))]
@@ -268,7 +273,10 @@ def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
     The stage's tuples are extended by the rest of the figure, and each
-    scene object is written once from its tuple.  It raises only where an
+    scene object is written once from its tuple.  On exact, S is the circle
+    about Q through J and Sigma0 the circle about the image of O through J,
+    so the checks put X, Y, Z, H and A0, B0, C0 on them; on float they are
+    the circles through X, Y, Z and through A0, B0, C0.  It raises only where an
     object cannot be built (degenerate input, H = J, an orthocentre off its
     third altitude, ...); whether the built objects satisfy the paper's
     incidences is the verdict of :func:`oblique_simson.verify.run_checks`,
@@ -283,8 +291,12 @@ def build_scene(params: Params) -> Scene:
     flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
              if geom._second_line_circle_h(be, stage[v + v + "0"], sigma, stage[v])[1]]
     flags += xyz_flags
-    stage["S"] = geom._circle_through3_h(be, *(stage[n] for n in _XYZ))
-    stage["Sigma0"] = geom._circle_through3_h(be, *(stage[v + "0"] for v in VERTEX_ORDER))
+    if be.exact:  # S about Q and Sigma0 about the image of O, both through J
+        stage["S"] = geom._circle_center_through_h(be, stage["Q"], j)
+        stage["Sigma0"] = geom._circle_center_through_h(be, _similarity_h(be, t, stage["O"]), j)
+    else:  # through three points, which keeps the float bits
+        stage["S"] = geom._circle_through3_h(be, *(stage[n] for n in _XYZ))
+        stage["Sigma0"] = geom._circle_through3_h(be, *(stage[v + "0"] for v in VERTEX_ORDER))
     for n, (c1, c2) in _LMN.items():
         radical = geom._radical_h(be, stage[c1], stage[c2])
         stage[n], tangent = geom._second_line_circle_h(be, radical, stage[c1], j)

@@ -193,6 +193,7 @@ def _chk_perspector_common(scene: Scene):
 
 
 def _chk_xyz_incidences(scene: Scene):
+    # puts X, Y, Z on S on exact, where S is about Q through J; on float S is through them
     pts, be = scene.points, scene.backend
     s = scene.circles["S"]._h
     plan = (("X", "altA", "cA"), ("Y", "altB", "cB"), ("Z", "altC", "cC"))
@@ -208,6 +209,7 @@ def _chk_xyz_incidences(scene: Scene):
 
 
 def _chk_hagge(scene: Scene):
+    # puts H on S on exact (centre Q and J hold by construction); on float also Q and J
     pts, be = scene.points, scene.backend
     s = scene.circles["S"]
     center = geom._center_h(be, s._h)
