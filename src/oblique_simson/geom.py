@@ -520,24 +520,24 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return _point_of(l1.backend, _intersect_h(_common_backend(l1, l2), l1._h, l2._h))
 
 
-def _circle_through3_h(be: Backend, p, q, r):
-    if be.exact:
-        # the null vector (v, d, e, f) of the rows (x^2 + y^2, xw, yw, w^2)
-        (s1, x1, y1, w1), (s2, x2, y2, w2), (s3, x3, y3, w3) = [
-            (x * x + y * y, x * w, y * w, w * w) for x, y, w in (p, q, r)]
-        # the 2x2 minors of the rows of q and r, then each 3x3 minor along p's row
-        sx, sy, sw = s2 * x3 - s3 * x2, s2 * y3 - s3 * y2, s2 * w3 - s3 * w2
-        xy, xw, yw = x2 * y3 - x3 * y2, x2 * w3 - x3 * w2, y2 * w3 - y3 * w2
-        # v is det(p, q, r) times a nonzero factor of the weights: 0 iff p, q, r are collinear
-        v = x1 * yw - y1 * xw + w1 * xy
-        if v == 0:
-            raise CollinearPoints("no circle through collinear (or repeated) points")
-        d = y1 * sw - s1 * yw - w1 * sy
-        e = s1 * xw - x1 * sw + w1 * sx
-        f = x1 * sy - s1 * xy - y1 * sx
-        return _circle_h(be, d, e, f, v)
+def _require_triangle(be: Backend, p, q, r) -> None:
+    """CollinearPoints unless p, q and r have a circle through them."""
     if _collinear3_h(be, p, q, r):
         raise CollinearPoints("no circle through collinear (or repeated) points")
+
+
+def _circumcenter_h(be: Backend, p, q, r):
+    """The meet of the perpendicular bisectors of pq and pr; it raises when
+    the points are collinear or repeated."""
+    bis_q, bis_r = (_perpendicular_h(be, _midpoint_h(be, p, v), _line_through_h(be, p, v))
+                    for v in (q, r))
+    return _intersect_h(be, bis_q, bis_r)
+
+
+def _circle_through3_h(be: Backend, p, q, r):
+    _require_triangle(be, p, q, r)
+    if be.exact:
+        return _circle_center_through_h(be, _circumcenter_h(be, p, q, r), p)
     (px, py, _), (qx, qy, _), (rx, ry, _) = p, q, r
     s1 = px * px + py * py
     s2 = qx * qx + qy * qy
@@ -557,10 +557,8 @@ def circle_through3(p: Point, q: Point, r: Point) -> Circle:
 
     Solves the 2x2 linear system obtained by subtracting the circle equation
     pairwise (eliminating f), then recovers f from the first point.  On the
-    exact backend (v, d, e, f) is instead the null vector of the rows
-    (x^2 + y^2, xw, yw, w^2) of the three points: the six 2x2 minors of the
-    last two rows, expanded along the first.  The points are collinear iff
-    v = 0.
+    exact backend it is instead the circle about the meet of the
+    perpendicular bisectors of pq and pr, through p.
     """
     return _circle_of(p.backend, _circle_through3_h(_common_backend(p, q, r), p._h, q._h, r._h))
 
@@ -632,11 +630,11 @@ def _second_line_circle_h(be: Backend, l, c, known):
         s = a * a + b * b
         if s == 0:
             raise DivisionByZero("division by zero scalar")
-        # Vieta: the roots (x, or y when |a| > |b|) sum to m / (v s), so the
+        # Vieta: the roots (x, or y when b = 0) sum to m / (v s), so the
         # other root is (m kw - k v s) / w for the known root k / kw, and the
         # line is tangent when the two agree
         w = v * s * kw
-        if abs(b) >= abs(a):
+        if b != 0:
             m = -(2 * a * lc * v + cd * b * b - ce * a * b)
             if m * kw == 2 * kx * v * s:
                 return known, True
@@ -705,14 +703,17 @@ def collinear3(p: Point, q: Point, r: Point) -> bool:
 
 def _concyclic4_h(be: Backend, p, q, r, s) -> bool:
     if be.exact:
-        # translate p to the origin: the others are (u/W, v/W) with W = w w0, and
-        # their rows (x, y, x^2 + y^2) times W^2 are (uW, vW, u^2 + v^2); dividing
-        # the first two columns by w0 != 0 leaves the rows (uw, vw, u^2 + v^2)
+        # translate p to the origin: the others are (u, v) over w w0, and p is on
+        # their circle iff its equation has no constant term.  With the minors m_k
+        # of the (u, v) columns that term is sum s_k w_i w_j m_k, up to a nonzero
+        # factor of the weights: the 3x3 determinant of the rows (uw, vw, u^2 + v^2)
         (x0, y0, w0), rows = p, []
         for x, y, w in (q, r, s):
             u, v = x * w0 - x0 * w, y * w0 - y0 * w
-            rows.append((u * w, v * w, u * u + v * v))
-        return _det3(*rows) == 0
+            rows.append((u, v, w, u * u + v * v))
+        (u1, v1, w1, s1), (u2, v2, w2, s2), (u3, v3, w3, s3) = rows
+        m1, m2, m3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1
+        return s1 * w2 * w3 * m1 + s2 * w3 * w1 * m2 + s3 * w1 * w2 * m3 == 0
     rows = []
     for x, y, _ in (p, q, r, s):
         rows.append((x, y, x * x + y * y))
@@ -726,8 +727,9 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
 
     Rows are (x, y, x^2 + y^2, 1); collinear triples count as concyclic
     (circle through infinity), matching the determinant convention.  On the
-    exact backend p is first translated to the origin, which leaves one 3x3
-    determinant of the other three points' rows (x, y, x^2 + y^2).
+    exact backend p is first translated to the origin, which leaves the
+    constant term of the other three points' circle: one sum over the 2x2
+    minors of their translated coordinates.
     """
     return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 
@@ -737,19 +739,8 @@ def _on_circumcircle_h(be: Backend, j, p, q, r) -> bool:
     there is none.  On float, j is tested on _circle_through3_h's circle."""
     if not be.exact:
         return _on_circle_h(be, _circle_through3_h(be, p, q, r), j)
-    # translate j to the origin: the others are (u, v) over w w0, and j is on
-    # their circle iff its equation has no constant term.  With the minors m_k
-    # of the (u, v) columns, the leading coefficient is sum w_k m_k and the
-    # constant term sum s_k w_i w_j m_k, each up to a nonzero factor of the weights
-    (x0, y0, w0), rows = j, []
-    for x, y, w in (p, q, r):
-        u, v = x * w0 - x0 * w, y * w0 - y0 * w
-        rows.append((u, v, w, u * u + v * v))
-    (u1, v1, w1, s1), (u2, v2, w2, s2), (u3, v3, w3, s3) = rows
-    m1, m2, m3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1
-    if w1 * m1 + w2 * m2 + w3 * m3 == 0:
-        raise CollinearPoints("no circle through collinear (or repeated) points")
-    return s1 * w2 * w3 * m1 + s2 * w3 * w1 * m2 + s3 * w1 * w2 * m3 == 0
+    _require_triangle(be, p, q, r)
+    return _concyclic4_h(be, j, p, q, r)
 
 
 def _det3(r0, r1, r2):

@@ -16,13 +16,15 @@ similarity keeps an integer and a float body, as its float form halves the
 coordinates before it adds, which the homogeneous form cannot match at
 subnormal or overflowing values.  The exact construction therefore does no
 ``Fraction`` arithmetic.  construct_core computes the stage's tuples, keyed
-by scene name; build_scene extends them to the whole figure and writes each
-of the scene's 33 objects once, and the audit in :mod:`oblique_simson.verify`
-compares its closed forms with the stage.  On exact, build_scene builds the
-circles S and Sigma0 from their centres, Q and the image of O, through J,
-and the double-Simson precondition (J on the circle of the triangle) is one
-integer test that builds no circle; float keeps the circles through X, Y, Z
-and A0, B0, C0, which fixes its bits.  As in geom, a public function
+by scene name, up to Q and the circle S; build_scene extends them to the
+whole figure and writes each of the scene's 33 objects once, and the audit
+in :mod:`oblique_simson.verify` compares its closed forms with the stage,
+S among them.  On exact the circles S and Sigma0 are built from their
+centres, Q and the image of O, through J, and the double-Simson
+precondition (J on the circle of the triangle) is one integer test that
+builds no circle; float keeps the circles through X, Y, Z and A0, B0, C0,
+which fixes its bits.  :func:`_circle_about_h` makes that choice for both
+circles.  As in geom, a public function
 writes only the object it returns; only build_scene and the read-outs of
 one scene object call another public function.
 """
@@ -202,11 +204,22 @@ def vertex_circle(p: Scalar, t: Scalar) -> Circle:
     return geom._circle_of(be, geom._circle_center_through_h(be, image, geom._point_h(be, 0, 0, 1)))
 
 
+def _circle_about_h(be: Backend, center, j, through):
+    """The circle about *center* through j, which also passes through the three
+    points *through*: built from its centre on exact, and through the three
+    points on float, which fixes the float bits."""
+    if be.exact:
+        return geom._circle_center_through_h(be, center, j)
+    return geom._circle_through3_h(be, *through)
+
+
 def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     """The stage's canonical tuples by scene name, each computed once from
     the ones before, and the tangency flags of X, Y, Z.  The vertex circle
     cA is centred at A0 through J (and A), X is its second meet with altA,
-    and the line AA0 through A and A0, not a scene object, is kept too."""
+    and the line AA0 through A and A0, not a scene object, is kept too.  Q is
+    the image of H, and S is the circle about Q through J, which passes
+    through X, Y, Z and H."""
     be, t = params.backend, params.t
     j = geom._point_h(be, 0, 0, 1)
     verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]
@@ -219,7 +232,8 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     joins = [geom._line_through_h(be, v, image) for v, image in zip(verts, images)]
     circles = [geom._circle_center_through_h(be, image, j) for image in images]
     xyz = [geom._second_line_circle_h(be, *meet) for meet in zip(alts, circles, verts)]
-    stage = {"J": j, "H": h}
+    q = _q_h(be, h, t)
+    stage = {"J": j, "H": h, "Q": q, "S": _circle_about_h(be, q, j, [p for p, _ in xyz])}
     for i, v in enumerate(VERTEX_ORDER):
         stage.update({v: verts[i], _SIDES[i]: sides[i], "alt" + v: alts[i], v + "0": images[i],
                       v + v + "0": joins[i], "c" + v: circles[i], _XYZ[i]: xyz[i][0]})
@@ -273,30 +287,25 @@ def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
     The stage's tuples are extended by the rest of the figure, and each
-    scene object is written once from its tuple.  On exact, S is the circle
-    about Q through J and Sigma0 the circle about the image of O through J,
-    so the checks put X, Y, Z, H and A0, B0, C0 on them; on float they are
-    the circles through X, Y, Z and through A0, B0, C0.  It raises only where an
-    object cannot be built (degenerate input, H = J, an orthocentre off its
-    third altitude, ...); whether the built objects satisfy the paper's
-    incidences is the verdict of :func:`oblique_simson.verify.run_checks`,
-    one named check per identity.
+    scene object is written once from its tuple.  On exact, S is the
+    stage's circle about Q through J and Sigma0 the circle about the image
+    of O through J, so the checks put X, Y, Z, H and A0, B0, C0 on them; on
+    float they are the circles through X, Y, Z and through A0, B0, C0.  It
+    raises only where an object cannot be built (degenerate input, H = J, an
+    orthocentre off its third altitude, ...); whether the built objects
+    satisfy the paper's incidences is the verdict of
+    :func:`oblique_simson.verify.run_checks`, one named check per identity.
     """
     be, t = params.backend, params.t
     stage, xyz_flags = construct_core(params)
     j, sigma = stage["J"], geom._circle_h(be, -2, 0, 0)
-    stage.update(O=geom._point_h(be, 1, 0, 1), Sigma=sigma,
-                 Q=_q_h(be, stage["H"], t), K=_perspector_h(be, t))
+    stage.update(O=geom._point_h(be, 1, 0, 1), Sigma=sigma, K=_perspector_h(be, t))
     # only the tangency flag is read here; perspector_common judges the meet
     flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
              if geom._second_line_circle_h(be, stage[v + v + "0"], sigma, stage[v])[1]]
     flags += xyz_flags
-    if be.exact:  # S about Q and Sigma0 about the image of O, both through J
-        stage["S"] = geom._circle_center_through_h(be, stage["Q"], j)
-        stage["Sigma0"] = geom._circle_center_through_h(be, _similarity_h(be, t, stage["O"]), j)
-    else:  # through three points, which keeps the float bits
-        stage["S"] = geom._circle_through3_h(be, *(stage[n] for n in _XYZ))
-        stage["Sigma0"] = geom._circle_through3_h(be, *(stage[v + "0"] for v in VERTEX_ORDER))
+    stage["Sigma0"] = _circle_about_h(be, _similarity_h(be, t, stage["O"]), j,
+                                      [stage[v + "0"] for v in VERTEX_ORDER])
     for n, (c1, c2) in _LMN.items():
         radical = geom._radical_h(be, stage[c1], stage[c2])
         stage[n], tangent = geom._second_line_circle_h(be, radical, stage[c1], j)
@@ -414,9 +423,7 @@ def normalize_frame(a_pt: Point, b_pt: Point, c_pt: Point, j_pt: Point) -> Norma
         if geom._same_h(be, v, j):
             raise DegenerateTriangle(
                 f"J coincides with vertex {name}: parameter undefined")
-    bis_ab, bis_ac = (geom._perpendicular_h(be, geom._midpoint_h(be, a, v),
-                                            geom._line_through_h(be, a, v)) for v in (b, c))
-    center = geom._intersect_h(be, bis_ab, bis_ac)
+    center = geom._circumcenter_h(be, a, b, c)
     (cx, cy, cw), (jx, jy, jw) = center, j
     dj, da = (geom._dist_sq_h(be, p, center) for p in (j, a))
     if not geom._same_value(be, dj, da, scaled=True):

@@ -28,9 +28,9 @@ on integers.  Each closed form returns a canonical tuple from ``_point_h``,
 ``_line_h`` or ``_circle_h``, or (n, d) pairs from ``_ratio_of`` for the
 altitude coefficients.  Each row takes (backend, stage, numbers) and compares
 tuples with tuples (``_same_h``, and ``_same_value`` by integer
-cross-multiplication on exact); the circle S comes from
-``_circle_through3_h`` on X, Y and Z, and a row builds a Point, Line, Circle
-or Scalar only for a MISMATCH witness.
+cross-multiplication on exact); the circle S is the stage's, the one the
+scene holds, and a row builds a Point, Line, Circle or Scalar only for a
+MISMATCH witness.
 """
 
 from __future__ import annotations
@@ -639,8 +639,7 @@ def _audit_eq27(be, stage, num):
 
 
 def _audit_eq28(be, stage, num):
-    printed = _printed_hagge(be, *num)
-    built = geom._circle_through3_h(be, *(stage[n] for n in "XYZ"))
+    printed, built = _printed_hagge(be, *num), stage["S"]
     if not geom._same_h(be, printed, built):
         return {"printed": _fmt_circle_h(be, printed), "constructive": _fmt_circle_h(be, built)}
     return None

@@ -6,7 +6,8 @@ image of O, both through J, and ``double_simson_line`` tests that J lies on
 the circle of its triangle without building that circle.  The tests below
 compare both with the circle through three points, and show that a
 construction mutant which moves Q or X off S is caught by the check that
-now carries the membership, ``xyz_incidences``.
+now carries the membership, ``xyz_incidences``.  The audit's Eq2.8 row
+compares its printed circle with the stage's S, the one the scene holds.
 """
 
 import random
@@ -17,9 +18,10 @@ import pytest
 from conftest import P
 from oblique_simson import geom, simson
 from oblique_simson.errors import AllCoincident, NotCollinear, NotOnCircumcircle
-from oblique_simson.numeric import FloatBackend
+from oblique_simson.numeric import EXACT, FloatBackend
 from oblique_simson.simson import Params, build_scene, double_simson_line
-from oblique_simson.verify import FuzzConfig, fuzz_instances, run_checks
+from oblique_simson.verify import (FuzzConfig, audit_printed_formulas, fuzz_instances,
+                                   run_checks)
 
 
 @pytest.mark.parametrize("mag,seed", [(10, 31), (10 ** 200, 32)], ids=["mag10", "mag1e200"])
@@ -48,6 +50,19 @@ def shifted_q(monkeypatch):
     monkeypatch.setattr(simson, "_q_h", mutant)
 
 
+def moved_s(monkeypatch):
+    """S replaced in the stage by the circle through J about Q moved by (1/1000, 0)."""
+    real = simson.construct_core
+
+    def mutant(params):
+        stage, flags = real(params)
+        be, (x, y, w) = params.backend, stage["Q"]
+        center = geom._point_h(be, 1000 * x + w, 1000 * y, 1000 * w)
+        return {**stage, "S": geom._circle_center_through_h(be, center, stage["J"])}, flags
+
+    monkeypatch.setattr(simson, "construct_core", mutant)
+
+
 def x_at_a(monkeypatch):
     """X moved along altA to its other meet with cA, the vertex A: still on
     altA and cA, but off S."""
@@ -70,16 +85,49 @@ def test_construction_mutant_fails_xyz_incidences(monkeypatch, golden_params, mu
     assert result.witness["off"] == "S"
 
 
+def test_moved_s_fails_the_audit_and_xyz_incidences(monkeypatch, golden_params):
+    """The scene and the audit read one S: a stage S moved off X, Y, Z is a
+    MISMATCH of Eq2.8 and fails xyz_incidences."""
+    moved_s(monkeypatch)
+    scene, audit = build_scene(golden_params), audit_printed_formulas(golden_params)
+    monkeypatch.undo()
+    assert not audit.result("eq2.8").passed
+    result = run_checks(scene).result("xyz_incidences")
+    assert not result.passed
+    assert result.witness["off"] == "S"
+
+
 def test_exact_stage_skips_the_near_j_test(monkeypatch):
     """A vertex (2d^2, 2nd, d^2 + n^2) is never J on exact, so the stage
     compares vertices with J only on float."""
     calls = []
     real = geom._same_h
     monkeypatch.setattr(geom, "_same_h", lambda *args: calls.append(args) or real(*args))
-    simson.construct_core(Params.make(1, 2, 3, Fraction(1, 2)))
+    for backend, want in ((EXACT, 0), (FloatBackend(), 3)):
+        calls.clear()
+        stage, _ = simson.construct_core(Params.make(1, 2, 3, Fraction(1, 2), backend=backend))
+        verts = [stage[v] for v in simson.VERTEX_ORDER]
+        near_j = [args for args in calls if args[1] in verts and args[2] == stage["J"]]
+        assert len(near_j) == want
+
+
+@pytest.mark.parametrize("mag,seed", [(10, 3), (10 ** 200, 5)], ids=["mag10", "mag1e200"])
+def test_exact_run_builds_no_three_point_circle(monkeypatch, mag, seed):
+    """On exact, building, checking and auditing an instance builds every
+    circle from its centre and compares no magnitudes in geom."""
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(geom, "_circle_through3_h", counted("circle", geom._circle_through3_h))
+    monkeypatch.setattr(geom, "abs", counted("abs", abs), raising=False)
+    instances, _ = fuzz_instances(FuzzConfig(seed=seed, count=5, max_numerator=mag,
+                                             max_denominator=mag))
+    for _, params, scene in instances:
+        assert run_checks(scene).all_pass
+        audit_printed_formulas(params)
     assert calls == []
-    simson.construct_core(Params.make(1, 2, 3, Fraction(1, 2), backend=FloatBackend()))
-    assert len(calls) == 3
 
 
 # -- double_simson_line against the three-point circle -------------------------------

@@ -488,3 +488,20 @@ class TestNormalizeFrameFloatScale:
     def test_j_off_circle_still_rejected(self, off):
         with pytest.raises(NotOnCircumcircle):
             normalize_frame(*self._frame(off, j_stretch=Fraction(1001, 1000)))
+
+    @pytest.mark.xfail(raises=DegenerateTriangle, strict=True,
+                       reason="the float collinearity test's tolerance calls a small "
+                              "triangle collinear at eps 1e-6")
+    def test_small_triangle_normalizes_as_on_exact(self):
+        # the canonical triangle (a, b, c) moved by w -> (1 + t + 2i) w + (a + ci),
+        # with J at the image of the origin, as the report sweep places it
+        a, b, c, t = Fraction(5, 832), Fraction(-1, 165), Fraction(-3, 562), Fraction(-3, 655)
+        for be in (EXACT, FloatBackend(1e-6)):
+            def place(x, y):
+                return Point(be.scalar((1 + t) * x - 2 * y + a),
+                             be.scalar((1 + t) * y + 2 * x + c))
+
+            verts = [place(2 / (1 + p * p), 2 * p / (1 + p * p)) for p in (a, b, c)]
+            nf = normalize_frame(*verts, place(0, 0))
+            for got, want in ((nf.a, a), (nf.b, b), (nf.c, c)):
+                assert abs(got.value - want) <= 1e-9
