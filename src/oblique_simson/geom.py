@@ -6,9 +6,9 @@ intersection" is recovered from a known common point via Vieta's relation on
 the restricted quadratic, so exact-rational inputs give exact-rational
 outputs throughout.
 
-Lines are canonical, the first nonzero of (a, b) positive: integers of
-content 1 on the exact backend, a unit normal on the float backend, whose
-zero tests use its tolerance scaled by the magnitude of their entries.
+Lines are canonical, the first nonzero of (a, b) positive: integers with the
+content removed by the backend's ``gcd`` on exact, a unit normal on float,
+whose zero tests use its tolerance scaled by the magnitude of their entries.
 
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
@@ -19,11 +19,11 @@ born holding its homogeneous values in a ``_h`` slot - a point as
 v(x^2 + y^2) + dx + ey + f = 0:
 
 * exact: Python ints.  A point's (X, Y, W) and a circle's (d, e, f, v)
-  have gcd 1 and W, v > 0, so :func:`points_equal` and
-  :func:`circles_equal` compare them as tuples; a line's (a, b, c) is
-  proportional to its coefficients by a positive factor (content 1 on a
-  canonical line).  A kernel result's coordinates are the pairs (X, W),
-  (Y, W), (a, 1), ..., (d, v), ..., so they build no ``Fraction``;
+  have the content removed by the backend's ``gcd`` and W, v > 0, so
+  :func:`points_equal` and :func:`circles_equal` compare them as tuples; a
+  line's (a, b, c) is proportional to its coefficients by a positive factor
+  (1 on a canonical line).  A kernel result's coordinates are the pairs
+  (X, W), (Y, W), (a, 1), ..., (d, v), ..., so they build no ``Fraction``;
 * float: the coordinates' floats with weight 1.0, (x, y, 1.0),
   (a, b, c) and (d, e, f, 1.0), and each coordinate the pair (x, 1.0).
 
@@ -33,8 +33,9 @@ coordinates, and copy and pickle rebuild an object from its fields.
 
 Each formula lives in one private *tuple function* (``_line_through_h``,
 ...) on the backend and ``_h`` tuples.  It returns the canonical tuple of
-its result from ``_point_h``, ``_line_h`` or ``_circle_h`` (content-1
-integers with the sign rule on exact, the floats an object holds on float).
+its result from ``_point_h``, ``_line_h`` or ``_circle_h`` (integers with
+the content removed by ``gcd`` and the sign rule on exact, the floats an
+object holds on float).
 Objects exist only at the API edge: a public primitive composes tuple
 functions, calls no other public one, and writes its result once through
 ``_point_of``, ``_line_of`` or ``_circle_of``.  The checks of
@@ -227,7 +228,7 @@ def _point_h(be: Backend, x, y, w):
         return be.div(x, w), be.div(y, w), 1.0
     if w == 0:
         raise DivisionByZero("division by zero scalar")
-    g = math.gcd(x, y, w)
+    g = be.gcd(x, y, w)
     if w < 0:
         g = -g
     if g != 1:
@@ -251,7 +252,7 @@ def _line_h(be: Backend, a, b, c):
     if be.is_zero(a) and be.is_zero(b):
         raise GeometryError("line coefficients degenerate: a = b = 0")
     if be.exact:
-        g = math.gcd(a, b, c)
+        g = be.gcd(a, b, c)
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
@@ -291,7 +292,7 @@ def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     be = _common_backend(a, b, c)
     ia, ib, ic, m = _over_common(a, b, c)
     if be.exact:
-        canonical = m == 1 and math.gcd(ia, ib, ic) == 1
+        canonical = m == 1 and be.gcd(ia, ib, ic) == 1
     else:
         canonical = be.is_zero(ia * ia + ib * ib - 1)
     if canonical and (ib if be.is_zero(ia) else ia) > 0:
@@ -316,7 +317,7 @@ def _over_v(be: Backend, d, e, f, v):
     (d/v, e/v, f/v, 1.0) on float (v = 1 gives the entries as floats)."""
     if not be.exact:
         return d / v, e / v, f / v, 1.0
-    g = math.gcd(d, e, f, v)
+    g = be.gcd(d, e, f, v)
     if v < 0:
         g = -g
     if g != 1:

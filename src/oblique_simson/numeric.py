@@ -15,7 +15,12 @@ is zero by that test).  The exact zero rule is literal ``== 0``, and
 ``Fraction`` values and to the homogeneous integers of
 :mod:`~oblique_simson.geom`, whose single-formula primitives call them on
 either backend.  Everything else computes on integers and floats through
-these two methods.
+these two methods, and on exact also through ``gcd``.  An exact-kind
+backend (``exact = True``, ``one = 1``) supplies elements closed under
+``+ - *`` and exact ``//``; ``==``, and ``<`` and ``>`` against 0, each
+returning a bool; ``gcd``, the full gcd of its arguments (``math.gcd`` on
+:class:`ExactBackend`); and ``div``, which the construction, the checks and
+the audit call only for witnesses, and ``normalize_frame`` for parameters.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
 backend, as held in points, lines, circles and parameters.  It stores one
@@ -110,6 +115,7 @@ class ExactBackend(Backend):
     name = "exact"
     exact = True
     one = 1
+    gcd = staticmethod(math.gcd)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
@@ -308,7 +314,7 @@ def format_scalar(x: Scalar) -> str:
     try:
         if not x.backend.exact:
             return str(n)
-        g = math.gcd(n, d)
+        g = x.backend.gcd(n, d)
         return str(n // g) if d == g else f"{n // g}/{d // g}"
     except ValueError as exc:
         raise OutputError("a value has too many digits to write as text") from exc
