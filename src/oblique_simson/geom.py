@@ -735,12 +735,16 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 
 
-def _on_circumcircle_h(be: Backend, j, p, q, r) -> bool:
+def _on_circumcircle_h(be: Backend, j, p, q, r, held=None) -> bool:
     """Whether j is on the circle through p, q and r; CollinearPoints when
-    there is none.  On float, j is tested on _circle_through3_h's circle."""
+    there is none.  On float, j is tested on _circle_through3_h's circle.
+    On exact, a circle *held* (v > 0) through j, p, q and r decides yes
+    without the concyclicity sum."""
     if not be.exact:
         return _on_circle_h(be, _circle_through3_h(be, p, q, r), j)
     _require_triangle(be, p, q, r)
+    if held is not None and all(_on_circle_h(be, held, s) for s in (j, p, q, r)):
+        return True
     return _concyclic4_h(be, j, p, q, r)
 
 

@@ -11,6 +11,14 @@ than exceptions.  On the exact backend a failing check
 on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
+On exact, four checks and the two double-Simson preconditions pass on
+incidence tests against circles and points the scene already holds (a
+certificate, such as each Theorem 4.1 chain on its vertex circle), and run
+their constructive body only when the certificate does not pass, so every
+verdict that is not PASS, and its witness, comes from that body.  The
+certificates use only ``==`` and ``!=`` on integers, and float runs the
+bodies alone.
+
 The audit evaluates the closed-form coefficient formulas handed down for this
 construction (rows Eq2.3-Eq2.8) against the tuples of the construction stage,
 :func:`simson.construct_core` (the checks above re-derive from the scene
@@ -145,12 +153,37 @@ def _chk_sigma0(scene: Scene):
     )
 
 
+def _equidistance_h(q, j, h):
+    """F for Q = (x, y, w), J = (a, b, c), H = (h, k, m): the cross-multiplied
+    |QJ|^2 - |QH|^2 of two _dist_sq_h pairs is w^3 F, so on exact (w > 0)
+    Q is equidistant from J and H iff F == 0."""
+    (x, y, w), (a, b, c), (h, k, m) = q, j, h
+    return (2 * c * c * m * (h * x + k * y) - 2 * m * m * c * (a * x + b * y)
+            + w * (m * m * (a * a + b * b) - c * c * (h * h + k * k)))
+
+
 def _chk_q_equidistant(scene: Scene):
     pts, be = scene.points, scene.backend
+    # certificate: F == 0, the distance difference without its w^3 (see _equidistance_h)
+    if be.exact and _equidistance_h(*(pts[n]._h for n in "QJH")) == 0:
+        return None
     dj, dh = (geom._dist_sq_h(be, pts["Q"]._h, pts[n]._h) for n in "JH")
     if not geom._same_value(be, dj, dh, scaled=True):
         return {"QJ^2": _fmt_ratio(be, dj), "QH^2": _fmt_ratio(be, dh)}
     return None
+
+
+def _on_two_altitudes_h(be, q, p1, p2, p3) -> bool:
+    """Whether p1p2p3 is a proper triangle and q is on its altitudes from p1
+    and p2, (q - p1).(p3 - p2) = 0 and (q - p2).(p1 - p3) = 0: then q is its
+    orthocentre, the one meet of those altitudes.  Exact tuples only."""
+    if geom._collinear3_h(be, p1, p2, p3):
+        return False
+    (x, y, w), (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = q, p1, p2, p3
+    ux, uy = x3 * w2 - x2 * w3, y3 * w2 - y2 * w3  # p3 - p2, over w2 w3
+    vx, vy = x1 * w3 - x3 * w1, y1 * w3 - y3 * w1  # p1 - p3, over w3 w1
+    return ((x * w1 - x1 * w) * ux + (y * w1 - y1 * w) * uy == 0
+            and (x * w2 - x2 * w) * vx + (y * w2 - y2 * w) * vy == 0)
 
 
 def _chk_q_is_image_of_h(scene: Scene):
@@ -159,6 +192,9 @@ def _chk_q_is_image_of_h(scene: Scene):
     expected = simson._similarity_h(be, scene.params.t, pts["H"]._h)
     if not geom._same_h(be, q, expected):
         return {"Q": _fmt_point(pts["Q"]), "similarity(H)": _fmt_h(be, expected)}
+    # certificate: Q on the altitudes from A0 and B0 of a proper triangle A0B0C0
+    if be.exact and _on_two_altitudes_h(be, q, *(pts[n]._h for n in ("A0", "B0", "C0"))):
+        return None
     ortho0 = geom._orthocentric_h(be, *(pts[n]._h for n in ("A0", "B0", "C0")))[2]
     if not geom._same_h(be, ortho0, q):
         return {"orthocentre(A0B0C0)": _fmt_h(be, ortho0), "Q": _fmt_point(pts["Q"])}
@@ -180,9 +216,26 @@ def _chk_similarity_ratio(scene: Scene):
     return None
 
 
+def _k_on_joins_h(be, sigma, k, pts) -> bool:
+    """Whether A, B, C and k lie on sigma and each join of a vertex and its
+    image passes through k != vertex: a line meets a circle at most twice,
+    so k is then every join's second meet with sigma.  Exact tuples only."""
+    vertices = [pts[v]._h for v in simson.VERTEX_ORDER]
+    if not all(geom._on_circle_h(be, sigma, p) for p in (*vertices, k)):
+        return False
+    for v, vertex in zip(simson.VERTEX_ORDER, vertices):
+        image = pts[v + "0"]._h
+        if vertex == image or k == vertex or not geom._collinear3_h(be, vertex, image, k):
+            return False
+    return True
+
+
 def _chk_perspector_common(scene: Scene):
     pts, be = scene.points, scene.backend
     sigma, k = scene.circles["Sigma"]._h, pts["K"]._h
+    # certificate: K on Sigma and on every join, away from its vertex
+    if be.exact and _k_on_joins_h(be, sigma, k, pts):
+        return None
     for v in simson.VERTEX_ORDER:
         vertex = pts[v]._h
         join = geom._line_through_h(be, vertex, pts[v + "0"]._h)
@@ -256,7 +309,9 @@ def _chk_reflection_route(scene: Scene):
 
 def _chk_double_simson_of_image(scene: Scene):
     pts, be = scene.points, scene.backend
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")))
+    # certificate for the precondition: Sigma0 through J, A0, B0 and C0
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")),
+                                   scene.circles["Sigma0"]._h)
     gws = scene.lines["gwsLine"]
     if not geom._line_is(be, line, gws):
         return {"double-simson": _fmt_line_h(be, line),
@@ -288,17 +343,25 @@ def _chk_equal_oblique_tangents(scene: Scene):
     return None
 
 
+# each chain with the vertex circle that carries it, and each circle's five points
 _CONCYCLIC_CHAINS = (
-    ("J", "L", "B", "Y"), ("J", "L", "C", "Z"),
-    ("J", "M", "C", "Z"), ("J", "M", "A", "X"),
-    ("J", "N", "A", "X"), ("J", "N", "B", "Y"),
+    (("J", "L", "B", "Y"), "cB"), (("J", "L", "C", "Z"), "cC"),
+    (("J", "M", "C", "Z"), "cC"), (("J", "M", "A", "X"), "cA"),
+    (("J", "N", "A", "X"), "cA"), (("J", "N", "B", "Y"), "cB"),
 )
+_VERTEX_CIRCLE_POINTS = {"cA": ("J", "A", "X", "M", "N"), "cB": ("J", "B", "Y", "L", "N"),
+                         "cC": ("J", "C", "Z", "L", "M")}
 
 
 def _chk_concyclic_chains(scene: Scene):
     pts, be = scene.points, scene.backend
-    for chain in _CONCYCLIC_CHAINS:
-        if not geom._concyclic4_h(be, *(pts[n]._h for n in chain)):
+    # certificate: the chain's vertex circle (v > 0) holds its four points
+    held = {}
+    if be.exact:
+        held = {c: all(geom._on_circle_h(be, scene.circles[c]._h, pts[n]._h) for n in names)
+                for c, names in _VERTEX_CIRCLE_POINTS.items()}
+    for chain, circle in _CONCYCLIC_CHAINS:
+        if not held.get(circle) and not geom._concyclic4_h(be, *(pts[n]._h for n in chain)):
             return {"chain": ",".join(chain)}
     return None
 
@@ -329,7 +392,9 @@ def _chk_t_zero_reduction(scene: Scene):
 
 def _chk_double_simson_abc(scene: Scene):
     pts, be = scene.points, scene.backend
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")))
+    # certificate for the precondition: Sigma through J, A, B and C
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")),
+                                   scene.circles["Sigma"]._h)
     if not geom._on_line_h(be, line, pts["H"]._h):
         return {"line": _fmt_line_h(be, line), "H": _fmt_point(pts["H"])}
     return None

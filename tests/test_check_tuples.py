@@ -7,10 +7,15 @@ its intermediate objects through the public primitives, and so do
 ``double_simson_line`` and ``_line_through_collinear``.  The two must give
 ``Report``s with the same ``repr`` on seeded passing scenes of both backends
 (t = 0 and tangent-flag instances included) and on every single-object
-corruption of the golden and classical scenes.
+corruption of the golden and classical scenes and of one scene at
+magnitude 10^200.  The last tests pin which path decides an exact check:
+a certificate on incidences the scene holds, or, where that fails, the
+constructive body that gives every FAIL and its witness.
 """
 
+import collections
 import dataclasses
+import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -380,10 +385,26 @@ def corruptions(scene: Scene):
     yield "gwsLine rescaled", dataclasses.replace(scene, lines={**scene.lines, "gwsLine": rescaled})
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-@pytest.mark.parametrize("t", [Fraction(1, 2), 0], ids=["golden", "classical"])
+def first_wide_params() -> Params:
+    """The first seed-5 fuzz instance at magnitude 10^200 (exact)."""
+    wide = verify.FuzzConfig(seed=5, count=1, max_numerator=10 ** 200,
+                             max_denominator=10 ** 200)
+    return verify.fuzz_instances(wide)[0][0][1]
+
+
+@pytest.mark.parametrize("t, backend", [
+    (Fraction(1, 2), "exact"), (Fraction(1, 2), "float"), (0, "exact"), (0, "float"),
+    ("wide", "exact"),
+], ids=["golden-exact", "golden-float", "classical-exact", "classical-float", "wide-exact"])
 def test_corrupted_scenes_match_reference(backend, t):
-    scene = simson.build_scene(Params.make(1, 2, 3, t, backend=BACKENDS[backend]))
+    """The golden and classical triangles on both backends, and one exact
+    instance at magnitude 10^200, where the checks' certificates fail on
+    many corruptions and their fallbacks give the verdict and witness."""
+    if t == "wide":
+        params = first_wide_params()
+    else:
+        params = Params.make(1, 2, 3, t, backend=BACKENDS[backend])
+    scene = simson.build_scene(params)
     failing = 0
     for what, corrupted in corruptions(scene):
         report = verify.run_checks(corrupted)
@@ -432,3 +453,157 @@ def test_object_of_another_backend_is_an_error_result(golden_scene, part):
     assert len(report.results) == 19
     assert all(r.witness == {"error": "cannot combine exact and float objects"}
                for r in report.results)
+
+
+# -- which path decides an exact check ---------------------------------------------
+
+CERTIFIED = ("concyclic_chains_thm41", "perspector_common", "q_is_image_of_H", "q_equidistant",
+             "line_equals_double_simson_of_image", "double_simson_of_ABC_through_H")
+# the tuple functions that, among these checks, only the constructive bodies call
+BODY_CALLS = ("_concyclic4_h", "_second_line_circle_h", "_orthocentric_h", "_dist_sq_h")
+
+
+def run_check(monkeypatch, scene: Scene, name: str):
+    """(the check's witness, or its error as run_checks reports it, and the
+    calls its body made to BODY_CALLS)."""
+    calls = collections.Counter()
+    for fn in BODY_CALLS:
+        def counted(*args, _f=getattr(geom, fn), _fn=fn):
+            calls[_fn] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(geom, fn, counted)
+    try:
+        witness = verify._CHECK_IMPLS[name](scene)
+    except GeometryError as exc:
+        witness = {"error": str(exc)}
+    monkeypatch.undo()
+    return witness, dict(calls)
+
+
+def corrupted(scene: Scene, what: str) -> Scene:
+    """The first corruption named *what* (a moved point: moved along x)."""
+    return next(c for w, c in corruptions(scene) if w == what)
+
+
+def test_passing_exact_scenes_pass_on_certificates(monkeypatch):
+    """No body runs on a passing exact scene, except perspector_common's
+    where a join touches Sigma at its vertex, so that K is that vertex."""
+    fallbacks = []
+    for params in passing_params(EXACT):
+        scene = simson.build_scene(params)
+        for name in CERTIFIED:
+            witness, calls = run_check(monkeypatch, scene, name)
+            assert witness is None
+            if calls:
+                assert {"tangent:AA0", "tangent:BB0", "tangent:CC0"} & set(scene.flags)
+                fallbacks.append((name, calls))
+    assert len(fallbacks) == 3
+    assert all(f == ("perspector_common", {"_second_line_circle_h": 3}) for f in fallbacks)
+
+
+@pytest.mark.parametrize("circle", ["cA", "cB", "cC"])
+def test_bumped_vertex_circle_falls_back_and_passes(golden_scene, monkeypatch, circle):
+    # the two chains on the bumped circle are decided by the concyclicity sum
+    assert run_check(monkeypatch, corrupted(golden_scene, f"{circle} bumped"),
+                     "concyclic_chains_thm41") == (None, {"_concyclic4_h": 2})
+
+
+def test_bumped_sigma_falls_back(golden_scene, monkeypatch):
+    """The chains do not read Sigma.  perspector_common's body decides, and
+    fails with its own error: the known vertex is off the bumped circle."""
+    scene = corrupted(golden_scene, "Sigma bumped")
+    assert run_check(monkeypatch, scene, "concyclic_chains_thm41") == (None, {})
+    assert run_check(monkeypatch, scene, "perspector_common") == (
+        {"error": "known point is not on the circle"}, {"_second_line_circle_h": 1})
+    assert run_check(monkeypatch, scene, "double_simson_of_ABC_through_H") == (
+        None, {"_concyclic4_h": 1})
+
+
+def test_bumped_sigma0_falls_back_and_passes(golden_scene, monkeypatch):
+    assert run_check(monkeypatch, corrupted(golden_scene, "Sigma0 bumped"),
+                     "line_equals_double_simson_of_image") == (None, {"_concyclic4_h": 1})
+
+
+def test_moved_y_fails_its_first_chain(golden_scene):
+    report = verify.run_checks(corrupted(golden_scene, "Y moved"))
+    assert report.result("concyclic_chains_thm41").witness == {"chain": "J,L,B,Y"}
+
+
+@pytest.mark.parametrize("what, check", [("Q moved", "q_equidistant"),
+                                         ("A0 moved", "q_is_image_of_H"),
+                                         ("K moved", "perspector_common")])
+def test_moved_point_fails_in_the_body_on_a_wide_scene(monkeypatch, what, check):
+    """At magnitude 10^200 a moved point breaks the certificate, and the
+    body gives the witness."""
+    scene = corrupted(simson.build_scene(first_wide_params()), what)
+    witness, calls = run_check(monkeypatch, scene, check)
+    assert witness is not None and calls
+
+
+@pytest.mark.parametrize("mag", [10, 10 ** 200])
+def test_equidistance_is_the_distance_difference(mag):
+    """w^3 F equals the cross-multiplied |QJ|^2 - |QH|^2 of two _dist_sq_h
+    pairs, for J away from the origin; F is 0 for H the mirror of J in Q."""
+    rng = random.Random(24)
+    draw = lambda: rng.randint(-mag, mag)
+    for _ in range(50):
+        q, j, h = (geom._point_h(EXACT, draw(), draw(), rng.randint(1, mag)) for _ in range(3))
+        assert j[:2] != (0, 0)
+        (n1, d1), (n2, d2) = geom._dist_sq_h(EXACT, q, j), geom._dist_sq_h(EXACT, q, h)
+        assert q[2] ** 3 * verify._equidistance_h(q, j, h) == n1 * d2 - n2 * d1
+        (x, y, w), (a, b, c) = q, j
+        mirror = geom._point_h(EXACT, 2 * x * c - a * w, 2 * y * c - b * w, w * c)
+        assert verify._equidistance_h(q, j, mirror) == 0
+
+
+def test_float_checks_take_no_certificate(monkeypatch):
+    scene = simson.build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=BACKENDS["float"]))
+    assert run_check(monkeypatch, scene, "concyclic_chains_thm41") == (None, {"_concyclic4_h": 6})
+    assert run_check(monkeypatch, scene, "q_equidistant") == (None, {"_dist_sq_h": 2})
+
+
+def test_q_on_altitudes_of_a_degenerate_image_triangle_is_an_error(golden_scene):
+    """B0 at A0 and C0 placed so that Q is on both 'altitudes': the
+    certificate needs a proper triangle, so the body raises as before."""
+    pts = golden_scene.points
+    (qx, qy, qw), (ax, ay, aw) = pts["Q"]._h, pts["A0"]._h
+    ux, uy = qx * aw - ax * qw, qy * aw - ay * qw  # Q - A0, over qw aw
+    c0 = geom._hom_point(EXACT, ax * qw - uy, ay * qw + ux, aw * qw)  # A0 + (Q - A0) turned
+    scene = dataclasses.replace(golden_scene, points={**pts, "B0": pts["A0"], "C0": c0})
+    # both dot products vanish, and only the triangle test is left to fail
+    assert not verify._on_two_altitudes_h(EXACT, pts["Q"]._h, pts["A0"]._h, pts["A0"]._h, c0._h)
+    report = verify.run_checks(scene)
+    assert repr(report) == repr(ref_run_checks(scene))
+    assert report.result("q_is_image_of_H").witness == {
+        "error": "orthocentre of collinear points is undefined"}
+
+
+@pytest.mark.parametrize("base, moved, onto, check, error", [
+    # the join of B and B0 at B is no line, though K = J is on Sigma away from B
+    ("classical_scene", "B0", "B", "perspector_common",
+     "no unique line through coincident points"),
+    # Sigma0 holds J, A0, A0 and C0, but the triangle test comes first
+    ("golden_scene", "B0", "A0", "line_equals_double_simson_of_image",
+     "no circle through collinear (or repeated) points"),
+])
+def test_repeated_point_is_an_error_though_the_circle_holds(request, base, moved, onto, check,
+                                                            error):
+    base = request.getfixturevalue(base)
+    scene = dataclasses.replace(base, points={**base.points, moved: base.points[onto]})
+    report = verify.run_checks(scene)
+    assert repr(report) == repr(ref_run_checks(scene))
+    assert report.result(check).witness["error"].startswith(error)
+
+
+@pytest.mark.parametrize("moved, onto, chain", [
+    ("L", "B", "J,L,C,Z"), ("M", "C", "J,M,A,X"), ("N", "A", "J,N,B,Y"), ("J", "L", "J,M,A,X")])
+def test_point_moved_along_one_vertex_circle_fails_the_other(golden_scene, moved, onto, chain):
+    """A point moved onto another point of some vertex circles leaves one
+    that it was on, whose first chain fails: L onto B stays on cB and
+    leaves cC, and J onto L stays on cB and cC and leaves cA."""
+    scene = dataclasses.replace(golden_scene, points={**golden_scene.points,
+                                                      moved: golden_scene.points[onto]})
+    report = verify.run_checks(scene)
+    assert repr(report) == repr(ref_run_checks(scene))
+    assert report.result("concyclic_chains_thm41").witness == {"chain": chain}
