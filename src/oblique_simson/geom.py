@@ -9,6 +9,8 @@ outputs throughout.
 Lines are canonical, the first nonzero of (a, b) positive: integers with the
 content removed by the backend's ``gcd`` on exact, a unit normal on float,
 whose zero tests use its tolerance scaled by the magnitude of their entries.
+An exact Line is canonical however it is built; a float Line built directly
+keeps the coefficients it is given.
 
 Points, lines, circles and directed-angle tangents store
 :class:`~oblique_simson.numeric.Scalar` values, but nothing here computes on
@@ -18,12 +20,12 @@ born holding its homogeneous values in a ``_h`` slot - a point as
 (X, Y, W), a line as (a, b, c), a circle as (d, e, f, v) for
 v(x^2 + y^2) + dx + ey + f = 0:
 
-* exact: Python ints.  A point's (X, Y, W) and a circle's (d, e, f, v)
-  have the content removed by the backend's ``gcd`` and W, v > 0, so
-  :func:`points_equal` and :func:`circles_equal` compare them as tuples; a
-  line's (a, b, c) is proportional to its coefficients by a positive factor
-  (1 on a canonical line).  A kernel result's coordinates are the pairs
-  (X, W), (Y, W), (a, 1), ..., (d, v), ..., so they build no ``Fraction``;
+* exact: Python ints.  A point's (X, Y, W), a line's (a, b, c) and a
+  circle's (d, e, f, v) have the content removed by the backend's ``gcd``,
+  with W, v > 0 and a line's sign rule, so :func:`points_equal`,
+  :func:`lines_equal` and :func:`circles_equal` compare them as tuples.  A
+  kernel result's coordinates are the pairs (X, W), (Y, W), (a, 1), ...,
+  (d, v), ..., so they build no ``Fraction``;
 * float: the coordinates' floats with weight 1.0, (x, y, 1.0),
   (a, b, c) and (d, e, f, 1.0), and each coordinate the pair (x, 1.0).
 
@@ -116,7 +118,10 @@ class Point(_Stored):
 
 @dataclass(frozen=True, eq=True, init=False, repr=False)
 class Line(_Stored):
-    """ax + by + c = 0 with (a, b) != (0, 0); build via make_line."""
+    """ax + by + c = 0.  On exact the coefficients are canonical (see
+    make_line): given ones that are not give the Line of their canonical
+    integers, and a = b = 0 raises GeometryError.  A float Line keeps the
+    coefficients it is given; make_line canonicalizes them."""
 
     __slots__ = ()
     a: Scalar
@@ -124,15 +129,20 @@ class Line(_Stored):
     c: Scalar
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, _h=None):
-        fields = self.__dict__
-        fields["a"] = a
-        fields["b"] = b
-        fields["c"] = c
         be = a.backend
         if b.backend is not be or c.backend is not be:
             _common_backend(a, b, c)
         if _h is None:
-            _h = _over_common(a, b, c)[:3]
+            ia, ib, ic, m = _over_common(a, b, c)
+            _h = ia, ib, ic
+            if be.exact and not (m == 1 and be.gcd(ia, ib, ic) == 1
+                                 and (ib if ia == 0 else ia) > 0):
+                _h = _line_h(be, ia, ib, ic)
+                a, b, c = (_pair(be, n, be.one) for n in _h)
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
         _set_h(self, _h)
         _set_backend(self, be)
 
@@ -211,13 +221,16 @@ def _common_backend(first, *rest) -> Backend:
 
 def _over_common(*values: Scalar) -> Tuple:
     """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D,
-    read from their pairs: integers over the lcm of the denominators on
-    exact, the floats over 1.0 on float, where every pair has d = 1.0."""
+    read from their pairs: integers over the lcm of the denominators (from
+    the backend's gcd) on exact, the floats over 1.0 on float, where every
+    pair has d = 1.0."""
     pairs = [v._ratio() for v in values]
     d = pairs[0][1]
     if all(q == d for _, q in pairs):
         return (*(n for n, _ in pairs), d)
-    d = math.lcm(*(q for _, q in pairs))
+    gcd = values[0].backend.gcd
+    for _, q in pairs:
+        d = d // gcd(d, q) * q
     return (*(n * (d // q) for n, q in pairs), d)
 
 
@@ -288,14 +301,12 @@ def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     Coefficients already canonical - content-1 integers on exact, a unit
     normal (within the tolerance) on float, the first nonzero of (a, b)
     positive - give the Line holding them, so a written line reads back
-    as itself."""
+    as itself.  On exact this is ``Line(a, b, c)``."""
     be = _common_backend(a, b, c)
-    ia, ib, ic, m = _over_common(a, b, c)
     if be.exact:
-        canonical = m == 1 and be.gcd(ia, ib, ic) == 1
-    else:
-        canonical = be.is_zero(ia * ia + ib * ib - 1)
-    if canonical and (ib if be.is_zero(ia) else ia) > 0:
+        return Line(a, b, c)
+    ia, ib, ic, _ = _over_common(a, b, c)
+    if be.is_zero(ia * ia + ib * ib - 1) and (ib if be.is_zero(ia) else ia) > 0:
         return Line(a, b, c, (ia, ib, ic))
     return _line(be, ia, ib, ic)
 
@@ -368,25 +379,14 @@ def _same_h(be: Backend, h1, h2) -> bool:
     return all(be.is_zero(u - v) for u, v in zip(h1, h2))
 
 
-def _coefficients_are(be: Backend, pairs, l: Line) -> bool:
-    """Whether l's coefficients have the values of the (n, d) pairs, field-wise."""
-    return all(_same_value(be, r, s._ratio()) for r, s in zip(pairs, (l.a, l.b, l.c)))
-
-
-def _line_is(be: Backend, h, l: Line) -> bool:
-    """lines_equal(l1, l) for the Line l1 that writes the canonical tuple h."""
-    return _coefficients_are(be, [(a, 1) for a in h], l)
-
-
 def points_equal(p: Point, q: Point) -> bool:
     return _same_h(_common_backend(p, q), p._h, q._h)
 
 
 def lines_equal(l1: Line, l2: Line) -> bool:
-    """Equality of line values, coefficient by coefficient: each pair of
-    exact coefficients cross-multiplied, so that no Fraction is built."""
-    be = _common_backend(l1, l2)
-    return _coefficients_are(be, (l1.a._ratio(), l1.b._ratio(), l1.c._ratio()), l2)
+    """Equality of the lines' canonical integers on exact, so proportional
+    coefficients give equal lines; coefficient by coefficient on float."""
+    return _same_h(_common_backend(l1, l2), l1._h, l2._h)
 
 
 def circles_equal(c1: Circle, c2: Circle) -> bool:
@@ -418,10 +418,10 @@ def dist_sq(p: Point, q: Point) -> Scalar:
 
 
 def line_eval(l: Line, p: Point) -> Scalar:
-    """ax + by + c at p, for the line's own coefficients (not its _h)."""
+    """ax + by + c at p, for the line's coefficients (its _h)."""
     be = _common_backend(l, p)
-    (a, b, c, m), (x, y, w) = _over_common(l.a, l.b, l.c), p._h
-    return _pair(be, a * x + b * y + c * w, m * w)
+    (a, b, c), (x, y, w) = l._h, p._h
+    return _pair(be, a * x + b * y + c * w, w)
 
 
 def _on_line_h(be: Backend, l, p) -> bool:
@@ -629,8 +629,6 @@ def _second_line_circle_h(be: Backend, l, c, known):
     (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l, c, known
     if be.exact:
         s = a * a + b * b
-        if s == 0:
-            raise DivisionByZero("division by zero scalar")
         # Vieta: the roots (x, or y when b = 0) sum to m / (v s), so the
         # other root is (m kw - k v s) / w for the known root k / kw, and the
         # line is tangent when the two agree
@@ -735,16 +733,12 @@ def concyclic4(p: Point, q: Point, r: Point, s: Point) -> bool:
     return _concyclic4_h(_common_backend(p, q, r, s), p._h, q._h, r._h, s._h)
 
 
-def _on_circumcircle_h(be: Backend, j, p, q, r, held=None) -> bool:
+def _on_circumcircle_h(be: Backend, j, p, q, r) -> bool:
     """Whether j is on the circle through p, q and r; CollinearPoints when
-    there is none.  On float, j is tested on _circle_through3_h's circle.
-    On exact, a circle *held* (v > 0) through j, p, q and r decides yes
-    without the concyclicity sum."""
+    there is none.  On float, j is tested on _circle_through3_h's circle."""
     if not be.exact:
         return _on_circle_h(be, _circle_through3_h(be, p, q, r), j)
     _require_triangle(be, p, q, r)
-    if held is not None and all(_on_circle_h(be, held, s) for s in (j, p, q, r)):
-        return True
     return _concyclic4_h(be, j, p, q, r)
 
 

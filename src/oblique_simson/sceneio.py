@@ -15,7 +15,8 @@ Scalar holds, so it builds no ``Fraction``; any other string goes through
 coefficients already form a canonical unit normal is read as written (see
 :func:`~oblique_simson.geom.make_line`), so a float document, like an
 exact one, writes back byte for byte.  A schema that is not the
-integer 1, or a non-null ``eps_abs`` on an exact document, is malformed.
+integer 1, a non-null ``eps_abs`` on an exact document, a degenerate line
+or an improper circle is malformed.
 
 SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
 then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
@@ -34,7 +35,7 @@ import math
 from typing import List, Optional, Tuple
 
 from . import geom
-from .errors import OutputError, ParseError
+from .errors import GeometryError, OutputError, ParseError
 from .numeric import EXACT, Backend, FloatBackend, Scalar, format_scalar
 from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
 
@@ -125,8 +126,7 @@ def document_to_scene(doc: dict) -> Scene:
             backend = FloatBackend(doc["eps_abs"])
         else:
             raise ParseError(f"unknown backend tag {doc['backend']!r}")
-        params = Params(*(_scalar_from_json(doc["params"][k], backend)
-                          for k in ("a", "b", "c", "t")))
+        values = [_scalar_from_json(doc["params"][k], backend) for k in ("a", "b", "c", "t")]
         points = {}
         for name in POINT_NAMES:
             x, y = doc["points"][name]
@@ -143,9 +143,13 @@ def document_to_scene(doc: dict) -> Scene:
         flags = doc["flags"]
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise TypeError(f"flags must be a list of strings, got {flags!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, GeometryError) as exc:
+        # GeometryError: a degenerate line or an improper circle
         raise ParseError(f"malformed scene document: {exc}") from exc
-    return Scene(params=params, points=points, lines=lines, circles=circles,
+    # a degenerate triangle is a DegenerateTriangle, as from Params.make
+    return Scene(params=Params(*values), points=points, lines=lines, circles=circles,
                  flags=tuple(flags))
 
 

@@ -263,10 +263,9 @@ def gws_line(l: Point, m: Point, n: Point) -> Line:
     return geom._line_of(be, _line_through_collinear_h(be, l._h, m._h, n._h))
 
 
-def _double_simson_h(be: Backend, j, p, q, r, held=None):
-    """double_simson_line on point tuples; a circle *held* through j, p, q
-    and r may decide the precondition (see geom._on_circumcircle_h)."""
-    if not geom._on_circumcircle_h(be, j, p, q, r, held):
+def _double_simson_h(be: Backend, j, p, q, r):
+    """double_simson_line on point tuples."""
+    if not geom._on_circumcircle_h(be, j, p, q, r):
         raise NotOnCircumcircle("point is not on the circumcircle of the triangle")
     refs = [geom._along_normal_h(be, j, geom._line_through_h(be, u, v), 2)
             for u, v in ((q, r), (r, p), (p, q))]

@@ -11,13 +11,12 @@ than exceptions.  On the exact backend a failing check
 on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
-On exact, four checks and the two double-Simson preconditions pass on
-incidence tests against circles and points the scene already holds (a
-certificate, such as each Theorem 4.1 chain on its vertex circle), and run
-their constructive body only when the certificate does not pass, so every
-verdict that is not PASS, and its witness, comes from that body.  The
-certificates use only ``==`` and ``!=`` on integers, and float runs the
-bodies alone.
+On exact, four checks pass on incidence tests against circles and points
+the scene already holds (a certificate, such as each Theorem 4.1 chain on
+its vertex circle), and run their constructive body only when the
+certificate does not pass, so every verdict that is not PASS, and its
+witness, comes from that body.  The certificates use only ``==`` and
+``!=`` on integers, and float runs the bodies alone.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
 construction (rows Eq2.3-Eq2.8) against the tuples of the construction stage,
@@ -309,11 +308,9 @@ def _chk_reflection_route(scene: Scene):
 
 def _chk_double_simson_of_image(scene: Scene):
     pts, be = scene.points, scene.backend
-    # certificate for the precondition: Sigma0 through J, A0, B0 and C0
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")),
-                                   scene.circles["Sigma0"]._h)
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")))
     gws = scene.lines["gwsLine"]
-    if not geom._line_is(be, line, gws):
+    if not geom._same_h(be, line, gws._h):
         return {"double-simson": _fmt_line_h(be, line),
                 "gwsLine": _fmt_line(gws)}
     return None
@@ -384,7 +381,7 @@ def _chk_t_zero_reduction(scene: Scene):
         return {"midpoint(J,H)": _fmt_h(be, mid), "Q": _fmt_point(pts["Q"])}
     classical = simson._line_through_collinear_h(be, *feet)
     gws = scene.lines["gwsLine"]
-    if not geom._line_is(be, classical, gws):
+    if not geom._same_h(be, classical, gws._h):
         return {"classical": _fmt_line_h(be, classical),
                 "gwsLine": _fmt_line(gws)}
     return None
@@ -392,9 +389,7 @@ def _chk_t_zero_reduction(scene: Scene):
 
 def _chk_double_simson_abc(scene: Scene):
     pts, be = scene.points, scene.backend
-    # certificate for the precondition: Sigma through J, A, B and C
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")),
-                                   scene.circles["Sigma"]._h)
+    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")))
     if not geom._on_line_h(be, line, pts["H"]._h):
         return {"line": _fmt_line_h(be, line), "H": _fmt_point(pts["H"])}
     return None

@@ -36,6 +36,15 @@ def _outcome(fn, args):
         return "raise", type(exc).__name__, str(exc)
 
 
+def _read_as(make, coeffs):
+    """make's outcome on the parsed coefficients, an error as the reader
+    reports it: a malformed document."""
+    want = _outcome(make, [EXACT.parse(v) for v in coeffs])
+    if want[0] == "raise":
+        return "raise", "ParseError", "malformed scene document: " + want[2]
+    return want
+
+
 class TestSceneDocument:
     def test_roundtrip_identity_exact(self, golden_scene):
         assert scene_from_json(scene_to_json(golden_scene)) == golden_scene
@@ -146,6 +155,19 @@ class TestSceneDocument:
         with pytest.raises(ParseError, match="^malformed scene document: "):
             scene_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("part, name, error", [
+        ("lines", "gwsLine", "line coefficients degenerate: a = b = 0"),
+        ("circles", "S", "not a proper circle: d^2 + e^2 - 4f <= 0"),
+    ], ids=["degenerate-line", "improper-circle"])
+    def test_degenerate_object_is_a_malformed_document(self, part, name, error, backend):
+        be = EXACT if backend == "exact" else FloatBackend(1e-9)
+        doc = scene_to_document(build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=be)))
+        doc[part][name] = ["0", "0", "1"] if be.exact else [0.0, 0.0, 1.0]
+        with pytest.raises(ParseError) as raised:
+            scene_from_json(json.dumps(doc))
+        assert str(raised.value) == "malformed scene document: " + error
+
     @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
     def test_value_beyond_text_limit_raises_output_error(self):
         a = int("7" * (INT_TEXT_LIMIT // 2 + 100))
@@ -159,11 +181,11 @@ class TestSceneDocument:
         ["0", "0", "0"],
     ])
     def test_document_line_as_make_line_builds_it(self, golden_scene, coeffs):
-        """A canonical line is kept as parsed; any other is canonicalized,
-        or rejected, exactly as make_line does."""
+        """A canonical line is kept as parsed; any other is canonicalized
+        exactly as make_line does, or rejected where make_line rejects it."""
         doc = scene_to_document(golden_scene)
         doc["lines"]["gwsLine"] = coeffs
-        want = _outcome(make_line, [EXACT.parse(v) for v in coeffs])
+        want = _read_as(make_line, coeffs)
         got = _outcome(lambda: scene_from_json(json.dumps(doc)).lines["gwsLine"], ())
         assert got == want
 
@@ -174,7 +196,7 @@ class TestSceneDocument:
     def test_document_circle_as_make_circle_builds_it(self, golden_scene, coeffs):
         doc = scene_to_document(golden_scene)
         doc["circles"]["S"] = coeffs
-        want = _outcome(make_circle, [EXACT.parse(v) for v in coeffs])
+        want = _read_as(make_circle, coeffs)
         got = _outcome(lambda: scene_from_json(json.dumps(doc)).circles["S"], ())
         assert got == want
 

@@ -25,6 +25,7 @@ import pytest
 
 from conftest import count_fractions, printed_object
 from oblique_simson import geom, numeric, sceneio, simson, verify
+from oblique_simson.errors import GeometryError
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
 from oblique_simson.simson import Params
@@ -76,20 +77,17 @@ def scene():
 def reference(obj):
     """What obj's integers must be, from its coordinates' Fractions: the
     numerators over the lcm m of the reduced denominators, then m for a
-    point or circle (gcd 1, weight m > 0)."""
+    point or circle (gcd 1, weight m > 0).  A line's coefficients are its
+    canonical integers, so m is 1 and a line leaves it out."""
     values = [s.value for s in vars(obj).values()]
     m = math.lcm(*(v.denominator for v in values))
     h = tuple(v.numerator * (m // v.denominator) for v in values)
-    return h if isinstance(obj, Line) else (*h, m)
+    return h if isinstance(obj, Line) and m == 1 else (*h, m)
 
 
 def holds_reference(obj) -> bool:
-    """Whether obj's integers are its reference: equal for a point or a
-    circle, and for a line equal up to a positive factor."""
-    h, ref = obj._h, reference(obj)
-    if isinstance(obj, Line):
-        h, ref = (tuple(n // (math.gcd(*t) or 1) for n in t) for t in (h, ref))
-    return h == ref
+    """Whether obj's integers are its reference, and canonical."""
+    return obj._h == reference(obj) and canonical(obj, obj._h)
 
 
 def pair(n, d):
@@ -131,7 +129,6 @@ def route_objects():
                   printed_object("_printed_orthocenter", a, b, c),
                   printed_object("_printed_xyz", c, a, b, t),
                   printed_object("_printed_hagge", params)],
-        "zero line": [Line(E(0), E(0), E(0)), Line(E(0), E(0), E(1))],
     }
 
 
@@ -145,11 +142,53 @@ def test_every_route_is_born_holding_its_integers(route):
         assert fresh(obj)._h == obj._h
 
 
+WRITERS = {Point: geom._point_of, Line: geom._line_of, Circle: geom._circle_of}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_integers_determine_the_object(route):
+    """The kernel writer of an object's _h gives the object back."""
+    for obj in route_objects()[route]:
+        again = WRITERS[type(obj)](EXACT, obj._h)
+        assert again == obj and repr(again) == repr(obj), (route, obj)
+
+
+def test_line_is_canonical_however_built():
+    """An exact Line from non-canonical coefficients is make_line of them:
+    the same fields, integers, hash and repr."""
+    for coeffs in ((2, 4, -6), ("1/2", 1, "-3/2"), (-1, -2, 3), (0, -4, 2), (-3, 0, 0)):
+        direct, made = Line(*map(E, coeffs)), geom.make_line(*map(E, coeffs))
+        assert direct == made and hash(direct) == hash(made) and repr(direct) == repr(made)
+        assert direct._h == made._h and canonical(direct, direct._h)
+        assert tuple(s._ratio() for s in vars(direct).values()) == tuple((n, 1) for n in direct._h)
+    line = Line(E(2), E(4), E(-6))
+    assert line._h == (1, 2, -3) and repr(line) == "Line(1, 2, -3)"
+    assert geom.lines_equal(line, Line(E("1/2"), E(1), E("-3/2")))
+    assert not geom.lines_equal(line, Line(E(1), E(2), E(3)))
+    kept = (E(1), E(2), E(-3))
+    assert all(a is b for a, b in zip(vars(Line(*kept)).values(), kept))
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_exact_line_with_zero_normal_raises(c):
+    with pytest.raises(GeometryError, match="^line coefficients degenerate: a = b = 0$"):
+        Line(E(0), E(0), E(c))
+
+
+def test_float_line_keeps_its_coefficients():
+    F = BACKENDS["float"].scalar
+    coeffs = (F(2), F(-4), F(6))
+    line = Line(*coeffs)
+    assert all(a is b for a, b in zip(vars(line).values(), coeffs))
+    assert repr(line._h) == "(2.0, -4.0, 6.0)" and repr(line) == "Line(2.0, -4.0, 6.0)"
+    assert Line(F(0), F(0), F(1))._h == (0.0, 0.0, 1.0)
+
+
 def test_constructors_read_pairs_not_values(monkeypatch):
     """Making an object from pair coordinates builds no Fraction, and a
     pair not in lowest terms still gives the unique integers."""
     cases = ((Point, (pair(6, 4), pair(-2, 4)), (3, -1, 2)),
-             (Line, (pair(2, 4), pair(3, 3), pair(-9, 6)), (6, 12, -18)),
+             (Line, (pair(2, 4), pair(3, 3), pair(-9, 6)), (1, 2, -3)),
              (Circle, (pair(6, 4), pair(0, 5), pair(-10, 4)), (3, 0, -5, 2)))
     built = count_fractions(monkeypatch)
     made = [(make(*args), want) for make, args, want in cases]
@@ -199,8 +238,9 @@ def test_replace_computes_its_integers():
 
 
 def test_directly_built_objects():
-    """A non-canonical line and a circle over fractions keep what the
-    kernel reads, and give the results of their canonical twins."""
+    """A line built from non-canonical coefficients and a circle over
+    fractions keep what the kernel reads, and give the results of their
+    canonical twins."""
     raw = Line(E(2), E(4), E(6))
     canonical = geom.make_line(E(2), E(4), E(6))
     assert repr(canonical) == "Line(1, 2, 3)"
@@ -216,7 +256,7 @@ def test_directly_built_objects():
         want = outcome(call, (canonical,))
         for line in (fresh(raw), raw):
             assert outcome(call, (line,)) == want
-    assert raw._h == (2, 4, 6)
+    assert raw._h == (1, 2, 3)
     circle = Circle(E(Fraction(1, 2)), E(Fraction(-1, 3)), E(-5))
     twin = fresh(circle)
     for c in (circle, twin):
@@ -371,8 +411,8 @@ def test_kernel_results_are_born_canonical(sample, monkeypatch):
 
 
 def test_lines_equal_compares_coefficients_without_reading_them(monkeypatch):
-    """Field-wise, as rationals, on the pairs: a pair need not be reduced,
-    proportional lines with different coefficients differ, and no Fraction
+    """As the canonical integers the coefficients are: a pair need not be
+    reduced, proportional coefficients give the same line, and no Fraction
     is built."""
     kernel = geom._line(EXACT, 2, 4, 6)
     halves = Line(pair(2, 4), pair(3, 3), E(Fraction(3, 2)))
@@ -382,14 +422,13 @@ def test_lines_equal_compares_coefficients_without_reading_them(monkeypatch):
     built = count_fractions(monkeypatch)
     assert geom.lines_equal(lines["same"], halves)
     assert not geom.lines_equal(lines["other"], halves)
-    assert not geom.lines_equal(kernel, halves)  # the same line, other coefficients
+    assert geom.lines_equal(kernel, halves)  # the same line, other coefficients given
     assert geom.lines_equal(kernel, lines["direct"])
     assert geom.lines_equal(kernel, geom._line(EXACT, -1, -2, -3))
     assert not geom.lines_equal(kernel, geom._line(EXACT, 1, 2, 4))
     monkeypatch.undo()
     assert built == []
-    assert halves._h == (6, 12, 18)  # over the lcm of its unreduced denominators
-    assert repr(kernel) == "Line(1, 2, 3)"
+    assert halves._h == (1, 2, 3) and repr(halves) == repr(kernel) == "Line(1, 2, 3)"
 
 
 def test_equal_points_and_circles_compare_their_integers():

@@ -25,7 +25,7 @@ import pytest
 
 from oblique_simson import geom, simson, verify
 from oblique_simson.errors import BackendMismatch, DivisionByZero
-from oblique_simson.numeric import EXACT, Backend
+from oblique_simson.numeric import EXACT, Backend, Scalar
 from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params
 
 
@@ -295,6 +295,19 @@ def test_ring_gcd_and_quotient():
         bool(T)
     with pytest.raises(TypeError):
         T <= 0
+
+
+def test_public_constructors_read_polynomial_denominators():
+    """make_line, Point and line_eval bring values over a polynomial
+    denominator to one denominator through the ring's gcd."""
+    line = geom.make_line(Scalar(ZT, ZT.div(1, T)), ZT.scalar(1), ZT.scalar(0))  # x/t + y = 0
+    assert line._h == (1, T, 0)
+    assert geom.lines_equal(line, geom.Line(ZT.scalar(1), ZT.scalar(T), ZT.scalar(0)))
+    p = geom.Point(Scalar(ZT, ZT.div(1, T)), ZT.scalar(1))  # (1/t, 1)
+    assert p._h == (1, T, T)
+    assert geom.line_eval(line, p)._ratio() == (1 + T * T, T)
+    on = geom.Point(ZT.scalar(T), ZT.scalar(-1))
+    assert geom.on_line(line, on) and geom.line_eval(line, on)._ratio() == (0, 1)
 
 
 def test_ring_never_mixes_with_exact():
