@@ -120,8 +120,8 @@ class Point(_Stored):
 class Line(_Stored):
     """ax + by + c = 0.  On exact the coefficients are canonical (see
     make_line): given ones that are not give the Line of their canonical
-    integers, and a = b = 0 raises GeometryError.  A float Line keeps the
-    coefficients it is given; make_line canonicalizes them."""
+    integers; a float Line keeps those it is given.  On both backends
+    a = b = 0 (on float, within the tolerance) raises GeometryError."""
 
     __slots__ = ()
     a: Scalar
@@ -135,8 +135,9 @@ class Line(_Stored):
         if _h is None:
             ia, ib, ic, m = _over_common(a, b, c)
             _h = ia, ib, ic
-            if be.exact and not (m == 1 and be.gcd(ia, ib, ic) == 1
-                                 and (ib if ia == 0 else ia) > 0):
+            if not be.exact:
+                _require_normal(be, ia, ib)
+            elif not (m == 1 and be.gcd(ia, ib, ic) == 1 and (ib if ia == 0 else ia) > 0):
                 _h = _line_h(be, ia, ib, ic)
                 a, b, c = (_pair(be, n, be.one) for n in _h)
         fields = self.__dict__
@@ -260,10 +261,14 @@ def _hom_point(be: Backend, x, y, w) -> Point:
     return _point_of(be, _point_h(be, x, y, w))
 
 
-def _line_h(be: Backend, a, b, c):
-    """The canonical tuple of ax + by + c = 0: content 1 on exact, a unit normal on float."""
+def _require_normal(be: Backend, a, b) -> None:
     if be.is_zero(a) and be.is_zero(b):
         raise GeometryError("line coefficients degenerate: a = b = 0")
+
+
+def _line_h(be: Backend, a, b, c):
+    """The canonical tuple of ax + by + c = 0: content 1 on exact, a unit normal on float."""
+    _require_normal(be, a, b)
     if be.exact:
         g = be.gcd(a, b, c)
         a, b, c = a // g, b // g, c // g
@@ -621,29 +626,23 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
 
 
 def _second_line_circle_h(be: Backend, l, c, known):
-    """(the other meet of l and c, tangent); known itself when l touches c."""
+    """(the other meet of l and c, tangent); known itself when l touches c.
+    On exact one formula for every line, with no pivot and no division."""
     if not _on_line_h(be, l, known):
         raise KnownPointNotIncident("known point is not on the line")
     if not _on_circle_h(be, c, known):
         raise KnownPointNotIncident("known point is not on the circle")
     (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l, c, known
     if be.exact:
+        # Vieta along the direction (-b, a) from the known point k: the
+        # points k + u (-b, a) on c have u = 0 or u = n / (kw v s), so the
+        # line is tangent at k iff n = 0; the result has no pivot factor
         s = a * a + b * b
-        # Vieta: the roots (x, or y when b = 0) sum to m / (v s), so the
-        # other root is (m kw - k v s) / w for the known root k / kw, and the
-        # line is tangent when the two agree
-        w = v * s * kw
-        if b != 0:
-            m = -(2 * a * lc * v + cd * b * b - ce * a * b)
-            if m * kw == 2 * kx * v * s:
-                return known, True
-            x1 = m * kw - kx * v * s
-            return _point_h(be, b * x1, -(a * x1 + lc * w), b * w), False
-        m = -(2 * b * lc * v + ce * a * a - cd * a * b)
-        if m * kw == 2 * ky * v * s:
+        n = 2 * v * (b * kx - a * ky) + kw * (cd * b - ce * a)
+        if n == 0:
             return known, True
-        y1 = m * kw - ky * v * s
-        return _point_h(be, -(b * y1 + lc * w), a * y1, a * w), False
+        vs = v * s
+        return _point_h(be, kx * vs - b * n, ky * vs + a * n, kw * vs), False
     # eliminate the variable with the larger coefficient magnitude
     if abs(b) >= abs(a):
         # substitute y = -(a x + c)/b: (a^2+b^2) x^2 + (2ac + d b^2 - e a b) x + ... = 0

@@ -15,7 +15,8 @@ Scalar holds, so it builds no ``Fraction``; any other string goes through
 coefficients already form a canonical unit normal is read as written (see
 :func:`~oblique_simson.geom.make_line`), so a float document, like an
 exact one, writes back byte for byte.  A schema that is not the
-integer 1, a non-null ``eps_abs`` on an exact document, a degenerate line
+integer 1, a non-null ``eps_abs`` on an exact document, a point, line or
+circle entry that is not an array of two or three values, a degenerate line
 or an improper circle is malformed.
 
 SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
@@ -59,6 +60,16 @@ def _scalar_from_json(value, backend: Backend) -> Scalar:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return backend.scalar(value)
     raise ParseError(f"float scene document requires numeric scalars, got {value!r}")
+
+
+def _entry(doc: dict, section: str, name: str, size: int, backend: Backend) -> List[Scalar]:
+    """The scalars of doc[section][name], which must be an array of *size*
+    values: a string or an object would unpack as its characters or keys."""
+    values = doc[section][name]
+    if type(values) is not list or len(values) != size:
+        raise TypeError(f"{section} entry {name!r} must be an array of {size} values, "
+                        f"got {values!r}")
+    return [_scalar_from_json(v, backend) for v in values]
 
 
 def _float_text(x: Scalar) -> str:
@@ -129,17 +140,14 @@ def document_to_scene(doc: dict) -> Scene:
         values = [_scalar_from_json(doc["params"][k], backend) for k in ("a", "b", "c", "t")]
         points = {}
         for name in POINT_NAMES:
-            x, y = doc["points"][name]
-            points[name] = geom.Point(_scalar_from_json(x, backend),
-                                      _scalar_from_json(y, backend))
+            x, y = _entry(doc, "points", name, 2, backend)
+            points[name] = geom.Point(x, y)
         lines = {}
         for name in LINE_NAMES:
-            a, b, c = (_scalar_from_json(v, backend) for v in doc["lines"][name])
-            lines[name] = geom.make_line(a, b, c)
+            lines[name] = geom.make_line(*_entry(doc, "lines", name, 3, backend))
         circles = {}
         for name in CIRCLE_NAMES:
-            d, e, f = (_scalar_from_json(v, backend) for v in doc["circles"][name])
-            circles[name] = geom.make_circle(d, e, f)
+            circles[name] = geom.make_circle(*_entry(doc, "circles", name, 3, backend))
         flags = doc["flags"]
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise TypeError(f"flags must be a list of strings, got {flags!r}")

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import geom, simson
 from .errors import BackendMismatch, GeometryError, JEqualsH
@@ -531,20 +531,17 @@ def _draw_params(rng: SplitMix64, config: FuzzConfig, force_t_zero: bool) -> Par
     return Params.make(a, b, c, t, backend=EXACT)
 
 
-def fuzz_instances(config: FuzzConfig) -> Tuple[List[Tuple[int, Params, Scene]], List[str]]:
-    """Deterministically generate `count` valid (params, scene) instances.
+def _instances(config: FuzzConfig, skips: List[str]) -> Iterator[Tuple[int, Params, Scene]]:
+    """The seeded (index, params, scene) instances, built one at a time.
 
     Parameter collisions are resampled; a (theoretically unreachable) H = J
-    instance is skipped with a note and replaced.
+    instance is noted in *skips* and replaced.
     """
     rng = SplitMix64(config.seed)
-    out: List[Tuple[int, Params, Scene]] = []
-    skips: List[str] = []
-    index = 0
-    while len(out) < config.count:
-        force_t_zero = config.include_t_zero and index == 0
-        params = _draw_params(rng, config, force_t_zero)
-        index += 1
+    built = drawn = 0
+    while built < config.count:
+        params = _draw_params(rng, config, config.include_t_zero and drawn == 0)
+        drawn += 1
         try:
             scene = simson.build_scene(params)
         except JEqualsH:
@@ -552,14 +549,22 @@ def fuzz_instances(config: FuzzConfig) -> Tuple[List[Tuple[int, Params, Scene]],
                 "skip (H = J): " + " ".join(
                     f"{k}={v}" for k, v in params_echo(params).items()))
             continue
-        out.append((len(out), params, scene))
-    return out, skips
+        yield built, params, scene
+        built += 1
+
+
+def fuzz_instances(config: FuzzConfig) -> Tuple[List[Tuple[int, Params, Scene]], List[str]]:
+    """Deterministically generate `count` valid (index, params, scene)
+    instances, and the notes of the H = J draws skipped."""
+    skips: List[str] = []
+    return list(_instances(config, skips)), skips
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:
-    """Build and check `count` seeded random instances; deterministic by seed."""
-    instances, skips = fuzz_instances(config)
-    reports = tuple(run_checks(scene) for _, _, scene in instances)
+    """Build and check `count` seeded random instances; deterministic by seed.
+    Each scene is checked as it is built and only its report is kept."""
+    skips: List[str] = []
+    reports = tuple(run_checks(scene) for _, _, scene in _instances(config, skips))
     return FuzzReport(config=config, reports=reports, skips=tuple(skips))
 
 

@@ -321,6 +321,9 @@ def cases(mag: int, seed: int, rounds: int):
         concentric = ref_circle_center_through(ref_center(c1), s)
         tangent_at_p = ref_perpendicular_through(p, ref_line_through(ref_center(c1), p))
         touching = ref_circle_center_through(ref_midpoint(ref_center(c1), p), p)
+        # circles that the vertical and the horizontal line through p touch at p
+        beside = ref_circle_center_through(ref_point(p.x.value + k, p.y.value), p)
+        above = ref_circle_center_through(ref_point(p.x.value, p.y.value + k), p)
         on_c1, _ = ref_second_line_circle(ref_line_through(p, s), c1, p)
         t12 = ref_directed_tan(l1, l2)
         # three points over one common weight w, the third once on the line of the first two
@@ -348,6 +351,8 @@ def cases(mag: int, seed: int, rounds: int):
             ("second_line_circle", (ref_line_through(p, s), c1, p)),
             ("second_line_circle", (scaled_line(ref_line_through(s, p), k), c1, p)),
             ("second_line_circle", (vertical, c1, p)), ("second_line_circle", (horizontal, c2, p)),
+            ("second_line_circle", (vertical, beside, p)),
+            ("second_line_circle", (horizontal, above, p)),
             ("second_line_circle", (tangent_at_p, c1, p)),
             ("second_line_circle", (scaled_line(tangent_at_p, k), c1, p)),
             ("second_line_circle", (l2, c1, p)), ("second_line_circle", (l1, raw_circle, p)),

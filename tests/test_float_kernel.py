@@ -200,7 +200,10 @@ def cases(mag: float, seed: int, rounds: int):
         parallel = Line(l1.a, l1.b, Scalar(BE, l1.c.value + mag))
         identical = Line(l1.a, l1.b, l1.c)
         perpendicular = ref_perpendicular_through(r, l1)
-        raw_line = Line(Scalar(BE, num()), Scalar(BE, num()), Scalar(BE, num()))
+        ra, rb, rc = num(), num(), num()
+        if BE.is_zero(ra) and BE.is_zero(rb):
+            rb = 1.0  # a Line with a = b = 0 raises; the draws, and the stream, are kept
+        raw_line = Line(Scalar(BE, ra), Scalar(BE, rb), Scalar(BE, rc))
         c1, c2 = (ref_circle(-2 * c.x.value, -2 * c.y.value,
                              c.x.value * c.x.value + c.y.value * c.y.value - rr)
                   for c, rr in ((p, mag * mag), (q, mag * mag / 4)))
@@ -208,6 +211,10 @@ def cases(mag: float, seed: int, rounds: int):
         raw_circle = Circle(Scalar(BE, num()), Scalar(BE, num()), Scalar(BE, num()))
         start = ref_point(-c1.d.value / 2 + mag, -c1.e.value / 2)  # on c1
         on_c1, _ = ref_second_line_circle(ref_line_through(start, s), c1, start)
+        # circles that the vertical and the horizontal line through p touch at p
+        px, py = p.x.value, p.y.value
+        beside = ref_circle(-2 * (px + mag), -2 * py, (px + mag) * (px + mag) + py * py - mag * mag)
+        above = ref_circle(-2 * px, -2 * (py + mag), px * px + (py + mag) * (py + mag) - mag * mag)
         out += [
             ("line_through", (p, q)), ("line_through", (q, p)), ("line_through", (p, origin)),
             ("line_through", (origin, negative_origin)),
@@ -246,6 +253,8 @@ def cases(mag: float, seed: int, rounds: int):
                 start, ref_line_through(ref_center(c1), start)), c1, start)),
             ("second_line_circle", (l2, c1, start)), ("second_line_circle", (l1, c2, p)),
             ("second_line_circle", (ref_line_through(on_c1, origin), c1, on_c1)),
+            ("second_line_circle", (ref_line(1.0, 0.0, -px), beside, p)),
+            ("second_line_circle", (ref_line(0.0, 1.0, -py), above, p)),
         ]
     return out
 

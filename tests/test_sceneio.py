@@ -168,6 +168,23 @@ class TestSceneDocument:
             scene_from_json(json.dumps(doc))
         assert str(raised.value) == "malformed scene document: " + error
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("part, name, size", [
+        ("points", "A", 2), ("lines", "gwsLine", 3), ("circles", "S", 3),
+    ], ids=["point", "line", "circle"])
+    @pytest.mark.parametrize("shape", ["string", "object"])
+    def test_entry_that_is_not_an_array_is_malformed(self, part, name, size, shape, backend):
+        """A string or an object of the right length would unpack as its
+        characters or keys: "100" as (1, 0, 0), {"1": .., "0": ..} as (1, 0)."""
+        be = EXACT if backend == "exact" else FloatBackend(1e-9)
+        doc = scene_to_document(build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=be)))
+        values = doc[part][name]
+        doc[part][name] = ("1" + "0" * (size - 1) if shape == "string"
+                           else {str((i + 1) % size): v for i, v in enumerate(values)})
+        with pytest.raises(ParseError, match=f"^malformed scene document: {part} entry "
+                           f"'{name}' must be an array of {size} values, got "):
+            scene_from_json(json.dumps(doc))
+
     @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text limit")
     def test_value_beyond_text_limit_raises_output_error(self):
         a = int("7" * (INT_TEXT_LIMIT // 2 + 100))

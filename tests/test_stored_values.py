@@ -170,9 +170,11 @@ def test_line_is_canonical_however_built():
 
 
 @pytest.mark.parametrize("c", [0, 1])
-def test_exact_line_with_zero_normal_raises(c):
+@pytest.mark.parametrize("name", BACKENDS)
+def test_line_with_zero_normal_raises(name, c):
+    scalar = BACKENDS[name].scalar
     with pytest.raises(GeometryError, match="^line coefficients degenerate: a = b = 0$"):
-        Line(E(0), E(0), E(c))
+        Line(scalar(0), scalar(0), scalar(c))
 
 
 def test_float_line_keeps_its_coefficients():
@@ -181,7 +183,9 @@ def test_float_line_keeps_its_coefficients():
     line = Line(*coeffs)
     assert all(a is b for a, b in zip(vars(line).values(), coeffs))
     assert repr(line._h) == "(2.0, -4.0, 6.0)" and repr(line) == "Line(2.0, -4.0, 6.0)"
-    assert Line(F(0), F(0), F(1))._h == (0.0, 0.0, 1.0)
+    # a normal within the tolerance of zero is degenerate, as in make_line
+    with pytest.raises(GeometryError, match="^line coefficients degenerate: a = b = 0$"):
+        Line(F(1e-12), F(-1e-12), F(1))
 
 
 def test_constructors_read_pairs_not_values(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from oblique_simson import (
     build_scene,
     fuzz,
     run_checks,
+    simson,
 )
 from oblique_simson.verify import AUDIT_NAMES, CHECK_NAMES, SplitMix64, fuzz_instances
 
@@ -169,6 +171,23 @@ class TestFuzz:
         assert result.reports[0].params["t"] == "0"
         assert result.reports[0].result("t_zero_reduction").witness is None
         assert result.all_pass
+
+    def test_fuzz_checks_each_scene_as_it_is_built(self, monkeypatch):
+        """fuzz keeps the reports, not the scenes: at most two are alive at once."""
+        config, build, scenes, alive = FuzzConfig(seed=42, count=50), simson.build_scene, [], []
+
+        def tracked(params):
+            scene = build(params)
+            scenes.append(weakref.ref(scene))
+            alive.append(sum(ref() is not None for ref in scenes))
+            return scene
+
+        monkeypatch.setattr(simson, "build_scene", tracked)
+        result = fuzz(config)
+        monkeypatch.undo()
+        assert len(scenes) == 50 and max(alive) <= 2
+        assert result.reports == tuple(run_checks(scene)
+                                       for _, _, scene in fuzz_instances(config)[0])
 
     def test_distinct_parameters(self):
         instances, skips = fuzz_instances(FuzzConfig(seed=11, count=40))
