@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import geom, simson
-from .errors import BackendMismatch, GeometryError, JEqualsH
+from .errors import BackendMismatch, GeometryError
 from .geom import Circle, Line, Point
 from .numeric import EXACT, Scalar, format_scalar
 from .simson import Params, Scene
@@ -494,6 +494,10 @@ class FuzzConfig:
     include_t_zero: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "count", "max_numerator", "max_denominator"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.max_numerator < 1 or self.max_denominator < 1:
@@ -504,7 +508,6 @@ class FuzzConfig:
 class FuzzReport:
     config: FuzzConfig
     reports: Tuple[Report, ...]
-    skips: Tuple[str, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -531,41 +534,32 @@ def _draw_params(rng: SplitMix64, config: FuzzConfig, force_t_zero: bool) -> Par
     return Params.make(a, b, c, t, backend=EXACT)
 
 
-def _instances(config: FuzzConfig, skips: List[str]) -> Iterator[Tuple[int, Params, Scene]]:
-    """The seeded (index, params, scene) instances, built one at a time.
+def _instances(config: FuzzConfig) -> Iterator[Tuple[int, Params]]:
+    """The seeded (index, params) instances, drawn one at a time.
 
-    Parameter collisions are resampled; a (theoretically unreachable) H = J
-    instance is noted in *skips* and replaced.
+    No draw is ever skipped, because H = J cannot happen.  With u_k the unit
+    vectors from O to the vertices, H - O = u1 + u2 + u3 = s, and J - O = -1,
+    so H = J means s = -1.  For unit vectors (u1+u2)(u2+u3)(u3+u1) = s*e2 - e3
+    and e2 = e3*conj(s), which at s = -1 give (-1)(-e3) - e3 = 0.  So two of
+    the u's cancel and the third is -1, which puts a vertex at J; but every
+    vertex (2, 2p)/(1 + p^2) has x > 0.
     """
     rng = SplitMix64(config.seed)
-    built = drawn = 0
-    while built < config.count:
-        params = _draw_params(rng, config, config.include_t_zero and drawn == 0)
-        drawn += 1
-        try:
-            scene = simson.build_scene(params)
-        except JEqualsH:
-            skips.append(
-                "skip (H = J): " + " ".join(
-                    f"{k}={v}" for k, v in params_echo(params).items()))
-            continue
-        yield built, params, scene
-        built += 1
+    for i in range(config.count):
+        yield i, _draw_params(rng, config, config.include_t_zero and i == 0)
 
 
 def fuzz_instances(config: FuzzConfig) -> Tuple[List[Tuple[int, Params, Scene]], List[str]]:
-    """Deterministically generate `count` valid (index, params, scene)
-    instances, and the notes of the H = J draws skipped."""
-    skips: List[str] = []
-    return list(_instances(config, skips)), skips
+    """Deterministically generate `count` (index, params, scene) instances.
+    The second value is always empty, as no draw is skipped (see _instances)."""
+    return [(i, p, simson.build_scene(p)) for i, p in _instances(config)], []
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:
     """Build and check `count` seeded random instances; deterministic by seed.
     Each scene is checked as it is built and only its report is kept."""
-    skips: List[str] = []
-    reports = tuple(run_checks(scene) for _, _, scene in _instances(config, skips))
-    return FuzzReport(config=config, reports=reports, skips=tuple(skips))
+    reports = tuple(run_checks(simson.build_scene(p)) for _, p in _instances(config))
+    return FuzzReport(config=config, reports=reports)
 
 
 # -- audit of the handed-down closed forms ----------------------------------------

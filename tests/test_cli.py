@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from oblique_simson import simson
 from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
@@ -259,6 +261,32 @@ class TestAudit:
         assert "aggregate over 6 instances:" in out
         assert "Eq2.3 vertex-image line        MATCH 6  MISMATCH 0" in out
         assert "Eq2.8 circle through X,Y,Z     MATCH 6  MISMATCH 0" in out
+
+    def test_seeded_audit_constructs_each_instance_once(self, monkeypatch, capsys):
+        """audit --seed builds no scene, and one stage per instance that it
+        does not keep: at most two are alive at once."""
+        build, core, builds, stages, alive = simson.build_scene, simson.construct_core, [], [], []
+
+        class Stage(dict):
+            pass  # a dict that a weakref can follow
+
+        def tracked_build(params):
+            builds.append(params)
+            return build(params)
+
+        def tracked_core(params):
+            stage, flags = core(params)
+            stage = Stage(stage)
+            stages.append(weakref.ref(stage))
+            alive.append(sum(ref() is not None for ref in stages))
+            return stage, flags
+
+        monkeypatch.setattr(simson, "build_scene", tracked_build)
+        monkeypatch.setattr(simson, "construct_core", tracked_core)
+        assert main(["audit", "--seed", "7", "--count", "30"]) == 0
+        monkeypatch.undo()
+        assert "aggregate over 30 instances:" in capsys.readouterr().out
+        assert builds == [] and len(stages) == 30 and max(alive) <= 2
 
     def test_partial_scene_flags_exit_2(self, capsys):
         assert main(["audit", "--a", "1", "--b", "2"]) == 2

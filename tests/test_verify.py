@@ -151,6 +151,15 @@ class TestFuzz:
         with pytest.raises(ValueError):
             FuzzConfig(seed=1, count=5, max_denominator=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("count", 2.5), ("max_numerator", 2.5), ("max_denominator", "10"),
+        ("count", True), ("seed", Fraction(1)),
+    ])
+    def test_config_fields_must_be_ints(self, field, value):
+        fields = {"seed": 1, "count": 2, **{field: value}}
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            FuzzConfig(**fields)
+
     def test_small_run_passes_and_is_deterministic(self):
         config = FuzzConfig(seed=42, count=25)
         first = fuzz(config)
@@ -158,7 +167,6 @@ class TestFuzz:
         assert first == second
         assert first.all_pass
         assert first.summary() == "25/25 pass"
-        assert first.skips == ()
 
     def test_prefix_stability(self):
         # the first k instances of a longer run equal the k-instance run
