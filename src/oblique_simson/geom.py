@@ -625,6 +625,16 @@ def radical_line(c1: Circle, c2: Circle) -> Line:
     return _line_of(c1.backend, _radical_h(_common_backend(c1, c2), c1._h, c2._h))
 
 
+def _tangency_h(l, c, known):
+    """n = 2v(b kx - a ky) + kw(d b - e a) for the line (a, b, c), the circle
+    (d, e, f, v) and their common point k = (kx, ky, kw), on exact tuples.
+    By Vieta along the direction (-b, a) from k, the points k + u (-b, a) of
+    c have u = 0 or u = n / (kw v s), s = a^2 + b^2, so l touches c at k iff
+    n = 0."""
+    (a, b, _), (cd, ce, _, v), (kx, ky, kw) = l, c, known
+    return 2 * v * (b * kx - a * ky) + kw * (cd * b - ce * a)
+
+
 def _second_line_circle_h(be: Backend, l, c, known):
     """(the other meet of l and c, tangent); known itself when l touches c.
     On exact one formula for every line, with no pivot and no division."""
@@ -634,14 +644,11 @@ def _second_line_circle_h(be: Backend, l, c, known):
         raise KnownPointNotIncident("known point is not on the circle")
     (a, b, lc), (cd, ce, cf, v), (kx, ky, kw) = l, c, known
     if be.exact:
-        # Vieta along the direction (-b, a) from the known point k: the
-        # points k + u (-b, a) on c have u = 0 or u = n / (kw v s), so the
-        # line is tangent at k iff n = 0; the result has no pivot factor
-        s = a * a + b * b
-        n = 2 * v * (b * kx - a * ky) + kw * (cd * b - ce * a)
+        # k + u (-b, a) at u = n / (kw v s) (see _tangency_h): no pivot factor
+        n = _tangency_h(l, c, known)
         if n == 0:
             return known, True
-        vs = v * s
+        vs = v * (a * a + b * b)
         return _point_h(be, kx * vs - b * n, ky * vs + a * n, kw * vs), False
     # eliminate the variable with the larger coefficient magnitude
     if abs(b) >= abs(a):

@@ -7,26 +7,31 @@ p = y/x.  One instance of the construction is Params(a, b, c, t): three
 vertex parameters plus the similarity parameter t selecting the point Q on
 the perpendicular bisector of JH.
 
-The pipeline never solves a general quadratic: every second intersection is
-taken against a known common point (Vieta), so a rational instance yields a
-fully rational Scene.  Each formula is a tuple function on geom's canonical
-``_h`` tuples: the vertex, perspector and Q forms read p and t as a pair
-(n, d), d = 1.0 on float, in one homogeneous formula for both backends; the
-similarity keeps an integer and a float body, as its float form halves the
-coordinates before it adds, which the homogeneous form cannot match at
-subnormal or overflowing values.  The exact construction therefore does no
-``Fraction`` arithmetic.  construct_core computes the stage's tuples, keyed
-by scene name, up to Q and the circle S; build_scene extends them to the
-whole figure and writes each of the scene's 33 objects once, and the audit
-in :mod:`oblique_simson.verify` compares its closed forms with the stage,
-S among them.  On exact the circles S and Sigma0 are built from their
+The pipeline never solves a general quadratic, so a rational instance
+yields a fully rational Scene.  On float every second intersection is taken
+against a known common point (Vieta).  On exact the six that are scene
+points, X, Y, Z and L, M, N, are closed forms in a, b, c and t, each
+certified where it is built by the incidences that make it that meet, and
+the tangency flags of the joins AA0, BB0, CC0 are read from one quantity
+of the meet, :func:`geom._tangency_h`, without building its point.  Each
+formula is a tuple function on geom's canonical ``_h`` tuples: the vertex,
+perspector and Q forms read p and t as a pair (n, d), d = 1.0 on float, in
+one homogeneous formula for both backends; the similarity keeps an integer
+and a float body, as its float form halves the coordinates before it adds,
+which the homogeneous form cannot match at subnormal or overflowing values.
+The exact construction therefore does no ``Fraction`` arithmetic.
+construct_core computes the stage's tuples, keyed by scene name, up to Q
+and the circle S; build_scene extends them to the whole figure and writes
+each of the scene's 33 objects once, and the audit in
+:mod:`oblique_simson.verify` compares its closed forms with the stage, S
+among them.  On exact the circles S and Sigma0 are built from their
 centres, Q and the image of O, through J, and the double-Simson
 precondition (J on the circle of the triangle) is one integer test that
 builds no circle; float keeps the circles through X, Y, Z and A0, B0, C0,
 which fixes its bits.  :func:`_circle_about_h` makes that choice for both
-circles.  As in geom, a public function
-writes only the object it returns; only build_scene and the read-outs of
-one scene object call another public function.
+circles.  As in geom, a public function writes only the object it returns;
+only build_scene and the read-outs of one scene object call another public
+function.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from . import geom
 from .errors import (
     AllCoincident,
     BackendMismatch,
+    ConstructionError,
     DegenerateTriangle,
     JEqualsH,
     NotCollinear,
@@ -213,13 +219,99 @@ def _circle_about_h(be: Backend, center, j, through):
     return geom._circle_through3_h(be, *through)
 
 
+def _g_h(q, r, t):
+    """G1 = 2qrt - q - r - 2t and G2 = qr + 2qt + 2rt - 1 for the vertex
+    parameters q, r and t, as their numerators over qd rd td on the pairs
+    (n, d)."""
+    (qn, qd), (rn, rd), (tn, td) = q, r, t
+    cross = qn * rd + rn * qd
+    return (2 * qn * rn * tn - td * cross - 2 * tn * qd * rd,
+            td * (qn * rn - qd * rd) + 2 * tn * cross)
+
+
+def _xyz_form_h(be: Backend, p, q, r, t):
+    """The meet other than the vertex of parameter p of its altitude and
+    vertex circle, for the other two parameters q and r (X for p = a):
+    2F (-G1, G2) / ((1 + p^2)(1 + q^2)(1 + r^2)) with F = pqr - p + q + r,
+    on the pairs (n, d).  Exact only, unchecked (see _certified_xyz_h)."""
+    (pn, pd), (qn, qd), (rn, rd), (_, td) = p, q, r, t
+    g1, g2 = _g_h(q, r, t)
+    f = 2 * pd * (pn * (qn * rn - qd * rd) + pd * (qn * rd + rn * qd))
+    w = (pn * pn + pd * pd) * (qn * qn + qd * qd) * (rn * rn + rd * rd)
+    return geom._point_h(be, -f * g1, f * g2, td * w)
+
+
+def _lmn_form_h(be: Backend, q, r, t):
+    """The meet other than J of the vertex circles of parameters q and r
+    (L for (b, c)): -2 (G2, G1) / ((1 + q^2)(1 + r^2)), on the pairs (n, d).
+    Exact only, unchecked (see _certified_lmn_h)."""
+    (qn, qd), (rn, rd), (_, td) = q, r, t
+    g1, g2 = _g_h(q, r, t)
+    k = -2 * qd * rd
+    return geom._point_h(be, k * g2, k * g1, td * (qn * qn + qd * qd) * (rn * rn + rd * rd))
+
+
+def _certified_xyz_h(be: Backend, name: str, vertex: str, point, stage):
+    """(point, tangent) for the closed form *point* of X, Y or Z (*name*),
+    certified as the meet other than *vertex* of its altitude and vertex
+    circle, both through the vertex: the point is on both, and differs from
+    the vertex, or, where it is the vertex, the altitude touches the circle
+    there (the tangency flag).  A line meets a circle at most twice, so that
+    is the meet.  ConstructionError otherwise."""
+    alt, circle, known = stage["alt" + vertex], stage["c" + vertex], stage[vertex]
+    if not geom._on_line_h(be, alt, point):
+        failed = f"{name} is off alt{vertex}"
+    elif not geom._on_circle_h(be, circle, point):
+        failed = f"{name} is off c{vertex}"
+    elif point != known:
+        return point, False
+    elif geom._tangency_h(alt, circle, known) == 0:
+        return point, True
+    else:
+        failed = f"{name} is {vertex}, but alt{vertex} does not touch c{vertex} there"
+    raise ConstructionError(f"closed-form certificate failed: {failed}")
+
+
+def _certified_lmn_h(be: Backend, name: str, point, stage):
+    """(point, tangent) for the closed form *point* of L, M or N (*name*),
+    certified as the meet other than J of its two vertex circles, both about
+    an image vertex through J: the point is on both, and differs from J, or,
+    where it is J, J and the two centres are collinear, so the circles touch
+    there (the tangency flag; never on a real triangle, as J, B and C are
+    not collinear).  Two circles meet at most twice, so that is the meet.
+    ConstructionError otherwise."""
+    c1, c2 = _LMN[name]
+    j = stage["J"]
+    if not geom._on_circle_h(be, stage[c1], point):
+        failed = f"{name} is off {c1}"
+    elif not geom._on_circle_h(be, stage[c2], point):
+        failed = f"{name} is off {c2}"
+    elif point != j:
+        return point, False
+    elif geom._collinear3_h(be, j, stage[c1[1] + "0"], stage[c2[1] + "0"]):
+        return point, True
+    else:
+        failed = f"{name} is J, but J, {c1[1]}0 and {c2[1]}0 are not collinear"
+    raise ConstructionError(f"closed-form certificate failed: {failed}")
+
+
+def _by_vertex(params: Params):
+    """(vertex, its parameter's pair, the other two pairs) per vertex, in the
+    cyclic order: b and c for A, c and a for B, a and b for C."""
+    a, b, c = params.a._ratio(), params.b._ratio(), params.c._ratio()
+    return ("A", a, b, c), ("B", b, c, a), ("C", c, a, b)
+
+
 def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     """The stage's canonical tuples by scene name, each computed once from
     the ones before, and the tangency flags of X, Y, Z.  The vertex circle
     cA is centred at A0 through J (and A), X is its second meet with altA,
     and the line AA0 through A and A0, not a scene object, is kept too.  Q is
     the image of H, and S is the circle about Q through J, which passes
-    through X, Y, Z and H."""
+    through X, Y, Z and H.  On exact, X, Y and Z are closed forms in a, b, c
+    and t, each certified here by the incidences that make it the meet (see
+    _certified_xyz_h), since the audit compares the stage with the paper's
+    formulas; float takes the meets, which fix its bits."""
     be, t = params.backend, params.t
     j = geom._point_h(be, 0, 0, 1)
     verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]
@@ -231,12 +323,19 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     images = [_similarity_h(be, t, v) for v in verts]
     joins = [geom._line_through_h(be, v, image) for v, image in zip(verts, images)]
     circles = [geom._circle_center_through_h(be, image, j) for image in images]
-    xyz = [geom._second_line_circle_h(be, *meet) for meet in zip(alts, circles, verts)]
-    q = _q_h(be, h, t)
-    stage = {"J": j, "H": h, "Q": q, "S": _circle_about_h(be, q, j, [p for p, _ in xyz])}
+    stage = {"J": j, "H": h}
     for i, v in enumerate(VERTEX_ORDER):
         stage.update({v: verts[i], _SIDES[i]: sides[i], "alt" + v: alts[i], v + "0": images[i],
-                      v + v + "0": joins[i], "c" + v: circles[i], _XYZ[i]: xyz[i][0]})
+                      v + v + "0": joins[i], "c" + v: circles[i]})
+    if be.exact:
+        tp = t._ratio()
+        xyz = [_certified_xyz_h(be, n, v, _xyz_form_h(be, p, q, r, tp), stage)
+               for n, (v, p, q, r) in zip(_XYZ, _by_vertex(params))]
+    else:
+        xyz = [geom._second_line_circle_h(be, *meet) for meet in zip(alts, circles, verts)]
+    q = _q_h(be, h, t)
+    stage.update(zip(_XYZ, (p for p, _ in xyz)))
+    stage.update(Q=q, S=_circle_about_h(be, q, j, [p for p, _ in xyz]))
     return stage, [f"tangent:{n}" for n, (_, tangent) in zip(_XYZ, xyz) if tangent]
 
 
@@ -300,15 +399,26 @@ def build_scene(params: Params) -> Scene:
     stage, xyz_flags = construct_core(params)
     j, sigma = stage["J"], geom._circle_h(be, -2, 0, 0)
     stage.update(O=geom._point_h(be, 1, 0, 1), Sigma=sigma, K=_perspector_h(be, t))
-    # only the tangency flag is read here; perspector_common judges the meet
-    flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
-             if geom._second_line_circle_h(be, stage[v + v + "0"], sigma, stage[v])[1]]
+    # only the tangency flags of the joins AA0, BB0, CC0 are read here;
+    # perspector_common judges their meets with Sigma
+    if be.exact:
+        flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
+                 if geom._tangency_h(stage[v + v + "0"], sigma, stage[v]) == 0]
+    else:
+        flags = [f"tangent:{v}{v}0" for v in VERTEX_ORDER
+                 if geom._second_line_circle_h(be, stage[v + v + "0"], sigma, stage[v])[1]]
     flags += xyz_flags
     stage["Sigma0"] = _circle_about_h(be, _similarity_h(be, t, stage["O"]), j,
                                       [stage[v + "0"] for v in VERTEX_ORDER])
-    for n, (c1, c2) in _LMN.items():
-        radical = geom._radical_h(be, stage[c1], stage[c2])
-        stage[n], tangent = geom._second_line_circle_h(be, radical, stage[c1], j)
+    if be.exact:  # closed forms, certified (see _certified_lmn_h)
+        tp = t._ratio()
+        lmn = [_certified_lmn_h(be, n, _lmn_form_h(be, q, r, tp), stage)
+               for n, (_, _, q, r) in zip(_LMN, _by_vertex(params))]
+    else:
+        lmn = [geom._second_line_circle_h(be, geom._radical_h(be, stage[c1], stage[c2]),
+                                          stage[c1], j) for c1, c2 in _LMN.values()]
+    for n, (point, tangent) in zip(_LMN, lmn):
+        stage[n] = point
         if tangent:
             flags.append(f"tangent:{n}")
     stage["gwsLine"] = _line_through_collinear_h(be, *(stage[n] for n in _LMN))

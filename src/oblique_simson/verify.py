@@ -11,12 +11,14 @@ than exceptions.  On the exact backend a failing check
 on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
-On exact, four checks pass on incidence tests against circles and points
+On exact, five checks pass on incidence tests against circles and points
 the scene already holds (a certificate, such as each Theorem 4.1 chain on
-its vertex circle), and run their constructive body only when the
-certificate does not pass, so every verdict that is not PASS, and its
-witness, comes from that body.  The certificates use only ``==`` and
-``!=`` on integers, and float runs the bodies alone.
+its vertex circle, or J's unreduced reflections in the sides of A0B0C0 on
+gwsLine), and run their constructive body only when the certificate does
+not pass, so every verdict that is not PASS, and its witness, comes from
+that body.  The certificates use only ``==`` and ``!=`` on integers (no
+hashing, so they run over any exact ring), and float runs the bodies
+alone.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
 construction (rows Eq2.3-Eq2.8) against the tuples of the construction stage,
@@ -306,10 +308,40 @@ def _chk_reflection_route(scene: Scene):
     return None
 
 
+def _reflections_on_line_h(be, sigma0, line, j, p, q, r) -> bool:
+    """Whether p, q and r are distinct, j, p, q and r lie on sigma0, and the
+    reflections of j in the lines qr, rp and pq lie on *line*, two of them
+    distinct.  Then pqr is a triangle (three distinct points of a circle),
+    j is on its circumcircle, and the line through its first two distinct
+    reflections is *line*: the double-Simson line of j.  The reflections are
+    left unreduced, (x s - m a, y s - m b, w s) with s = a^2 + b^2 and
+    m = 2(a x + b y + c w) for j = (x, y, w) and the line (a, b, c) through
+    two of the points.  Exact tuples only."""
+    if p == q or q == r or r == p:
+        return False
+    if not all(geom._on_circle_h(be, sigma0, u) for u in (j, p, q, r)):
+        return False
+    (x, y, w), (la, lb, lc), refs = j, line, []
+    for (x1, y1, w1), (x2, y2, w2) in ((q, r), (r, p), (p, q)):
+        a, b, c = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
+        s, m = a * a + b * b, 2 * (a * x + b * y + c * w)
+        ref = rx, ry, rw = x * s - m * a, y * s - m * b, w * s
+        if la * rx + lb * ry + lc * rw != 0:
+            return False
+        refs.append(ref)
+    return any(u[0] * v[2] != v[0] * u[2] or u[1] * v[2] != v[1] * u[2]
+               for u, v in ((refs[0], refs[1]), (refs[0], refs[2])))
+
+
 def _chk_double_simson_of_image(scene: Scene):
     pts, be = scene.points, scene.backend
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A0", "B0", "C0")))
     gws = scene.lines["gwsLine"]
+    j_and_images = [pts[n]._h for n in ("J", "A0", "B0", "C0")]
+    # certificate: the image triangle on Sigma0 with J, and J's reflections on gwsLine
+    if be.exact and _reflections_on_line_h(be, scene.circles["Sigma0"]._h, gws._h,
+                                           *j_and_images):
+        return None
+    line = simson._double_simson_h(be, *j_and_images)
     if not geom._same_h(be, line, gws._h):
         return {"double-simson": _fmt_line_h(be, line),
                 "gwsLine": _fmt_line(gws)}

@@ -460,7 +460,8 @@ def test_object_of_another_backend_is_an_error_result(golden_scene, part):
 
 # -- which path decides an exact check ---------------------------------------------
 
-CERTIFIED = ("concyclic_chains_thm41", "perspector_common", "q_is_image_of_H", "q_equidistant")
+CERTIFIED = ("concyclic_chains_thm41", "perspector_common", "q_is_image_of_H", "q_equidistant",
+             "line_equals_double_simson_of_image")
 # the tuple functions that, among these checks, only the constructive bodies call
 BODY_CALLS = ("_concyclic4_h", "_second_line_circle_h", "_orthocentric_h", "_dist_sq_h")
 

@@ -470,7 +470,7 @@ def test_named_degenerate_results():
 def test_golden_scene_evaluates_few_determinants(monkeypatch):
     """The circle kernels evaluate no 3x3 determinant: concyclic4 sums over
     the 2x2 minors of its translated points, and only the collinearity tests
-    take one, so building and checking the golden scene takes 8."""
+    take one, so building and checking the golden scene takes 6."""
     golden = Params.make(1, 2, 3, Fraction(1, 2))
     calls = []
 
@@ -482,7 +482,7 @@ def test_golden_scene_evaluates_few_determinants(monkeypatch):
     report = verify.run_checks(simson.build_scene(golden))
     monkeypatch.undo()
     assert report.all_pass
-    assert len(calls) <= 8
+    assert len(calls) <= 6
 
 
 class TestNoFractionArithmetic:

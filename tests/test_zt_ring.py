@@ -16,6 +16,7 @@ backend's object at that t, and a similarity with the wrong orientation
 must fail.
 """
 
+import dataclasses
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -24,7 +25,7 @@ from itertools import zip_longest
 import pytest
 
 from oblique_simson import geom, simson, verify
-from oblique_simson.errors import BackendMismatch, DivisionByZero
+from oblique_simson.errors import BackendMismatch, ConstructionError, DivisionByZero
 from oblique_simson.numeric import EXACT, Backend, Scalar
 from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params
 
@@ -271,17 +272,42 @@ def test_audit_follows_criterion_4_for_all_t(abc):
 
 
 def test_similarity_of_the_wrong_orientation_fails(monkeypatch):
-    """The conjugate map, (x, y) -> (x/2 + ty, -tx + y/2), in place of the similarity."""
+    """The conjugate map, (x, y) -> (x/2 + ty, -tx + y/2), in place of the
+    similarity.  The vertex circles are then about the conjugate images, so
+    the closed form of X, which does not read the similarity, is off cA over
+    Z[t], and the build stops at X's certificate before any check runs."""
 
     def conjugate(be, t, p):
         (x, y, w), (n, d) = p, t._ratio()
         return geom._point_h(be, x * d + 2 * n * y, -2 * n * x + y * d, 2 * d * w)
 
     monkeypatch.setattr(simson, "_similarity_h", conjugate)
-    report = verify.run_checks(simson.build_scene(zt_params(*GOLDEN)))
+    with pytest.raises(ConstructionError, match=r"^closed-form certificate failed: X is off cA$"):
+        simson.build_scene(zt_params(*GOLDEN))
+
+
+@pytest.mark.parametrize("abc", TRIANGLES)
+def test_image_double_simson_passes_on_its_certificate(zt_scenes, monkeypatch, abc):
+    """The certificate of line_equals_double_simson_of_image holds over Z[t]:
+    its check never reaches the concyclicity test of its constructive body."""
+
+    def body(*_args):
+        raise AssertionError("the constructive body ran")
+
+    monkeypatch.setattr(geom, "_concyclic4_h", body)
+    assert verify._chk_double_simson_of_image(zt_scenes[abc]) is None
+
+
+def test_perspector_of_the_wrong_orientation_fails(zt_scenes):
+    """K of the conjugate map, (8t^2, -4t)/(1 + 4t^2), in place of K: the
+    two checks that put K on a circle other than Sigma fail, and their
+    witnesses are written over Z[t]."""
+    scene = zt_scenes[GOLDEN]
+    k = geom._hom_point(ZT, 8 * T * T, -4 * T, 1 + 4 * T * T)
+    report = verify.run_checks(dataclasses.replace(scene, points={**scene.points, "K": k}))
     failed = {r.name: r.witness for r in report.failures}
     assert set(failed) == {"sigma0_through_J_and_K", "perspector_common"}
-    assert "t" in failed["perspector_common"]["second"]  # the witness is written over Z[t]
+    assert "t" in failed["perspector_common"]["second"]
 
 
 def test_ring_gcd_and_quotient():
