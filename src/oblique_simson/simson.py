@@ -254,10 +254,11 @@ def _lmn_form_h(be: Backend, q, r, t):
 def _certified_xyz_h(be: Backend, name: str, vertex: str, point, stage):
     """(point, tangent) for the closed form *point* of X, Y or Z (*name*),
     certified as the meet other than *vertex* of its altitude and vertex
-    circle, both through the vertex: the point is on both, and differs from
-    the vertex, or, where it is the vertex, the altitude touches the circle
-    there (the tangency flag).  A line meets a circle at most twice, so that
-    is the meet.  ConstructionError otherwise."""
+    circle, which both pass through the vertex (the circle as the image
+    vertex is as far from the vertex as from J): the point is on both, and
+    differs from the vertex, or, where it is the vertex, the altitude
+    touches the circle there (the tangency flag).  A line meets a circle at
+    most twice, so that is the meet.  ConstructionError otherwise."""
     alt, circle, known = stage["alt" + vertex], stage["c" + vertex], stage[vertex]
     if not geom._on_line_h(be, alt, point):
         failed = f"{name} is off alt{vertex}"
