@@ -40,9 +40,11 @@ the content removed by ``gcd`` and the sign rule on exact, the floats an
 object holds on float).
 Objects exist only at the API edge: a public primitive composes tuple
 functions, calls no other public one, and writes its result once through
-``_point_of``, ``_line_of`` or ``_circle_of``.  The checks of
-:mod:`~oblique_simson.verify` compose tuple functions and build no object;
-numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`),
+``_point_of``, ``_line_of`` or ``_circle_of``.  The checks and the audit of
+:mod:`~oblique_simson.verify` compose tuple functions and build no object,
+and write a witness from tuples and pairs (``_line_eval_h`` and
+``_circle_eval_h`` give the residuals); numbers travel as pairs (n, d),
+d = 1.0 on float (see :func:`_same_value`),
 and :func:`_ratio_of` forms the pair of a quotient n/d: (n, d) on exact,
 (n/d, 1.0) on float, where the float formula divides midway.
 Zero tests go through the backend's ``is_zero`` and divisions through its
@@ -75,7 +77,7 @@ from .errors import (
     ParallelLines,
     ZeroRadius,
 )
-from .numeric import Backend, Scalar, _pair, format_scalar
+from .numeric import Backend, Scalar, _pair, format_pair, format_scalar
 
 
 class _Stored:
@@ -422,11 +424,16 @@ def dist_sq(p: Point, q: Point) -> Scalar:
     return _pair(be, *_dist_sq_h(be, p._h, q._h))
 
 
+def _line_eval_h(be: Backend, l, p):
+    """line_eval on tuples, as a pair (n, d)."""
+    (a, b, c), (x, y, w) = l, p
+    return a * x + b * y + c * w, w
+
+
 def line_eval(l: Line, p: Point) -> Scalar:
     """ax + by + c at p, for the line's coefficients (its _h)."""
     be = _common_backend(l, p)
-    (a, b, c), (x, y, w) = l._h, p._h
-    return _pair(be, a * x + b * y + c * w, w)
+    return _pair(be, *_line_eval_h(be, l._h, p._h))
 
 
 def _on_line_h(be: Backend, l, p) -> bool:
@@ -439,11 +446,16 @@ def on_line(l: Line, p: Point) -> bool:
     return _on_line_h(_common_backend(l, p), l._h, p._h)
 
 
+def _circle_eval_h(be: Backend, c, p):
+    """circle_eval on tuples, as a pair (n, d)."""
+    (d, e, f, v), (x, y, w) = c, p
+    return x * x * v + y * y * v + d * x * w + e * y * w + f * w * w, v * w * w
+
+
 def circle_eval(c: Circle, p: Point) -> Scalar:
     """x^2 + y^2 + dx + ey + f at p, each term brought to the weight v w^2."""
     be = _common_backend(c, p)
-    (d, e, f, v), (x, y, w) = c._h, p._h
-    return _pair(be, x * x * v + y * y * v + d * x * w + e * y * w + f * w * w, v * w * w)
+    return _pair(be, *_circle_eval_h(be, c._h, p._h))
 
 
 def _on_circle_h(be: Backend, c, p) -> bool:
@@ -465,8 +477,8 @@ def _line_through_h(be: Backend, p, q):
     (x1, y1, w1), (x2, y2, w2) = p, q
     a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
     if be.is_zero(a) and be.is_zero(b):
-        raise CoincidentPoints(
-            f"no unique line through coincident points {_point_of(be, p)}")
+        raise CoincidentPoints("no unique line through coincident points "
+                               f"Point({format_pair(be, x1, w1)}, {format_pair(be, y1, w1)})")
     return _line_h(be, a, b, x1 * y2 - x2 * y1)
 
 
@@ -780,10 +792,6 @@ def _tans_equal(be: Backend, t1, t2) -> bool:
     return t1 is t2 if t1 is None or t2 is None else _same_value(be, t1, t2)
 
 
-def _tan_of(be: Backend, t) -> DirectedTan:
-    return DirectedTan.infinity() if t is None else DirectedTan.of(Scalar(be, be.div(*t)))
-
-
 def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     """Tangent of the directed angle from l1 to l2, working mod pi.
 
@@ -792,7 +800,8 @@ def directed_tan(l1: Line, l2: Line) -> DirectedTan:
     and independent of line orientation.
     """
     be = _common_backend(l1, l2)
-    return _tan_of(be, _directed_tan_h(be, l1._h, l2._h))
+    t = _directed_tan_h(be, l1._h, l2._h)
+    return DirectedTan.infinity() if t is None else DirectedTan.of(Scalar(be, be.div(*t)))
 
 
 def _orthocentric_h(be: Backend, p, q, r):

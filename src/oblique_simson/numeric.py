@@ -19,8 +19,9 @@ these two methods, and on exact also through ``gcd``.  An exact-kind
 backend (``exact = True``, ``one = 1``) supplies elements closed under
 ``+ - *`` and exact ``//``; ``==``, and ``<`` and ``>`` against 0, each
 returning a bool; ``gcd``, the full gcd of its arguments (``math.gcd`` on
-:class:`ExactBackend`); and ``div``, which the construction, the checks and
-the audit call only for witnesses, and ``normalize_frame`` for parameters.
+:class:`ExactBackend`), with which :func:`format_pair` writes a witness's
+n/d in lowest terms; and ``div``, which the construction, the checks and the
+audit never call on exact, and ``normalize_frame`` calls for parameters.
 
 :class:`Scalar` is the stored value type: an immutable value bound to its
 backend, as held in points, lines, circles and parameters.  It stores one
@@ -306,15 +307,25 @@ def is_zero(x: Scalar, entries: Iterable[Scalar] = ()) -> bool:
     return x.backend.is_zero(x._n, map(float, entries))
 
 
-def format_scalar(x: Scalar) -> str:
-    """Text form used in all file formats: "p/q" exactly (sign on p, plain "p"
-    for integers), repr of the float; OutputError beyond the interpreter's
-    integer-to-text digit limit.  Written from the pair; builds no Fraction."""
-    n, d = x._ratio()
+def format_pair(backend: Backend, n, d) -> str:
+    """Text of the value n/d, as all file formats write it: "p/q" in lowest
+    terms on exact (sign on p, plain "p" for integers), the repr of the float
+    n/d on float.  DivisionByZero when d is zero by the backend's test;
+    OutputError beyond the interpreter's integer-to-text digit limit.  Builds
+    no Fraction."""
+    if not backend.exact:
+        return str(backend.div(n, d))
+    if d == 0:
+        raise DivisionByZero("division by zero scalar")
+    if d < 0:
+        n, d = -n, -d
     try:
-        if not x.backend.exact:
-            return str(n)
-        g = x.backend.gcd(n, d)
+        g = backend.gcd(n, d)
         return str(n // g) if d == g else f"{n // g}/{d // g}"
     except ValueError as exc:
         raise OutputError("a value has too many digits to write as text") from exc
+
+
+def format_scalar(x: Scalar) -> str:
+    """The text of a Scalar's value (see format_pair)."""
+    return format_pair(x.backend, *x._ratio())

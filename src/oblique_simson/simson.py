@@ -274,32 +274,31 @@ def _certified_xyz_h(be: Backend, name: str, vertex: str, point, stage):
 
 
 def _certified_lmn_h(be: Backend, name: str, point, stage):
-    """(point, tangent) for the closed form *point* of L, M or N (*name*),
-    certified as the meet other than J of its two vertex circles, both about
-    an image vertex through J: the point is on both, and differs from J, or,
-    where it is J, J and the two centres are collinear, so the circles touch
-    there (the tangency flag; never on a real triangle, as J, B and C are
-    not collinear).  Two circles meet at most twice, so that is the meet.
-    ConstructionError otherwise."""
+    """The closed form *point* of L, M or N (*name*), certified as the meet
+    other than J of its two vertex circles: the point is on both and differs
+    from J.  Two circles meet at most twice, so that is the meet.
+    ConstructionError otherwise, also where the point is J, for two vertex
+    circles never touch at J.  Take cB and cC, about B0 = sim(B) and
+    C0 = sim(C) through J: they touch at J only if their radii there are
+    parallel, that is, J, B0 and C0 are collinear.  The similarity fixes J
+    and is invertible, so J, B and C would be collinear; but they are three
+    distinct points of Sigma (b != c, and a vertex has x > 0)."""
     c1, c2 = _LMN[name]
-    j = stage["J"]
     if not geom._on_circle_h(be, stage[c1], point):
         failed = f"{name} is off {c1}"
     elif not geom._on_circle_h(be, stage[c2], point):
         failed = f"{name} is off {c2}"
-    elif point != j:
-        return point, False
-    elif geom._collinear3_h(be, j, stage[c1[1] + "0"], stage[c2[1] + "0"]):
-        return point, True
+    elif point == stage["J"]:
+        failed = f"{name} is J"
     else:
-        failed = f"{name} is J, but J, {c1[1]}0 and {c2[1]}0 are not collinear"
+        return point
     raise ConstructionError(f"closed-form certificate failed: {failed}")
 
 
-def _by_vertex(params: Params):
-    """(vertex, its parameter's pair, the other two pairs) per vertex, in the
-    cyclic order: b and c for A, c and a for B, a and b for C."""
-    a, b, c = params.a._ratio(), params.b._ratio(), params.c._ratio()
+def _by_vertex(a, b, c):
+    """(vertex, its value, the other two) per vertex for the values a, b, c
+    of A, B, C, in the cyclic order: b and c for A, c and a for B, a and b
+    for C."""
     return ("A", a, b, c), ("B", b, c, a), ("C", c, a, b)
 
 
@@ -329,9 +328,9 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
         stage.update({v: verts[i], _SIDES[i]: sides[i], "alt" + v: alts[i], v + "0": images[i],
                       v + v + "0": joins[i], "c" + v: circles[i]})
     if be.exact:
-        tp = t._ratio()
+        tp, abc = t._ratio(), (params.a._ratio(), params.b._ratio(), params.c._ratio())
         xyz = [_certified_xyz_h(be, n, v, _xyz_form_h(be, p, q, r, tp), stage)
-               for n, (v, p, q, r) in zip(_XYZ, _by_vertex(params))]
+               for n, (v, p, q, r) in zip(_XYZ, _by_vertex(*abc))]
     else:
         xyz = [geom._second_line_circle_h(be, *meet) for meet in zip(alts, circles, verts)]
     q = _q_h(be, h, t)
@@ -411,10 +410,10 @@ def build_scene(params: Params) -> Scene:
     flags += xyz_flags
     stage["Sigma0"] = _circle_about_h(be, _similarity_h(be, t, stage["O"]), j,
                                       [stage[v + "0"] for v in VERTEX_ORDER])
-    if be.exact:  # closed forms, certified (see _certified_lmn_h)
-        tp = t._ratio()
-        lmn = [_certified_lmn_h(be, n, _lmn_form_h(be, q, r, tp), stage)
-               for n, (_, _, q, r) in zip(_LMN, _by_vertex(params))]
+    if be.exact:  # closed forms, certified, and never tangent (see _certified_lmn_h)
+        tp, abc = t._ratio(), (params.a._ratio(), params.b._ratio(), params.c._ratio())
+        lmn = [(_certified_lmn_h(be, n, _lmn_form_h(be, q, r, tp), stage), False)
+               for n, (_, _, q, r) in zip(_LMN, _by_vertex(*abc))]
     else:
         lmn = [geom._second_line_circle_h(be, geom._radical_h(be, stage[c1], stage[c2]),
                                           stage[c1], j) for c1, c2 in _LMN.values()]

@@ -2,12 +2,14 @@
 
 Every check re-derives its assertion from the scene contents, and each of the
 paper's identities has its verdict here only: ``build_scene`` builds the
-objects without asserting them.  A check composes geom's tuple functions on
-the ``_h`` tuples of the scene's objects and builds objects only for a
-failure's witness, so a passing check builds no Point, Line, Circle or
-Scalar.  A deliberately corrupted scene, or a float instance whose tolerance
-misses an identity, therefore produces FAIL results with witnesses rather
-than exceptions.  On the exact backend a failing check
+objects without asserting them.  :func:`run_checks` reads the ``_h`` tuples
+of the scene's objects once, into one map from name to tuple, and calls each
+check as ``check(backend, tuples, params)``.  A check composes geom's tuple
+functions and builds no Point, Line, Circle or Scalar, not even for a
+witness, which is written from the tuples and pairs (n, d) it holds through
+:func:`numeric.format_pair`.  A deliberately corrupted scene, or a float
+instance whose tolerance misses an identity, therefore produces FAIL results
+with witnesses rather than exceptions.  On the exact backend a failing check
 on a validly built scene is always a defect: the fuzz run is a randomized
 polynomial-identity test over the rationals.
 
@@ -38,20 +40,18 @@ on integers.  Each closed form returns a canonical tuple from ``_point_h``,
 altitude coefficients.  Each row takes (backend, stage, numbers) and compares
 tuples with tuples (``_same_h``, and ``_same_value`` by integer
 cross-multiplication on exact); the circle S is the stage's, the one the
-scene holds, and a row builds a Point, Line, Circle or Scalar only for a
-MISMATCH witness.
+scene holds, and a row builds no object, its MISMATCH witness included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import geom, simson
 from .errors import BackendMismatch, GeometryError
-from .geom import Circle, Line, Point
-from .numeric import EXACT, Scalar, format_scalar
+from .numeric import EXACT, format_pair, format_scalar
 from .simson import Params, Scene
 
 # one per audit row, in order; eq2.5 and eq2.6 each give two verdicts
@@ -92,66 +92,41 @@ class Report:
         raise KeyError(name)
 
 
-_fmt = format_scalar
-
-
-def _fmt_point(p: Point) -> str:
-    return f"({_fmt(p.x)}, {_fmt(p.y)})"
-
-
-def _fmt_line(l: Line) -> str:
-    return f"[{_fmt(l.a)}, {_fmt(l.b)}, {_fmt(l.c)}]"
-
-
-def _fmt_circle(c: Circle) -> str:
-    return f"[{_fmt(c.d)}, {_fmt(c.e)}, {_fmt(c.f)}]"
-
-
 def params_echo(params: Params) -> Dict[str, str]:
-    return {n: _fmt(getattr(params, n)) for n in ("a", "b", "c", "t")}
+    return {n: format_scalar(getattr(params, n)) for n in ("a", "b", "c", "t")}
 
 
 # -- the nineteen named checks ---------------------------------------------------
 
 
 def _fmt_h(be, h) -> str:
-    return _fmt_point(geom._point_of(be, h))
+    x, y, w = h
+    return f"({format_pair(be, x, w)}, {format_pair(be, y, w)})"
 
 
 def _fmt_line_h(be, h) -> str:
-    return _fmt_line(geom._line_of(be, h))
+    return f"[{', '.join(format_pair(be, n, be.one) for n in h)}]"
 
 
 def _fmt_circle_h(be, h) -> str:
-    return _fmt_circle(geom._circle_of(be, h))
+    *coefficients, v = h
+    return f"[{', '.join(format_pair(be, n, v) for n in coefficients)}]"
 
 
-def _fmt_ratio(be, r) -> str:
-    """The value n/d of a pair (n, d)."""
-    return _fmt(Scalar(be, be.div(*r)))
-
-
-def _incidences_on_circle(be, circle: Circle, named: Sequence[Tuple[str, Point]]):
-    for name, p in named:
-        if not geom._on_circle_h(be, circle._h, p._h):
-            return {"point": name, "residual": _fmt(geom.circle_eval(circle, p))}
+def _incidences_on_circle(be, circle, h, names):
+    for name in names:
+        if not geom._on_circle_h(be, circle, h[name]):
+            return {"point": name,
+                    "residual": format_pair(be, *geom._circle_eval_h(be, circle, h[name]))}
     return None
 
 
-def _chk_on_circumcircle(scene: Scene):
-    pts = scene.points
-    return _incidences_on_circle(
-        scene.backend, scene.circles["Sigma"],
-        [(n, pts[n]) for n in ("A", "B", "C", "K")],
-    )
+def _chk_on_circumcircle(be, h, params):
+    return _incidences_on_circle(be, h["Sigma"], h, ("A", "B", "C", "K"))
 
 
-def _chk_sigma0(scene: Scene):
-    pts = scene.points
-    return _incidences_on_circle(
-        scene.backend, scene.circles["Sigma0"],
-        [(n, pts[n]) for n in ("A0", "B0", "C0", "J", "K")],
-    )
+def _chk_sigma0(be, h, params):
+    return _incidences_on_circle(be, h["Sigma0"], h, ("A0", "B0", "C0", "J", "K"))
 
 
 def _equidistance_h(q, j, h):
@@ -163,14 +138,14 @@ def _equidistance_h(q, j, h):
             + w * (m * m * (a * a + b * b) - c * c * (h * h + k * k)))
 
 
-def _chk_q_equidistant(scene: Scene):
-    pts, be = scene.points, scene.backend
+def _chk_q_equidistant(be, h, params):
+    q = h["Q"]
     # certificate: F == 0, the distance difference without its w^3 (see _equidistance_h)
-    if be.exact and _equidistance_h(*(pts[n]._h for n in "QJH")) == 0:
+    if be.exact and _equidistance_h(q, h["J"], h["H"]) == 0:
         return None
-    dj, dh = (geom._dist_sq_h(be, pts["Q"]._h, pts[n]._h) for n in "JH")
+    dj, dh = (geom._dist_sq_h(be, q, h[n]) for n in "JH")
     if not geom._same_value(be, dj, dh, scaled=True):
-        return {"QJ^2": _fmt_ratio(be, dj), "QH^2": _fmt_ratio(be, dh)}
+        return {"QJ^2": format_pair(be, *dj), "QH^2": format_pair(be, *dh)}
     return None
 
 
@@ -187,123 +162,111 @@ def _on_two_altitudes_h(be, q, p1, p2, p3) -> bool:
             and (x * w2 - x2 * w) * vx + (y * w2 - y2 * w) * vy == 0)
 
 
-def _chk_q_is_image_of_h(scene: Scene):
-    pts, be = scene.points, scene.backend
-    q = pts["Q"]._h
-    expected = simson._similarity_h(be, scene.params.t, pts["H"]._h)
+def _chk_q_is_image_of_h(be, h, params):
+    q, images = h["Q"], [h[n] for n in ("A0", "B0", "C0")]
+    expected = simson._similarity_h(be, params.t, h["H"])
     if not geom._same_h(be, q, expected):
-        return {"Q": _fmt_point(pts["Q"]), "similarity(H)": _fmt_h(be, expected)}
+        return {"Q": _fmt_h(be, q), "similarity(H)": _fmt_h(be, expected)}
     # certificate: Q on the altitudes from A0 and B0 of a proper triangle A0B0C0
-    if be.exact and _on_two_altitudes_h(be, q, *(pts[n]._h for n in ("A0", "B0", "C0"))):
+    if be.exact and _on_two_altitudes_h(be, q, *images):
         return None
-    ortho0 = geom._orthocentric_h(be, *(pts[n]._h for n in ("A0", "B0", "C0")))[2]
+    ortho0 = geom._orthocentric_h(be, *images)[2]
     if not geom._same_h(be, ortho0, q):
-        return {"orthocentre(A0B0C0)": _fmt_h(be, ortho0), "Q": _fmt_point(pts["Q"])}
+        return {"orthocentre(A0B0C0)": _fmt_h(be, ortho0), "Q": _fmt_h(be, q)}
     return None
 
 
-def _chk_similarity_ratio(scene: Scene):
-    pts, be = scene.points, scene.backend
-    j = pts["J"]._h
-    tn, td = scene.params.t._ratio()
+def _chk_similarity_ratio(be, h, params):
+    j = h["J"]
+    tn, td = params.t._ratio()
     ratio_n, ratio_d = td * td + 4 * tn * tn, td * td  # 1 + 4t^2
     for v in simson.VERTEX_ORDER:
-        n0, d0 = geom._dist_sq_h(be, j, pts[v + "0"]._h)
-        n, d = geom._dist_sq_h(be, j, pts[v]._h)
+        n0, d0 = geom._dist_sq_h(be, j, h[v + "0"])
+        n, d = geom._dist_sq_h(be, j, h[v])
         lhs, rhs = (4 * n0, d0), (ratio_n * n, ratio_d * d)
         if not geom._same_value(be, lhs, rhs, scaled=True):
-            return {"vertex": v, "4*|J->image|^2": _fmt_ratio(be, lhs),
-                    "(1+4t^2)*|J->vertex|^2": _fmt_ratio(be, rhs)}
+            return {"vertex": v, "4*|J->image|^2": format_pair(be, *lhs),
+                    "(1+4t^2)*|J->vertex|^2": format_pair(be, *rhs)}
     return None
 
 
-def _k_on_joins_h(be, sigma, k, pts) -> bool:
-    """Whether A, B, C and k lie on sigma and each join of a vertex and its
-    image passes through k != vertex: a line meets a circle at most twice,
-    so k is then every join's second meet with sigma.  Exact tuples only."""
-    vertices = [pts[v]._h for v in simson.VERTEX_ORDER]
+def _k_on_joins_h(be, h) -> bool:
+    """Whether A, B, C and K lie on Sigma and each join of a vertex and its
+    image passes through K != vertex: a line meets a circle at most twice,
+    so K is then every join's second meet with Sigma.  Exact tuples only."""
+    sigma, k = h["Sigma"], h["K"]
+    vertices = [h[v] for v in simson.VERTEX_ORDER]
     if not all(geom._on_circle_h(be, sigma, p) for p in (*vertices, k)):
         return False
     for v, vertex in zip(simson.VERTEX_ORDER, vertices):
-        image = pts[v + "0"]._h
+        image = h[v + "0"]
         if vertex == image or k == vertex or not geom._collinear3_h(be, vertex, image, k):
             return False
     return True
 
 
-def _chk_perspector_common(scene: Scene):
-    pts, be = scene.points, scene.backend
-    sigma, k = scene.circles["Sigma"]._h, pts["K"]._h
+def _chk_perspector_common(be, h, params):
     # certificate: K on Sigma and on every join, away from its vertex
-    if be.exact and _k_on_joins_h(be, sigma, k, pts):
+    if be.exact and _k_on_joins_h(be, h):
         return None
     for v in simson.VERTEX_ORDER:
-        vertex = pts[v]._h
-        join = geom._line_through_h(be, vertex, pts[v + "0"]._h)
-        second, _ = geom._second_line_circle_h(be, join, sigma, vertex)
-        if not geom._same_h(be, second, k):
-            return {"vertex": v, "second": _fmt_h(be, second), "K": _fmt_point(pts["K"])}
+        vertex = h[v]
+        join = geom._line_through_h(be, vertex, h[v + "0"])
+        second, _ = geom._second_line_circle_h(be, join, h["Sigma"], vertex)
+        if not geom._same_h(be, second, h["K"]):
+            return {"vertex": v, "second": _fmt_h(be, second), "K": _fmt_h(be, h["K"])}
     return None
 
 
-def _chk_xyz_incidences(scene: Scene):
+def _chk_xyz_incidences(be, h, params):
     # puts X, Y, Z on S on exact, where S is about Q through J; on float S is through them
-    pts, be = scene.points, scene.backend
-    s = scene.circles["S"]._h
     plan = (("X", "altA", "cA"), ("Y", "altB", "cB"), ("Z", "altC", "cC"))
     for name, alt, circ in plan:
-        p = pts[name]._h
-        if not geom._on_line_h(be, scene.lines[alt]._h, p):
+        p = h[name]
+        if not geom._on_line_h(be, h[alt], p):
             return {"point": name, "off": alt}
-        if not geom._on_circle_h(be, scene.circles[circ]._h, p):
+        if not geom._on_circle_h(be, h[circ], p):
             return {"point": name, "off": circ}
-        if not geom._on_circle_h(be, s, p):
+        if not geom._on_circle_h(be, h["S"], p):
             return {"point": name, "off": "S"}
     return None
 
 
-def _chk_hagge(scene: Scene):
+def _chk_hagge(be, h, params):
     # puts H on S on exact (centre Q and J hold by construction); on float also Q and J
-    pts, be = scene.points, scene.backend
-    s = scene.circles["S"]
-    center = geom._center_h(be, s._h)
-    if not geom._same_h(be, center, pts["Q"]._h):
-        return {"center": _fmt_h(be, center), "Q": _fmt_point(pts["Q"])}
-    return _incidences_on_circle(be, s, [("J", pts["J"]), ("H", pts["H"])])
+    center = geom._center_h(be, h["S"])
+    if not geom._same_h(be, center, h["Q"]):
+        return {"center": _fmt_h(be, center), "Q": _fmt_h(be, h["Q"])}
+    return _incidences_on_circle(be, h["S"], h, ("J", "H"))
 
 
-def _on_side(scene: Scene, point_name: str, side_name: str):
-    p = scene.points[point_name]
-    side = scene.lines[side_name]
-    if not geom._on_line_h(scene.backend, side._h, p._h):
-        return {"point": _fmt_point(p), "residual": _fmt(geom.line_eval(side, p))}
+def _on_side(be, h, point_name: str, side_name: str):
+    p, side = h[point_name], h[side_name]
+    if not geom._on_line_h(be, side, p):
+        return {"point": _fmt_h(be, p),
+                "residual": format_pair(be, *geom._line_eval_h(be, side, p))}
     return None
 
 
-def _chk_lmn_collinear(scene: Scene):
-    pts = scene.points
-    if not geom._collinear3_h(scene.backend, pts["L"]._h, pts["M"]._h, pts["N"]._h):
-        return {"L": _fmt_point(pts["L"]), "M": _fmt_point(pts["M"]),
-                "N": _fmt_point(pts["N"])}
+def _chk_lmn_collinear(be, h, params):
+    if not geom._collinear3_h(be, h["L"], h["M"], h["N"]):
+        return {n: _fmt_h(be, h[n]) for n in "LMN"}
     return None
 
 
-def _chk_q_on_line(scene: Scene):
-    q = scene.points["Q"]
-    line = scene.lines["gwsLine"]
-    if not geom._on_line_h(scene.backend, line._h, q._h):
-        return {"Q": _fmt_point(q), "residual": _fmt(geom.line_eval(line, q))}
+def _chk_q_on_line(be, h, params):
+    q, line = h["Q"], h["gwsLine"]
+    if not geom._on_line_h(be, line, q):
+        return {"Q": _fmt_h(be, q), "residual": format_pair(be, *geom._line_eval_h(be, line, q))}
     return None
 
 
-def _chk_reflection_route(scene: Scene):
-    pts, be = scene.points, scene.backend
-    j = pts["J"]._h
+def _chk_reflection_route(be, h, params):
     plan = (("L", "imageSideB0C0"), ("M", "imageSideC0A0"), ("N", "imageSideA0B0"))
     for name, side in plan:
-        reflected = geom._along_normal_h(be, j, scene.lines[side]._h, 2)
-        if not geom._same_h(be, reflected, pts[name]._h):
-            return {"point": name, "radical-route": _fmt_point(pts[name]),
+        reflected = geom._along_normal_h(be, h["J"], h[side], 2)
+        if not geom._same_h(be, reflected, h[name]):
+            return {"point": name, "radical-route": _fmt_h(be, h[name]),
                     "reflection-route": _fmt_h(be, reflected)}
     return None
 
@@ -333,39 +296,37 @@ def _reflections_on_line_h(be, sigma0, line, j, p, q, r) -> bool:
                for u, v in ((refs[0], refs[1]), (refs[0], refs[2])))
 
 
-def _chk_double_simson_of_image(scene: Scene):
-    pts, be = scene.points, scene.backend
-    gws = scene.lines["gwsLine"]
-    j_and_images = [pts[n]._h for n in ("J", "A0", "B0", "C0")]
+def _chk_double_simson_of_image(be, h, params):
+    gws, j_and_images = h["gwsLine"], [h[n] for n in ("J", "A0", "B0", "C0")]
     # certificate: the image triangle on Sigma0 with J, and J's reflections on gwsLine
-    if be.exact and _reflections_on_line_h(be, scene.circles["Sigma0"]._h, gws._h,
-                                           *j_and_images):
+    if be.exact and _reflections_on_line_h(be, h["Sigma0"], gws, *j_and_images):
         return None
     line = simson._double_simson_h(be, *j_and_images)
-    if not geom._same_h(be, line, gws._h):
-        return {"double-simson": _fmt_line_h(be, line),
-                "gwsLine": _fmt_line(gws)}
+    if not geom._same_h(be, line, gws):
+        return {"double-simson": _fmt_line_h(be, line), "gwsLine": _fmt_line_h(be, gws)}
     return None
 
 
-def _chk_equal_oblique_tangents(scene: Scene):
-    pts, be = scene.points, scene.backend
-    j = pts["J"]._h
+def _fmt_tan(be, t) -> str:
+    """The repr of geom.directed_tan's result for a _directed_tan_h pair t."""
+    return "DirectedTan(inf)" if t is None else f"DirectedTan({format_pair(be, *t)})"
+
+
+def _chk_equal_oblique_tangents(be, h, params):
+    j = h["J"]
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
     tangents = []
     skipped = []
     for name, side in plan:
-        p = pts[name]._h
+        p = h[name]
         if geom._same_h(be, p, j):
             skipped.append(name)
             continue
         tangents.append(
-            (name, geom._directed_tan_h(be, geom._line_through_h(be, j, p),
-                                        scene.lines[side]._h)))
+            (name, geom._directed_tan_h(be, geom._line_through_h(be, j, p), h[side])))
     for (n1, t1), (n2, t2) in zip(tangents, tangents[1:]):
         if not geom._tans_equal(be, t1, t2):
-            return {"pair": f"{n1},{n2}", n1: repr(geom._tan_of(be, t1)),
-                    n2: repr(geom._tan_of(be, t2))}
+            return {"pair": f"{n1},{n2}", n1: _fmt_tan(be, t1), n2: _fmt_tan(be, t2)}
     if skipped:
         # vacuous (or reduced) comparison is a pass; record what was skipped
         return {"note": "skipped points at J: " + ",".join(skipped), "_pass": "1"}
@@ -382,48 +343,43 @@ _VERTEX_CIRCLE_POINTS = {"cA": ("J", "A", "X", "M", "N"), "cB": ("J", "B", "Y", 
                          "cC": ("J", "C", "Z", "L", "M")}
 
 
-def _chk_concyclic_chains(scene: Scene):
-    pts, be = scene.points, scene.backend
+def _chk_concyclic_chains(be, h, params):
     # certificate: the chain's vertex circle (v > 0) holds its four points
     held = {}
     if be.exact:
-        held = {c: all(geom._on_circle_h(be, scene.circles[c]._h, pts[n]._h) for n in names)
+        held = {c: all(geom._on_circle_h(be, h[c], h[n]) for n in names)
                 for c, names in _VERTEX_CIRCLE_POINTS.items()}
     for chain, circle in _CONCYCLIC_CHAINS:
-        if not held.get(circle) and not geom._concyclic4_h(be, *(pts[n]._h for n in chain)):
+        if not held.get(circle) and not geom._concyclic4_h(be, *(h[n] for n in chain)):
             return {"chain": ",".join(chain)}
     return None
 
 
-def _chk_t_zero_reduction(scene: Scene):
-    pts, be = scene.points, scene.backend
-    if not be.is_zero(scene.params.t._ratio()[0]):
+def _chk_t_zero_reduction(be, h, params):
+    if not be.is_zero(params.t._ratio()[0]):
         return {"note": "not applicable: t != 0", "_pass": "1"}
-    j = pts["J"]._h
+    j = h["J"]
     plan = (("L", "sideBC"), ("M", "sideCA"), ("N", "sideAB"))
     feet = []
     for name, side in plan:
-        foot = geom._along_normal_h(be, j, scene.lines[side]._h, 1)
+        foot = geom._along_normal_h(be, j, h[side], 1)
         feet.append(foot)
-        if not geom._same_h(be, foot, pts[name]._h):
-            return {"point": name, "foot": _fmt_h(be, foot),
-                    "scene": _fmt_point(pts[name])}
-    mid = geom._midpoint_h(be, j, pts["H"]._h)
-    if not geom._same_h(be, mid, pts["Q"]._h):
-        return {"midpoint(J,H)": _fmt_h(be, mid), "Q": _fmt_point(pts["Q"])}
+        if not geom._same_h(be, foot, h[name]):
+            return {"point": name, "foot": _fmt_h(be, foot), "scene": _fmt_h(be, h[name])}
+    mid = geom._midpoint_h(be, j, h["H"])
+    if not geom._same_h(be, mid, h["Q"]):
+        return {"midpoint(J,H)": _fmt_h(be, mid), "Q": _fmt_h(be, h["Q"])}
     classical = simson._line_through_collinear_h(be, *feet)
-    gws = scene.lines["gwsLine"]
-    if not geom._same_h(be, classical, gws._h):
+    if not geom._same_h(be, classical, h["gwsLine"]):
         return {"classical": _fmt_line_h(be, classical),
-                "gwsLine": _fmt_line(gws)}
+                "gwsLine": _fmt_line_h(be, h["gwsLine"])}
     return None
 
 
-def _chk_double_simson_abc(scene: Scene):
-    pts, be = scene.points, scene.backend
-    line = simson._double_simson_h(be, *(pts[n]._h for n in ("J", "A", "B", "C")))
-    if not geom._on_line_h(be, line, pts["H"]._h):
-        return {"line": _fmt_line_h(be, line), "H": _fmt_point(pts["H"])}
+def _chk_double_simson_abc(be, h, params):
+    line = simson._double_simson_h(be, *(h[n] for n in ("J", "A", "B", "C")))
+    if not geom._on_line_h(be, line, h["H"]):
+        return {"line": _fmt_line_h(be, line), "H": _fmt_h(be, h["H"])}
     return None
 
 
@@ -436,9 +392,9 @@ _CHECK_IMPLS = {
     "perspector_common": _chk_perspector_common,
     "xyz_incidences": _chk_xyz_incidences,
     "hagge_center_and_members": _chk_hagge,
-    "L_on_BC": lambda s: _on_side(s, "L", "sideBC"),
-    "M_on_CA": lambda s: _on_side(s, "M", "sideCA"),
-    "N_on_AB": lambda s: _on_side(s, "N", "sideAB"),
+    "L_on_BC": lambda be, h, params: _on_side(be, h, "L", "sideBC"),
+    "M_on_CA": lambda be, h, params: _on_side(be, h, "M", "sideCA"),
+    "N_on_AB": lambda be, h, params: _on_side(be, h, "N", "sideAB"),
     "lmn_collinear": _chk_lmn_collinear,
     "q_on_line": _chk_q_on_line,
     "reflection_route_equals_radical_route": _chk_reflection_route,
@@ -453,19 +409,24 @@ CHECK_NAMES = tuple(_CHECK_IMPLS)
 
 
 def run_checks(scene: Scene) -> Report:
-    """Run all named checks; failures become results, never exceptions."""
-    results: List[CheckResult] = []
+    """Run all named checks; failures become results, never exceptions.
+
+    The scene's objects are read once, into one map from name to canonical
+    tuple (point, line and circle names are disjoint), and each check is
+    called as check(backend, tuples, params)."""
+    objects = {**scene.points, **scene.lines, **scene.circles}
     try:  # the checks compute on the tuples of the scene's one backend
-        geom._common_backend(scene.params.a, *scene.points.values(),
-                             *scene.lines.values(), *scene.circles.values())
+        geom._common_backend(scene.params.a, *objects.values())
         mismatch = None
     except BackendMismatch as exc:
         mismatch = exc
+    be, h = scene.backend, {name: obj._h for name, obj in objects.items()}
+    results: List[CheckResult] = []
     for name, check in _CHECK_IMPLS.items():
         try:
             if mismatch is not None:
                 raise mismatch
-            witness = check(scene)
+            witness = check(be, h, scene.params)
         except GeometryError as exc:
             results.append(CheckResult(name, False, {"error": str(exc)}))
             continue
@@ -476,7 +437,7 @@ def run_checks(scene: Scene) -> Report:
         else:
             results.append(CheckResult(name, False, witness))
     return Report(
-        backend=scene.backend.name,
+        backend=be.name,
         params=params_echo(scene.params),
         flags=scene.flags,
         results=tuple(results),
@@ -654,16 +615,9 @@ def _printed_hagge(be, A, B, C, T, D):
     return geom._circle_h(be, 2 * xb * D, 2 * yb, 0, den * D)
 
 
-def _by_vertex(num):
-    """(vertex, own, the other two) per vertex, from the audit's numbers
-    (A, B, C, T, D): B and C for A, C and A for B, A and B for C."""
-    A, B, C, _, _ = num
-    return (("A", A, B, C), ("B", B, C, A), ("C", C, A, B))
-
-
 def _audit_eq23(be, stage, num):
     *_, T, D = num
-    for v, own, _, _ in _by_vertex(num):
+    for v, own, _, _ in simson._by_vertex(*num[:3]):
         printed, built = _printed_vertex_line(be, own, T, D), stage[v + v + "0"]
         if not geom._same_h(be, printed, built):
             return {"vertex": v, "printed": _fmt_line_h(be, printed),
@@ -673,7 +627,7 @@ def _audit_eq23(be, stage, num):
 
 def _audit_eq24(be, stage, num):
     *_, T, D = num
-    for v, own, _, _ in _by_vertex(num):
+    for v, own, _, _ in simson._by_vertex(*num[:3]):
         printed, built = _printed_vertex_circle(be, own, T, D), stage["c" + v]
         if not geom._same_h(be, printed, built):
             return {"vertex": v, "printed": _fmt_circle_h(be, printed),
@@ -686,9 +640,9 @@ def _audit_eq25(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
     (px, py, pw), (bx, by, bw) = _printed_orthocenter(be, A, B, C, D), stage["H"]
     wx = wy = None
     if not geom._same_value(be, (px, pw), (bx, bw), scaled=True):
-        wx = {"printed": _fmt_ratio(be, (px, pw)), "constructive": _fmt_ratio(be, (bx, bw))}
+        wx = {"printed": format_pair(be, px, pw), "constructive": format_pair(be, bx, bw)}
     if not geom._same_value(be, (py, pw), (by, bw), scaled=True):
-        wy = {"printed": _fmt_ratio(be, (py, pw)), "constructive": _fmt_ratio(be, (by, bw))}
+        wy = {"printed": format_pair(be, py, pw), "constructive": format_pair(be, by, bw)}
     return wx, wy
 
 
@@ -706,7 +660,7 @@ def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
     (rn, rd), (sn, sd) = pa, pb
     built = ba, bb, bc = stage["altA"]
     if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
-        wcoef = {"printed": f"[{_fmt_ratio(be, pa)}, {_fmt_ratio(be, pb)}]",
+        wcoef = {"printed": f"[{format_pair(be, *pa)}, {format_pair(be, *pb)}]",
                  "constructive": _fmt_line_h(be, built)}
         return wcoef, None
     # lambda = pa/ba (or pb/bb when ba = 0), divided out before it scales the
@@ -715,13 +669,13 @@ def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
               else geom._ratio_of(be, sn, sd * bb))
     scaled = ln * bc, ld
     if not geom._same_value(be, pc, scaled, scaled=True):
-        return None, {"printed": _fmt_ratio(be, pc), "constructive": _fmt_ratio(be, scaled)}
+        return None, {"printed": format_pair(be, *pc), "constructive": format_pair(be, *scaled)}
     return None, None
 
 
 def _audit_eq27(be, stage, num):
     *_, T, D = num
-    for (v, own, q, r), n in zip(_by_vertex(num), "XYZ"):
+    for (v, own, q, r), n in zip(simson._by_vertex(*num[:3]), "XYZ"):
         printed = _printed_xyz(be, own, q, r, T, D)
         if not geom._same_h(be, printed, stage[n]):
             return {"vertex": v, "printed": _fmt_h(be, printed),

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from oblique_simson import EXACT, Params, Point, Scalar, build_scene, geom, verify
+from oblique_simson.geom import Circle, Line
+from oblique_simson.numeric import format_scalar
 
 
 def E(value):
@@ -15,6 +17,30 @@ def E(value):
 def P(x, y):
     """Exact point from int / Fraction / 'p/q' string coordinates."""
     return Point(E(x), E(y))
+
+
+# -- reference: the object formatters that verify's witnesses used, verbatim -----
+
+_fmt = format_scalar
+
+
+def _fmt_point(p: Point) -> str:
+    return f"({_fmt(p.x)}, {_fmt(p.y)})"
+
+
+def _fmt_line(l: Line) -> str:
+    return f"[{_fmt(l.a)}, {_fmt(l.b)}, {_fmt(l.c)}]"
+
+
+def _fmt_circle(c: Circle) -> str:
+    return f"[{_fmt(c.d)}, {_fmt(c.e)}, {_fmt(c.f)}]"
+
+
+def check_witness(scene, name):
+    """The witness of verify's check *name* on *scene*, the check called as
+    run_checks calls it: on the scene's canonical tuples by name."""
+    h = {n: obj._h for n, obj in {**scene.points, **scene.lines, **scene.circles}.items()}
+    return verify._CHECK_IMPLS[name](scene.backend, h, scene.params)
 
 
 def count_fractions(monkeypatch):

@@ -30,12 +30,11 @@ from typing import Tuple
 
 import pytest
 
-from conftest import printed_formula, printed_object
+from conftest import _fmt, _fmt_circle, _fmt_line, _fmt_point, printed_formula, printed_object
 from oblique_simson import geom, simson, verify
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import VERTEX_ORDER, Params
-from oblique_simson.verify import _fmt, _fmt_circle, _fmt_line, _fmt_point
 
 
 # -- reference: the rational bodies, verbatim -----------------------------------------

@@ -1,34 +1,39 @@
 """The checks on tuples against the object-building checks they replaced.
 
-``verify``'s nineteen checks compose geom's tuple functions and build no
-Point, Line, Circle, Scalar or DirectedTan unless a witness prints one.  The
-reference below is the earlier form, kept verbatim: each check body builds
-its intermediate objects through the public primitives, and so do
-``double_simson_line`` and ``_line_through_collinear``.  The two must give
-``Report``s with the same ``repr`` on seeded passing scenes of both backends
-(t = 0 and tangent-flag instances included) and on every single-object
-corruption of the golden and classical scenes and of one scene at
-magnitude 10^200.  The last tests pin which path decides an exact check:
-a certificate on incidences the scene holds, or, where that fails, the
-constructive body that gives every FAIL and its witness.
+``verify``'s nineteen checks are called on one map from name to canonical
+tuple and compose geom's tuple functions.  Neither they nor the audit build
+a Point, Line, Circle, Scalar, DirectedTan or Fraction, not even for a
+witness, which is written from tuples and pairs (n, d) through
+``numeric.format_pair``.  The reference below is the earlier form, kept
+verbatim: each check body builds its intermediate objects through the
+public primitives, and so do ``double_simson_line`` and
+``_line_through_collinear``.  The two must give ``Report``s with the same
+``repr`` on seeded passing scenes of both backends (t = 0 and tangent-flag
+instances included) and on every single-object corruption of the golden
+and classical scenes and of one scene at magnitude 10^200.  The last tests
+pin which path decides an exact check: a certificate on incidences the
+scene holds, or, where that fails, the constructive body that gives every
+FAIL and its witness.
 """
 
+import ast
 import collections
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import pytest
 
+from conftest import _fmt, _fmt_line, _fmt_point, check_witness, count_fractions
 from oblique_simson import geom, simson, verify
 from oblique_simson.errors import AllCoincident, GeometryError, NotCollinear, NotOnCircumcircle
 from oblique_simson.geom import Circle, DirectedTan, Line, Point
-from oblique_simson.numeric import EXACT, FloatBackend, Scalar, format_scalar
+from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import Params, Scene
-from oblique_simson.verify import CheckResult, Report, _fmt_line, _fmt_point, params_echo
-
-_fmt = format_scalar
+from oblique_simson.verify import CheckResult, Report, params_echo
 
 
 # -- reference: double_simson_line and _line_through_collinear, verbatim ----------
@@ -421,10 +426,20 @@ def test_corrupted_scenes_match_reference(backend, t):
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_run_checks_builds_no_objects(backend, monkeypatch):
-    """On passing scenes the checks build no Point, Line, Circle, Scalar or
-    DirectedTan (the earlier checks built 36 objects and 105 Scalars on the
-    golden instance)."""
-    scenes = [simson.build_scene(p) for p in passing_params(BACKENDS[backend])[:8]]
+    """The checks and the audit build no Point, Line, Circle, Scalar,
+    DirectedTan or Fraction: not on passing scenes (the earlier checks built
+    36 objects and 105 Scalars on the golden instance), not on the
+    corruption corpus of test_corrupted_scenes_match_reference, whose FAILs
+    print witnesses, and not on the golden audit, whose eq2.5.x and
+    eq2.6.const rows print MISMATCH witnesses."""
+    be = BACKENDS[backend]
+    scenes = [simson.build_scene(p) for p in passing_params(be)[:8]]
+    bases = [Params.make(1, 2, 3, t, backend=be) for t in (Fraction(1, 2), 0)]
+    if be.exact:
+        bases.append(first_wide_params())
+    corpus = [c for p in bases for _, c in corruptions(simson.build_scene(p))]
+    golden = bases[0]
+    fractions = count_fractions(monkeypatch)
     born = []
     for cls in (Point, Line, Circle, Scalar, DirectedTan):
         def counted(self, *args, _init=cls.__init__, **kwargs):
@@ -439,9 +454,24 @@ def test_run_checks_builds_no_objects(backend, monkeypatch):
 
     monkeypatch.setattr(geom, "_pair", counted_pair)
     reports = [verify.run_checks(scene) for scene in scenes]
+    failing = [verify.run_checks(scene) for scene in corpus]
+    audit = verify.audit_printed_formulas(golden)
     monkeypatch.undo()
     assert all(report.all_pass for report in reports)
-    assert born == []
+    assert sum(not report.all_pass for report in failing) > 80
+    assert [r.name for r in audit.failures] == ["eq2.5.x", "eq2.6.const"]
+    assert born == [] and fractions == []
+
+
+def test_verify_takes_tuples_alone():
+    """verify imports no object type, and every check is called as
+    check(backend, tuples by name, params)."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"Point", "Line", "Circle", "Scalar"}
+    for check in verify._CHECK_IMPLS.values():
+        assert list(inspect.signature(check).parameters) == ["be", "h", "params"]
 
 
 @pytest.mark.parametrize("part", ["points", "lines", "circles"])
@@ -477,7 +507,7 @@ def run_check(monkeypatch, scene: Scene, name: str):
 
         monkeypatch.setattr(geom, fn, counted)
     try:
-        witness = verify._CHECK_IMPLS[name](scene)
+        witness = check_witness(scene, name)
     except GeometryError as exc:
         witness = {"error": str(exc)}
     monkeypatch.undo()

@@ -170,14 +170,18 @@ def test_vertex_in_place_of_x_needs_a_tangent_altitude(golden_scene):
         simson._certified_xyz_h(EXACT, "X", "A", stage["A"], stage)
 
 
-def test_j_in_place_of_l_needs_touching_circles(golden_scene):
-    """J is L only where cB and cC touch at J, so that J, B0 and C0 are
-    collinear: never on a triangle, where J, B and C are not."""
+def test_j_in_place_of_l_fails_its_certificate(golden_scene):
+    """J is never L: cB and cC touch at J only if J, B0 and C0 are collinear,
+    and the similarity would make J, B and C, three distinct points of
+    Sigma, collinear too.  So J in place of L fails the certificate, and no
+    two image vertices are collinear with J on the tangency instances, on
+    seeded ones and over Z[t]."""
     stage, _ = simson.construct_core(golden_scene.params)
-    with pytest.raises(ConstructionError, match="L is J, but J, B0 and C0 are not collinear"):
+    with pytest.raises(ConstructionError, match="^closed-form certificate failed: L is J$"):
         simson._certified_lmn_h(EXACT, "L", stage["J"], stage)
-    j, b0, c0 = (0, 0, 1), (1, 0, 1), (2, 0, 1)
-    touching = {"J": j, "B0": b0, "C0": c0,
-                **{c: geom._circle_center_through_h(EXACT, centre, j)
-                   for c, centre in (("cB", b0), ("cC", c0))}}
-    assert simson._certified_lmn_h(EXACT, "L", j, touching) == (j, True)
+    instances = ([Params.make(*raw) for raw in TANGENT] + seeded(3, 50)
+                 + [zt_params(*abc) for abc in TRIANGLES[:6]])
+    for params in instances:
+        stage, _ = simson.construct_core(params)
+        for p, q in (("B0", "C0"), ("C0", "A0"), ("A0", "B0")):
+            assert not geom._collinear3_h(params.backend, stage["J"], stage[p], stage[q])

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import pytest
 
-from conftest import printed_object
+from conftest import _fmt, _fmt_circle, _fmt_line, _fmt_point, printed_object
 from oblique_simson import geom, simson
 from oblique_simson.errors import ConstructionError, JEqualsH
 from oblique_simson.numeric import EXACT, FloatBackend, is_zero
@@ -40,10 +40,6 @@ from oblique_simson.verify import (
     CheckResult,
     Report,
     SplitMix64,
-    _fmt,
-    _fmt_circle,
-    _fmt_line,
-    _fmt_point,
     audit_printed_formulas,
     params_echo,
     run_checks,

@@ -1,4 +1,5 @@
 import operator
+import random
 import sys
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from oblique_simson import (
     scene_from_json,
     scene_to_json,
 )
-from oblique_simson.numeric import format_scalar
+from oblique_simson.errors import OutputError
+from oblique_simson.numeric import format_pair, format_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -253,6 +255,30 @@ class TestFormat:
 
     def test_float_repr(self):
         assert format_scalar(FloatBackend().scalar(0.5)) == "0.5"
+
+    def test_pair_text_is_the_fractions(self):
+        """Negative, unreduced and 10^200-sized pairs: the text of Fraction(n, d)."""
+        rng = random.Random(29)
+        for mag in (10, 10 ** 6, 10 ** 200):
+            for _ in range(200):
+                k = rng.randint(1, mag)
+                n, d = rng.randint(-mag, mag) * k, rng.choice((-1, 1)) * rng.randint(1, mag) * k
+                assert format_pair(EXACT, n, d) == str(Fraction(n, d)), (n, d)
+
+    def test_pair_over_zero_is_division_by_zero(self):
+        for be, zero in ((EXACT, 0), (FloatBackend(), 0.0)):
+            with pytest.raises(DivisionByZero):
+                format_pair(be, 1, zero)
+
+    @pytest.mark.skipif(not INT_TEXT_LIMIT, reason="no integer-to-text digit limit")
+    def test_pair_past_the_digit_limit_is_an_output_error(self):
+        with pytest.raises(OutputError):
+            format_pair(EXACT, 10 ** INT_TEXT_LIMIT, 3)
+
+    def test_float_pair_is_the_quotients_repr(self):
+        fb = FloatBackend()
+        for n, d in ((1.0, 3.0), (-2.5, 1.0), (1e300, 1e-5), (-0.0, 1.0), (7.0, -2.0)):
+            assert format_pair(fb, n, d) == str(n / d)
 
     def test_scalar_immutable(self):
         s = EXACT.scalar(1)

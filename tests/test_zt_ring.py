@@ -5,8 +5,8 @@ coefficients runs the unmodified ``build_scene``, ``run_checks`` and
 ``audit_printed_formulas`` with a symbolic t and rational a, b, c, and
 nothing is monkeypatched.  The kernel reaches the ring only through the
 operations an exact-kind backend supplies (see :mod:`oblique_simson.numeric`):
-``+ - *``, exact ``//``, ``==``, ``<`` and ``>`` against 0, the full ``gcd``
-and, for witnesses, ``div``.  An element refuses everything else (truth
+``+ - *``, exact ``//``, ``==``, ``<`` and ``>`` against 0 and the full
+``gcd``, which also writes the witnesses.  An element refuses everything else (truth
 value, ``abs``, ``int``, ``<=``), so a kernel that used more would raise here.
 
 A check that holds over Z[t] holds identically in t: a canonical tuple is
@@ -24,6 +24,7 @@ from itertools import zip_longest
 
 import pytest
 
+from conftest import check_witness
 from oblique_simson import geom, simson, verify
 from oblique_simson.errors import BackendMismatch, ConstructionError, DivisionByZero
 from oblique_simson.numeric import EXACT, Backend, Scalar
@@ -295,7 +296,7 @@ def test_image_double_simson_passes_on_its_certificate(zt_scenes, monkeypatch, a
         raise AssertionError("the constructive body ran")
 
     monkeypatch.setattr(geom, "_concyclic4_h", body)
-    assert verify._chk_double_simson_of_image(zt_scenes[abc]) is None
+    assert check_witness(zt_scenes[abc], "line_equals_double_simson_of_image") is None
 
 
 def test_perspector_of_the_wrong_orientation_fails(zt_scenes):
