@@ -43,8 +43,9 @@ functions, calls no other public one, and writes its result once through
 ``_point_of``, ``_line_of`` or ``_circle_of``.  The checks and the audit of
 :mod:`~oblique_simson.verify` compose tuple functions and build no object,
 and write a witness from tuples and pairs (``_line_eval_h`` and
-``_circle_eval_h`` give the residuals); numbers travel as pairs (n, d),
-d = 1.0 on float (see :func:`_same_value`),
+``_circle_eval_h`` give the residuals) through ``_point_text``, ``_line_text``,
+``_circle_text`` and ``_tan_text``, the one writer of each tuple kind's text;
+numbers travel as pairs (n, d), d = 1.0 on float (see :func:`_same_value`),
 and :func:`_ratio_of` forms the pair of a quotient n/d: (n, d) on exact,
 (n/d, 1.0) on float, where the float formula divides midway.
 Zero tests go through the backend's ``is_zero`` and divisions through its
@@ -204,8 +205,8 @@ class DirectedTan:
 
     def __repr__(self) -> str:
         if self.infinite:
-            return "DirectedTan(inf)"
-        return f"DirectedTan({format_scalar(self.value)})"
+            return _tan_text(None, None)
+        return _tan_text(self.value.backend, self.value._ratio())
 
 
 def _common_backend(first, *rest) -> Backend:
@@ -294,6 +295,26 @@ def _line_of(be: Backend, h) -> Line:
 def _line(be: Backend, a, b, c) -> Line:
     """The Line of raw coefficients, born holding its canonical tuple."""
     return _line_of(be, _line_h(be, a, b, c))
+
+
+def _point_text(be: Backend, p) -> str:
+    """The text "(x, y)" of a point tuple; a line's is "[a, b, c]", a circle's "[d, e, f]"."""
+    x, y, w = p
+    return f"({format_pair(be, x, w)}, {format_pair(be, y, w)})"
+
+
+def _line_text(be: Backend, l) -> str:
+    return f"[{', '.join(format_pair(be, n, be.one) for n in l)}]"
+
+
+def _circle_text(be: Backend, c) -> str:
+    *coefficients, v = c
+    return f"[{', '.join(format_pair(be, n, v) for n in coefficients)}]"
+
+
+def _tan_text(be: Backend, t) -> str:
+    """DirectedTan's repr for a _directed_tan_h result t (None when infinite)."""
+    return "DirectedTan(inf)" if t is None else f"DirectedTan({format_pair(be, *t)})"
 
 
 # -- factories -----------------------------------------------------------------
@@ -478,7 +499,7 @@ def _line_through_h(be: Backend, p, q):
     a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
     if be.is_zero(a) and be.is_zero(b):
         raise CoincidentPoints("no unique line through coincident points "
-                               f"Point({format_pair(be, x1, w1)}, {format_pair(be, y1, w1)})")
+                               f"Point{_point_text(be, p)}")
     return _line_h(be, a, b, x1 * y2 - x2 * y1)
 
 

@@ -98,13 +98,15 @@ class Backend:
         return n / d
 
     def scalar(self, value) -> "Scalar":
-        """Wrap a value (int, Fraction, str, or same-backend Scalar) as a Scalar."""
+        """Wrap a value (int, Fraction, same-backend Scalar, or str) as a Scalar."""
         if isinstance(value, Scalar):
             if value.backend != self:
                 raise BackendMismatch(
                     f"cannot adopt a {value.backend.name} scalar into the {self.name} backend"
                 )
             return value
+        if isinstance(value, str):  # the one string route: parse
+            return self.parse(value)
         return Scalar(self, self.coerce(value))
 
     def parse(self, text: str) -> "Scalar":
@@ -119,12 +121,10 @@ class ExactBackend(Backend):
     gcd = staticmethod(math.gcd)
 
     def coerce(self, value) -> Fraction:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(
                 f"exact backend cannot represent {type(value).__name__} losslessly"
             )
-        if isinstance(value, str):
-            return parse_rational(value)
         return Fraction(value)
 
     def is_zero(self, value, entries: Iterable = ()) -> bool:
@@ -176,8 +176,6 @@ class FloatBackend(Backend):
     def coerce(self, value) -> float:
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
-        if isinstance(value, str):
-            value = parse_rational(value)
         if not isinstance(value, (int, float, Fraction)):
             raise TypeError(f"float backend cannot represent {type(value).__name__}")
         try:

@@ -4,8 +4,8 @@ JSON keeps exact-backend values as canonical "p/q" strings (never floats), so
 a document round-trips to an identical Scene.  Float-backend scenes store
 plain JSON numbers plus the backend tolerance.  The writer formats the
 schema-1 layout itself, byte for byte as ``json.dumps(document, indent=2)``
-lays it out: exact values through
-:func:`~oblique_simson.numeric.format_scalar`, float values as ``json.dumps``
+lays it out: each value from a pair of its object's ``_h``, exact ones through
+:func:`~oblique_simson.numeric.format_pair`, float ones as ``json.dumps``
 writes them, and names and flags through ``json``'s own string encoder;
 :func:`scene_to_document` parses that text.  The exact reader takes the
 writer's form ("p" or "p/q" in ASCII digits, q nonzero) through
@@ -23,10 +23,10 @@ SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
 then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
 formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
 are clipped to the viewBox; circles are drawn whole even if they overflow.
-Points and circles are drawn from their ``_h`` tuples: a point (X, Y, W) at
-X/W, a circle's centre at the canonical tuple of geom's ``_center_h`` and its
-squared radius from geom's ``_radius_sq_h``.  An exact value is drawn at the correctly rounded quotient
-of its numerator and denominator, as ``float()`` of a ``Fraction`` gives.
+Points, lines and circles are drawn from their ``_h`` tuples, a circle through
+geom's ``_center_h`` and ``_radius_sq_h``; an exact value at the correctly
+rounded quotient of its numerator and denominator, as ``float()`` of a
+``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 from . import geom
 from .errors import GeometryError, OutputError, ParseError
-from .numeric import EXACT, Backend, FloatBackend, Scalar, format_scalar
+from .numeric import EXACT, Backend, FloatBackend, Scalar, format_pair
 from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
 
 SCHEMA_VERSION = 1
@@ -72,8 +72,9 @@ def _entry(doc: dict, section: str, name: str, size: int, backend: Backend) -> L
     return [_scalar_from_json(v, backend) for v in values]
 
 
-def _float_text(x: Scalar) -> str:
-    value = x._ratio()[0]
+def _float_text(be: Backend, n, d) -> str:
+    """A float document's value text, called as format_pair is for exact."""
+    value = n / d  # d is 1.0, so this is n bit for bit
     # json.dumps writes a finite number as its repr, and spells out the others
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
@@ -92,23 +93,25 @@ def scene_to_json(scene: Scene) -> str:
     ``json.dumps(document, indent=2) + "\n"`` writes."""
     backend = scene.backend
     # an exact value is a string of digits, "-" and "/", which need no escape
-    text, q = (format_scalar, '"') if backend.exact else (_float_text, "")
+    text, q = (format_pair, '"') if backend.exact else (_float_text, "")
     sep = f'{q},\n      {q}'
 
-    def section(objects, fields):
-        # each object is an array of two or three numbers
-        return _block([f"{_string(name)}: [\n      {q}{sep.join(map(text, fields(obj)))}{q}"
-                       "\n    ]" for name, obj in objects.items()], 1)
+    def section(objects, pairs):
+        # each object is an array of two or three numbers, the pairs of its _h
+        return _block([f"{_string(name)}: [\n      {q}"
+                       f"{sep.join(text(obj.backend, n, d) for n, d in pairs(*obj._h))}"
+                       f"{q}\n    ]" for name, obj in objects.items()], 1)
 
-    params = scene.params
+    params, one = scene.params, backend.one
     members = [
         f'"schema": {SCHEMA_VERSION}',
         f'"backend": {_string(backend.name)}',
         '"eps_abs": ' + json.dumps(None if backend.exact else backend.eps_abs),
-        '"params": ' + _block([f'"{k}": {q}{text(getattr(params, k))}{q}' for k in "abct"], 1),
-        '"points": ' + section(scene.points, lambda p: (p.x, p.y)),
-        '"lines": ' + section(scene.lines, lambda l: (l.a, l.b, l.c)),
-        '"circles": ' + section(scene.circles, lambda C: (C.d, C.e, C.f)),
+        '"params": ' + _block([f'"{k}": {q}{text(backend, *getattr(params, k)._ratio())}{q}'
+                               for k in "abct"], 1),
+        '"points": ' + section(scene.points, lambda x, y, w: ((x, w), (y, w))),
+        '"lines": ' + section(scene.lines, lambda a, b, c: ((a, one), (b, one), (c, one))),
+        '"circles": ' + section(scene.circles, lambda d, e, f, v: ((d, v), (e, v), (f, v))),
         '"flags": ' + _block([_string(f) for f in scene.flags], 1, "[]"),
     ]
     return _block(members, 0) + "\n"
@@ -170,26 +173,25 @@ def scene_from_json(text: str) -> Scene:
 
 
 def scene_summary(scene: Scene) -> str:
-    """Human-readable deterministic rendering of a Scene."""
+    """Human-readable deterministic rendering of a Scene, by geom's text writers."""
+    be = scene.backend
     out: List[str] = []
-    out.append(f"backend: {scene.backend.name}")
+    out.append(f"backend: {be.name}")
     out.append("params: " + " ".join(
-        f"{k}={format_scalar(getattr(scene.params, k))}" for k in ("a", "b", "c", "t")))
+        f"{k}={format_pair(be, *getattr(scene.params, k)._ratio())}" for k in "abct"))
     out.append("flags: " + (", ".join(scene.flags) if scene.flags else "(none)"))
     out.append("points:")
     for name in POINT_NAMES:
         p = scene.points[name]
-        out.append(f"  {name:<3} = ({format_scalar(p.x)}, {format_scalar(p.y)})")
+        out.append(f"  {name:<3} = {geom._point_text(p.backend, p._h)}")
     out.append("lines (a*x + b*y + c = 0):")
     for name in LINE_NAMES:
         l = scene.lines[name]
-        coeffs = ", ".join(map(format_scalar, (l.a, l.b, l.c)))
-        out.append(f"  {name:<14} [{coeffs}]")
+        out.append(f"  {name:<14} {geom._line_text(l.backend, l._h)}")
     out.append("circles (x^2 + y^2 + d*x + e*y + f = 0):")
     for name in CIRCLE_NAMES:
         C = scene.circles[name]
-        coeffs = ", ".join(map(format_scalar, (C.d, C.e, C.f)))
-        out.append(f"  {name:<7} [{coeffs}]")
+        out.append(f"  {name:<7} {geom._circle_text(C.backend, C._h)}")
     return "\n".join(out) + "\n"
 
 
@@ -205,7 +207,7 @@ def _quotient(n, d) -> float:
         raise OutputError("scene value exceeds the float range of the SVG canvas") from exc
 
 
-def _canvas(be, x, y, w) -> Tuple[float, float]:
+def _canvas(x, y, w) -> Tuple[float, float]:
     """The canvas position of the point (x/w, y/w): y axis flipped, as SVG
     grows downwards."""
     return _quotient(x, w) * _PX_PER_UNIT, -_quotient(y, w) * _PX_PER_UNIT
@@ -254,7 +256,7 @@ def render_svg(scene: Scene) -> str:
     Raises OutputError when a scene value does not fit a float.
     """
     be = scene.backend
-    canvas = {name: _canvas(be, *p._h) for name, p in scene.points.items()}
+    canvas = {name: _canvas(*p._h) for name, p in scene.points.items()}
     xs = [v[0] for v in canvas.values()]
     ys = [v[1] for v in canvas.values()]
     width = max(xs) - min(xs)
@@ -279,10 +281,9 @@ def render_svg(scene: Scene) -> str:
             f'font-family="sans-serif" font-size="{_FONT_SIZE}">{name}</text>'
         )
     for name in sorted(scene.lines):
-        l = scene.lines[name]
         # canvas coords: x_c = s*x, y_c = -s*y, so ax+by+c=0 becomes
         # a*x_c - b*y_c + s*c = 0
-        a, b, c = (_quotient(*v._ratio()) for v in (l.a, l.b, l.c))
+        a, b, c = (_quotient(n, be.one) for n in scene.lines[name]._h)
         seg = _clip_line_to_box(a, -b, _PX_PER_UNIT * c, box)
         if seg is None:
             continue
@@ -293,7 +294,7 @@ def render_svg(scene: Scene) -> str:
         )
     for name in sorted(scene.circles):
         h = scene.circles[name]._h
-        cx, cy = _canvas(be, *geom._center_h(be, h))
+        cx, cy = _canvas(*geom._center_h(be, h))
         radius = _quotient(*geom._radius_sq_h(be, h)) ** 0.5 * _PX_PER_UNIT
         parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '

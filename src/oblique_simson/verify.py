@@ -6,12 +6,12 @@ objects without asserting them.  :func:`run_checks` reads the ``_h`` tuples
 of the scene's objects once, into one map from name to tuple, and calls each
 check as ``check(backend, tuples, params)``.  A check composes geom's tuple
 functions and builds no Point, Line, Circle or Scalar, not even for a
-witness, which is written from the tuples and pairs (n, d) it holds through
-:func:`numeric.format_pair`.  A deliberately corrupted scene, or a float
-instance whose tolerance misses an identity, therefore produces FAIL results
-with witnesses rather than exceptions.  On the exact backend a failing check
-on a validly built scene is always a defect: the fuzz run is a randomized
-polynomial-identity test over the rationals.
+witness, which geom's text writers and :func:`numeric.format_pair` write
+from the tuples and pairs (n, d) it holds.  A deliberately corrupted scene,
+or a float instance whose tolerance misses an identity, therefore produces
+FAIL results with witnesses rather than exceptions.  On the exact backend a
+failing check on a validly built scene is always a defect: the fuzz run is
+a randomized polynomial-identity test over the rationals.
 
 On exact, five checks pass on incidence tests against circles and points
 the scene already holds (a certificate, such as each Theorem 4.1 chain on
@@ -51,6 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import geom, simson
 from .errors import BackendMismatch, GeometryError
+from .geom import _circle_text, _line_text, _point_text, _tan_text
 from .numeric import EXACT, format_pair, format_scalar
 from .simson import Params, Scene
 
@@ -97,20 +98,6 @@ def params_echo(params: Params) -> Dict[str, str]:
 
 
 # -- the nineteen named checks ---------------------------------------------------
-
-
-def _fmt_h(be, h) -> str:
-    x, y, w = h
-    return f"({format_pair(be, x, w)}, {format_pair(be, y, w)})"
-
-
-def _fmt_line_h(be, h) -> str:
-    return f"[{', '.join(format_pair(be, n, be.one) for n in h)}]"
-
-
-def _fmt_circle_h(be, h) -> str:
-    *coefficients, v = h
-    return f"[{', '.join(format_pair(be, n, v) for n in coefficients)}]"
 
 
 def _incidences_on_circle(be, circle, h, names):
@@ -166,13 +153,13 @@ def _chk_q_is_image_of_h(be, h, params):
     q, images = h["Q"], [h[n] for n in ("A0", "B0", "C0")]
     expected = simson._similarity_h(be, params.t, h["H"])
     if not geom._same_h(be, q, expected):
-        return {"Q": _fmt_h(be, q), "similarity(H)": _fmt_h(be, expected)}
+        return {"Q": _point_text(be, q), "similarity(H)": _point_text(be, expected)}
     # certificate: Q on the altitudes from A0 and B0 of a proper triangle A0B0C0
     if be.exact and _on_two_altitudes_h(be, q, *images):
         return None
     ortho0 = geom._orthocentric_h(be, *images)[2]
     if not geom._same_h(be, ortho0, q):
-        return {"orthocentre(A0B0C0)": _fmt_h(be, ortho0), "Q": _fmt_h(be, q)}
+        return {"orthocentre(A0B0C0)": _point_text(be, ortho0), "Q": _point_text(be, q)}
     return None
 
 
@@ -214,7 +201,7 @@ def _chk_perspector_common(be, h, params):
         join = geom._line_through_h(be, vertex, h[v + "0"])
         second, _ = geom._second_line_circle_h(be, join, h["Sigma"], vertex)
         if not geom._same_h(be, second, h["K"]):
-            return {"vertex": v, "second": _fmt_h(be, second), "K": _fmt_h(be, h["K"])}
+            return {"vertex": v, "second": _point_text(be, second), "K": _point_text(be, h["K"])}
     return None
 
 
@@ -236,28 +223,21 @@ def _chk_hagge(be, h, params):
     # puts H on S on exact (centre Q and J hold by construction); on float also Q and J
     center = geom._center_h(be, h["S"])
     if not geom._same_h(be, center, h["Q"]):
-        return {"center": _fmt_h(be, center), "Q": _fmt_h(be, h["Q"])}
+        return {"center": _point_text(be, center), "Q": _point_text(be, h["Q"])}
     return _incidences_on_circle(be, h["S"], h, ("J", "H"))
 
 
-def _on_side(be, h, point_name: str, side_name: str):
-    p, side = h[point_name], h[side_name]
-    if not geom._on_line_h(be, side, p):
-        return {"point": _fmt_h(be, p),
-                "residual": format_pair(be, *geom._line_eval_h(be, side, p))}
+def _on_line(be, h, point_name: str, line_name: str, key: str = "point"):
+    p, line = h[point_name], h[line_name]
+    if not geom._on_line_h(be, line, p):
+        return {key: _point_text(be, p),
+                "residual": format_pair(be, *geom._line_eval_h(be, line, p))}
     return None
 
 
 def _chk_lmn_collinear(be, h, params):
     if not geom._collinear3_h(be, h["L"], h["M"], h["N"]):
-        return {n: _fmt_h(be, h[n]) for n in "LMN"}
-    return None
-
-
-def _chk_q_on_line(be, h, params):
-    q, line = h["Q"], h["gwsLine"]
-    if not geom._on_line_h(be, line, q):
-        return {"Q": _fmt_h(be, q), "residual": format_pair(be, *geom._line_eval_h(be, line, q))}
+        return {n: _point_text(be, h[n]) for n in "LMN"}
     return None
 
 
@@ -266,8 +246,8 @@ def _chk_reflection_route(be, h, params):
     for name, side in plan:
         reflected = geom._along_normal_h(be, h["J"], h[side], 2)
         if not geom._same_h(be, reflected, h[name]):
-            return {"point": name, "radical-route": _fmt_h(be, h[name]),
-                    "reflection-route": _fmt_h(be, reflected)}
+            return {"point": name, "radical-route": _point_text(be, h[name]),
+                    "reflection-route": _point_text(be, reflected)}
     return None
 
 
@@ -303,13 +283,8 @@ def _chk_double_simson_of_image(be, h, params):
         return None
     line = simson._double_simson_h(be, *j_and_images)
     if not geom._same_h(be, line, gws):
-        return {"double-simson": _fmt_line_h(be, line), "gwsLine": _fmt_line_h(be, gws)}
+        return {"double-simson": _line_text(be, line), "gwsLine": _line_text(be, gws)}
     return None
-
-
-def _fmt_tan(be, t) -> str:
-    """The repr of geom.directed_tan's result for a _directed_tan_h pair t."""
-    return "DirectedTan(inf)" if t is None else f"DirectedTan({format_pair(be, *t)})"
 
 
 def _chk_equal_oblique_tangents(be, h, params):
@@ -326,7 +301,7 @@ def _chk_equal_oblique_tangents(be, h, params):
             (name, geom._directed_tan_h(be, geom._line_through_h(be, j, p), h[side])))
     for (n1, t1), (n2, t2) in zip(tangents, tangents[1:]):
         if not geom._tans_equal(be, t1, t2):
-            return {"pair": f"{n1},{n2}", n1: _fmt_tan(be, t1), n2: _fmt_tan(be, t2)}
+            return {"pair": f"{n1},{n2}", n1: _tan_text(be, t1), n2: _tan_text(be, t2)}
     if skipped:
         # vacuous (or reduced) comparison is a pass; record what was skipped
         return {"note": "skipped points at J: " + ",".join(skipped), "_pass": "1"}
@@ -365,21 +340,22 @@ def _chk_t_zero_reduction(be, h, params):
         foot = geom._along_normal_h(be, j, h[side], 1)
         feet.append(foot)
         if not geom._same_h(be, foot, h[name]):
-            return {"point": name, "foot": _fmt_h(be, foot), "scene": _fmt_h(be, h[name])}
+            return {"point": name, "foot": _point_text(be, foot),
+                    "scene": _point_text(be, h[name])}
     mid = geom._midpoint_h(be, j, h["H"])
     if not geom._same_h(be, mid, h["Q"]):
-        return {"midpoint(J,H)": _fmt_h(be, mid), "Q": _fmt_h(be, h["Q"])}
+        return {"midpoint(J,H)": _point_text(be, mid), "Q": _point_text(be, h["Q"])}
     classical = simson._line_through_collinear_h(be, *feet)
     if not geom._same_h(be, classical, h["gwsLine"]):
-        return {"classical": _fmt_line_h(be, classical),
-                "gwsLine": _fmt_line_h(be, h["gwsLine"])}
+        return {"classical": _line_text(be, classical),
+                "gwsLine": _line_text(be, h["gwsLine"])}
     return None
 
 
 def _chk_double_simson_abc(be, h, params):
     line = simson._double_simson_h(be, *(h[n] for n in ("J", "A", "B", "C")))
     if not geom._on_line_h(be, line, h["H"]):
-        return {"line": _fmt_line_h(be, line), "H": _fmt_h(be, h["H"])}
+        return {"line": _line_text(be, line), "H": _point_text(be, h["H"])}
     return None
 
 
@@ -392,11 +368,11 @@ _CHECK_IMPLS = {
     "perspector_common": _chk_perspector_common,
     "xyz_incidences": _chk_xyz_incidences,
     "hagge_center_and_members": _chk_hagge,
-    "L_on_BC": lambda be, h, params: _on_side(be, h, "L", "sideBC"),
-    "M_on_CA": lambda be, h, params: _on_side(be, h, "M", "sideCA"),
-    "N_on_AB": lambda be, h, params: _on_side(be, h, "N", "sideAB"),
+    "L_on_BC": lambda be, h, params: _on_line(be, h, "L", "sideBC"),
+    "M_on_CA": lambda be, h, params: _on_line(be, h, "M", "sideCA"),
+    "N_on_AB": lambda be, h, params: _on_line(be, h, "N", "sideAB"),
     "lmn_collinear": _chk_lmn_collinear,
-    "q_on_line": _chk_q_on_line,
+    "q_on_line": lambda be, h, params: _on_line(be, h, "Q", "gwsLine", "Q"),
     "reflection_route_equals_radical_route": _chk_reflection_route,
     "line_equals_double_simson_of_image": _chk_double_simson_of_image,
     "equal_oblique_tangents": _chk_equal_oblique_tangents,
@@ -620,8 +596,8 @@ def _audit_eq23(be, stage, num):
     for v, own, _, _ in simson._by_vertex(*num[:3]):
         printed, built = _printed_vertex_line(be, own, T, D), stage[v + v + "0"]
         if not geom._same_h(be, printed, built):
-            return {"vertex": v, "printed": _fmt_line_h(be, printed),
-                    "constructive": _fmt_line_h(be, built)}
+            return {"vertex": v, "printed": _line_text(be, printed),
+                    "constructive": _line_text(be, built)}
     return None
 
 
@@ -630,8 +606,8 @@ def _audit_eq24(be, stage, num):
     for v, own, _, _ in simson._by_vertex(*num[:3]):
         printed, built = _printed_vertex_circle(be, own, T, D), stage["c" + v]
         if not geom._same_h(be, printed, built):
-            return {"vertex": v, "printed": _fmt_circle_h(be, printed),
-                    "constructive": _fmt_circle_h(be, built)}
+            return {"vertex": v, "printed": _circle_text(be, printed),
+                    "constructive": _circle_text(be, built)}
     return None
 
 
@@ -661,7 +637,7 @@ def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
     built = ba, bb, bc = stage["altA"]
     if not geom._same_value(be, (rn * bb, rd), (sn * ba, sd), scaled=True):
         wcoef = {"printed": f"[{format_pair(be, *pa)}, {format_pair(be, *pb)}]",
-                 "constructive": _fmt_line_h(be, built)}
+                 "constructive": _line_text(be, built)}
         return wcoef, None
     # lambda = pa/ba (or pb/bb when ba = 0), divided out before it scales the
     # constant term: the float result depends on that order
@@ -678,15 +654,15 @@ def _audit_eq27(be, stage, num):
     for (v, own, q, r), n in zip(simson._by_vertex(*num[:3]), "XYZ"):
         printed = _printed_xyz(be, own, q, r, T, D)
         if not geom._same_h(be, printed, stage[n]):
-            return {"vertex": v, "printed": _fmt_h(be, printed),
-                    "constructive": _fmt_h(be, stage[n])}
+            return {"vertex": v, "printed": _point_text(be, printed),
+                    "constructive": _point_text(be, stage[n])}
     return None
 
 
 def _audit_eq28(be, stage, num):
     printed, built = _printed_hagge(be, *num), stage["S"]
     if not geom._same_h(be, printed, built):
-        return {"printed": _fmt_circle_h(be, printed), "constructive": _fmt_circle_h(be, built)}
+        return {"printed": _circle_text(be, printed), "constructive": _circle_text(be, built)}
     return None
 
 

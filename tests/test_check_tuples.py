@@ -464,14 +464,21 @@ def test_run_checks_builds_no_objects(backend, monkeypatch):
 
 
 def test_verify_takes_tuples_alone():
-    """verify imports no object type, and every check is called as
-    check(backend, tuples by name, params)."""
+    """verify imports no object type, every check is called as
+    check(backend, tuples by name, params), and verify defines no text
+    writer of its own: a witness's point, line, circle or tangent is written
+    by geom's writers."""
     tree = ast.parse(Path(verify.__file__).read_text())
     imported = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"Point", "Line", "Circle", "Scalar"}
+    assert {"_point_text", "_line_text", "_circle_text", "_tan_text"} <= imported
     for check in verify._CHECK_IMPLS.values():
         assert list(inspect.signature(check).parameters) == ["be", "h", "params"]
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions if f.name.startswith("_fmt")] == []
+    assert [f.name for f in functions for node in ast.walk(f)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.JoinedStr)] == []
 
 
 @pytest.mark.parametrize("part", ["points", "lines", "circles"])

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -9,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from oblique_simson import simson
+from oblique_simson import simson, verify
 from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
@@ -243,6 +244,36 @@ class TestFuzz:
     def test_include_t_zero(self, capsys):
         assert main(["fuzz", "--seed", "5", "--count", "2", "--include-t-zero"]) == 0
         assert "include-t-zero=yes" in capsys.readouterr().out
+
+    def test_checks_each_instance_as_drawn(self, monkeypatch, capsys):
+        """fuzz keeps no Report: at most two are alive at once, and it prints
+        the text of verify.fuzz's reports, FAIL lines and exit code included.
+        An instance whose a has an even numerator is checked with Q moved to
+        H, so that some instances fail."""
+        run_checks, reports, alive = verify.run_checks, [], []
+
+        def tracked(scene):
+            if scene.params.a._ratio()[0] % 2 == 0:
+                scene = dataclasses.replace(scene, points={**scene.points, "Q": scene.points["H"]})
+            report = run_checks(scene)
+            reports.append(weakref.ref(report))
+            alive.append(sum(ref() is not None for ref in reports))
+            return report
+
+        monkeypatch.setattr(verify, "run_checks", tracked)
+        code = main(["fuzz", "--seed", "42", "--count", "50"])
+        assert len(reports) == 50 and max(alive) <= 2
+        result = verify.fuzz(verify.FuzzConfig(seed=42, count=50))
+        monkeypatch.undo()
+        want = ["seed=42 count=50 max-mag=10 max-den=10 include-t-zero=no"]
+        for i, report in enumerate(result.reports):
+            params = " ".join(f"{k}={v}" for k, v in report.params.items())
+            want += [f"instance {i} ({params}): FAIL {failure.name}  "
+                     + " ".join(f"{k}={v}" for k, v in failure.witness.items())
+                     for failure in report.failures]
+        want.append(result.summary())
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+        assert 0 < result.pass_count < 50 and code == 1
 
 
 class TestAudit:

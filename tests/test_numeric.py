@@ -121,6 +121,36 @@ class TestParse:
         assert [format_scalar(s) for s in scalars] == ["3/4", "0", "5", "7/10", "1/2"]
 
 
+    @pytest.mark.parametrize("text", ["2/4", "-3", " 7 ", "+3", "1e-3", "0.25", "-0.0", "5e-324"])
+    def test_scalar_of_a_string_is_parse(self, text):
+        """A string has one route on each backend: scalar(s) is parse(s), the
+        same pair on exact (so the same value, repr and hash), the same bits
+        on float."""
+        got, want = EXACT.scalar(text), EXACT.parse(text)
+        assert got._ratio() == want._ratio()
+        assert (got.value, repr(got), hash(got)) == (want.value, repr(want), hash(want))
+        fb = FloatBackend()
+        assert fb.scalar(text)._ratio()[0].hex() == fb.parse(text)._ratio()[0].hex()
+        assert Params.make(text, 11, 12, 0).a._ratio() == want._ratio()
+
+    @pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
+    @pytest.mark.parametrize("text", [
+        "abc", "1/0", "1e400",
+        pytest.param("1e100000000", marks=pytest.mark.skipif(
+            not INT_TEXT_LIMIT, reason="no integer-to-text limit")),
+    ])
+    def test_string_errors_agree(self, backend, text):
+        """A bad string raises the same error through scalar and parse."""
+        outcomes = []
+        for route in (backend.scalar, backend.parse):
+            try:
+                outcomes.append(("=", route(text)._ratio()))
+            except Exception as exc:  # compared by type and message
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == ("=" if backend.exact and text == "1e400" else ParseError)
+
+
 class TestArithmetic:
     def test_add(self):
         assert (EXACT.scalar(Fraction(1, 2)) + EXACT.scalar(Fraction(1, 3))).value \

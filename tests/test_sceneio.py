@@ -13,6 +13,7 @@ from oblique_simson import (
     Params,
     ParseError,
     build_scene,
+    geom,
     render_svg,
     run_checks,
     scene_from_json,
@@ -478,3 +479,73 @@ class TestSvg:
         doc["points"]["K"] = ["1" + "0" * 307, "0"] if backend.exact else [1e307, 0.0]
         with pytest.raises(OutputError):
             render_svg(document_to_scene(doc))
+
+
+# -- the writers read each object's _h, never its coordinate fields ------------------
+
+
+class _Poisoned:
+    """Stands in for a coordinate field: any read of it raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a writer read {name!r} of a coordinate field")
+
+    def _used(self, *args):
+        raise AssertionError("a writer used a coordinate field")
+
+    __repr__ = __str__ = __format__ = __float__ = __bool__ = __eq__ = __hash__ = _used
+
+
+def _poisoned(obj):
+    """A copy of a Point, Line or Circle that holds obj's _h and backend, and
+    a _Poisoned in place of each field."""
+    copy = object.__new__(type(obj))
+    geom._Stored._h.__set__(copy, obj._h)
+    geom._Stored.backend.__set__(copy, obj.backend)
+    copy.__dict__.update((name, _Poisoned()) for name in vars(obj))
+    return copy
+
+
+def _noncanonical_document(backend):
+    """The golden scene's document with values spelled another way: on exact
+    "1e0", "+3", "2/4" and "-14/10", on float integers and exponents."""
+    golden = build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=backend))
+    text = scene_to_json(golden)
+    if backend.exact:
+        spelled = {'"a": "1"': '"a": "1e0"', '"c": "3"': '"c": "+3"', '"t": "1/2"': '"t": "2/4"',
+                   '"-7/5"': '"-14/10"'}
+    else:
+        spelled = {'"a": 1.0': '"a": 1e0', '"c": 3.0': '"c": 3', '"t": 0.5': '"t": 5e-1'}
+    for old, new in spelled.items():
+        assert old in text
+        text = text.replace(old, new)
+    return golden, scene_from_json(text)
+
+
+class TestWritersReadTuplesAlone:
+    @pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])
+    def test_writers_read_no_field(self, backend):
+        """With every Point, Line and Circle field poisoned, scene_to_json,
+        scene_summary and render_svg write the untouched scene's text: the
+        golden scene, 20 seeded ones, one at 10^200 on exact (there a float
+        vertex falls on J) and a document read back from values not in
+        canonical form."""
+        golden, read_back = _noncanonical_document(backend)
+        wide = [*_seeded_scenes(backend, 5, 1, 10 ** 200, 10 ** 200)] if backend.exact else []
+        scenes = [golden, read_back, *_seeded_scenes(backend, 3, 20, 10, 10), *wide]
+        assert len(scenes) == (23 if backend.exact else 22)
+        assert scene_to_json(read_back) == scene_to_json(golden)
+        for scene in scenes:
+            poisoned = dataclasses.replace(scene, **{
+                part: {name: _poisoned(obj) for name, obj in getattr(scene, part).items()}
+                for part in ("points", "lines", "circles")})
+            for writer in (scene_to_json, scene_summary, render_svg):
+                assert _outcome(writer, [poisoned]) == _outcome(writer, [scene])
+
+    def test_object_of_another_backend_is_written_at_its_value(self, golden_scene):
+        """Each object's values are written by its own backend's rule: an
+        exact Q in a float scene is the number -7/5, not its numerator."""
+        fl = build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=FloatBackend()))
+        mixed = dataclasses.replace(fl, points={**fl.points, "Q": golden_scene.points["Q"]})
+        assert scene_to_document(mixed)["points"]["Q"] == [-1.4, 1.0]
+        assert "Q   = (-7/5, 1)" in scene_summary(mixed)
