@@ -211,9 +211,12 @@ class DirectedTan:
 
 def _common_backend(first, *rest) -> Backend:
     """The backend shared by all arguments; BackendMismatch if they differ."""
-    be = first.backend
-    for obj in rest:
-        other = obj.backend
+    return _shared_backend(first.backend, [obj.backend for obj in rest])
+
+
+def _shared_backend(be: Backend, others) -> Backend:
+    """be, where every backend of *others* is be; BackendMismatch otherwise."""
+    for other in others:
         if other is not be and other != be:
             raise BackendMismatch(
                 f"cannot combine {be.name} and {other.name} objects")
@@ -224,28 +227,33 @@ def _common_backend(first, *rest) -> Backend:
 
 
 def _over_common(*values: Scalar) -> Tuple:
-    """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D,
-    read from their pairs: integers over the lcm of the denominators (from
-    the backend's gcd) on exact, the floats over 1.0 on float, where every
-    pair has d = 1.0."""
-    pairs = [v._ratio() for v in values]
+    """The values as N_i over one D, (N_1, ..., N_k, D) with value_i = N_i / D:
+    _pairs_over_common on their pairs."""
+    return _pairs_over_common(values[0].backend, [v._ratio() for v in values])
+
+
+def _pairs_over_common(be: Backend, pairs) -> Tuple:
+    """The pairs (n_i, d_i) as N_i over one D: integers over the lcm of the
+    denominators (from the backend's gcd) on exact, the floats over 1.0 on
+    float, where every pair has d = 1.0."""
     d = pairs[0][1]
     if all(q == d for _, q in pairs):
         return (*(n for n, _ in pairs), d)
-    gcd = values[0].backend.gcd
     for _, q in pairs:
-        d = d // gcd(d, q) * q
+        d = d // be.gcd(d, q) * q
     return (*(n * (d // q) for n, q in pairs), d)
 
 
-def _point_h(be: Backend, x, y, w):
+def _point_h(be: Backend, x, y, w, g=None):
     """The canonical tuple of the point (x/w, y/w): gcd 1 and w > 0 on exact;
-    DivisionByZero when w is zero."""
+    DivisionByZero when w is zero.  *g*, where the caller knows it from
+    the factors of x, y and w, is their content gcd(x, y, w)."""
     if not be.exact:
         return be.div(x, w), be.div(y, w), 1.0
     if w == 0:
         raise DivisionByZero("division by zero scalar")
-    g = be.gcd(x, y, w)
+    if g is None:
+        g = be.gcd(x, y, w)
     if w < 0:
         g = -g
     if g != 1:
@@ -333,10 +341,16 @@ def make_line(a: Scalar, b: Scalar, c: Scalar) -> Line:
     be = _common_backend(a, b, c)
     if be.exact:
         return Line(a, b, c)
-    ia, ib, ic, _ = _over_common(a, b, c)
-    if be.is_zero(ia * ia + ib * ib - 1) and (ib if be.is_zero(ia) else ia) > 0:
-        return Line(a, b, c, (ia, ib, ic))
-    return _line(be, ia, ib, ic)
+    return _line_of(be, _given_line_h(be, *_over_common(a, b, c)[:3]))
+
+
+def _given_line_h(be: Backend, a, b, c):
+    """make_line's tuple for the coefficients a, b, c: on float a unit
+    normal (within the tolerance) with the first nonzero of (a, b) positive
+    is kept as given, anything else is _line_h's."""
+    if not be.exact and be.is_zero(a * a + b * b - 1) and (b if be.is_zero(a) else a) > 0:
+        return a, b, c
+    return _line_h(be, a, b, c)
 
 
 def _require_proper(d, e, f, v) -> None:

@@ -136,19 +136,24 @@ class ExactBackend(Backend):
         return Fraction(n, d)
 
     def parse(self, text: str) -> "Scalar":
-        """As :meth:`Backend.parse`; "p" and "p/q" in ASCII digits with
-        q != 0 are read as the integer pair (p, q), which builds no
-        ``Fraction``; anything else goes through parse_rational."""
+        """As :meth:`Backend.parse`, on the pair of :meth:`parse_pair`."""
+        return _pair(self, *self.parse_pair(text))
+
+    def parse_pair(self, text: str) -> Tuple[int, int]:
+        """The pair (n, d), d > 0, of a text :meth:`parse` reads: "p" and
+        "p/q" in ASCII digits with q != 0 are the integer pair (p, q), which
+        builds no ``Fraction``; anything else goes through parse_rational."""
         m = _PLAIN_RATIONAL(text)
         if m is not None:
             p, q = m.groups()
             try:
                 den = 1 if q is None else int(q)
                 if den:
-                    return _pair(self, int(p), den)
+                    return int(p), den
             except ValueError:  # past the integer-to-text limit
                 pass
-        return Scalar(self, parse_rational(text))
+        value = parse_rational(text)
+        return value.numerator, value.denominator
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactBackend)

@@ -4,15 +4,20 @@ JSON keeps exact-backend values as canonical "p/q" strings (never floats), so
 a document round-trips to an identical Scene.  Float-backend scenes store
 plain JSON numbers plus the backend tolerance.  The writer formats the
 schema-1 layout itself, byte for byte as ``json.dumps(document, indent=2)``
-lays it out: each value from a pair of its object's ``_h``, exact ones through
-:func:`~oblique_simson.numeric.format_pair`, float ones as ``json.dumps``
-writes them, and names and flags through ``json``'s own string encoder;
-:func:`scene_to_document` parses that text.  The exact reader takes the
-writer's form ("p" or "p/q" in ASCII digits, q nonzero) through
-:meth:`~oblique_simson.numeric.ExactBackend.parse` as the integer pair a
-Scalar holds, so it builds no ``Fraction``; any other string goes through
-:func:`~oblique_simson.numeric.parse_rational`.  A float line whose
-coefficients already form a canonical unit normal is read as written (see
+lays it out: each value from a pair of its object's canonical tuple, read
+from the scene's maps without writing the object and by the object's own
+backend, exact ones through :func:`~oblique_simson.numeric.format_pair`,
+float ones as ``json.dumps`` writes them, and names and flags through
+``json``'s own string encoder; :func:`scene_to_document` parses that text.
+The reader parses each value straight to its pair, with no Scalar: the
+exact reader takes the writer's form ("p" or "p/q" in ASCII digits, q
+nonzero) through :meth:`~oblique_simson.numeric.ExactBackend.parse_pair`
+as an integer pair, so it builds no ``Fraction``, and any other string
+through :func:`~oblique_simson.numeric.parse_rational`; the float reader
+takes each number as a float over 1.0.  Each object's values become its
+canonical tuple, as Point, make_line and make_circle give it, and the Scene
+holds the tuples, writing no object.  A float line whose coefficients
+already form a canonical unit normal is read as written (see
 :func:`~oblique_simson.geom.make_line`), so a float document, like an
 exact one, writes back byte for byte.  A schema that is not the
 integer 1, a non-null ``eps_abs`` on an exact document, a point, line or
@@ -23,10 +28,12 @@ SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
 then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
 formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
 are clipped to the viewBox; circles are drawn whole even if they overflow.
-Points, lines and circles are drawn from their ``_h`` tuples, a circle through
+Points, lines and circles are drawn from their tuples, a circle through
 geom's ``_center_h`` and ``_radius_sq_h``; an exact value at the correctly
 rounded quotient of its numerator and denominator, as ``float()`` of a
-``Fraction`` gives.
+``Fraction`` gives.  A line's exact integers wider than 1000 bits, and a
+squared radius past the float range, are first divided by a power of two,
+which a float result takes exactly, so a figure that fits a float is drawn.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from typing import List, Optional, Tuple
 
 from . import geom
 from .errors import GeometryError, OutputError, ParseError
-from .numeric import EXACT, Backend, FloatBackend, Scalar, format_pair
-from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene
+from .numeric import EXACT, Backend, FloatBackend, _pair, format_pair
+from .simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Params, Scene, SceneObjects
 
 SCHEMA_VERSION = 1
 
@@ -50,26 +57,33 @@ _PX_PER_UNIT = 200.0
 _MARGIN_FRACTION = 0.10
 _DOT_RADIUS = 2.0
 _FONT_SIZE = 10.0
+# wider exact integers are scaled by a power of two before they become floats
+# (see _line_floats and _radius)
+_WIDE_BITS = 1000
+_PAST_RANGE = "scene value exceeds the float range of the SVG canvas"
 
 
-def _scalar_from_json(value, backend: Backend) -> Scalar:
+def _pair_from_json(value, backend: Backend) -> Tuple:
+    """The pair (n, d) of a document value: integers on exact, the float over
+    1.0 on float."""
     if backend.exact:
         if not isinstance(value, str):
             raise ParseError(f"exact scene document requires string scalars, got {value!r}")
-        return backend.parse(value)
+        return backend.parse_pair(value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return backend.scalar(value)
+        return backend.coerce(value), 1.0
     raise ParseError(f"float scene document requires numeric scalars, got {value!r}")
 
 
-def _entry(doc: dict, section: str, name: str, size: int, backend: Backend) -> List[Scalar]:
-    """The scalars of doc[section][name], which must be an array of *size*
-    values: a string or an object would unpack as its characters or keys."""
+def _entry(doc: dict, section: str, name: str, size: int, backend: Backend) -> Tuple:
+    """The values of doc[section][name] over one denominator (see
+    geom._pairs_over_common); the entry must be an array of *size* values:
+    a string or an object would unpack as its characters or keys."""
     values = doc[section][name]
     if type(values) is not list or len(values) != size:
         raise TypeError(f"{section} entry {name!r} must be an array of {size} values, "
                         f"got {values!r}")
-    return [_scalar_from_json(v, backend) for v in values]
+    return geom._pairs_over_common(backend, [_pair_from_json(v, backend) for v in values])
 
 
 def _float_text(be: Backend, n, d) -> str:
@@ -97,10 +111,11 @@ def scene_to_json(scene: Scene) -> str:
     sep = f'{q},\n      {q}'
 
     def section(objects, pairs):
-        # each object is an array of two or three numbers, the pairs of its _h
+        # each object is an array of two or three numbers, the pairs of its tuple,
+        # written by the object's own backend
         return _block([f"{_string(name)}: [\n      {q}"
-                       f"{sep.join(text(obj.backend, n, d) for n, d in pairs(*obj._h))}"
-                       f"{q}\n    ]" for name, obj in objects.items()], 1)
+                       f"{sep.join(text(objects.backend_of(name), n, d) for n, d in pairs(*h))}"
+                       f"{q}\n    ]" for name, h in objects._h.items()], 1)
 
     params, one = scene.params, backend.one
     members = [
@@ -140,17 +155,15 @@ def document_to_scene(doc: dict) -> Scene:
             backend = FloatBackend(doc["eps_abs"])
         else:
             raise ParseError(f"unknown backend tag {doc['backend']!r}")
-        values = [_scalar_from_json(doc["params"][k], backend) for k in ("a", "b", "c", "t")]
-        points = {}
-        for name in POINT_NAMES:
-            x, y = _entry(doc, "points", name, 2, backend)
-            points[name] = geom.Point(x, y)
-        lines = {}
-        for name in LINE_NAMES:
-            lines[name] = geom.make_line(*_entry(doc, "lines", name, 3, backend))
-        circles = {}
-        for name in CIRCLE_NAMES:
-            circles[name] = geom.make_circle(*_entry(doc, "circles", name, 3, backend))
+        values = [_pair(backend, *_pair_from_json(doc["params"][k], backend))
+                  for k in ("a", "b", "c", "t")]
+        # each object's canonical tuple, as Point, make_line and make_circle give it
+        points = {name: geom._point_h(backend, *_entry(doc, "points", name, 2, backend))
+                  for name in POINT_NAMES}
+        lines = {name: geom._given_line_h(backend, *_entry(doc, "lines", name, 3, backend)[:3])
+                 for name in LINE_NAMES}
+        circles = {name: geom._circle_h(backend, *_entry(doc, "circles", name, 3, backend))
+                   for name in CIRCLE_NAMES}
         flags = doc["flags"]
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise TypeError(f"flags must be a list of strings, got {flags!r}")
@@ -160,8 +173,9 @@ def document_to_scene(doc: dict) -> Scene:
         # GeometryError: a degenerate line or an improper circle
         raise ParseError(f"malformed scene document: {exc}") from exc
     # a degenerate triangle is a DegenerateTriangle, as from Params.make
-    return Scene(params=Params(*values), points=points, lines=lines, circles=circles,
-                 flags=tuple(flags))
+    return Scene(Params(*values), SceneObjects("_point_of", backend, points),
+                 SceneObjects("_line_of", backend, lines),
+                 SceneObjects("_circle_of", backend, circles), tuple(flags))
 
 
 def scene_from_json(text: str) -> Scene:
@@ -181,17 +195,15 @@ def scene_summary(scene: Scene) -> str:
         f"{k}={format_pair(be, *getattr(scene.params, k)._ratio())}" for k in "abct"))
     out.append("flags: " + (", ".join(scene.flags) if scene.flags else "(none)"))
     out.append("points:")
+    points, lines, circles = scene.points, scene.lines, scene.circles
     for name in POINT_NAMES:
-        p = scene.points[name]
-        out.append(f"  {name:<3} = {geom._point_text(p.backend, p._h)}")
+        out.append(f"  {name:<3} = {geom._point_text(points.backend_of(name), points._h[name])}")
     out.append("lines (a*x + b*y + c = 0):")
     for name in LINE_NAMES:
-        l = scene.lines[name]
-        out.append(f"  {name:<14} {geom._line_text(l.backend, l._h)}")
+        out.append(f"  {name:<14} {geom._line_text(lines.backend_of(name), lines._h[name])}")
     out.append("circles (x^2 + y^2 + d*x + e*y + f = 0):")
     for name in CIRCLE_NAMES:
-        C = scene.circles[name]
-        out.append(f"  {name:<7} {geom._circle_text(C.backend, C._h)}")
+        out.append(f"  {name:<7} {geom._circle_text(circles.backend_of(name), circles._h[name])}")
     return "\n".join(out) + "\n"
 
 
@@ -204,7 +216,36 @@ def _quotient(n, d) -> float:
     try:
         return n / d
     except OverflowError as exc:
-        raise OutputError("scene value exceeds the float range of the SVG canvas") from exc
+        raise OutputError(_PAST_RANGE) from exc
+
+
+def _line_floats(be: Backend, h) -> List[float]:
+    """A line's coefficients as floats, the same line: exact integers past
+    _WIDE_BITS bits are first divided by the power of two that brings the
+    widest to _WIDE_BITS bits, which leaves room below the float range for
+    the clipping's products.  A power of two scales every float result by
+    itself, so a line that fits is drawn as before."""
+    scale = be.one
+    if be.exact:
+        k = max(map(abs, h)).bit_length() - _WIDE_BITS
+        if k > 0:
+            scale <<= k
+    return [_quotient(n, scale) for n in h]
+
+
+def _radius(be: Backend, h) -> float:
+    """The radius of the circle tuple h, the root of its squared radius n/d;
+    where n/d passes the float range (exact integers only), the root of
+    n / (d 4^k) times 2^k, so a radius that fits is drawn."""
+    n, d = geom._radius_sq_h(be, h)
+    try:
+        return (n / d) ** 0.5
+    except OverflowError:
+        k = (n.bit_length() - d.bit_length()) // 2 - _WIDE_BITS // 2
+    try:
+        return math.ldexp((n / (d << 2 * k)) ** 0.5, k)
+    except OverflowError as exc:
+        raise OutputError(_PAST_RANGE) from exc
 
 
 def _canvas(x, y, w) -> Tuple[float, float]:
@@ -216,7 +257,7 @@ def _canvas(x, y, w) -> Tuple[float, float]:
 def _f(v: float) -> str:
     """Every number the SVG writes; OutputError unless it is finite."""
     if not math.isfinite(v):
-        raise OutputError("scene value exceeds the float range of the SVG canvas")
+        raise OutputError(_PAST_RANGE)
     s = f"{v:.6f}"
     return "0.000000" if s == "-0.000000" else s
 
@@ -256,7 +297,7 @@ def render_svg(scene: Scene) -> str:
     Raises OutputError when a scene value does not fit a float.
     """
     be = scene.backend
-    canvas = {name: _canvas(*p._h) for name, p in scene.points.items()}
+    canvas = {name: _canvas(*h) for name, h in scene.points._h.items()}
     xs = [v[0] for v in canvas.values()]
     ys = [v[1] for v in canvas.values()]
     width = max(xs) - min(xs)
@@ -283,7 +324,7 @@ def render_svg(scene: Scene) -> str:
     for name in sorted(scene.lines):
         # canvas coords: x_c = s*x, y_c = -s*y, so ax+by+c=0 becomes
         # a*x_c - b*y_c + s*c = 0
-        a, b, c = (_quotient(n, be.one) for n in scene.lines[name]._h)
+        a, b, c = _line_floats(be, scene.lines._h[name])
         seg = _clip_line_to_box(a, -b, _PX_PER_UNIT * c, box)
         if seg is None:
             continue
@@ -293,9 +334,9 @@ def render_svg(scene: Scene) -> str:
             f'x2="{_f(seg[2])}" y2="{_f(seg[3])}" stroke="{stroke}" stroke-width="1"/>'
         )
     for name in sorted(scene.circles):
-        h = scene.circles[name]._h
+        h = scene.circles._h[name]
         cx, cy = _canvas(*geom._center_h(be, h))
-        radius = _quotient(*geom._radius_sq_h(be, h)) ** 0.5 * _PX_PER_UNIT
+        radius = _radius(be, h) * _PX_PER_UNIT
         parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
             'fill="none" stroke="#1f77b4" stroke-width="1"/>'

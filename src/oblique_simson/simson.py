@@ -21,8 +21,10 @@ and a float body, as its float form halves the coordinates before it adds,
 which the homogeneous form cannot match at subnormal or overflowing values.
 The exact construction therefore does no ``Fraction`` arithmetic.
 construct_core computes the stage's tuples, keyed by scene name, up to Q
-and the circle S; build_scene extends them to the whole figure and writes
-each of the scene's 33 objects once, and the audit in
+and the circle S; build_scene extends them to the whole figure and hands
+the Scene its tuples by name, writing no object: a :class:`SceneObjects`
+map writes a point, line or circle when a caller first reads it, and the
+checks and the writers read the tuples alone.  The audit in
 :mod:`oblique_simson.verify` compares its closed forms with the stage, S
 among them.  On exact the circles S and Sigma0 are built from their
 centres, Q and the image of O, through J, and the double-Simson
@@ -36,8 +38,9 @@ function.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import geom
 from .errors import (
@@ -103,15 +106,91 @@ class Params:
         return self.a.backend
 
 
+class SceneObjects(Mapping):
+    """A read-only name -> object mapping over ``_h``, a map from name to
+    canonical tuple: a Scene's points, lines or circles.  The object of a
+    name is written from its tuple through geom's writer of the map's
+    *kind* (``"_point_of"``, ``"_line_of"`` or ``"_circle_of"``) the first
+    time the name is read, and kept.  Objects handed to a Scene are
+    adopted (:meth:`adopt`): ``_h`` holds their own tuples, and a read
+    returns them.  ``backend`` is the one backend of the objects, or None
+    where adopted ones have several; :meth:`backend_of` reads an object's
+    backend without writing it.  Two maps of one kind and one backend
+    compare their tuples, as their objects would compare."""
+
+    __slots__ = ("backend", "_h", "_kind", "_read")
+
+    def __init__(self, kind: str, backend: Optional[Backend], tuples: Dict[str, tuple],
+                 read: Optional[dict] = None):
+        self.backend, self._h, self._kind = backend, tuples, kind
+        self._read = {} if read is None else read
+
+    @classmethod
+    def adopt(cls, kind: str, objects) -> "SceneObjects":
+        """The map holding *objects*, each with its own tuple and backend."""
+        read = dict(objects)
+        backends = [obj.backend for obj in read.values()]
+        backend = backends[0] if backends else None
+        if any(other != backend for other in backends):
+            backend = None
+        return cls(kind, backend, {name: obj._h for name, obj in read.items()}, read)
+
+    def __getitem__(self, name: str):
+        obj = self._read.get(name)
+        if obj is None:
+            obj = self._read[name] = getattr(geom, self._kind)(self.backend, self._h[name])
+        return obj
+
+    def __iter__(self):
+        return iter(self._h)
+
+    def __len__(self) -> int:
+        return len(self._h)
+
+    def __contains__(self, name) -> bool:
+        return name in self._h
+
+    def keys(self):
+        return self._h.keys()
+
+    def backend_of(self, name: str) -> Backend:
+        return self._read[name].backend if self.backend is None else self.backend
+
+    def __eq__(self, other) -> bool:
+        if (isinstance(other, SceneObjects) and other._kind == self._kind
+                and self.backend is not None and self.backend == other.backend):
+            be, h = self.backend, other._h
+            return h.keys() == self._h.keys() and all(
+                geom._same_h(be, t, h[name]) for name, t in self._h.items())
+        return Mapping.__eq__(self, other)  # object by object
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        # a map of one backend is its tuples; a mixed one keeps its objects
+        return SceneObjects, (self._kind, self.backend, self._h,
+                              None if self.backend is not None else self._read)
+
+
 @dataclass(frozen=True, eq=True)
 class Scene:
-    """Fully named output of one construction run."""
+    """Fully named output of one construction run.  Its points, lines and
+    circles are read-only SceneObjects maps; plain mappings of objects,
+    as a hand-built scene or ``dataclasses.replace`` gives, are adopted."""
 
     params: Params
-    points: Dict[str, Point]
-    lines: Dict[str, Line]
-    circles: Dict[str, Circle]
+    points: Mapping[str, Point]
+    lines: Mapping[str, Line]
+    circles: Mapping[str, Circle]
     flags: Tuple[str, ...]
+
+    def __post_init__(self):
+        for field, kind in (("points", "_point_of"), ("lines", "_line_of"),
+                            ("circles", "_circle_of")):
+            objects = getattr(self, field)
+            if type(objects) is not SceneObjects:
+                object.__setattr__(self, field, SceneObjects.adopt(kind, objects))
 
     @property
     def backend(self) -> Backend:
@@ -237,8 +316,9 @@ def _xyz_form_h(be: Backend, p, q, r, t):
     (pn, pd), (qn, qd), (rn, rd), (_, td) = p, q, r, t
     g1, g2 = _g_h(q, r, t)
     f = 2 * pd * (pn * (qn * rn - qd * rd) + pd * (qn * rd + rn * qd))
-    w = (pn * pn + pd * pd) * (qn * qn + qd * qd) * (rn * rn + rd * rd)
-    return geom._point_h(be, -f * g1, f * g2, td * w)
+    w = td * (pn * pn + pd * pd) * (qn * qn + qd * qd) * (rn * rn + rd * rd)
+    # the content gcd(-f G1, f G2, w), taken where the factors are known
+    return geom._point_h(be, -f * g1, f * g2, w, be.gcd(f * be.gcd(g1, g2), w))
 
 
 def _lmn_form_h(be: Backend, q, r, t):
@@ -385,8 +465,9 @@ def double_simson_line(j: Point, p: Point, q: Point, r: Point) -> Line:
 def build_scene(params: Params) -> Scene:
     """Run the full construction and return the named Scene.
 
-    The stage's tuples are extended by the rest of the figure, and each
-    scene object is written once from its tuple.  On exact, S is the
+    The stage's tuples are extended by the rest of the figure, and the
+    Scene holds them by name; no object is written until a caller reads
+    it (see SceneObjects).  On exact, S is the
     stage's circle about Q through J and Sigma0 the circle about the image
     of O through J, so the checks put X, Y, Z, H and A0, B0, C0 on them; on
     float they are the circles through X, Y, Z and through A0, B0, C0.  It
@@ -424,11 +505,10 @@ def build_scene(params: Params) -> Scene:
     stage["gwsLine"] = _line_through_collinear_h(be, *(stage[n] for n in _LMN))
     for p, q in (("B0", "C0"), ("C0", "A0"), ("A0", "B0")):
         stage[f"imageSide{p}{q}"] = geom._line_through_h(be, stage[p], stage[q])
-    return Scene(params=params,
-                 points={n: geom._point_of(be, stage[n]) for n in POINT_NAMES},
-                 lines={n: geom._line_of(be, stage[n]) for n in LINE_NAMES},
-                 circles={n: geom._circle_of(be, stage[n]) for n in CIRCLE_NAMES},
-                 flags=tuple(flags))
+    return Scene(params, SceneObjects("_point_of", be, {n: stage[n] for n in POINT_NAMES}),
+                 SceneObjects("_line_of", be, {n: stage[n] for n in LINE_NAMES}),
+                 SceneObjects("_circle_of", be, {n: stage[n] for n in CIRCLE_NAMES}),
+                 tuple(flags))
 
 
 # Public read-outs of one scene object each; BENCHMARK.json traces them.

@@ -2,9 +2,10 @@
 
 Every check re-derives its assertion from the scene contents, and each of the
 paper's identities has its verdict here only: ``build_scene`` builds the
-objects without asserting them.  :func:`run_checks` reads the ``_h`` tuples
-of the scene's objects once, into one map from name to tuple, and calls each
-check as ``check(backend, tuples, params)``.  A check composes geom's tuple
+objects without asserting them.  :func:`run_checks` reads the canonical
+tuples the scene's maps hold, into one map from name to tuple, writing no
+Point, Line or Circle, and calls each check as
+``check(backend, tuples, params)``.  A check composes geom's tuple
 functions and builds no Point, Line, Circle or Scalar, not even for a
 witness, which geom's text writers and :func:`numeric.format_pair` write
 from the tuples and pairs (n, d) it holds.  A deliberately corrupted scene,
@@ -62,11 +63,24 @@ AUDIT_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CheckResult:
+    """One verdict.  Slotted, and born through its slots, as run_checks
+    makes nineteen per scene; frozen as any dataclass."""
+
     name: str
     passed: bool
     witness: Optional[Dict[str, str]] = None
+
+    def __init__(self, name: str, passed: bool, witness: Optional[Dict[str, str]] = None):
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_witness(self, witness)
+
+
+_set_name = CheckResult.name.__set__
+_set_passed = CheckResult.passed.__set__
+_set_witness = CheckResult.witness.__set__
 
 
 @dataclass(frozen=True)
@@ -387,16 +401,18 @@ CHECK_NAMES = tuple(_CHECK_IMPLS)
 def run_checks(scene: Scene) -> Report:
     """Run all named checks; failures become results, never exceptions.
 
-    The scene's objects are read once, into one map from name to canonical
+    The scene's tuples are read once, into one map from name to canonical
     tuple (point, line and circle names are disjoint), and each check is
-    called as check(backend, tuples, params)."""
-    objects = {**scene.points, **scene.lines, **scene.circles}
+    called as check(backend, tuples, params); no object is written."""
+    be, maps = scene.backend, (scene.points, scene.lines, scene.circles)
     try:  # the checks compute on the tuples of the scene's one backend
-        geom._common_backend(scene.params.a, *objects.values())
+        for objects in maps:
+            if objects.backend is not be:
+                geom._shared_backend(be, map(objects.backend_of, objects))
         mismatch = None
     except BackendMismatch as exc:
         mismatch = exc
-    be, h = scene.backend, {name: obj._h for name, obj in objects.items()}
+    h = {**maps[0]._h, **maps[1]._h, **maps[2]._h}
     results: List[CheckResult] = []
     for name, check in _CHECK_IMPLS.items():
         try:

@@ -58,7 +58,8 @@ class TestConstruct:
 
     def test_svg_beyond_float_range_exits_2(self, tmp_path, capsys):
         out_svg = tmp_path / "scene.svg"
-        code = main(["construct", "--a", "1", "--b", "2", "--c", "3", "--t", "1e154",
+        # Q is past the float range (at 1e154 only the squared radii are, and it draws)
+        code = main(["construct", "--a", "1", "--b", "2", "--c", "3", "--t", "1e310",
                      "--svg", str(out_svg)])
         assert code == 2
         captured = capsys.readouterr()

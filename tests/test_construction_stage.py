@@ -18,7 +18,7 @@ from typing import List, Tuple
 import pytest
 
 from conftest import _fmt, _fmt_circle, _fmt_line, _fmt_point, printed_object
-from oblique_simson import geom, simson
+from oblique_simson import geom, sceneio, simson, verify
 from oblique_simson.errors import ConstructionError, JEqualsH
 from oblique_simson.numeric import EXACT, FloatBackend, is_zero
 from oblique_simson.simson import (
@@ -391,19 +391,37 @@ def count_objects(monkeypatch):
     return made
 
 
-def test_each_scene_object_is_written_once(monkeypatch):
-    """build_scene constructs its 33 objects and nothing else; an audit whose
-    rows all MATCH constructs none."""
-    golden, matching = Params.make(1, 2, 3, Fraction(1, 2)), Params.make(0, 1, -1, Fraction(1, 3))
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])
+def test_each_scene_object_is_written_once_when_read(monkeypatch, backend):
+    """build_scene, run_checks, verify.fuzz, scene_to_json, render_svg,
+    scene_summary and scene_from_json construct no object; reading the 33
+    objects of a built scene, or of one read back, constructs each once,
+    holding the scene's canonical tuple, and a second read constructs none.
+    An audit whose rows all MATCH constructs none."""
+    golden = Params.make(1, 2, 3, Fraction(1, 2), backend=backend)
+    matching = Params.make(0, 1, -1, Fraction(1, 3), backend=backend)
     made = count_objects(monkeypatch)
     scene = simson.build_scene(golden)
-    assert len(made) == 33
-    assert len(made) == len(scene.points) + len(scene.lines) + len(scene.circles)
-    made.clear()
+    assert run_checks(scene).all_pass
+    assert verify.fuzz(verify.FuzzConfig(seed=3, count=5)).all_pass
+    text = sceneio.scene_to_json(scene)
+    sceneio.render_svg(scene)
+    sceneio.scene_summary(scene)
+    back = sceneio.scene_from_json(text)
     report = audit_printed_formulas(matching)
-    monkeypatch.undo()
     assert report.all_pass
     assert made == []
+    for built in (scene, back):
+        maps = (built.points, built.lines, built.circles)
+        read = [obj for objects in maps for obj in objects.values()]
+        assert sorted(made) == ["Circle"] * 6 + ["Line"] * 10 + ["Point"] * 17
+        assert [obj._h for obj in read] == [h for objects in maps for h in objects._h.values()]
+        assert all(obj.backend == backend for obj in read)
+        made.clear()
+        again = [obj for objects in maps for obj in objects.values()]
+        assert made == [] and all(a is b for a, b in zip(read, again))
+    monkeypatch.undo()
+    assert [obj._h for obj in read] == [type(obj)(*vars(obj).values())._h for obj in read]
 
 
 @pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])

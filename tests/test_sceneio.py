@@ -287,7 +287,10 @@ def _seeded_scenes(backend, seed, count, mag, den):
 
 SWEEPS = [(EXACT, 10, 10, 40), (EXACT, 10 ** 200, 10 ** 200, 4),
           (FloatBackend(1e-9), 10, 10, 40), (FloatBackend(1e-6), 10 ** 4, 100, 10)]
+# the sweep as it rendered before wide exact lines and radii were scaled, when
+# each 10^200 figure raised OutputError, and as it renders now
 SVG_SWEEP_DIGEST = "d77cb2454009cadb47a78f43e8adc626505daf5f9e183645449a631840611eda"
+SVG_SWEEP_DIGEST_WIDE = "d3f8422308f89ee9db03f0be6e48634368f6a925eab9b1f3a4073e72328b5bf2"
 
 
 def _sweep_scenes():
@@ -391,18 +394,27 @@ class TestWriterReaderSvgDifferential:
         assert scene_to_json(got) == _old_json(want)
 
     def test_svg_sweep_digest(self):
-        """render_svg on seeded exact, float and 10^200 scenes, raises
-        included, hashed as one text; the digest was recorded with every
-        coordinate drawn from its Fraction or float value."""
+        """render_svg on seeded exact, float and 10^200 scenes, hashed as one
+        text.  SVG_SWEEP_DIGEST was recorded with every coordinate drawn from
+        its Fraction or float value, when each 10^200 figure raised
+        OutputError on a line or a squared radius past the float range: with
+        those four read as that raise, the text still hashes to it, so every
+        figure that rendered then is the same byte for byte."""
         outcomes = []
         for scene in _sweep_scenes():
             try:
                 outcomes.append(render_svg(scene))
             except OutputError as exc:
                 outcomes.append(f"raise OutputError: {exc}")
-        assert any(o.startswith("raise") for o in outcomes)
+        assert not any(o.startswith("raise") for o in outcomes)
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-        assert digest == SVG_SWEEP_DIGEST
+        assert digest == SVG_SWEEP_DIGEST_WIDE
+        start = SWEEPS[0][3]
+        wide = range(start, start + SWEEPS[1][3])
+        assert SWEEPS[1][1] == 10 ** 200 and len(wide) == 4
+        before = ["raise OutputError: scene value exceeds the float range of the SVG canvas"
+                  if i in wide else o for i, o in enumerate(outcomes)]
+        assert hashlib.sha256("\n".join(before).encode()).hexdigest() == SVG_SWEEP_DIGEST
 
 
 class TestSummary:
@@ -465,8 +477,10 @@ class TestSvg:
             render_svg(dataclasses.replace(golden_scene, points=points))
 
     def test_value_beyond_float_range_raises_output_error(self):
-        # the exact scene builds, but radius^2 of S and cA exceed the float range
-        scene = build_scene(Params.make(1, 2, 3, 10 ** 154))
+        # radius^2 of S and cA exceed the float range, but the radii fit
+        assert render_svg(build_scene(Params.make(1, 2, 3, 10 ** 154))).endswith("</svg>\n")
+        # Q itself exceeds it
+        scene = build_scene(Params.make(1, 2, 3, 10 ** 310))
         with pytest.raises(OutputError):
             render_svg(scene)
 

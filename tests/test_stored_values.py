@@ -400,17 +400,24 @@ SAMPLES = {
 
 @pytest.mark.parametrize("sample", sorted(SAMPLES))
 def test_kernel_results_are_born_canonical(sample, monkeypatch):
+    """build_scene and run_checks write no object; reading the scene writes
+    each of its 33 objects once through the kernel writers, canonical, and a
+    second read writes none."""
     for params in SAMPLES[sample]:
         born = kernel_results(monkeypatch)
         scene = simson.build_scene(params)
         assert verify.run_checks(scene).all_pass
+        assert born == []
+        read = objects(scene)
+        assert len(born) == 33 and all(a is b for a, b in zip(born, read))
+        assert all(a is b for a, b in zip(objects(scene), read)) and len(born) == 33
         monkeypatch.undo()
         assert {type(obj) for obj in born} == {Point, Line, Circle}
         for obj in born:
             assert obj._h is not None and canonical(obj, obj._h)
             assert fresh(obj)._h == obj._h
         # every scene object, kernel-born or built directly, holds the same form
-        for obj in objects(scene):
+        for obj in objects(fresh_scene(scene)):
             assert canonical(obj, obj._h) and fresh(obj)._h == obj._h
 
 
