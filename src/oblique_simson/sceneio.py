@@ -1,45 +1,36 @@
 """Scene serialization: lossless JSON documents and deterministic SVG figures.
 
 JSON keeps exact-backend values as canonical "p/q" strings (never floats), so
-a document round-trips to an identical Scene.  Float-backend scenes store
-plain JSON numbers plus the backend tolerance.  The writer formats the
-schema-1 layout itself, byte for byte as ``json.dumps(document, indent=2)``
-lays it out: each value from a pair of its object's canonical tuple, read
-from the scene's maps without writing the object and by the object's own
-backend, exact ones through :func:`~oblique_simson.numeric.format_pair`,
-float ones as ``json.dumps`` writes them, and names and flags through
-``json``'s own string encoder; :func:`scene_to_document` parses that text.
-The reader parses each value straight to its pair, with no Scalar: the
-exact reader takes the writer's form ("p" or "p/q" in ASCII digits, q
-nonzero) through :meth:`~oblique_simson.numeric.ExactBackend.parse_pair`
-as an integer pair, so it builds no ``Fraction``, and any other string
-through :func:`~oblique_simson.numeric.parse_rational`; the float reader
-takes each number as a float over 1.0.  Each object's values become its
-canonical tuple, as Point, make_line and make_circle give it, and the Scene
-holds the tuples, writing no object.  A float line whose coefficients
-already form a canonical unit normal is read as written (see
-:func:`~oblique_simson.geom.make_line`), so a float document, like an
-exact one, writes back byte for byte.  A schema that is not the
-integer 1, a non-null ``eps_abs`` on an exact document, a point, line or
-circle entry that is not an array of two or three values, a degenerate line
-or an improper circle is malformed.
+a document round-trips to an identical Scene; float-backend scenes store plain
+JSON numbers plus the backend tolerance.  Both directions work per object, on
+the canonical tuples a Scene holds.  The writer lays schema 1 out byte for
+byte as ``json.dumps(document, indent=2)`` would, each object from one
+template, exact values through :func:`~oblique_simson.numeric.format_pair`.
+The reader takes each entry in one pass: exact text all in the writer's form
+becomes integers in one match, any other goes value by value through
+:meth:`~oblique_simson.numeric.ExactBackend.parse_pair`, and the values over
+their lcm give the tuple Point, make_line and make_circle give.  A float line
+already a canonical unit normal is kept as written (see
+:func:`~oblique_simson.geom.make_line`), so both kinds of document write back
+byte for byte.  A schema that is not the integer 1, an ``eps_abs`` that is
+not null on exact or not a number on float, an entry that is not an array of
+two or three values, a degenerate line or an improper circle is malformed.
 
-SVG output is purely cosmetic but byte-deterministic: fixed ordering (points,
-then lines, then circles, alphabetical by name), fixed 6-decimal coordinate
-formatting, viewBox fitted to the scene's points with a 10% margin.  Lines
-are clipped to the viewBox; circles are drawn whole even if they overflow.
-Points, lines and circles are drawn from their tuples, a circle through
-geom's ``_center_h`` and ``_radius_sq_h``; an exact value at the correctly
+SVG output is cosmetic but byte-deterministic: points, then lines, then
+circles, alphabetical by name, each from one template; 6-decimal coordinates,
+all formatted at once; a viewBox fitted to the points with a 10% margin; lines
+clipped to it, circles drawn whole.  An exact value is drawn at the correctly
 rounded quotient of its numerator and denominator, as ``float()`` of a
-``Fraction`` gives.  A line's exact integers wider than 1000 bits, and a
-squared radius past the float range, are first divided by a power of two,
-which a float result takes exactly, so a figure that fits a float is drawn.
+``Fraction`` gives; a line's exact integers wider than 1000 bits, and a squared
+radius past the float range, are first divided by a power of two, taken exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from . import geom
@@ -52,44 +43,72 @@ SCHEMA_VERSION = 1
 # json.dumps' own string encoder (ASCII output), for names and flags
 _string = json.encoder.encode_basestring_ascii
 
+# an exact value in the writer's form, "p" or "p/q" in ASCII digits with q nonzero; k of
+# them joined by "," match _WRITER_FORM[k] (compiled on first use), a "," in one fails it
+_WRITTEN = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+_WRITER_FORM: dict = {}
+
 # rendering constants: canonical-frame coordinates are O(1), so scale up
 _PX_PER_UNIT = 200.0
 _MARGIN_FRACTION = 0.10
 _DOT_RADIUS = 2.0
 _FONT_SIZE = 10.0
 # wider exact integers are scaled by a power of two before they become floats
-# (see _line_floats and _radius)
 _WIDE_BITS = 1000
 _PAST_RANGE = "scene value exceeds the float range of the SVG canvas"
 
 
-def _pair_from_json(value, backend: Backend) -> Tuple:
-    """The pair (n, d) of a document value: integers on exact, the float over
-    1.0 on float."""
-    if backend.exact:
-        if not isinstance(value, str):
-            raise ParseError(f"exact scene document requires string scalars, got {value!r}")
-        return backend.parse_pair(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return backend.coerce(value), 1.0
-    raise ParseError(f"float scene document requires numeric scalars, got {value!r}")
+def _pairs(be: Backend, values: list) -> list:
+    """The pairs of a document array's values, flat (n_1, d_1, ...): exact text all in the
+    writer's form in one match, any other value by value (text through parse_pair)."""
+    if be.exact:
+        try:
+            form = _WRITER_FORM.get(len(values)) or _WRITER_FORM.setdefault(
+                len(values), re.compile(",".join([_WRITTEN] * len(values))).fullmatch)
+            m = form(",".join(values))
+            if m is not None:
+                return list(map(int, m.groups("1")))
+        except (TypeError, ValueError):  # a value that is not text; past the digit limit
+            pass
+    flat = []
+    for v in values:
+        if be.exact:
+            if not isinstance(v, str):
+                raise ParseError(f"exact scene document requires string scalars, got {v!r}")
+            flat += be.parse_pair(v)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            flat += be.coerce(v), 1.0
+        else:
+            raise ParseError(f"float scene document requires numeric scalars, got {v!r}")
+    return flat
 
 
-def _entry(doc: dict, section: str, name: str, size: int, backend: Backend) -> Tuple:
-    """The values of doc[section][name] over one denominator (see
-    geom._pairs_over_common); the entry must be an array of *size* values:
-    a string or an object would unpack as its characters or keys."""
-    values = doc[section][name]
-    if type(values) is not list or len(values) != size:
-        raise TypeError(f"{section} entry {name!r} must be an array of {size} values, "
-                        f"got {values!r}")
-    return geom._pairs_over_common(backend, [_pair_from_json(v, backend) for v in values])
+def _tuples(be: Backend, doc: dict, section: str, names, canonical) -> dict:
+    """Each entry of doc[section], an array of 2 (points) or 3 values, by name as
+    canonical(be, N_1, ..., N_k, D): its values over their lcm D (1.0 on float)."""
+    entries, tuples, size = doc[section], {}, 2 if section == "points" else 3
+    gcd = be.gcd if be.exact else lambda p, q: 1.0  # D from the backend's gcd; 1.0 on float
+    for name in names:
+        values = entries[name]
+        # a string or an object would read as its characters or keys
+        if type(values) is not list or len(values) != size:
+            raise TypeError(f"{section} entry {name!r} must be an array of {size} values, "
+                            f"got {values!r}")
+        if size == 2:
+            x, p, y, q = _pairs(be, values)
+            d = p // gcd(p, q) * q
+            tuples[name] = canonical(be, x * (d // p), y * (d // q), d)
+        else:
+            a, p, b, q, c, r = _pairs(be, values)
+            d = p // gcd(p, q) * q
+            d = d // gcd(d, r) * r
+            tuples[name] = canonical(be, a * (d // p), b * (d // q), c * (d // r), d)
+    return tuples
 
 
 def _float_text(be: Backend, n, d) -> str:
     """A float document's value text, called as format_pair is for exact."""
-    value = n / d  # d is 1.0, so this is n bit for bit
-    # json.dumps writes a finite number as its repr, and spells out the others
+    value = n / d  # d is 1.0, so this is n bit for bit; json.dumps spells out the nonfinite
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
@@ -109,24 +128,30 @@ def scene_to_json(scene: Scene) -> str:
     # an exact value is a string of digits, "-" and "/", which need no escape
     text, q = (format_pair, '"') if backend.exact else (_float_text, "")
     sep = f'{q},\n      {q}'
+    points, lines, circles, params = scene.points, scene.lines, scene.circles, scene.params
 
-    def section(objects, pairs):
-        # each object is an array of two or three numbers, the pairs of its tuple,
-        # written by the object's own backend
-        return _block([f"{_string(name)}: [\n      {q}"
-                       f"{sep.join(text(objects.backend_of(name), n, d) for n, d in pairs(*h))}"
-                       f"{q}\n    ]" for name, h in objects._h.items()], 1)
+    def backends(objects):
+        # the map's one backend, or each object's own where adopted ones have several
+        return (repeat(objects.backend) if objects.backend is not None
+                else map(objects.backend_of, objects._h))
 
-    params, one = scene.params, backend.one
     members = [
         f'"schema": {SCHEMA_VERSION}',
         f'"backend": {_string(backend.name)}',
         '"eps_abs": ' + json.dumps(None if backend.exact else backend.eps_abs),
         '"params": ' + _block([f'"{k}": {q}{text(backend, *getattr(params, k)._ratio())}{q}'
                                for k in "abct"], 1),
-        '"points": ' + section(scene.points, lambda x, y, w: ((x, w), (y, w))),
-        '"lines": ' + section(scene.lines, lambda a, b, c: ((a, one), (b, one), (c, one))),
-        '"circles": ' + section(scene.circles, lambda d, e, f, v: ((d, v), (e, v), (f, v))),
+        '"points": ' + _block([
+            f"{_string(name)}: [\n      {q}{text(be, x, w)}{sep}{text(be, y, w)}{q}\n    ]"
+            for (name, (x, y, w)), be in zip(points._h.items(), backends(points))], 1),
+        '"lines": ' + _block([
+            f"{_string(name)}: [\n      {q}{text(be, a, be.one)}{sep}{text(be, b, be.one)}"
+            f"{sep}{text(be, c, be.one)}{q}\n    ]"
+            for (name, (a, b, c)), be in zip(lines._h.items(), backends(lines))], 1),
+        '"circles": ' + _block([
+            f"{_string(name)}: [\n      {q}{text(be, d, v)}{sep}{text(be, e, v)}"
+            f"{sep}{text(be, f, v)}{q}\n    ]"
+            for (name, (d, e, f, v)), be in zip(circles._h.items(), backends(circles))], 1),
         '"flags": ' + _block([_string(f) for f in scene.flags], 1, "[]"),
     ]
     return _block(members, 0) + "\n"
@@ -150,20 +175,19 @@ def document_to_scene(doc: dict) -> Scene:
                                 f"got {doc['eps_abs']!r}")
             backend: Backend = EXACT
         elif doc["backend"] == "float":
-            if isinstance(doc["eps_abs"], bool):
-                raise TypeError(f"eps_abs must be a number, got {doc['eps_abs']!r}")
-            backend = FloatBackend(doc["eps_abs"])
+            eps = doc["eps_abs"]
+            if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+                raise TypeError(f"eps_abs must be a number, got {eps!r}")
+            backend = FloatBackend(eps)
         else:
             raise ParseError(f"unknown backend tag {doc['backend']!r}")
-        values = [_pair(backend, *_pair_from_json(doc["params"][k], backend))
-                  for k in ("a", "b", "c", "t")]
+        given = doc["params"]
+        values = [_pair(backend, *_pairs(backend, [given[k]])) for k in ("a", "b", "c", "t")]
         # each object's canonical tuple, as Point, make_line and make_circle give it
-        points = {name: geom._point_h(backend, *_entry(doc, "points", name, 2, backend))
-                  for name in POINT_NAMES}
-        lines = {name: geom._given_line_h(backend, *_entry(doc, "lines", name, 3, backend)[:3])
-                 for name in LINE_NAMES}
-        circles = {name: geom._circle_h(backend, *_entry(doc, "circles", name, 3, backend))
-                   for name in CIRCLE_NAMES}
+        points = _tuples(backend, doc, "points", POINT_NAMES, geom._point_h)
+        lines = _tuples(backend, doc, "lines", LINE_NAMES,
+                        lambda be, a, b, c, d: geom._given_line_h(be, a, b, c))
+        circles = _tuples(backend, doc, "circles", CIRCLE_NAMES, geom._circle_h)
         flags = doc["flags"]
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise TypeError(f"flags must be a list of strings, got {flags!r}")
@@ -209,28 +233,29 @@ def scene_summary(scene: Scene) -> str:
 
 # -- SVG ------------------------------------------------------------------------
 
-
-def _quotient(n, d) -> float:
-    """n / d as a float: correctly rounded for ints, as float() of a
-    Fraction gives; OutputError past the float range."""
-    try:
-        return n / d
-    except OverflowError as exc:
-        raise OutputError(_PAST_RANGE) from exc
+# one template per element: its numbers, then ("%%s") its name or stroke
+_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+         'version="1.1" viewBox="%.6f %.6f %.6f %.6f">')
+_DOT = (f'<circle cx="%.6f" cy="%.6f" r="{_DOT_RADIUS}" fill="black"/>\n<text x="%.6f" '
+        f'y="%.6f" font-family="sans-serif" font-size="{_FONT_SIZE}">%%s</text>')
+_SEGMENT = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="%%s" stroke-width="1"/>'
+_RING = '<circle cx="%.6f" cy="%.6f" r="%.6f" fill="none" stroke="#1f77b4" stroke-width="1"/>'
+_SORTED = {names: sorted(names) for names in (POINT_NAMES, LINE_NAMES, CIRCLE_NAMES)}
 
 
 def _line_floats(be: Backend, h) -> List[float]:
     """A line's coefficients as floats, the same line: exact integers past
     _WIDE_BITS bits are first divided by the power of two that brings the
-    widest to _WIDE_BITS bits, which leaves room below the float range for
-    the clipping's products.  A power of two scales every float result by
-    itself, so a line that fits is drawn as before."""
+    widest to _WIDE_BITS bits, leaving room for the clipping's products."""
     scale = be.one
     if be.exact:
         k = max(map(abs, h)).bit_length() - _WIDE_BITS
         if k > 0:
             scale <<= k
-    return [_quotient(n, scale) for n in h]
+    try:
+        return [n / scale for n in h]
+    except OverflowError as exc:
+        raise OutputError(_PAST_RANGE) from exc
 
 
 def _radius(be: Backend, h) -> float:
@@ -249,40 +274,30 @@ def _radius(be: Backend, h) -> float:
 
 
 def _canvas(x, y, w) -> Tuple[float, float]:
-    """The canvas position of the point (x/w, y/w): y axis flipped, as SVG
-    grows downwards."""
-    return _quotient(x, w) * _PX_PER_UNIT, -_quotient(y, w) * _PX_PER_UNIT
+    """The canvas position of (x/w, y/w), y flipped as SVG grows down; OutputError past range."""
+    try:
+        return x / w * _PX_PER_UNIT, -(y / w) * _PX_PER_UNIT
+    except OverflowError as exc:
+        raise OutputError(_PAST_RANGE) from exc
 
 
-def _f(v: float) -> str:
-    """Every number the SVG writes; OutputError unless it is finite."""
-    if not math.isfinite(v):
-        raise OutputError(_PAST_RANGE)
-    s = f"{v:.6f}"
-    return "0.000000" if s == "-0.000000" else s
-
-
-def _clip_line_to_box(a: float, b: float, c: float,
-                      box: Tuple[float, float, float, float]
-                      ) -> Optional[Tuple[float, float, float, float]]:
+def _clip_line_to_box(a: float, b: float, c: float, box) -> Optional[Tuple[float, ...]]:
     """Segment of the canvas line a*x + b*y + c = 0 inside the viewBox."""
     x0, y0, w, h = box
     x1, y1 = x0 + w, y0 + h
     slack = 1e-9 * max(w, h, 1.0)
-    candidates: List[Tuple[float, float]] = []
-    if b != 0.0:
-        for xe in (x0, x1):
-            ye = -(a * xe + c) / b
-            if y0 - slack <= ye <= y1 + slack:
-                candidates.append((xe, ye))
+    # where the line meets the box's vertical edges, then its horizontal ones
+    candidates = [] if b == 0.0 else [(xe, ye) for xe in (x0, x1) for ye in [-(a * xe + c) / b]
+                                      if y0 - slack <= ye <= y1 + slack]
     if a != 0.0:
-        for ye in (y0, y1):
-            xe = -(b * ye + c) / a
-            if x0 - slack <= xe <= x1 + slack:
-                candidates.append((xe, ye))
+        candidates += [(xe, ye) for ye in (y0, y1) for xe in [-(b * ye + c) / a]
+                       if x0 - slack <= xe <= x1 + slack]
     unique: List[Tuple[float, float]] = []
     for pt in candidates:
-        if all(abs(pt[0] - u[0]) > 1e-6 or abs(pt[1] - u[1]) > 1e-6 for u in unique):
+        for u in unique:
+            if not (abs(pt[0] - u[0]) > 1e-6 or abs(pt[1] - u[1]) > 1e-6):
+                break
+        else:
             unique.append(pt)
     if len(unique) < 2:
         return None
@@ -292,54 +307,38 @@ def _clip_line_to_box(a: float, b: float, c: float,
 
 
 def render_svg(scene: Scene) -> str:
-    """Deterministic SVG 1.1 figure of the scene.
-
-    Raises OutputError when a scene value does not fit a float.
-    """
+    """Deterministic SVG 1.1 figure of the scene; OutputError when a value does not fit a float."""
     be = scene.backend
-    canvas = {name: _canvas(*h) for name, h in scene.points._h.items()}
-    xs = [v[0] for v in canvas.values()]
-    ys = [v[1] for v in canvas.values()]
-    width = max(xs) - min(xs)
-    height = max(ys) - min(ys)
-    mx = _MARGIN_FRACTION * width
-    my = _MARGIN_FRACTION * height
-    box = (min(xs) - mx, min(ys) - my, width + 2 * mx, height + 2 * my)
 
-    parts: List[str] = []
-    parts.append('<?xml version="1.0" encoding="UTF-8"?>')
-    parts.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_f(box[0])} {_f(box[1])} {_f(box[2])} {_f(box[3])}">'
-    )
-    for name in sorted(scene.points):
-        cx, cy = canvas[name]
-        parts.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_DOT_RADIUS}" fill="black"/>'
-        )
-        parts.append(
-            f'<text x="{_f(cx + 4.0)}" y="{_f(cy - 4.0)}" '
-            f'font-family="sans-serif" font-size="{_FONT_SIZE}">{name}</text>'
-        )
-    for name in sorted(scene.lines):
+    def drawn(objects) -> List[str]:  # the names in order, those of the construction sorted once
+        return _SORTED.get(tuple(objects._h)) or sorted(objects._h)
+
+    dots = drawn(scene.points)
+    canvas = [_canvas(*scene.points._h[name]) for name in dots]
+    xs, ys = zip(*canvas)
+    width, height = max(xs) - min(xs), max(ys) - min(ys)
+    mx, my = _MARGIN_FRACTION * width, _MARGIN_FRACTION * height
+    box = (min(xs) - mx, min(ys) - my, width + 2 * mx, height + 2 * my)
+    # the figure's numbers in drawing order: the viewBox, then four for
+    # each point, four for each line the box meets and three for each circle
+    numbers = [*box, *(v for cx, cy in canvas for v in (cx, cy, cx + 4.0, cy - 4.0))]
+    strokes = []
+    for name in drawn(scene.lines):
         # canvas coords: x_c = s*x, y_c = -s*y, so ax+by+c=0 becomes
         # a*x_c - b*y_c + s*c = 0
         a, b, c = _line_floats(be, scene.lines._h[name])
         seg = _clip_line_to_box(a, -b, _PX_PER_UNIT * c, box)
-        if seg is None:
-            continue
-        stroke = "#cc0000" if name == "gwsLine" else "#555555"
-        parts.append(
-            f'<line x1="{_f(seg[0])}" y1="{_f(seg[1])}" '
-            f'x2="{_f(seg[2])}" y2="{_f(seg[3])}" stroke="{stroke}" stroke-width="1"/>'
-        )
-    for name in sorted(scene.circles):
+        if seg is not None:
+            numbers += seg
+            strokes.append("#cc0000" if name == "gwsLine" else "#555555")
+    rings = drawn(scene.circles)
+    for name in rings:
         h = scene.circles._h[name]
-        cx, cy = _canvas(*geom._center_h(be, h))
-        radius = _radius(be, h) * _PX_PER_UNIT
-        parts.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
-            'fill="none" stroke="#1f77b4" stroke-width="1"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        numbers += *_canvas(*geom._center_h(be, h)), _radius(be, h) * _PX_PER_UNIT
+    if not all(map(math.isfinite, numbers)):
+        raise OutputError(_PAST_RANGE)
+    figure = "\n".join([_HEAD, *[_DOT] * len(dots), *[_SEGMENT] * len(strokes),
+                        *[_RING] * len(rings), "</svg>\n"])
+    # the numbers written at once, a tiny negative one as "0.000000" rather than
+    # "-0.000000", before any name is in the text; then the names and strokes
+    return (figure % tuple(numbers)).replace("-0.000000", "0.000000") % (*dots, *strokes)

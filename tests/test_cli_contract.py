@@ -55,18 +55,26 @@ def test_stdout_digest(argv, digest, capsys):
     assert _sha(capsys.readouterr().out) == digest
 
 
-@pytest.mark.parametrize("backend,digests", [
-    ("exact", ("a1478c2b8fb45054536cea6b304706fe04453c39d304d56af59d112513293346",
-               "fd8b6e4ef50ecf30d8d1c70148da581fca8788357ed24ae6d2b19879ab024115",
-               "688781ea144d762b1cac3ad88b4d626c9468460a5707a13eef510d8b3ddab673")),
-    ("float", ("00251abbdd12c3b21ec8439d39b7a232753ca8585daf1942a8c9fc6690825050",
-               "0fe51ed8543400c7e81b60d2fbf6e2db251f9bdd20d842ea1c10895c073cc315",
-               "688781ea144d762b1cac3ad88b4d626c9468460a5707a13eef510d8b3ddab673")),
-], ids=["exact", "float"])
-def test_construct_digests(backend, digests, tmp_path, capsys):
+@pytest.mark.parametrize("args,digests", [
+    ([*GOLDEN, "--backend", "exact"],
+     ("a1478c2b8fb45054536cea6b304706fe04453c39d304d56af59d112513293346",
+      "fd8b6e4ef50ecf30d8d1c70148da581fca8788357ed24ae6d2b19879ab024115",
+      "688781ea144d762b1cac3ad88b4d626c9468460a5707a13eef510d8b3ddab673")),
+    ([*GOLDEN, "--backend", "float"],
+     ("00251abbdd12c3b21ec8439d39b7a232753ca8585daf1942a8c9fc6690825050",
+      "0fe51ed8543400c7e81b60d2fbf6e2db251f9bdd20d842ea1c10895c073cc315",
+      "688781ea144d762b1cac3ad88b4d626c9468460a5707a13eef510d8b3ddab673")),
+    # t = (10^200 + 1) / 10^200: document values of up to 800 digits
+    (["--a", "1/3", "--b", "-7/2", "--c", "5", "--t", f"{10 ** 200 + 1}/{10 ** 200}"],
+     ("621d9863a0527615f3815944397a844a4f63a769f007b627deba6b5f381b852b",
+      "c047344199c54b49ed6946b3438542aa08f36fb5af3d851529112f80f4b29dfd",
+      "c7d19997868d365f9682a4b85db66e13013f892b0d833613bcd6f6f1b92e1190")),
+], ids=["exact", "float", "exact-1e200"])
+def test_construct_digests(args, digests, tmp_path, capsys):
+    """construct's stdout, JSON and SVG, hashed; the same values are pinned
+    for the installed CLI in the CI packaging smoke test."""
     out_json, out_svg = tmp_path / "scene.json", tmp_path / "scene.svg"
-    assert main(["construct", *GOLDEN, "--backend", backend,
-                 "--json", str(out_json), "--svg", str(out_svg)]) == 0
+    assert main(["construct", *args, "--json", str(out_json), "--svg", str(out_svg)]) == 0
     got = (_sha(capsys.readouterr().out), _sha(out_json.read_text()),
            _sha(out_svg.read_text()))
     assert got == digests

@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E, P, count_fractions
 from oblique_simson import (
@@ -19,11 +21,11 @@ from oblique_simson import (
     scene_from_json,
     scene_to_json,
 )
-from oblique_simson.errors import GeometryError, OutputError
+from oblique_simson.errors import DegenerateTriangle, GeometryError, OutputError
 from oblique_simson.geom import Point, make_circle, make_line
 from oblique_simson.numeric import EXACT, Scalar, format_scalar, parse_rational
 from oblique_simson.sceneio import document_to_scene, scene_summary, scene_to_document
-from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Scene
+from oblique_simson.simson import CIRCLE_NAMES, LINE_NAMES, POINT_NAMES, Scene, SceneObjects
 from oblique_simson.verify import SplitMix64
 
 # the interpreter's integer-to-text digit limit (0: none)
@@ -129,14 +131,22 @@ class TestSceneDocument:
         ("eps_abs", True),
         ("eps_abs", 1),
         ("eps_abs", 2.5),
+        ("eps_abs", "junk"),
+        ("eps_abs", None),
+        ("eps_abs", [1e-9]),
+        ("eps_abs", {"x": 1}),
     ], ids=["flags-string", "flags-not-strings", "eps-abs-bool", "eps-abs-one",
-            "eps-abs-above-one"])
+            "eps-abs-above-one", "eps-abs-string", "eps-abs-null", "eps-abs-array",
+            "eps-abs-object"])
     def test_mistyped_field_rejected(self, field, value):
         scene = build_scene(Params.make(1, 2, 3, 0.5, backend=FloatBackend(1e-9)))
         doc = scene_to_document(scene)
         doc[field] = value
-        with pytest.raises(ParseError, match="^malformed scene document: "):
+        with pytest.raises(ParseError, match="^malformed scene document: ") as info:
             scene_from_json(json.dumps(doc))
+        if field == "eps_abs" and type(value) not in (int, float):
+            assert str(info.value) == ("malformed scene document: "
+                                       f"eps_abs must be a number, got {value!r}")
 
     @pytest.mark.parametrize("field,value", [
         ("schema", True), ("schema", 1.0), ("schema", "1"),
@@ -341,6 +351,44 @@ def _old_exact_reader(doc):
                  flags=tuple(doc["flags"]))
 
 
+def _assert_reader_agrees(doc):
+    """scene_from_json on the document gives _old_exact_reader's scene, with
+    the same tuples, or raises its exception type; a degenerate line or an
+    improper circle, which the old reader let out as a GeometryError, is the
+    reader's malformed document."""
+    try:
+        want = _old_exact_reader(doc)
+    except Exception as exc:  # compared by type
+        if isinstance(exc, GeometryError) and not isinstance(exc, (ParseError, DegenerateTriangle)):
+            with pytest.raises(ParseError, match="^malformed scene document: "):
+                scene_from_json(json.dumps(doc))
+        else:
+            with pytest.raises(type(exc)):
+                scene_from_json(json.dumps(doc))
+        return
+    got = scene_from_json(json.dumps(doc))
+    assert got == want and repr(got) == repr(want)
+    for part in ("points", "lines", "circles"):
+        for name, obj in getattr(got, part).items():
+            assert obj._h == getattr(want, part)[name]._h
+    # non-canonical input writes back canonical
+    assert scene_to_json(got) == _old_json(want)
+
+
+# value slots of the golden document: a param, or one value of a point, line or circle
+_SLOTS = [("params", k, None) for k in "abct"] + [
+    (part, name, i) for part, names, size in (("points", POINT_NAMES, 2), ("lines", LINE_NAMES, 3),
+                                              ("circles", CIRCLE_NAMES, 3))
+    for name in names for i in range(size)]
+# texts near the writer's form: ASCII digits, signs, "/", "_", exponents, spaces,
+# and digits of other scripts that int() and Fraction read but the writer never writes
+_NEAR_WRITTEN = st.one_of(
+    st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),  # the writer's form, or q = 0
+    st.from_regex(r"\s?[-+]?[0-9٣０_]{0,4}(/[-+]?[0-9߁໕_]{0,3})?([eE][-+]?[0-9]{1,2})?\s?",
+                  fullmatch=True),
+    st.text(st.sampled_from("0123456789" * 3 + "//--+_e  ." + "٣０߁໕"), max_size=12))
+
+
 class TestWriterReaderSvgDifferential:
     def test_writer_is_json_dumps_of_the_old_document(self, golden_scene, classical_scene):
         scenes = [golden_scene, classical_scene, *_sweep_scenes()]
@@ -379,19 +427,20 @@ class TestWriterReaderSvgDifferential:
             part, name = {"point": ("points", "Q"), "line": ("lines", "gwsLine"),
                           "circle": ("circles", "S")}[where]
             doc[part][name][0] = text
-        try:
-            want = _old_exact_reader(doc)
-        except Exception as exc:  # compared by type
-            with pytest.raises(type(exc)):
-                scene_from_json(json.dumps(doc))
-            return
-        got = scene_from_json(json.dumps(doc))
-        assert got == want and repr(got) == repr(want)
-        for part in ("points", "lines", "circles"):
-            for name, obj in getattr(got, part).items():
-                assert obj._h == getattr(want, part)[name]._h
-        # non-canonical input writes back canonical
-        assert scene_to_json(got) == _old_json(want)
+        _assert_reader_agrees(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(slot=st.sampled_from(_SLOTS), text=st.one_of(_NEAR_WRITTEN, st.text(max_size=8)))
+    def test_reader_agrees_with_the_string_parser_on_any_text(self, golden_scene, slot, text):
+        """Any text in one value slot reads as the string parser reads it:
+        the writer's form on the one-match route, anything else value by value."""
+        doc = scene_to_document(golden_scene)
+        part, name, i = slot
+        if i is None:
+            doc[part][name] = text
+        else:
+            doc[part][name][i] = text
+        _assert_reader_agrees(doc)
 
     def test_svg_sweep_digest(self):
         """render_svg on seeded exact, float and 10^200 scenes, hashed as one
@@ -439,6 +488,16 @@ class TestSvg:
         texts = [el for el in root.iter() if el.tag.endswith("text")]
         assert len(texts) == 17
         assert sorted(el.text for el in texts) == sorted(golden_scene.points)
+
+    def test_label_is_written_as_given(self, golden_scene):
+        """A point's label is its name as given, even one holding a format
+        directive or the text of a negative zero, which the numbers lose."""
+        name = "Q%s-0.000000"
+        points = {(name if n == "Q" else n): p for n, p in golden_scene.points.items()}
+        svg = render_svg(dataclasses.replace(golden_scene, points=points))
+        assert svg == render_svg(golden_scene).replace(">Q</text>", f">{name}</text>")
+        # J's canvas y is -0.0, written "0.000000": the label keeps its text
+        assert 'cy="0.000000"' in svg and svg.count("-0.000000") == 1
 
     def test_circles_and_lines_present(self, golden_scene):
         svg = render_svg(golden_scene)
@@ -555,6 +614,21 @@ class TestWritersReadTuplesAlone:
                 for part in ("points", "lines", "circles")})
             for writer in (scene_to_json, scene_summary, render_svg):
                 assert _outcome(writer, [poisoned]) == _outcome(writer, [scene])
+
+    def test_writer_reads_each_map_backend_once(self, golden_scene, monkeypatch):
+        """scene_to_json picks each map's value writer once: it reads an
+        object's own backend (at most once per object) only in a map whose
+        adopted objects have several."""
+        calls = []
+        backend_of = SceneObjects.backend_of
+        monkeypatch.setattr(SceneObjects, "backend_of",
+                            lambda objects, name: calls.append(name) or backend_of(objects, name))
+        assert scene_to_json(golden_scene) == _old_json(golden_scene)
+        assert calls == []
+        fl = build_scene(Params.make(1, 2, 3, Fraction(1, 2), backend=FloatBackend()))
+        mixed = dataclasses.replace(fl, points={**fl.points, "Q": golden_scene.points["Q"]})
+        scene_to_json(mixed)
+        assert calls == list(POINT_NAMES)
 
     def test_object_of_another_backend_is_written_at_its_value(self, golden_scene):
         """Each object's values are written by its own backend's rule: an
