@@ -241,6 +241,8 @@ _DOT = (f'<circle cx="%.6f" cy="%.6f" r="{_DOT_RADIUS}" fill="black"/>\n<text x=
 _SEGMENT = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="%%s" stroke-width="1"/>'
 _RING = '<circle cx="%.6f" cy="%.6f" r="%.6f" fill="none" stroke="#1f77b4" stroke-width="1"/>'
 _SORTED = {names: sorted(names) for names in (POINT_NAMES, LINE_NAMES, CIRCLE_NAMES)}
+# a point's name as the text of its label
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _line_floats(be: Backend, h) -> List[float]:
@@ -307,13 +309,17 @@ def _clip_line_to_box(a: float, b: float, c: float, box) -> Optional[Tuple[float
 
 
 def render_svg(scene: Scene) -> str:
-    """Deterministic SVG 1.1 figure of the scene; OutputError when a value does not fit a float."""
+    """Deterministic SVG 1.1 figure of the scene, each point labelled with its
+    name as XML text; OutputError when a value does not fit a float, or when
+    the scene has no points to fit the viewBox to."""
     be = scene.backend
 
     def drawn(objects) -> List[str]:  # the names in order, those of the construction sorted once
         return _SORTED.get(tuple(objects._h)) or sorted(objects._h)
 
     dots = drawn(scene.points)
+    if not dots:
+        raise OutputError("a scene with no points has no figure: its viewBox is fitted to them")
     canvas = [_canvas(*scene.points._h[name]) for name in dots]
     xs, ys = zip(*canvas)
     width, height = max(xs) - min(xs), max(ys) - min(ys)
@@ -339,6 +345,8 @@ def render_svg(scene: Scene) -> str:
         raise OutputError(_PAST_RANGE)
     figure = "\n".join([_HEAD, *[_DOT] * len(dots), *[_SEGMENT] * len(strokes),
                         *[_RING] * len(rings), "</svg>\n"])
+    if dots is not _SORTED[POINT_NAMES]:  # the construction's names need no escaping
+        dots = [name.translate(_XML_ESCAPES) for name in dots]
     # the numbers written at once, a tiny negative one as "0.000000" rather than
     # "-0.000000", before any name is in the text; then the names and strokes
     return (figure % tuple(numbers)).replace("-0.000000", "0.000000") % (*dots, *strokes)

@@ -25,15 +25,15 @@ and the circle S; build_scene extends them to the whole figure and hands
 the Scene its tuples by name, writing no object: a :class:`SceneObjects`
 map writes a point, line or circle when a caller first reads it, and the
 checks and the writers read the tuples alone.  The audit in
-:mod:`oblique_simson.verify` compares its closed forms with the stage, S
-among them.  On exact the circles S and Sigma0 are built from their
-centres, Q and the image of O, through J, and the double-Simson
-precondition (J on the circle of the triangle) is one integer test that
-builds no circle; float keeps the circles through X, Y, Z and A0, B0, C0,
-which fixes its bits.  :func:`_circle_about_h` makes that choice for both
-circles.  As in geom, a public function writes only the object it returns;
-only build_scene and the read-outs of one scene object call another public
-function.
+:mod:`oblique_simson.verify` compares its closed forms with the stage only
+where its own certificates do not pass, and on float.  On exact the
+circles S and Sigma0 are built from their centres, Q and the image of O,
+through J, and the double-Simson precondition (J on the circle of the
+triangle) is one integer test that builds no circle; float keeps the
+circles through X, Y, Z and A0, B0, C0, which fixes its bits.
+:func:`_circle_about_h` makes that choice for both circles.  As in geom, a
+public function writes only the object it returns; only build_scene and the
+read-outs of one scene object call another public function.
 """
 
 from __future__ import annotations
@@ -390,8 +390,9 @@ def construct_core(params: Params) -> Tuple[Dict[str, tuple], List[str]]:
     the image of H, and S is the circle about Q through J, which passes
     through X, Y, Z and H.  On exact, X, Y and Z are closed forms in a, b, c
     and t, each certified here by the incidences that make it the meet (see
-    _certified_xyz_h), since the audit compares the stage with the paper's
-    formulas; float takes the meets, which fix its bits."""
+    _certified_xyz_h), so the scene's points, and the audit's stage where a
+    certificate of the audit does not pass, are the meets; float takes the
+    meets, which fix its bits."""
     be, t = params.backend, params.t
     j = geom._point_h(be, 0, 0, 1)
     verts = [_vertex_h(be, p) for p in (params.a, params.b, params.c)]

@@ -24,24 +24,36 @@ hashing, so they run over any exact ring), and float runs the bodies
 alone.
 
 The audit evaluates the closed-form coefficient formulas handed down for this
-construction (rows Eq2.3-Eq2.8) against the tuples of the construction stage,
-:func:`simson.construct_core` (the checks above re-derive from the scene
-alone).  Two of them disagree with the construction on generic instances -
-the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs -a^2b^2c^2 term) and
-the altitude constant term (off by 4(b+c)) - and the audit documents exactly
-that, per instance, without guessing intent.  Each closed form is one
-homogeneous formula for both backends on the numbers (A, B, C, T, D), which
-the audit reads once with geom's ``_over_common``: a = A/D, ..., t = T/D,
-integers over the lcm of the denominators on exact and the floats over
-D = 1.0 on float.  Each term of the float formula, kept in its float order,
-is brought to the formula's top degree by a power of D.  A product with 1.0
-is exact, so the float results keep every bit, and on exact the formula runs
-on integers.  Each closed form returns a canonical tuple from ``_point_h``,
-``_line_h`` or ``_circle_h``, or (n, d) pairs from ``_ratio_of`` for the
-altitude coefficients.  Each row takes (backend, stage, numbers) and compares
-tuples with tuples (``_same_h``, and ``_same_value`` by integer
-cross-multiplication on exact); the circle S is the stage's, the one the
-scene holds, and a row builds no object, its MISMATCH witness included.
+construction (rows Eq2.3-Eq2.8).  Two of them disagree with the construction
+on generic instances - the orthocentre x-coordinate (off by a -2a^2b^2c^2 vs
+-a^2b^2c^2 term) and the altitude constant term (off by 4(b+c)) - and the
+audit documents exactly that, per instance, without guessing intent.  Each
+closed form is one homogeneous formula for both backends on the numbers
+(A, B, C, T, D), which the audit reads once with geom's ``_over_common``:
+a = A/D, ..., t = T/D, integers over the lcm of the denominators on exact
+and the floats over D = 1.0 on float.  Each term of the float formula, kept
+in its float order, is brought to the formula's top degree by a power of D.
+A product with 1.0 is exact, so the float results keep every bit, and on
+exact the formula runs on integers.  A printed formula returns the
+homogeneous values it is written with, or (n, d) pairs from ``_ratio_of``
+for the altitude coefficients.
+
+On exact the audit builds no construction stage where its certificates
+pass.  From the vertices and their images it takes H = A + B + C - 2O
+(Sylvester's relation), certified on two altitudes, and Q = sim(H), and
+decides each MATCH by the integer incidences that fix the constructive
+object, with no gcd: the vertex-image line holds the vertex and its image,
+the vertex circle and the Hagge circle pass through J about the image and
+Q, and X, Y, Z are on their altitudes and vertex circles, away from the
+vertex (see ``_certified_witnesses``).  Eq2.5 and Eq2.6 compare pairs,
+scale-free, with that H and the unreduced altitude from A.  Where a
+certificate does not pass (a printed X, Y or Z at its vertex, an Eq2.6
+coefficient mismatch, a wrong or degenerate printed object), and on
+float, every row compares its canonical printed tuple with the tuple of
+:func:`simson.construct_core`'s stage (``_same_h``, and ``_same_value`` by
+integer cross-multiplication on exact), and gives the verdict, any
+MISMATCH witness and any raise.  Either way a row builds no object, its
+witness included.
 """
 
 from __future__ import annotations
@@ -549,18 +561,20 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
 # -- audit of the handed-down closed forms ----------------------------------------
 
+# Each printed formula returns the homogeneous values it is written with, and
+# a stage row brings them to the canonical tuple it compares.
 
-def _printed_vertex_line(be, P, T, D):
+
+def _printed_vertex_line(P, T, D):
     # (p - 2t) x - (1 + 2pt) y + 4t = 0
-    return geom._line_h(be, (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D)
+    return (P - 2 * T) * D, -(D * D + 2 * P * T), 4 * T * D
 
 
-def _printed_vertex_circle(be, P, T, D):
-    return geom._circle_h(be, -2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D, 0,
-                          D * D + P * P)
+def _printed_vertex_circle(P, T, D):
+    return -2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D, 0, D * D + P * P
 
 
-def _printed_orthocenter(be, A, B, C, D):
+def _printed_orthocenter(A, B, C, D):
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
     D4 = D2 * D2
@@ -570,7 +584,7 @@ def _printed_orthocenter(be, A, B, C, D):
              + A * B2 * C2 + B * C2 * A2 + C * A2 * B2
              + A * B2 * D2 + A * C2 * D2 + B * C2 * D2
              + B * A2 * D2 + C * A2 * D2 + C * B2 * D2) * D
-    return geom._point_h(be, x, y, den)
+    return x, y, den
 
 
 def _printed_altitude_coeffs(be, A, B, C, D):
@@ -582,16 +596,16 @@ def _printed_altitude_coeffs(be, A, B, C, D):
             geom._ratio_of(be, 2 * ((A + B + C) * D2 - A * B * C), D3))
 
 
-def _printed_xyz(be, O, Q, R, T, D):
+def _printed_xyz(O, Q, R, T, D):
     D2 = D * D
     den = (D2 + O * O) * (D2 + Q * Q) * (D2 + R * R)
     lead = O * Q * R - O * D2 + Q * D2 + R * D2
     x = 2 * ((Q + R + 2 * T) * D2 - 2 * Q * R * T) * lead
     y = 2 * lead * (Q * R + 2 * T * (Q + R) - D2) * D
-    return geom._point_h(be, x, y, den)
+    return x, y, den
 
 
-def _printed_hagge(be, A, B, C, T, D):
+def _printed_hagge(A, B, C, T, D):
     A2, B2, C2 = A * A, B * B, C * C
     D2 = D * D
     D4 = D2 * D2
@@ -604,13 +618,13 @@ def _printed_hagge(be, A, B, C, T, D):
     yb = (2 * A2 * B2 * C2 * T - A * B * C * ee * D2 - 2 * T * (A2 + B2 + C2) * D4
           - sym * D4 - (A + B + C + 4 * T) * D6)
     # d = 2 xb / den and e = 2 yb / (den D), over the common weight den D
-    return geom._circle_h(be, 2 * xb * D, 2 * yb, 0, den * D)
+    return 2 * xb * D, 2 * yb, 0, den * D
 
 
 def _audit_eq23(be, stage, num):
     *_, T, D = num
     for v, own, _, _ in simson._by_vertex(*num[:3]):
-        printed, built = _printed_vertex_line(be, own, T, D), stage[v + v + "0"]
+        printed, built = geom._line_h(be, *_printed_vertex_line(own, T, D)), stage[v + v + "0"]
         if not geom._same_h(be, printed, built):
             return {"vertex": v, "printed": _line_text(be, printed),
                     "constructive": _line_text(be, built)}
@@ -620,7 +634,7 @@ def _audit_eq23(be, stage, num):
 def _audit_eq24(be, stage, num):
     *_, T, D = num
     for v, own, _, _ in simson._by_vertex(*num[:3]):
-        printed, built = _printed_vertex_circle(be, own, T, D), stage["c" + v]
+        printed, built = geom._circle_h(be, *_printed_vertex_circle(own, T, D)), stage["c" + v]
         if not geom._same_h(be, printed, built):
             return {"vertex": v, "printed": _circle_text(be, printed),
                     "constructive": _circle_text(be, built)}
@@ -628,8 +642,10 @@ def _audit_eq24(be, stage, num):
 
 
 def _audit_eq25(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
+    """Compare the printed orthocentre with the stage's H, coordinate by
+    coordinate; scale-free, so H's tuple need not be canonical."""
     A, B, C, _, D = num
-    (px, py, pw), (bx, by, bw) = _printed_orthocenter(be, A, B, C, D), stage["H"]
+    (px, py, pw), (bx, by, bw) = geom._point_h(be, *_printed_orthocenter(A, B, C, D)), stage["H"]
     wx = wy = None
     if not geom._same_value(be, (px, pw), (bx, bw), scaled=True):
         wx = {"printed": format_pair(be, px, pw), "constructive": format_pair(be, bx, bw)}
@@ -645,7 +661,9 @@ def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
     written down (its cyclic siblings are not, and would contribute their own
     separate coincidence conditions).  The constructive altitude is rescaled
     so its (x, y) coefficients agree with the printed ones; the verdicts are
-    (coefficient proportionality, constant term after that rescaling).
+    (coefficient proportionality, constant term after that rescaling).  Both
+    verdicts, and the constant term's witness, are scale-free; the
+    coefficients' witness writes the stage's altA as it is.
     """
     A, B, C, _, D = num
     pa, pb, pc = _printed_altitude_coeffs(be, A, B, C, D)
@@ -668,7 +686,7 @@ def _audit_eq26(be, stage, num) -> Tuple[Optional[dict], Optional[dict]]:
 def _audit_eq27(be, stage, num):
     *_, T, D = num
     for (v, own, q, r), n in zip(simson._by_vertex(*num[:3]), "XYZ"):
-        printed = _printed_xyz(be, own, q, r, T, D)
+        printed = geom._point_h(be, *_printed_xyz(own, q, r, T, D))
         if not geom._same_h(be, printed, stage[n]):
             return {"vertex": v, "printed": _point_text(be, printed),
                     "constructive": _point_text(be, stage[n])}
@@ -676,19 +694,103 @@ def _audit_eq27(be, stage, num):
 
 
 def _audit_eq28(be, stage, num):
-    printed, built = _printed_hagge(be, *num), stage["S"]
+    printed, built = geom._circle_h(be, *_printed_hagge(*num)), stage["S"]
     if not geom._same_h(be, printed, built):
         return {"printed": _circle_text(be, printed), "constructive": _circle_text(be, built)}
     return None
 
 
-def audit_printed_formulas(params: Params) -> Report:
-    """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH)."""
-    be, (stage, _) = params.backend, simson.construct_core(params)
-    num = geom._over_common(params.a, params.b, params.c, params.t)
+def _stage_witnesses(be, params: Params, num) -> tuple:
+    """The rows' witnesses, each row comparing its canonical printed
+    object with the construction stage's."""
+    stage, _ = simson.construct_core(params)
     w25, w26 = _audit_eq25(be, stage, num), _audit_eq26(be, stage, num)
-    witnesses = (_audit_eq23(be, stage, num), _audit_eq24(be, stage, num), *w25, *w26,
-                 _audit_eq27(be, stage, num), _audit_eq28(be, stage, num))
+    return (_audit_eq23(be, stage, num), _audit_eq24(be, stage, num), *w25, *w26,
+            _audit_eq27(be, stage, num), _audit_eq28(be, stage, num))
+
+
+# -- the certificates of the exact audit: integer tests on homogeneous values,
+# J the origin; each fixes the constructive object uniquely
+
+
+def _through_both(line, p, q) -> bool:
+    """Whether the line (a, b, c), (a, b) != (0, 0), holds p and q: for
+    p != q it is then their join, the one line through both."""
+    (a, b, c), (x1, y1, w1), (x2, y2, w2) = line, p, q
+    return ((a != 0 or b != 0) and a * x1 + b * y1 + c * w1 == 0
+            and a * x2 + b * y2 + c * w2 == 0)
+
+
+def _about_through_j(circle, center) -> bool:
+    """Whether the circle (d, e, f, v), v != 0, is the one about *center*
+    through J: f = 0, and its centre (-d, -e)/2v is center, cross-multiplied.
+    For a centre other than J that circle is unique and proper."""
+    (d, e, f, v), (x, y, w) = circle, center
+    return v != 0 and f == 0 and -d * w == 2 * v * x and -e * w == 2 * v * y
+
+
+def _second_meet(point, vertex, q, r, image) -> bool:
+    """Whether *point* is on the altitude from *vertex* of the triangle
+    (vertex, q, r), (P - V).(r - q) = 0, on the circle about *image* through
+    J, |P|^2 = 2 P.image, and differs from the vertex.  The vertex is on
+    both, and a line meets a circle at most twice, so the point is then
+    their other meet.  A point of weight 0 fails: on the circle it is
+    (0, 0, 0), which the last test takes for the vertex."""
+    (x, y, w), (vx, vy, vw), (qx, qy, qw), (rx, ry, rw), (ix, iy, iw) = (
+        point, vertex, q, r, image)
+    dx, dy = x * vw - vx * w, y * vw - vy * w  # P - V, over w vw
+    return (dx * (rx * qw - qx * rw) + dy * (ry * qw - qy * rw) == 0
+            and (x * x + y * y) * iw == 2 * (x * ix + y * iy) * w
+            and (dx != 0 or dy != 0))
+
+
+def _certified_witnesses(be, params: Params, num) -> Optional[tuple]:
+    """The rows' witnesses decided without the construction stage, or None
+    where a certificate does not pass; exact only.  H = A + B + C - 2O
+    (Sylvester's relation, for O = (1, 0) and R = 1), certified as the
+    orthocentre on two altitudes, and Q = sim(H).  The vertex-image line
+    holds the vertex and its image, which differ, as the similarity fixes
+    only J and a vertex is never J; the vertex circle and the Hagge circle
+    are about the image and Q through J (Q is not J, as H is not, see
+    _instances); X, Y and Z are the second meets of their altitudes and
+    vertex circles.  eq2.5 and eq2.6 compare pairs, scale-free, with that H
+    and the unreduced altitude from A, normal C - B through A; an eq2.6
+    coefficient mismatch, whose witness writes the stage's altA, is left to
+    the stage."""
+    *abc, T, D = num
+    t, verts = params.t, [simson._vertex_h(be, p) for p in (params.a, params.b, params.c)]
+    (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = verts
+    wbc = bw * cw
+    w = aw * wbc
+    h = ax * wbc + (bx * cw + cx * bw) * aw - 2 * w, ay * wbc + (by * cw + cy * bw) * aw, w
+    if not _on_two_altitudes_h(be, h, *verts):
+        return None
+    images = [simson._similarity_h(be, t, v) for v in verts]
+    for (_, own, *others), (_, vert, q, r), image in zip(
+            simson._by_vertex(*abc), simson._by_vertex(*verts), images):
+        if not (_through_both(_printed_vertex_line(own, T, D), vert, image)
+                and _about_through_j(_printed_vertex_circle(own, T, D), image)
+                and _second_meet(_printed_xyz(own, *others, T, D), vert, q, r, image)):
+            return None
+    if not _about_through_j(_printed_hagge(*num), simson._similarity_h(be, t, h)):
+        return None
+    ux, uy = cx * bw - bx * cw, cy * bw - by * cw  # C - B, over bw cw
+    part = {"H": h, "altA": (ux * aw, uy * aw, -(ux * ax + uy * ay))}  # what eq2.5, eq2.6 read
+    wcoef, wconst = _audit_eq26(be, part, num)
+    if wcoef is not None:
+        return None
+    return (None, None, *_audit_eq25(be, part, num), None, wconst, None, None)
+
+
+def audit_printed_formulas(params: Params) -> Report:
+    """Per-equation MATCH/MISMATCH verdicts (passed=True means MATCH).
+    On exact the certificates decide where they pass; the stage decides
+    otherwise, and on float."""
+    be = params.backend
+    num = geom._over_common(params.a, params.b, params.c, params.t)
+    witnesses = _certified_witnesses(be, params, num) if be.exact else None
+    if witnesses is None:
+        witnesses = _stage_witnesses(be, params, num)
     results = tuple(CheckResult(name, witness is None, witness)
                     for name, witness in zip(AUDIT_NAMES, witnesses))
     return Report(backend=be.name, params=params_echo(params), flags=(), results=results)

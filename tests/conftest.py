@@ -75,17 +75,20 @@ def printed_formula(name, *args):
     if isinstance(args[0], Params):
         p = args[0]
         args = (p.a, p.b, p.c) if name == "_printed_altitude_coeffs" else (p.a, p.b, p.c, p.t)
-    return getattr(verify, name)(args[0].backend, *geom._over_common(*args))
+    num = geom._over_common(*args)
+    if name == "_printed_altitude_coeffs":
+        return verify._printed_altitude_coeffs(args[0].backend, *num)
+    return getattr(verify, name)(*num)
 
 
 def printed_object(name, *args):
     """The object that the audit's printed formula ``verify.<name>`` stands
-    for, built from the tuples it returns: the line, circle or point of a
-    canonical tuple, or the altitude coefficients of (n, d) pairs."""
+    for, built from the values it returns: the line, circle or point of
+    homogeneous values, or the altitude coefficients of (n, d) pairs."""
     be = args[0].backend
     printed = printed_formula(name, *args)
     if name == "_printed_vertex_line":
-        return geom._line_of(be, printed)
+        return geom._line(be, *printed)
     if name in ("_printed_vertex_circle", "_printed_hagge"):
         return geom._circle(be, *printed)
     if name == "_printed_altitude_coeffs":

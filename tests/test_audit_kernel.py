@@ -31,7 +31,8 @@ from typing import Tuple
 import pytest
 
 from conftest import _fmt, _fmt_circle, _fmt_line, _fmt_point, printed_formula, printed_object
-from oblique_simson import geom, simson, verify
+from oblique_simson import errors, geom, simson, verify
+from oblique_simson.errors import GeometryError
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import VERTEX_ORDER, Params
@@ -254,15 +255,30 @@ def printed_outcome(name, args):
     return outcome(lambda *a: printed_object(name, *a), args)
 
 
-def reference_report(params, monkeypatch):
-    """The report with each row replaced by its reference; a row of the
-    audit takes (backend, stage, numbers), its reference params and the
-    stage's objects."""
+def reference_report(params):
+    """The outcome of the report whose rows are the references, evaluated
+    on the objects of ``simson.construct_core``'s stage, in the audit's
+    order; the audit's own rows and certificates take no part."""
+
+    def report():
+        be = params.backend
+        core = stage_objects(be, simson.construct_core(params)[0])
+        w25, w26 = _audit_eq25(params, core), _audit_eq26(params, core)
+        witnesses = (_audit_eq23(params, core), _audit_eq24(params, core), *w25, *w26,
+                     _audit_eq27(params, core), _audit_eq28(params, core))
+        results = tuple(verify.CheckResult(name, w is None, w)
+                        for name, w in zip(verify.AUDIT_NAMES, witnesses))
+        return verify.Report(backend=be.name, params=verify.params_echo(params), flags=(),
+                             results=results)
+
+    return outcome(report, ())
+
+
+def stage_route(params, monkeypatch):
+    """The outcome of the audit with every certificate refused, so that
+    the stage decides every row."""
     with monkeypatch.context() as patch:
-        for name, fn in REFERENCE.items():
-            if name.startswith("_audit_eq"):
-                patch.setattr(verify, name, lambda be, stage, _num, _fn=fn:
-                              _fn(params, stage_objects(be, stage)))
+        patch.setattr(verify, "_certified_witnesses", lambda *_args: None)
         return outcome(verify.audit_printed_formulas, (params,))
 
 
@@ -301,9 +317,10 @@ def test_audit_matches_rational_bodies(backend, mag, seed, count, monkeypatch,
         for name, args in printed_calls(params):
             want = outcome(REFERENCE[name], args)
             assert printed_outcome(name, args) == want, (name, raw)
-        want = reference_report(params, monkeypatch)
+        want = reference_report(params)
         got = outcome(verify.audit_printed_formulas, (params,))
         assert got == want, raw
+        assert stage_route(params, monkeypatch) == want, raw
         if be.exact:
             report = verify.audit_printed_formulas(params)
             a, b, c, _ = map(Fraction, raw)
@@ -314,19 +331,138 @@ def test_audit_matches_rational_bodies(backend, mag, seed, count, monkeypatch,
         assert len(verdicts) == 4
 
 
-def test_float_rows_keep_their_tolerance(monkeypatch):
+TANGENT_PARAMS = [(0, 1, -1, 0), (Fraction(-3, 2), Fraction(-4, 3), -1, Fraction(-1, 3)),
+                  (-3, Fraction(-4, 3), Fraction(1, 2), Fraction(1, 2)),
+                  (-4, -3, Fraction(1, 3), 2), (1, 2, 3, Fraction(1, 2)), (1, 2, 3, 0),
+                  (-4, Fraction(-7, 4), Fraction(-2, 3), Fraction(-3, 7))]
+
+
+def test_certificates_give_the_stage_report_on_tangency_instances(monkeypatch):
+    """The TANGENT instances of test_closed_forms, and one with tangent:Y:
+    where a printed X, Y or Z is its vertex the certificate of Eq2.7 does
+    not pass and the stage decides; the report is the stage's either way."""
+    for raw in TANGENT_PARAMS:
+        params = Params.make(*raw)
+        assert outcome(verify.audit_printed_formulas, (params,)) == stage_route(
+            params, monkeypatch), raw
+
+
+# each printed formula's values are homogeneous of one degree k in its
+# numbers (the last one D), so adding D^k, or the first number times
+# D^(k-1), to one value adds 1 to one integer coefficient of the formula
+DEGREES = {"_printed_vertex_line": 2, "_printed_vertex_circle": 2, "_printed_orthocenter": 6,
+           "_printed_xyz": 6, "_printed_hagge": 7}
+
+
+def bumped(real, index, linear):
+    """*real* with one coefficient of its value *index* bumped by +1: the
+    constant one, or that of the first number's linear term if *linear*."""
+
+    def formula(*args):
+        if real.__name__ == "_printed_altitude_coeffs":  # (n, d) pairs over D^k
+            be, first, *_ = args
+            values = list(real(*args))
+            n, d = values[index]
+            values[index] = n + (first * d // args[-1] if linear else d), d
+            return tuple(values)
+        first, D = args[0], args[-1]
+        k = DEGREES[real.__name__]
+        values = list(real(*args))
+        values[index] += first * D ** (k - 1) if linear else D ** k
+        return tuple(values)
+
+    return formula
+
+
+@pytest.mark.parametrize("name", [*DEGREES, "_printed_altitude_coeffs"])
+def test_certificates_give_the_stage_report_on_bumped_formulas(monkeypatch, name):
+    """Each printed formula with one integer coefficient bumped by +1, on
+    24 seeded instances: the report, or the GeometryError, is the stage's,
+    and differs from the unbumped report somewhere."""
+    real = getattr(verify, name)
+    instances = [Params.make(*raw) for raw in drawn_params(10, 33, 24)]
+    unbumped = [outcome(verify.audit_printed_formulas, (params,)) for params in instances]
+    for index in range(4 if name in ("_printed_vertex_circle", "_printed_hagge") else 3):
+        for linear in (False, True):
+            changed = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, name, bumped(real, index, linear))
+                for params, before in zip(instances, unbumped):
+                    got = outcome(verify.audit_printed_formulas, (params,))
+                    assert got == stage_route(params, monkeypatch), (name, index, linear)
+                    # a bumped circle may be improper, which the stage row raises
+                    assert got[0] == "=" or issubclass(getattr(errors, got[1]), GeometryError)
+                    changed += got != before
+            assert changed, (name, index, linear)
+
+
+def orthocentre_of(O, Q, R, T, D):
+    """H = A + B + C - 2O of the vertices of parameters O/D, Q/D and R/D."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = (
+        (2 * D * D, 2 * P * D, D * D + P * P) for P in (O, Q, R))
+    w = w1 * w2 * w3
+    return (x1 * w2 * w3 + x2 * w1 * w3 + x3 * w1 * w2 - 2 * w,
+            y1 * w2 * w3 + y2 * w1 * w3 + y3 * w1 * w2, w)
+
+
+# printed objects that each break one incidence of a certificate: the vertex
+# V = (2D^2, 2PD) and its image I = (D^2 - 2PT, D(P + 2T)), over D^2 + P^2
+WRONG = {
+    "line through V and J": ("_printed_vertex_line", lambda P, T, D: (2 * P * D, -2 * D * D, 0)),
+    "line through I and J": ("_printed_vertex_line",
+                             lambda P, T, D: ((P + 2 * T) * D, -(D * D - 2 * P * T), 0)),
+    "zero line": ("_printed_vertex_line", lambda P, T, D: (0, 0, 0)),
+    "zero circle": ("_printed_vertex_circle", lambda P, T, D: (0, 0, 0, 0)),
+    "circle about I off J": ("_printed_vertex_circle",
+                             lambda P, T, D: (-2 * (D * D - 2 * P * T), -2 * (P + 2 * T) * D,
+                                              -D * D, D * D + P * P)),
+    "antipode of V": ("_printed_xyz", lambda O, Q, R, T, D: (-4 * O * T, 4 * D * T,
+                                                            D * D + O * O)),
+    "H": ("_printed_xyz", orthocentre_of),
+    "V": ("_printed_xyz", lambda O, Q, R, T, D: (2 * D * D, 2 * O * D, D * D + O * O)),
+    "zero Hagge circle": ("_printed_hagge", lambda A, B, C, T, D: (0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG)
+def test_certificates_refuse_a_wrong_object(monkeypatch, wrong):
+    """A printed object that misses one incidence of its certificate (or is
+    no line or circle at all) is left to the stage, which gives the report
+    or raises.  At t = 0 the image is the midpoint of J and V, so t != 0."""
+    name, formula = WRONG[wrong]
+    for raw in [raw for raw in drawn_params(10, 34, 10) if raw[3] != 0]:
+        params = Params.make(*raw)
+        num = geom._over_common(params.a, params.b, params.c, params.t)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, formula)
+            assert verify._certified_witnesses(params.backend, params, num) is None, raw
+            got = outcome(verify.audit_printed_formulas, (params,))
+            assert got == stage_route(params, monkeypatch), raw
+            assert got[0] == "raise" or "passed=False" in got[1], raw
+
+
+def test_an_uncertified_orthocentre_is_left_to_the_stage(monkeypatch):
+    """Sylvester's H decides eq2.5 only once it is on two altitudes."""
+    params = Params.make(1, 2, 3, Fraction(1, 2))
+    want = outcome(verify.audit_printed_formulas, (params,))
+    monkeypatch.setattr(verify, "_on_two_altitudes_h", lambda *_args: False)
+    num = geom._over_common(params.a, params.b, params.c, params.t)
+    assert verify._certified_witnesses(params.backend, params, num) is None
+    assert outcome(verify.audit_printed_formulas, (params,)) == want
+
+
+def test_float_rows_keep_their_tolerance():
     """A float instance within eps of abc = 0 matches eq2.5.x, as before."""
     fb = FloatBackend(1e-6)
     params = Params.make(Fraction(1, 3), Fraction(-2, 7), 1e-9, 0.5, backend=fb)
-    assert reference_report(params, monkeypatch) == outcome(
-        verify.audit_printed_formulas, (params,))
+    assert reference_report(params) == outcome(verify.audit_printed_formulas, (params,))
     assert verify.audit_printed_formulas(params).result("eq2.5.x").passed
 
 
 class TestNoFractionArithmetic:
     """With every Fraction arithmetic and ordering operator made to raise,
-    the six printed formulas, the eq2.5/eq2.6 comparisons and EXACT.parse
-    still run on exact input."""
+    the six printed formulas, the eq2.5/eq2.6 comparisons, the audit on its
+    certificates and EXACT.parse still run on exact input."""
 
     OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
@@ -350,5 +486,6 @@ class TestNoFractionArithmetic:
             num = geom._over_common(params.a, params.b, params.c, params.t)
             verify._audit_eq25(params.backend, stage, num)
             verify._audit_eq26(params.backend, stage, num)
+            verify.audit_printed_formulas(params)  # on its certificates
         for text in texts:
             EXACT.parse(text)

@@ -6,8 +6,10 @@ image of O, both through J, and ``double_simson_line`` tests that J lies on
 the circle of its triangle without building that circle.  The tests below
 compare both with the circle through three points, and show that a
 construction mutant which moves Q or X off S is caught by the check that
-now carries the membership, ``xyz_incidences``.  The audit's Eq2.8 row
-compares its printed circle with the stage's S, the one the scene holds.
+now carries the membership, ``xyz_incidences``.  On exact the audit's
+Eq2.8 certificate puts the centre of its printed circle at Q = sim(H), and
+J on it, without a stage; the stage's S, the one the scene holds, decides
+the row where a certificate does not pass, and on float.
 """
 
 import random
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import P
-from oblique_simson import geom, simson
+from oblique_simson import geom, simson, verify
 from oblique_simson.errors import AllCoincident, NotCollinear, NotOnCircumcircle
 from oblique_simson.numeric import EXACT, FloatBackend
 from oblique_simson.simson import Params, build_scene, double_simson_line
@@ -86,12 +88,15 @@ def test_construction_mutant_fails_xyz_incidences(monkeypatch, golden_params, mu
 
 
 def test_moved_s_fails_the_audit_and_xyz_incidences(monkeypatch, golden_params):
-    """The scene and the audit read one S: a stage S moved off X, Y, Z is a
-    MISMATCH of Eq2.8 and fails xyz_incidences."""
+    """A stage S moved off X, Y, Z fails xyz_incidences.  The audit's Eq2.8
+    certificate reads no stage, and still matches; where a certificate does
+    not pass, the stage decides, and its moved S is a MISMATCH of Eq2.8."""
     moved_s(monkeypatch)
     scene, audit = build_scene(golden_params), audit_printed_formulas(golden_params)
+    monkeypatch.setattr(verify, "_certified_witnesses", lambda *_args: None)
+    stage_audit = audit_printed_formulas(golden_params)
     monkeypatch.undo()
-    assert not audit.result("eq2.8").passed
+    assert audit.result("eq2.8").passed and not stage_audit.result("eq2.8").passed
     result = run_checks(scene).result("xyz_incidences")
     assert not result.passed
     assert result.witness["off"] == "S"

@@ -10,10 +10,20 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from oblique_simson import simson, verify
+from oblique_simson import geom, simson, verify
 from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
+
+def printed_xyz_at_vertex(params) -> bool:
+    """Whether a printed X, Y or Z of the audit is its vertex."""
+    be, num = params.backend, geom._over_common(params.a, params.b, params.c, params.t)
+    *abc, T, D = num
+    return any(geom._point_h(be, *verify._printed_xyz(own, q, r, T, D))
+               == simson._vertex_h(be, p)
+               for (_, own, q, r), p in zip(simson._by_vertex(*abc),
+                                            (params.a, params.b, params.c)))
+
 
 # the interpreter's integer-to-text digit limit (0: none)
 INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -294,31 +304,42 @@ class TestAudit:
         assert "Eq2.3 vertex-image line        MATCH 6  MISMATCH 0" in out
         assert "Eq2.8 circle through X,Y,Z     MATCH 6  MISMATCH 0" in out
 
+    @staticmethod
+    def tracked(monkeypatch):
+        """The params of every build_scene and construct_core call, until undo."""
+        builds, stages = [], []
+        build, core = simson.build_scene, simson.construct_core
+        monkeypatch.setattr(simson, "build_scene", lambda p: builds.append(p) or build(p))
+        monkeypatch.setattr(simson, "construct_core", lambda p: stages.append(p) or core(p))
+        return builds, stages
+
     def test_seeded_audit_constructs_each_instance_once(self, monkeypatch, capsys):
-        """audit --seed builds no scene, and one stage per instance that it
-        does not keep: at most two are alive at once."""
-        build, core, builds, stages, alive = simson.build_scene, simson.construct_core, [], [], []
-
-        class Stage(dict):
-            pass  # a dict that a weakref can follow
-
-        def tracked_build(params):
-            builds.append(params)
-            return build(params)
-
-        def tracked_core(params):
-            stage, flags = core(params)
-            stage = Stage(stage)
-            stages.append(weakref.ref(stage))
-            alive.append(sum(ref() is not None for ref in stages))
-            return stage, flags
-
-        monkeypatch.setattr(simson, "build_scene", tracked_build)
-        monkeypatch.setattr(simson, "construct_core", tracked_core)
+        """audit --seed builds no scene, and on these instances no stage:
+        the certificates decide every row."""
+        builds, stages = self.tracked(monkeypatch)
         assert main(["audit", "--seed", "7", "--count", "30"]) == 0
         monkeypatch.undo()
         assert "aggregate over 30 instances:" in capsys.readouterr().out
-        assert builds == [] and len(stages) == 30 and max(alive) <= 2
+        assert builds == [] and stages == []
+
+    def test_seeded_audit_builds_a_stage_only_where_printed_xyz_is_its_vertex(
+            self, monkeypatch, capsys):
+        """A stage is built where a printed X, Y or Z is its vertex, on a
+        tangent altitude, as the certificate of Eq2.7 asks for a meet other
+        than the vertex: on none of the 300 instances of seed 7, and on the
+        classical instance and (0, 1, -1, 0), where Y and Z are."""
+        config = verify.FuzzConfig(seed=7, count=300)
+        instances = [p for _, p in verify._instances(config)]
+        instances += [simson.Params.make(1, 2, 3, 0), simson.Params.make(0, 1, -1, 0)]
+        at_vertex = [p for p in instances if printed_xyz_at_vertex(p)]
+        _, stages = self.tracked(monkeypatch)
+        assert main(["audit", "--seed", "7", "--count", "300"]) == 0
+        assert stages == []
+        for params in instances[300:]:
+            verify.audit_printed_formulas(params)
+        monkeypatch.undo()
+        assert "aggregate over 300 instances:" in capsys.readouterr().out
+        assert stages == at_vertex == instances[300:]
 
     def test_partial_scene_flags_exit_2(self, capsys):
         assert main(["audit", "--a", "1", "--b", "2"]) == 2

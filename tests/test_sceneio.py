@@ -500,6 +500,20 @@ class TestSvg:
         # J's canvas y is -0.0, written "0.000000": the label keeps its text
         assert 'cy="0.000000"' in svg and svg.count("-0.000000") == 1
 
+    def test_label_is_escaped_as_xml_text(self, golden_scene):
+        """A name holding &, < or > is written escaped, so the figure parses
+        and its label reads back as the name; the other labels are as before."""
+        name = "P<&"
+        points = {(name if n == "Q" else n): p for n, p in golden_scene.points.items()}
+        svg = render_svg(dataclasses.replace(golden_scene, points=points))
+        labels = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+        assert name in labels and "Q" not in labels and len(labels) == 17
+        assert svg == render_svg(golden_scene).replace(">Q</text>", ">P&lt;&amp;</text>")
+
+    def test_scene_without_points_raises_output_error(self, golden_scene):
+        with pytest.raises(OutputError, match="^a scene with no points has no figure"):
+            render_svg(dataclasses.replace(golden_scene, points={}))
+
     def test_circles_and_lines_present(self, golden_scene):
         svg = render_svg(golden_scene)
         root = ET.fromstring(svg)
