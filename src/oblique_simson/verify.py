@@ -42,10 +42,11 @@ On exact the audit builds no construction stage where its certificates
 pass.  From the vertices and their images it takes H = A + B + C - 2O
 (Sylvester's relation), certified on two altitudes, and Q = sim(H), and
 decides each MATCH by the integer incidences that fix the constructive
-object, with no gcd: the vertex-image line holds the vertex and its image,
-the vertex circle and the Hagge circle pass through J about the image and
-Q, and X, Y, Z are on their altitudes and vertex circles, away from the
-vertex (see ``_certified_witnesses``).  Eq2.5 and Eq2.6 compare pairs,
+object, on the printed values as they are, in no canonical form: the
+vertex-image line holds the vertex and its image, the vertex circle and the
+Hagge circle pass through J about the image and Q, and X, Y, Z are on their
+altitudes and vertex circles, away from the vertex (see
+``_certified_witnesses``).  Eq2.5 and Eq2.6 compare pairs,
 scale-free, with that H and the unreduced altitude from A.  Where a
 certificate does not pass (a printed X, Y or Z at its vertex, an Eq2.6
 coefficient mismatch, a wrong or degenerate printed object), and on
@@ -560,9 +561,6 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
 
 # -- audit of the handed-down closed forms ----------------------------------------
-
-# Each printed formula returns the homogeneous values it is written with, and
-# a stage row brings them to the canonical tuple it compares.
 
 
 def _printed_vertex_line(P, T, D):

@@ -19,6 +19,12 @@ whose verdicts change (a = 0, abc = 0, b + c = 0) and t = 0, on both
 backends, and on float at -0.0, the least subnormal, 1e-300 and 1e150.  A
 guard makes every ``Fraction`` arithmetic and ordering operator raise and
 runs the integer paths.
+
+On exact the audit decides on certificates where they pass and builds no
+stage.  Its report must also be the one it gives with every certificate
+refused (the stage route): on the instances above, on the tangency
+instances, with one coefficient of a printed formula bumped by +1, and with
+a printed object that misses one incidence of its certificate.
 """
 
 import random
@@ -36,6 +42,7 @@ from oblique_simson.errors import GeometryError
 from oblique_simson.geom import Circle, Line, Point
 from oblique_simson.numeric import EXACT, FloatBackend, Scalar
 from oblique_simson.simson import VERTEX_ORDER, Params
+from test_closed_forms import TANGENT
 
 
 # -- reference: the rational bodies, verbatim -----------------------------------------
@@ -331,17 +338,11 @@ def test_audit_matches_rational_bodies(backend, mag, seed, count, monkeypatch,
         assert len(verdicts) == 4
 
 
-TANGENT_PARAMS = [(0, 1, -1, 0), (Fraction(-3, 2), Fraction(-4, 3), -1, Fraction(-1, 3)),
-                  (-3, Fraction(-4, 3), Fraction(1, 2), Fraction(1, 2)),
-                  (-4, -3, Fraction(1, 3), 2), (1, 2, 3, Fraction(1, 2)), (1, 2, 3, 0),
-                  (-4, Fraction(-7, 4), Fraction(-2, 3), Fraction(-3, 7))]
-
-
 def test_certificates_give_the_stage_report_on_tangency_instances(monkeypatch):
     """The TANGENT instances of test_closed_forms, and one with tangent:Y:
     where a printed X, Y or Z is its vertex the certificate of Eq2.7 does
     not pass and the stage decides; the report is the stage's either way."""
-    for raw in TANGENT_PARAMS:
+    for raw in TANGENT + [(-4, Fraction(-7, 4), Fraction(-2, 3), Fraction(-3, 7))]:
         params = Params.make(*raw)
         assert outcome(verify.audit_printed_formulas, (params,)) == stage_route(
             params, monkeypatch), raw

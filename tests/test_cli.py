@@ -15,6 +15,7 @@ from oblique_simson.cli import main
 
 GOLDEN = ["--a", "1", "--b", "2", "--c", "3", "--t", "1/2"]
 
+
 def printed_xyz_at_vertex(params) -> bool:
     """Whether a printed X, Y or Z of the audit is its vertex."""
     be, num = params.backend, geom._over_common(params.a, params.b, params.c, params.t)
@@ -327,7 +328,7 @@ class TestAudit:
         """A stage is built where a printed X, Y or Z is its vertex, on a
         tangent altitude, as the certificate of Eq2.7 asks for a meet other
         than the vertex: on none of the 300 instances of seed 7, and on the
-        classical instance and (0, 1, -1, 0), where Y and Z are."""
+        classical instance (X is A) and on (0, 1, -1, 0) (Y is B, Z is C)."""
         config = verify.FuzzConfig(seed=7, count=300)
         instances = [p for _, p in verify._instances(config)]
         instances += [simson.Params.make(1, 2, 3, 0), simson.Params.make(0, 1, -1, 0)]
